@@ -483,8 +483,8 @@ pub fn campaign_cmd(args: &Args) -> CmdResult {
         // the million-shot campaigns --streaming exists to make cheap.
         cfg.max_attempts = cfg.max_attempts.max(shots);
         let loss = LossSpec::new(replica_seed).with_improvement_factor(factor);
-        // One shard is the serial campaign itself — same task, same
-        // row, no fan-out bookkeeping.
+        // One shard is the serial campaign itself; the unsharded task
+        // keeps its `campaign` task name in the row.
         let task = if shards == 1 {
             Task::Campaign { config: cfg, loss }
         } else {

@@ -1,16 +1,16 @@
 //! The compile driver, compiled-circuit container, and schedule
 //! verifier.
 //!
-//! [`compile`]/[`compile_with`] are thin wrappers over the standard
-//! [`Pipeline`](crate::passes::Pipeline); see [`crate::passes`] for
-//! the pass-by-pass breakdown and the artifact-reuse seam.
+//! [`compile`]/[`compile_with`] are thin wrappers over [`passes::run`];
+//! see [`crate::passes`] for the pass-by-pass breakdown and artifact
+//! reuse.
 
-use crate::passes::{PassContext, PassReport, Pipeline};
-use crate::placement::{initial_placement_with, PlacementScratch};
-use crate::scheduler::{frontier_weights, run, ScheduleResult};
+use crate::passes::{self, PassReport, Reuse};
+use crate::placement::PlacementScratch;
+use crate::scheduler::ScheduleResult;
 use crate::{CompileError, CompilerConfig, QubitMap};
-use na_arch::{Grid, InteractionGraph, RestrictionZone, Site};
-use na_circuit::{decompose_circuit, Circuit, DecomposeLevel, Gate, Qubit};
+use na_arch::{Grid, RestrictionZone, Site};
+use na_circuit::{decompose_circuit, Circuit, DecomposeLevel, Qubit};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
@@ -115,7 +115,7 @@ impl CompiledCircuit {
         sites
     }
 
-    /// Assembles the container from the pipeline's artifacts (the
+    /// Assembles the container from the compile's intermediates (the
     /// `finalize` pass calls this).
     pub(crate) fn from_parts(
         circuit: Circuit,
@@ -181,9 +181,10 @@ impl fmt::Display for CompiledMetrics {
 /// Compiles `circuit` for the neutral-atom device `grid` under
 /// `config`.
 ///
-/// Pipeline: lower multiqubit gates to the configured gate set → build
-/// the lookahead-weighted initial placement → route and schedule with
-/// restriction zones. See the crate docs for an end-to-end example.
+/// Passes ([`crate::passes`]): lower multiqubit gates to the
+/// configured gate set → build the lookahead-weighted initial placement
+/// → route and schedule with restriction zones. See the crate docs for
+/// an end-to-end example.
 ///
 /// # Errors
 ///
@@ -220,83 +221,35 @@ pub fn compile_with(
     config: &CompilerConfig,
     scratch: &mut PlacementScratch,
 ) -> Result<CompiledCircuit, CompileError> {
-    let mut ctx = PassContext::new(circuit, grid, config, scratch);
-    Pipeline::standard().run(&mut ctx)
+    passes::run(circuit, grid, config, scratch, Reuse::Nothing, false, None)
 }
 
-/// [`compile`] through the self-checking pipeline, also returning the
-/// per-pass [`PassReport`] (wall time + artifact stats per pass,
-/// including a real `verify` measurement). The compiled circuit is
-/// identical to [`compile`]'s — the report is strictly observational.
+/// [`compile`] with the `verify` pass on, also returning the per-pass
+/// [`PassReport`] (wall time + artifact stats per pass, including a
+/// real `verify` measurement). The compiled circuit is identical to
+/// [`compile`]'s — the report is strictly observational.
 ///
 /// # Errors
 ///
 /// As [`compile`], plus [`CompileError::VerifyFailed`] if the
-/// in-pipeline verification rejects the schedule (a compiler bug by
+/// in-line verification rejects the schedule (a compiler bug by
 /// definition).
 pub fn compile_with_report(
     circuit: &Circuit,
     grid: &Grid,
     config: &CompilerConfig,
 ) -> Result<(CompiledCircuit, PassReport), CompileError> {
-    let mut scratch = PlacementScratch::new();
-    let mut ctx = PassContext::new(circuit, grid, config, &mut scratch);
-    Pipeline::self_checking().run_reported(&mut ctx)
-}
-
-/// The pre-pipeline monolithic compile body, kept verbatim as the
-/// differential oracle for `tests/pipeline_differential.rs`: the pass
-/// pipeline must reproduce this function's output bit for bit on every
-/// input until parity is beyond doubt. Not part of the public API.
-#[doc(hidden)]
-pub fn compile_monolithic(
-    circuit: &Circuit,
-    grid: &Grid,
-    config: &CompilerConfig,
-    scratch: &mut PlacementScratch,
-) -> Result<CompiledCircuit, CompileError> {
-    na_faults::check_deadline()?;
-    let lowered = lower_for(circuit, config);
-    na_faults::check_deadline()?;
-
-    // An arity-k gate needs k atoms pairwise within the MID; the
-    // tightest k-site cluster on a grid is a ⌈√k⌉×⌈√k⌉ block whose
-    // diagonal is √2·(⌈√k⌉−1).
-    let max_arity = lowered
-        .iter()
-        .filter(|g| !g.is_measure())
-        .map(Gate::arity)
-        .max()
-        .unwrap_or(1);
-    if max_arity >= 3 {
-        let side = (max_arity as f64).sqrt().ceil();
-        let required_sq = 2.0 * (side - 1.0) * (side - 1.0);
-        if config.mid * config.mid < required_sq - 1e-9 {
-            return Err(CompileError::UnroutableGate { arity: max_arity });
-        }
-    }
-
-    let dag = lowered.dag();
-    let frontier = dag.frontier();
-    let weights = frontier_weights(&lowered, &frontier, config.lookahead_depth);
-    let map0 = initial_placement_with(&lowered, grid, &weights, scratch)?;
-    let initial_table = map0.to_table();
-    na_faults::check_deadline()?;
-
-    let graph = InteractionGraph::cached(grid, config.mid);
-    let result = run(&lowered, grid, &graph, config, map0)?;
-    na_faults::check_deadline()?;
-
-    let used_sites = CompiledCircuit::compute_used_sites(&initial_table, &result.ops);
-    Ok(CompiledCircuit {
-        circuit: lowered,
-        ops: result.ops,
-        initial_map: initial_table,
-        final_map: result.final_map.to_table(),
-        num_timesteps: result.num_timesteps,
-        config: *config,
-        used_sites,
-    })
+    let mut report = PassReport::default();
+    let compiled = passes::run(
+        circuit,
+        grid,
+        config,
+        &mut PlacementScratch::new(),
+        Reuse::Nothing,
+        true,
+        Some(&mut report),
+    )?;
+    Ok((compiled, report))
 }
 
 /// Lowers `circuit` to the gate set `config` selects (native

@@ -167,11 +167,11 @@ pub enum CompileError {
         /// The failpoint site that fired.
         site: String,
     },
-    /// The pipeline's in-line `verify` pass rejected the schedule it
-    /// had just produced — a compiler bug by definition. Only emitted
-    /// by self-checking pipelines
-    /// ([`Pipeline::self_checking`](crate::passes::Pipeline::self_checking));
-    /// the standard pipeline leaves verification to its callers.
+    /// The in-line `verify` pass rejected the schedule it had just
+    /// produced — a compiler bug by definition. Only emitted by
+    /// self-checking compiles (`verify` on in
+    /// [`run_passes`](crate::run_passes)); [`compile`](crate::compile)
+    /// leaves verification to its callers.
     VerifyFailed {
         /// The rendered [`VerifyError`](crate::VerifyError).
         detail: String,

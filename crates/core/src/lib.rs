@@ -52,8 +52,6 @@ pub mod placement;
 pub mod routing;
 pub mod scheduler;
 
-#[doc(hidden)]
-pub use compiler::compile_monolithic;
 pub use compiler::{
     compile, compile_with, compile_with_report, lower_for, schedule_digest, verify,
     CompiledCircuit, CompiledMetrics, ScheduledOp, SiteList, VerifyError,
@@ -62,7 +60,7 @@ pub use config::{CompileError, CompilerConfig};
 pub use lookahead::{InteractionWeights, WeightScratch};
 pub use mapping::QubitMap;
 pub use passes::{
-    ArtifactKey, ArtifactStore, Pass, PassArtifacts, PassContext, PassReport, PassTiming, Pipeline,
+    run as run_passes, ArtifactKey, ArtifactStore, PassArtifacts, PassReport, PassTiming, Reuse,
 };
 pub use placement::{
     circuit_weights, initial_layout, initial_placement, initial_placement_reference,

@@ -34,8 +34,8 @@
 use na_arch::Grid;
 use na_circuit::Circuit;
 use na_core::{
-    ArtifactStore, CompileError, CompiledCircuit, CompilerConfig, PassContext, PassReport,
-    Pipeline, PlacementScratch,
+    ArtifactStore, CompileError, CompiledCircuit, CompilerConfig, PassReport, PlacementScratch,
+    Reuse,
 };
 use na_loss::InteractionSummary;
 use std::cell::RefCell;
@@ -165,10 +165,10 @@ pub struct CompileCache {
     /// interaction-pair summary instead of each
     /// [`na_loss::StrategyState`] rebuilding it.
     summaries: Mutex<HashMap<CacheKey, Arc<InteractionSummary>>>,
-    /// The pass pipeline's MID-independent front-end artifacts
+    /// The compile passes' MID-independent front-end artifacts
     /// (lowered circuit + initial placement), shared across cache
     /// entries that differ only in MID/zone policy — a finer-grained
-    /// reuse seam than the whole-compilation entries above.
+    /// reuse than the whole-compilation entries above.
     artifacts: ArtifactStore,
     /// Per-entry [`PassReport`] from the compiling thread (collected
     /// only while telemetry is enabled); runner rows attach it next to
@@ -244,19 +244,22 @@ impl CompileCache {
             .map_err(CompileError::from)
             .and_then(|()| {
                 PLACEMENT_SCRATCH.with(|s| {
-                    let mut scratch = s.borrow_mut();
-                    let mut ctx = PassContext::new(circuit, grid, config, &mut scratch);
-                    ctx.reuse_from(&self.artifacts);
-                    let pipeline = Pipeline::standard();
-                    if na_telemetry::is_enabled() {
-                        let (compiled, report) = pipeline.run_reported(&mut ctx)?;
+                    let mut report = na_telemetry::is_enabled().then(PassReport::default);
+                    let compiled = na_core::run_passes(
+                        circuit,
+                        grid,
+                        config,
+                        &mut s.borrow_mut(),
+                        Reuse::FrontEnd(&self.artifacts),
+                        false,
+                        report.as_mut(),
+                    )?;
+                    if let Some(report) = report {
                         lock_recover(&self.reports)
                             .entry(key)
                             .or_insert_with(|| Arc::new(report));
-                        Ok(Arc::new(compiled))
-                    } else {
-                        pipeline.run(&mut ctx).map(Arc::new)
                     }
+                    Ok(Arc::new(compiled))
                 })
             });
         claim.armed = false;
@@ -307,8 +310,8 @@ impl CompileCache {
         lock_recover(&self.reports).get(key).cloned()
     }
 
-    /// The pass pipeline's front-end artifact store (placement reuse
-    /// across MID variants) — exposed for occupancy/hit introspection.
+    /// The front-end artifact store (placement reuse across MID
+    /// variants) — exposed for occupancy/hit introspection.
     pub fn artifacts(&self) -> &ArtifactStore {
         &self.artifacts
     }

@@ -197,11 +197,12 @@ pub struct RunRecord {
     /// the byte-reproducibility contract; `None` in the default
     /// configuration and for tasks that bypass the compile cache.
     pub pass_report: Option<na_core::PassReport>,
-    /// Per-shard stage timings for `Task::ShardedCampaign` rows
-    /// (indexed by shard, stage name → ns on the shard's worker
-    /// thread), tagged only when telemetry is enabled. Wall-clock like
-    /// [`RunRecord::timings`], so exempt from byte-reproducibility;
-    /// `None` in the default configuration and for unsharded tasks.
+    /// Per-shard stage timings for campaign rows (indexed by shard,
+    /// stage name → ns on the shard's worker thread; an unsharded
+    /// campaign is one shard), tagged only when telemetry is enabled.
+    /// Wall-clock like [`RunRecord::timings`], so exempt from
+    /// byte-reproducibility; `None` in the default configuration and
+    /// for every other task.
     #[serde(default)]
     pub shard_timings: Option<Vec<std::collections::BTreeMap<String, u64>>>,
     /// The measurement.

@@ -10,7 +10,7 @@
 use crate::cache::{CacheKey, CacheStats, CompileCache};
 use crate::record::{Outcome, RunRecord};
 use crate::sink::{ResultSink, SinkError};
-use crate::spec::{CircuitSource, ExperimentSpec, Job, LossSpec, Task};
+use crate::spec::{CircuitSource, ExperimentSpec, Job, Task};
 use na_benchmarks::Benchmark;
 use na_loss::{CampaignResult, LossOutcome, ShotRange, Strategy, StrategyState};
 use na_noise::{
@@ -110,59 +110,60 @@ impl Engine {
         let cache_flags = self.cache_hit_flags(jobs);
         let slots: Vec<OnceLock<RunRecord>> = jobs.iter().map(|_| OnceLock::new()).collect();
 
-        // Expand the spec into pool work items: one item per plain
-        // job, one item per shard of a sharded campaign. A sharded
-        // job's shards share a `ShardFan`; the last shard to finish
-        // merges the per-shard results in shard-index order, so the
-        // row is independent of completion order. Jobs whose shard
-        // plan is invalid fail typed before any work starts.
+        // Expand the spec into pool work items: one item per job, but
+        // one item per shard of a campaign (an unsharded campaign is a
+        // fan of one shard). A campaign's shards share a `ShardFan`;
+        // the last shard to finish merges the per-shard results in
+        // shard-index order, so the row is independent of completion
+        // order. Jobs whose shard plan is invalid fail typed before any
+        // work starts.
         let mut fans: Vec<ShardFan> = Vec::new();
         let mut items: Vec<WorkItem> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
-            if let Task::ShardedCampaign { config, shards, .. } = &job.task {
-                match na_loss::shard_ranges(config, *shards) {
-                    Ok(ranges) => {
-                        let fan = fans.len();
-                        let results = ranges.iter().map(|_| OnceLock::new()).collect();
-                        let remaining = AtomicUsize::new(ranges.len());
-                        items.extend((0..ranges.len()).map(|shard| WorkItem::Shard { fan, shard }));
-                        // The job span of a sharded campaign outlives
-                        // any single worker: allocate its id and begin
-                        // timestamp here; the merging worker emits the
-                        // complete span onto the job's virtual track.
-                        let (trace_span, trace_begin_ns) = if na_telemetry::trace::is_enabled() {
-                            (
-                                na_telemetry::trace::alloc_span_id(),
-                                na_telemetry::trace::now_ns(),
-                            )
-                        } else {
-                            (0, 0)
-                        };
-                        fans.push(ShardFan {
-                            job_index: i,
-                            ranges,
-                            results,
-                            remaining,
-                            trace_span,
-                            trace_begin_ns,
-                        });
-                    }
-                    Err(plan) => {
-                        slots[i]
-                            .set(RunRecord::new(
-                                job,
-                                Outcome::Failed {
-                                    unroutable: false,
-                                    panicked: false,
-                                    deadline: false,
-                                    error: plan.to_string(),
-                                },
-                            ))
-                            .expect("slot written once");
-                    }
-                }
-            } else {
+            let Some((config, _, shards)) = job.task.campaign() else {
                 items.push(WorkItem::Whole(i));
+                continue;
+            };
+            match na_loss::shard_ranges(config, shards) {
+                Ok(ranges) => {
+                    let fan = fans.len();
+                    let results = ranges.iter().map(|_| OnceLock::new()).collect();
+                    let remaining = AtomicUsize::new(ranges.len());
+                    items.extend((0..ranges.len()).map(|shard| WorkItem::Shard { fan, shard }));
+                    // The job span of a campaign outlives any single
+                    // worker: allocate its id and begin timestamp here;
+                    // the merging worker emits the complete span onto
+                    // the job's virtual track.
+                    let (trace_span, trace_begin_ns) = if na_telemetry::trace::is_enabled() {
+                        (
+                            na_telemetry::trace::alloc_span_id(),
+                            na_telemetry::trace::now_ns(),
+                        )
+                    } else {
+                        (0, 0)
+                    };
+                    fans.push(ShardFan {
+                        job_index: i,
+                        ranges,
+                        results,
+                        remaining,
+                        trace_span,
+                        trace_begin_ns,
+                    });
+                }
+                Err(plan) => {
+                    slots[i]
+                        .set(RunRecord::new(
+                            job,
+                            Outcome::Failed {
+                                unroutable: false,
+                                panicked: false,
+                                deadline: false,
+                                error: plan.to_string(),
+                            },
+                        ))
+                        .expect("slot written once");
+                }
             }
         }
 
@@ -172,13 +173,13 @@ impl Engine {
 
         let run_item = |item: &WorkItem| match *item {
             WorkItem::Whole(i) => slots[i]
-                .set(self.run_job_isolated(&jobs[i]))
+                .set(self.run_job(&jobs[i]))
                 .expect("slot written once"),
             WorkItem::Shard { fan, shard } => {
                 let fan = &fans[fan];
                 let job = &jobs[fan.job_index];
                 fan.results[shard]
-                    .set(self.run_shard_isolated(job, shard, fan.ranges[shard], fan.trace_span))
+                    .set(self.run_shard(job, shard, fan.ranges[shard], fan.trace_span))
                     .expect("shard slot written once");
                 // `AcqRel` so the last finisher observes every other
                 // shard's completed write before merging.
@@ -247,12 +248,10 @@ impl Engine {
         records
     }
 
-    /// Runs one job inside its failure domain: a per-job fault scope
-    /// (deterministic failpoint hit counts at any worker count), the
-    /// engine's per-job deadline, and a panic boundary. A panic is
-    /// isolated into an [`Outcome::from_panic`] row — the worker keeps
-    /// draining the cursor and every other job's row is unaffected.
-    fn run_job_isolated(&self, job: &Job) -> RunRecord {
+    /// Runs one whole job inside its failure domain
+    /// ([`Engine::isolated`], fault scope `job{id}`); a panic becomes
+    /// the job's [`Outcome::from_panic`] row.
+    fn run_job(&self, job: &Job) -> RunRecord {
         let _job_span = na_telemetry::trace::span_with(
             "job",
             "job",
@@ -264,44 +263,21 @@ impl Engine {
                 ),
             ],
         );
-        let _scope = na_faults::scope(format!("job{}", job.id));
-        let _deadline = na_faults::push_deadline(match self.job_timeout {
-            Some(budget) => na_faults::Deadline::after(budget),
-            None => na_faults::Deadline::UNBOUNDED,
-        });
-        match catch_unwind(AssertUnwindSafe(|| {
+        self.isolated(format!("job{}", job.id), || {
             execute_job(job, &self.cache, self.verify)
-        })) {
-            Ok(record) => record,
-            Err(payload) => {
-                // An unwind mid-placement may have left this worker's
-                // reusable scratch half-updated; start the next job
-                // from a fresh one. (The compile cache protects itself
-                // with its own claim guard and poison-recovering
-                // locks.)
-                crate::cache::reset_thread_scratch();
-                RunRecord::new(job, Outcome::from_panic(panic_message(payload.as_ref())))
-            }
-        }
+        })
+        .unwrap_or_else(|panicked| RunRecord::new(job, panicked))
     }
 
-    /// Runs one campaign shard inside its own failure domain — a
-    /// per-shard fault scope (`job{id}.shard{k}`, so chaos plans can
-    /// target a single shard), a fresh copy of the engine's full
-    /// per-job deadline budget, and a panic boundary. Shards of one
-    /// job are peers of whole jobs on the pool, so a panicking or
-    /// expired shard fails only its own row.
-    // The Err side carries a full `Outcome` so a failed shard slots
-    // into the row verbatim; shards are coarse units, so the extra
-    // bytes per return never matter.
+    /// Runs one campaign shard inside its own failure domain
+    /// ([`Engine::isolated`]). Shards of one job are peers of whole
+    /// jobs on the pool, so a panicking or expired shard fails only its
+    /// own campaign's row. Shard `k` of a sharded campaign runs in the
+    /// fault scope `job{id}.shard{k}`, so chaos plans can target a
+    /// single shard; the one shard of an unsharded campaign keeps the
+    /// job's own scope `job{id}`.
     #[allow(clippy::result_large_err)]
-    fn run_shard_isolated(
-        &self,
-        job: &Job,
-        shard: usize,
-        range: ShotRange,
-        trace_parent: u64,
-    ) -> ShardDone {
+    fn run_shard(&self, job: &Job, shard: usize, range: ShotRange, trace_parent: u64) -> ShardDone {
         let _shard_span = na_telemetry::trace::span_child_of(
             "shard",
             "shard",
@@ -311,28 +287,47 @@ impl Engine {
                 ("shard", na_telemetry::trace::ArgValue::U64(shard as u64)),
             ],
         );
-        let _scope = na_faults::scope(format!("job{}.shard{}", job.id, shard));
-        let _deadline = na_faults::push_deadline(match self.job_timeout {
-            Some(budget) => na_faults::Deadline::after(budget),
-            None => na_faults::Deadline::UNBOUNDED,
-        });
+        let scope = match job.task {
+            Task::ShardedCampaign { .. } => format!("job{}.shard{}", job.id, shard),
+            _ => format!("job{}", job.id),
+        };
         // Stage timers are thread-local, so the window between marks
         // is exactly this shard's work on this worker thread.
         let stage_mark = na_telemetry::is_enabled().then(na_telemetry::mark_stages);
-        let result = match catch_unwind(AssertUnwindSafe(|| {
-            execute_shard(job, shard, range, &self.cache)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                crate::cache::reset_thread_scratch();
-                Err(Outcome::from_panic(panic_message(payload.as_ref())))
-            }
-        };
+        let result = self
+            .isolated(scope, || execute_shard(job, shard, range, &self.cache))
+            .and_then(std::convert::identity);
         na_telemetry::add(na_telemetry::Counter::CampaignShards, 1);
         ShardDone {
             result,
             timings: stage_mark.map(|mark| na_telemetry::stage_deltas_since(&mark)),
         }
+    }
+
+    /// The failure domain every unit of pool work runs in: the fault
+    /// scope `scope` (deterministic failpoint hit counts at any worker
+    /// count), a fresh copy of the engine's per-job deadline budget,
+    /// and a panic boundary. A caught panic comes back as its typed
+    /// [`Outcome::from_panic`] — the worker keeps draining the cursor
+    /// and every other row is unaffected.
+    // The Err side carries a full `Outcome` so a failed unit slots into
+    // its row verbatim; units are coarse, so the extra bytes per return
+    // never matter.
+    #[allow(clippy::result_large_err)]
+    fn isolated<T>(&self, scope: String, work: impl FnOnce() -> T) -> Result<T, Outcome> {
+        let _scope = na_faults::scope(scope);
+        let _deadline = na_faults::push_deadline(match self.job_timeout {
+            Some(budget) => na_faults::Deadline::after(budget),
+            None => na_faults::Deadline::UNBOUNDED,
+        });
+        catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+            // An unwind mid-placement may have left this worker's
+            // reusable scratch half-updated; start the next unit from a
+            // fresh one. (The compile cache protects itself with its
+            // own claim guard and poison-recovering locks.)
+            crate::cache::reset_thread_scratch();
+            Outcome::from_panic(panic_message(payload.as_ref()))
+        })
     }
 
     /// `cache_hit` for every job: `None` for tasks that bypass the
@@ -385,16 +380,16 @@ impl Engine {
     }
 }
 
-/// One unit of pool work: a whole job, or one shard of a sharded
-/// campaign (both indices into the expansion-time arrays).
+/// One unit of pool work: a whole job, or one shard of a campaign
+/// (both indices into the expansion-time arrays).
 enum WorkItem {
-    /// `jobs[i]` runs as a single item (every non-sharded task).
+    /// `jobs[i]` runs as a single item (every task but a campaign).
     Whole(usize),
     /// Shard `shard` of `fans[fan]`.
     Shard { fan: usize, shard: usize },
 }
 
-/// Shared merge state of one sharded campaign job.
+/// Shared merge state of one campaign job.
 struct ShardFan {
     /// Index of the owning job in the spec.
     job_index: usize,
@@ -423,10 +418,12 @@ struct ShardDone {
     timings: Option<std::collections::BTreeMap<String, u64>>,
 }
 
-/// Runs one shard of a sharded campaign: compile through the shared
-/// cache (all shards hit the one artifact), reuse the memoized
-/// interaction summary, then execute just this shard's shot range with
-/// its deterministically derived RNG streams.
+/// Runs one shard of a campaign: compile through the shared cache (at
+/// the strategy's compile MID; all shards hit the one artifact), reuse
+/// the memoized interaction summary, then execute just this shard's
+/// shot range with its deterministically derived RNG streams. Shard 0
+/// of a one-shard plan draws exactly the unsharded campaign's streams,
+/// so it reproduces `na_loss::run_campaign` bit for bit.
 #[allow(clippy::result_large_err)]
 fn execute_shard(
     job: &Job,
@@ -440,9 +437,10 @@ fn execute_shard(
     if let Err(expired) = na_faults::check_deadline() {
         return Err(Outcome::from_error(&expired.into()));
     }
-    let Task::ShardedCampaign { config, loss, .. } = &job.task else {
-        unreachable!("only sharded campaigns expand into shard work items");
-    };
+    let (config, loss, _) = job
+        .task
+        .campaign()
+        .expect("only campaigns expand into shard work items");
     let compile_cfg = job
         .task
         .compile_config(&job.config)
@@ -467,7 +465,7 @@ fn execute_shard(
     .map_err(|e| Outcome::from_error(&e))
 }
 
-/// Assembles a sharded campaign's row once every shard has finished:
+/// Assembles a campaign's row once every shard has finished:
 /// the shard results merge in shard-index order (so the row does not
 /// depend on completion order), and a failed shard — typed error,
 /// caught panic, expired deadline — fails the whole row with the
@@ -538,6 +536,10 @@ fn merge_fan(job: &Job, fan: &ShardFan, cache: &CompileCache) -> RunRecord {
             0,
             vec![
                 ("job", na_telemetry::trace::ArgValue::U64(job.id)),
+                (
+                    "task",
+                    na_telemetry::trace::ArgValue::Str(job.task.name().to_string()),
+                ),
                 (
                     "shards",
                     na_telemetry::trace::ArgValue::U64(fan.ranges.len() as u64),
@@ -639,11 +641,10 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
             params,
             seed,
         } => run_loss_trace(&circuit, job, *strategy, *max_holes, params, *seed),
-        Task::Campaign { config, loss } => run_campaign_task(&circuit, job, config, loss, cache),
-        // Sharded campaigns are expanded into per-shard work items by
+        // Campaigns are expanded into per-shard work items by
         // `Engine::run` and never reach the whole-job path.
-        Task::ShardedCampaign { .. } => {
-            unreachable!("sharded campaigns expand into shard work items")
+        Task::Campaign { .. } | Task::ShardedCampaign { .. } => {
+            unreachable!("campaigns expand into shard work items")
         }
     };
     let mut record = RunRecord::new(job, outcome);
@@ -715,49 +716,10 @@ fn run_loss_trace(
     Outcome::LossTrace { success }
 }
 
-/// Campaigns compile through the shared cache (at the strategy's
-/// compile MID) and reuse the memoized [`na_loss::InteractionSummary`]
-/// of that compilation, so N campaign replicas of one experiment point
-/// pay for one compile and one summary instead of N of each. Results
-/// are identical to the self-compiling path (`run_campaign`); the loss
-/// crate's `precompiled_campaign_matches_self_compiled` test pins
-/// that.
-fn run_campaign_task(
-    circuit: &na_circuit::Circuit,
-    job: &Job,
-    config: &na_loss::CampaignConfig,
-    loss: &LossSpec,
-    cache: &CompileCache,
-) -> Outcome {
-    let compile_cfg = job
-        .task
-        .compile_config(&job.config)
-        .expect("campaigns use the compile cache");
-    match cache.get_or_compile(circuit, &job.grid, &compile_cfg) {
-        Ok(compiled) => {
-            let key = CacheKey::for_point(circuit, &job.grid, &compile_cfg);
-            let summary = cache.summary_for(&key, &compiled);
-            match na_loss::run_campaign_precompiled(
-                circuit,
-                &job.grid,
-                compiled,
-                summary,
-                loss.build(),
-                config,
-            ) {
-                Ok(result) => Outcome::Campaign(result),
-                // A shot-boundary deadline or injected fault: the
-                // partial campaign is discarded, the row is typed.
-                Err(e) => Outcome::from_error(&e),
-            }
-        }
-        Err(e) => Outcome::from_error(&e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::LossSpec;
     use na_arch::Grid;
     use na_benchmarks::Benchmark;
     use na_core::CompilerConfig;

@@ -197,6 +197,20 @@ impl Task {
         }
     }
 
+    /// A campaign task's config, loss model and shard count (an
+    /// unsharded campaign is one shard); `None` for every other task.
+    pub(crate) fn campaign(&self) -> Option<(&CampaignConfig, &LossSpec, u32)> {
+        match self {
+            Task::Campaign { config, loss } => Some((config, loss, 1)),
+            Task::ShardedCampaign {
+                config,
+                loss,
+                shards,
+            } => Some((config, loss, *shards)),
+            _ => None,
+        }
+    }
+
     /// Short task name used in result rows.
     pub fn name(&self) -> &'static str {
         match self {

@@ -12,8 +12,8 @@ use crate::Strategy;
 use na_arch::{BfsScratch, Grid, InteractionGraph, ShiftScratch, Site, VirtualMap};
 use na_circuit::Circuit;
 use na_core::{
-    compile_with, ArtifactKey, ArtifactStore, CompileError, CompiledCircuit, CompilerConfig,
-    PassContext, Pipeline, PlacementScratch,
+    compile_with, run_passes, ArtifactKey, ArtifactStore, CompileError, CompiledCircuit,
+    CompilerConfig, PlacementScratch, Reuse,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -274,24 +274,24 @@ impl StrategyState {
             Strategy::AlwaysReload => LossOutcome::NeedsReload,
             Strategy::FullRecompile => {
                 let t0 = Instant::now();
-                // Recompile through the same pass pipeline as the
-                // compile path, against the live holey grid. The holes
-                // change the grid fingerprint, so full front-end
-                // artifacts cannot be reused — but lowering never
-                // reads the grid, so the per-campaign store serves the
+                // Recompile through the same passes as the compile
+                // path, against the live holey grid. The holes change
+                // the grid fingerprint, so full front-end artifacts
+                // cannot be reused — but lowering never reads the
+                // grid, so the per-campaign store serves the
                 // schedule's lowered circuit (pre-seeded at
                 // construction) instead of re-lowering per loss event.
                 // Bit-identical by the artifact-reuse contract; the
                 // campaign digests pin it.
-                let artifacts = Arc::clone(&self.artifacts);
-                let mut ctx = PassContext::new(
+                match run_passes(
                     &self.program,
                     &self.grid,
                     &self.compiler_config,
                     &mut self.placement_scratch,
-                );
-                ctx.reuse_lowered_from(&artifacts);
-                match Pipeline::standard().run(&mut ctx) {
+                    Reuse::Lowering(&self.artifacts),
+                    false,
+                    None,
+                ) {
                     Ok(c) => {
                         self.used_addresses = c.used_sites().to_vec();
                         self.summary = Arc::new(InteractionSummary::of(&c));

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 static GUARD: Mutex<()> = Mutex::new(());
 
 /// One single-job compile experiment through the engine, returning its
-/// row — the job-span path through `run_job_isolated`.
+/// row — the job-span path through `Engine::run_job`.
 fn engine_compile_row() -> natoms::engine::RunRecord {
     let mut spec = ExperimentSpec::new("guard", Grid::new(10, 10));
     spec.push(

@@ -615,7 +615,7 @@ impl BenchMeta {
 /// The machine-readable report of `natoms bench --json`.
 ///
 /// Schema history: v2 added `meta` (run provenance) and `metrics` (the
-/// per-stage telemetry snapshot of the benched workloads); every v1
+/// per-span telemetry snapshot of the benched workloads); every v1
 /// per-workload field is retained unchanged so units/s trajectories
 /// stay comparable across the schema bump. `pass_report` (the
 /// per-pass breakdown of one representative compile through the
@@ -632,7 +632,7 @@ struct BenchReport {
     meta: BenchMeta,
     /// The timed workloads.
     workloads: Vec<BenchWorkload>,
-    /// Merged telemetry of the benched workloads: per-stage latency
+    /// Merged telemetry of the benched workloads: per-span latency
     /// percentiles plus compile/loss counters.
     metrics: na_telemetry::MetricsSnapshot,
     /// Per-pass wall time and artifact stats of one representative
@@ -648,7 +648,7 @@ struct BenchReport {
 pub fn bench_cmd(args: &Args) -> CmdResult {
     let quick = args.flag("quick");
     let timeout = job_timeout(args)?;
-    // bench always collects its own telemetry (that's the per-stage
+    // bench always collects its own telemetry (that's the per-span
     // breakdown the report embeds), regardless of --metrics.
     let telemetry_was_enabled = na_telemetry::is_enabled();
     na_telemetry::set_enabled(true);
@@ -1223,7 +1223,8 @@ fn render_critical_path(
 /// written by the global `--trace` flag: structural validation
 /// (matched begin/end pairs per track), per-job critical paths, the
 /// top-k slowest spans (`--top N`, default 10), and cache-wait
-/// totals.
+/// totals. A closed stdout (`natoms trace f | head -1`) ends the
+/// summary early without error.
 pub fn trace_cmd(args: &Args) -> CmdResult {
     let path = args
         .positional()
@@ -1234,39 +1235,54 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
         .map_err(|e| ArgError(format!("cannot read trace file {path:?}: {e}")))?;
     let events: Vec<serde_json::Value> = serde_json::from_str(&text)
         .map_err(|e| ArgError(format!("{path}: not a trace-event array: {e}")))?;
-    let (spans, instants, unmatched) = fold_trace_events(&events);
+    match write_trace_summary(&mut std::io::stdout().lock(), path, &events, top) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(Box::new(e)),
+        _ => Ok(CmdStatus::Ok),
+    }
+}
+
+/// Writes the `natoms trace` summary of `events` to `out`.
+fn write_trace_summary(
+    out: &mut impl std::io::Write,
+    path: &str,
+    events: &[serde_json::Value],
+    top: usize,
+) -> std::io::Result<()> {
+    let (spans, instants, unmatched) = fold_trace_events(events);
     let tracks: std::collections::BTreeSet<u64> = events
         .iter()
         .filter_map(|ev| ev.get("tid").and_then(|t| t.as_u64()))
         .collect();
-    println!(
+    writeln!(
+        out,
         "{path}: {} events, {} spans, {} tracks, {} unmatched begin/end",
         events.len(),
         spans.len(),
         tracks.len(),
         unmatched
-    );
+    )?;
     if !instants.is_empty() {
         let rendered: Vec<String> = instants
             .iter()
             .map(|(name, count)| format!("{name} x{count}"))
             .collect();
-        println!("instants: {}", rendered.join(", "));
+        writeln!(out, "instants: {}", rendered.join(", "))?;
     }
 
     let waits: Vec<&TraceSpan> = spans.iter().filter(|s| s.name == "cache_wait").collect();
     if !waits.is_empty() {
-        println!(
+        writeln!(
+            out,
             "cache wait: {} wait(s), {:.3} ms total",
             waits.len(),
             waits.iter().map(|s| s.dur_us).sum::<f64>() / 1e3
-        );
+        )?;
     }
 
     let mut slowest: Vec<usize> = (0..spans.len()).collect();
     slowest.sort_by(|&a, &b| spans[b].dur_us.total_cmp(&spans[a].dur_us));
     if !slowest.is_empty() {
-        println!("top {} slowest spans:", top.min(slowest.len()));
+        writeln!(out, "top {} slowest spans:", top.min(slowest.len()))?;
         for (rank, &i) in slowest.iter().take(top).enumerate() {
             let s = &spans[i];
             let mut label = s.name.clone();
@@ -1276,13 +1292,14 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
             if let Some(task) = &s.task {
                 label.push_str(&format!(" task={task}"));
             }
-            println!(
+            writeln!(
+                out,
                 "  {:>2}. {:<32} {:>10.3} ms  [tid {}]",
                 rank + 1,
                 label,
                 s.dur_us / 1e3,
                 s.tid
-            );
+            )?;
         }
     }
 
@@ -1302,10 +1319,11 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
         .collect();
     jobs.sort_by_key(|&i| spans[i].job.unwrap_or(u64::MAX));
     if !jobs.is_empty() {
-        println!("per-job critical path:");
+        writeln!(out, "per-job critical path:")?;
         for &i in &jobs {
             let s = &spans[i];
-            println!(
+            writeln!(
+                out,
                 "  job {} ({}) {:.3} ms{}",
                 s.job.map_or_else(|| "?".into(), |j| j.to_string()),
                 s.task.as_deref().unwrap_or(if s.name == "campaign_job" {
@@ -1315,10 +1333,10 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
                 }),
                 s.dur_us / 1e3,
                 render_critical_path(i, &spans, &children)
-            );
+            )?;
         }
     }
-    Ok(CmdStatus::Ok)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1510,7 +1528,7 @@ mod tests {
                 secs_per_pass: 0.5,
                 units_per_sec: 20.0,
             }],
-            metrics: na_telemetry::Registry::new(true).snapshot(),
+            metrics: na_telemetry::MetricsSnapshot::of(&na_telemetry::Recorder::new(), true),
             pass_report: na_core::PassReport::default(),
         };
         let line = serde_json::to_string(&report).unwrap();
@@ -1527,14 +1545,12 @@ mod tests {
         // Build a snapshot through the real pipeline (compile through
         // a cache with telemetry on), write it, and re-read it through
         // the stats command's checks.
-        let registry = na_telemetry::Registry::new(true);
         let mut recorder = na_telemetry::Recorder::new();
-        recorder.record_ns(na_telemetry::Stage::Lower, 1_000);
-        recorder.record_ns(na_telemetry::Stage::Place, 2_000);
-        recorder.record_ns(na_telemetry::Stage::Schedule, 3_000);
+        recorder.record_ns(na_telemetry::Span::Lower, 1_000);
+        recorder.record_ns(na_telemetry::Span::Place, 2_000);
+        recorder.record_ns(na_telemetry::Span::RouteSchedule, 3_000);
         recorder.add(na_telemetry::Counter::CompileCacheMisses, 1);
-        registry.merge(&recorder);
-        let snapshot = registry.snapshot();
+        let snapshot = na_telemetry::MetricsSnapshot::of(&recorder, true);
         let path = std::env::temp_dir().join("natoms_cli_stats_test.json");
         std::fs::write(&path, serde_json::to_string(&snapshot).unwrap()).unwrap();
         let path = path.to_str().unwrap().to_string();
@@ -1544,7 +1560,7 @@ mod tests {
             "--file",
             &path,
             "--require-stages",
-            "lower,place,schedule",
+            "lower,place,route_schedule",
             "--require-cache",
         ]))
         .unwrap();

@@ -370,6 +370,7 @@ impl Error for VerifyError {}
 ///
 /// Returns the first [`VerifyError`] encountered.
 pub fn verify(compiled: &CompiledCircuit, grid: &Grid) -> Result<(), VerifyError> {
+    let _span = na_telemetry::span(na_telemetry::Span::Verify);
     verify_parts(
         compiled.circuit(),
         compiled.config(),
@@ -382,7 +383,7 @@ pub fn verify(compiled: &CompiledCircuit, grid: &Grid) -> Result<(), VerifyError
 
 /// [`verify`] over the raw schedule parts, shared with the pipeline's
 /// `verify` pass (which runs before the [`CompiledCircuit`] container
-/// exists).
+/// exists). Untimed: both callers hold the `verify` span.
 pub(crate) fn verify_parts(
     circuit: &Circuit,
     config: &CompilerConfig,
@@ -391,7 +392,6 @@ pub(crate) fn verify_parts(
     final_map: &HashMap<Qubit, Site>,
     grid: &Grid,
 ) -> Result<(), VerifyError> {
-    let _span = na_telemetry::time(na_telemetry::Stage::Verify);
     let dag = circuit.dag();
 
     // Gate execution times (for counting and dependency checks).

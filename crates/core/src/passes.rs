@@ -11,10 +11,12 @@
 //! Before each pass it checks the job's cooperative deadline
 //! ([`na_faults::check_deadline`]), so an expired budget stops at the
 //! next pass boundary with a typed [`CompileError::DeadlineExceeded`],
-//! and opens a trace span named after the pass. When the caller asks
-//! for a [`PassReport`], each pass is also timed and its statistics
-//! collected; `natoms bench`/`natoms compile --passes` print the
-//! report and telemetry-tagged engine rows carry it.
+//! and opens the pass's [`na_telemetry::Span`], which feeds the
+//! metrics histogram and the trace under the pass name. When the
+//! caller asks for a [`PassReport`], the span's duration becomes the
+//! pass's row and its statistics are collected; `natoms
+//! bench`/`natoms compile --passes` print the report and
+//! telemetry-tagged engine rows carry it.
 //!
 //! # Artifact reuse
 //!
@@ -35,11 +37,11 @@ use crate::scheduler::{self, ScheduleResult};
 use crate::{CompileError, CompilerConfig, QubitMap};
 use na_arch::{Grid, InteractionGraph};
 use na_circuit::{Circuit, Gate};
+use na_telemetry::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// What a compile may take from, and leave in, an [`ArtifactStore`].
 #[derive(Debug, Clone, Copy)]
@@ -95,13 +97,13 @@ pub fn run(
         _ => None,
     };
 
-    let lowered = passes.run("lower", |stats| {
+    let lowered = passes.run(Span::Lower, |stats| {
         Ok(lower(circuit, config, store, cached.as_deref(), stats))
     })?;
-    passes.run("validate_arity", |stats| {
+    passes.run(Span::ValidateArity, |stats| {
         validate_arity(&lowered, config, stats)
     })?;
-    let placement = passes.run("place", |stats| {
+    let placement = passes.run(Span::Place, |stats| {
         let deposit = store.filter(|_| front_end);
         place(
             &lowered,
@@ -114,10 +116,10 @@ pub fn run(
         )
     })?;
     let initial = placement.to_table();
-    let schedule = passes.run("route_schedule", |stats| {
+    let schedule = passes.run(Span::RouteSchedule, |stats| {
         route_schedule(&lowered, grid, config, placement, stats)
     })?;
-    passes.run("verify", |stats| {
+    passes.run(Span::Verify, |stats| {
         if !verify {
             stats.set("skipped", 1);
             return Ok(());
@@ -137,7 +139,7 @@ pub fn run(
         stats.set("ops_checked", schedule.ops.len() as u64);
         Ok(())
     })?;
-    passes.run("finalize", |stats| {
+    passes.run(Span::Finalize, |stats| {
         na_telemetry::add(na_telemetry::Counter::Compiles, 1);
         na_telemetry::add(
             na_telemetry::Counter::OpsScheduled,
@@ -168,9 +170,7 @@ fn lower(
         stats.set("reused_lowered", 1);
         (*low).clone()
     } else {
-        let span = na_telemetry::time(na_telemetry::Stage::Lower);
         let low = lower_for(circuit, config);
-        drop(span);
         if let Some((store, key)) = store {
             store.insert_lowered(key, Arc::new(low.clone()));
         }
@@ -223,11 +223,8 @@ fn place(
         stats.set("reused", 1);
         return Ok(art.placement.clone());
     }
-    let span = na_telemetry::time(na_telemetry::Stage::Place);
     let weights = circuit_weights(lowered, config.lookahead_depth);
-    let placement = initial_placement_with(lowered, grid, &weights, scratch);
-    drop(span);
-    let placement = placement?;
+    let placement = initial_placement_with(lowered, grid, &weights, scratch)?;
     if let Some((store, key)) = deposit {
         store.insert(
             key,
@@ -241,9 +238,8 @@ fn place(
 }
 
 /// `route_schedule`: the restriction-zone frontier scheduler
-/// ([`crate::scheduler`]), which reports its own routing vs scheduling
-/// split under `Stage::Route`/`Stage::Schedule`. Stats: `ops`,
-/// `swaps`, `timesteps`.
+/// ([`crate::scheduler`]), which also reports its routing phases under
+/// [`Span::Route`]. Stats: `ops`, `swaps`, `timesteps`.
 fn route_schedule(
     lowered: &Circuit,
     grid: &Grid,
@@ -265,7 +261,8 @@ fn route_schedule(
 }
 
 /// Runs each pass of one compile behind its deadline checkpoint and
-/// trace span, adding its [`PassTiming`] row when a report is wanted.
+/// inside its span, adding its [`PassTiming`] row when a report is
+/// wanted.
 struct Passes<'r> {
     report: Option<&'r mut PassReport>,
 }
@@ -273,21 +270,21 @@ struct Passes<'r> {
 impl Passes<'_> {
     fn run<T>(
         &mut self,
-        name: &'static str,
+        name: Span,
         pass: impl FnOnce(&mut Stats) -> Result<T, CompileError>,
     ) -> Result<T, CompileError> {
         // One relaxed load when no deadline is armed.
         na_faults::check_deadline()?;
-        let _span = na_telemetry::trace::span("pass", name);
         let Some(report) = self.report.as_deref_mut() else {
+            let _span = na_telemetry::span(name);
             return pass(&mut Stats(None));
         };
         let mut stats = Stats(Some(BTreeMap::new()));
-        let t0 = Instant::now();
+        let span = na_telemetry::span_timed(name);
         let outcome = pass(&mut stats);
-        let ns = t0.elapsed().as_nanos() as u64;
+        let ns = span.end();
         report.passes.push(PassTiming {
-            pass: name.to_string(),
+            pass: name.name().to_string(),
             ns,
             stats: stats.0.unwrap_or_default(),
         });
@@ -311,9 +308,10 @@ impl Stats {
 /// Per-pass wall time and artifact statistics for one compilation,
 /// filled in by [`run`] when the caller passes one.
 ///
-/// Wall-clock measurements: exempt from the byte-reproducibility
-/// contract (like the engine's per-row stage deltas), while the
-/// compiled artifact itself stays digest-pinned.
+/// Wall-clock measurements: each row is its pass span's duration.
+/// Exempt from the byte-reproducibility contract (like the engine's
+/// per-row span deltas), while the compiled artifact itself stays
+/// digest-pinned.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PassReport {
     /// One row per executed pass, in pass order.
@@ -428,7 +426,7 @@ impl ArtifactStore {
         if got.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             na_telemetry::add(na_telemetry::Counter::ArtifactHits, 1);
-            na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new());
+            na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new);
         }
         got
     }
@@ -465,7 +463,7 @@ impl ArtifactStore {
         if got.is_some() {
             self.lowered_hits.fetch_add(1, Ordering::Relaxed);
             na_telemetry::add(na_telemetry::Counter::ArtifactLoweredHits, 1);
-            na_telemetry::trace::instant("artifact", "artifact_lowered_hit", Vec::new());
+            na_telemetry::trace::instant("artifact", "artifact_lowered_hit", Vec::new);
         }
         got
     }

@@ -32,17 +32,19 @@
 //!
 //! # Telemetry split
 //!
-//! [`run`] reports its wall time under two stages: `Stage::Route`
-//! (SWAP insertion and forced BFS hops — phase 2/3 above) and
-//! `Stage::Schedule` (everything else: frontier refill, in-range
-//! packing, zone claims). Both are recorded once per compile, cost
-//! zero clock reads when telemetry is disabled, and are strictly
-//! observational.
+//! [`run`] is timed as a whole by the `route_schedule` pass span. It
+//! also accumulates its routing phases (SWAP insertion and forced BFS
+//! hops — phase 2/3 above) in a paused [`Span::Route`], recorded as
+//! one sample per compile, so the schedule-only time (frontier refill,
+//! in-range packing, zone claims) is `route_schedule − route`. With
+//! metrics off the route span reads no clock; it is metrics-only and
+//! strictly observational.
 
 use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites};
 use crate::{CompileError, CompilerConfig, InteractionWeights, QubitMap, WeightScratch};
 use na_arch::{BfsScratch, Grid, InteractionGraph, RestrictionPolicy, Site};
 use na_circuit::{Circuit, Frontier, GateId, Qubit};
+use na_telemetry::Span;
 use std::fmt;
 
 /// One operation in the compiled schedule.
@@ -415,11 +417,9 @@ pub(crate) fn run(
     let mut site_scratch: Vec<Site> = Vec::new();
     let mut bfs_scratch = BfsScratch::new();
 
-    // Routing vs scheduling telemetry split (see module docs): the
-    // routing phases accumulate into `route_ns`, the remainder of the
-    // loop reports as `Stage::Schedule`. No clock reads when disabled.
-    let run_start = na_telemetry::is_enabled().then(std::time::Instant::now);
-    let mut route_ns: u64 = 0;
+    // The routing phases accumulate into one `route` sample (see
+    // module docs). No clock reads when metrics are off.
+    let mut route = na_telemetry::span_paused(Span::Route);
 
     while !frontier.is_done() {
         if time as usize > step_budget {
@@ -482,7 +482,7 @@ pub(crate) fn run(
         }
 
         // Phase B: one routing SWAP per remaining long-distance gate.
-        let route_start = run_start.map(|_| std::time::Instant::now());
+        route.resume();
         for &id in &ready {
             if completed_mask.contains(id.0) {
                 continue;
@@ -537,9 +537,7 @@ pub(crate) fn run(
             });
             map.swap_sites(from, to);
         }
-        if let Some(t) = route_start {
-            route_ns += t.elapsed().as_nanos() as u64;
-        }
+        route.pause();
 
         for id in completed.iter() {
             frontier.complete(*id);
@@ -550,14 +548,7 @@ pub(crate) fn run(
         time += 1;
     }
 
-    if let Some(t0) = run_start {
-        let total = t0.elapsed().as_nanos() as u64;
-        na_telemetry::record_ns(na_telemetry::Stage::Route, route_ns);
-        na_telemetry::record_ns(
-            na_telemetry::Stage::Schedule,
-            total.saturating_sub(route_ns),
-        );
-    }
+    route.end();
 
     Ok(ScheduleResult {
         ops,

@@ -172,7 +172,7 @@ pub struct CompileCache {
     artifacts: ArtifactStore,
     /// Per-entry [`PassReport`] from the compiling thread (collected
     /// only while telemetry is enabled); runner rows attach it next to
-    /// their stage deltas.
+    /// their span deltas.
     reports: Mutex<HashMap<CacheKey, Arc<PassReport>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -215,11 +215,11 @@ impl CompileCache {
                         drop(state);
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         na_telemetry::add(na_telemetry::Counter::CompileCacheHits, 1);
-                        na_telemetry::trace::instant("cache", "cache_hit", Vec::new());
+                        na_telemetry::trace::instant("cache", "cache_hit", Vec::new);
                         return result;
                     }
                     EntryState::InFlight => {
-                        let _wait_span = na_telemetry::trace::span("cache", "cache_wait");
+                        let _wait_span = na_telemetry::span(na_telemetry::Span::CacheWait);
                         state = entry
                             .ready
                             .wait(state)
@@ -277,7 +277,7 @@ impl CompileCache {
         entry.ready.notify_all();
         self.misses.fetch_add(1, Ordering::Relaxed);
         na_telemetry::add(na_telemetry::Counter::CompileCacheMisses, 1);
-        na_telemetry::trace::instant("cache", "cache_miss", Vec::new());
+        na_telemetry::trace::instant("cache", "cache_miss", Vec::new);
         result
     }
 

@@ -91,20 +91,14 @@ impl Outcome {
     pub fn from_error(e: &CompileError) -> Self {
         let unroutable = matches!(e, CompileError::UnroutableGate { .. });
         let deadline = matches!(e, CompileError::DeadlineExceeded);
-        if na_telemetry::trace::is_enabled() {
-            let name = if deadline {
-                "deadline"
-            } else if unroutable {
-                "unroutable"
-            } else {
-                "error"
-            };
-            na_telemetry::trace::instant(
-                "fault",
-                name,
-                vec![("message", na_telemetry::trace::ArgValue::Str(e.to_string()))],
-            );
-        }
+        let name = if deadline {
+            "deadline"
+        } else if unroutable {
+            "unroutable"
+        } else {
+            "error"
+        };
+        na_telemetry::trace::instant("fault", name, || vec![("message", e.to_string().into())]);
         Outcome::Failed {
             unroutable,
             panicked: false,
@@ -117,16 +111,9 @@ impl Outcome {
     /// isolated; `message` is the extracted panic payload. Emits a
     /// `panic` trace instant on the catching thread.
     pub fn from_panic(message: String) -> Self {
-        if na_telemetry::trace::is_enabled() {
-            na_telemetry::trace::instant(
-                "fault",
-                "panic",
-                vec![(
-                    "message",
-                    na_telemetry::trace::ArgValue::Str(message.clone()),
-                )],
-            );
-        }
+        na_telemetry::trace::instant("fault", "panic", || {
+            vec![("message", message.as_str().into())]
+        });
         Outcome::Failed {
             unroutable: false,
             panicked: true,
@@ -181,8 +168,8 @@ pub struct RunRecord {
     /// the same spec — so the flag is identical at any worker count
     /// and rows stay byte-reproducible.
     pub cache_hit: Option<bool>,
-    /// Per-stage nanoseconds this job accrued on its worker thread
-    /// (stage name → ns), tagged only when telemetry is enabled.
+    /// Per-span nanoseconds this job accrued on its worker thread
+    /// (span name → ns), tagged only when telemetry is enabled.
     ///
     /// Wall-clock measurements, so — unlike every other field — not
     /// covered by the byte-reproducibility contract; in the default
@@ -197,8 +184,8 @@ pub struct RunRecord {
     /// the byte-reproducibility contract; `None` in the default
     /// configuration and for tasks that bypass the compile cache.
     pub pass_report: Option<na_core::PassReport>,
-    /// Per-shard stage timings for campaign rows (indexed by shard,
-    /// stage name → ns on the shard's worker thread; an unsharded
+    /// Per-shard span timings for campaign rows (indexed by shard,
+    /// span name → ns on the shard's worker thread; an unsharded
     /// campaign is one shard), tagged only when telemetry is enabled.
     /// Wall-clock like [`RunRecord::timings`], so exempt from
     /// byte-reproducibility; `None` in the default configuration and

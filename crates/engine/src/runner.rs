@@ -17,12 +17,13 @@ use na_noise::{
     crosstalk_exposures, crosstalk_success, success_probability, success_with_crosstalk,
     CrosstalkParams, NoiseParams,
 };
+use na_telemetry::Span;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// The parallel experiment executor. Owns worker configuration and
@@ -131,24 +132,16 @@ impl Engine {
                     let remaining = AtomicUsize::new(ranges.len());
                     items.extend((0..ranges.len()).map(|shard| WorkItem::Shard { fan, shard }));
                     // The job span of a campaign outlives any single
-                    // worker: allocate its id and begin timestamp here;
-                    // the merging worker emits the complete span onto
-                    // the job's virtual track.
-                    let (trace_span, trace_begin_ns) = if na_telemetry::trace::is_enabled() {
-                        (
-                            na_telemetry::trace::alloc_span_id(),
-                            na_telemetry::trace::now_ns(),
-                        )
-                    } else {
-                        (0, 0)
-                    };
+                    // worker: it opens here, detached, and the merging
+                    // worker ends it onto the job's virtual track.
+                    let job_span = na_telemetry::span_detached(Span::CampaignJob);
                     fans.push(ShardFan {
                         job_index: i,
                         ranges,
                         results,
                         remaining,
-                        trace_span,
-                        trace_begin_ns,
+                        job_span_id: job_span.id(),
+                        job_span: Mutex::new(Some(job_span)),
                     });
                 }
                 Err(plan) => {
@@ -179,7 +172,7 @@ impl Engine {
                 let fan = &fans[fan];
                 let job = &jobs[fan.job_index];
                 fan.results[shard]
-                    .set(self.run_shard(job, shard, fan.ranges[shard], fan.trace_span))
+                    .set(self.run_shard(job, shard, fan.ranges[shard], fan.job_span_id))
                     .expect("shard slot written once");
                 // `AcqRel` so the last finisher observes every other
                 // shard's completed write before merging.
@@ -212,10 +205,9 @@ impl Engine {
                             run_item(&items[i]);
                         }
                         // Merge this worker's recorder and trace buffer
-                        // into the global registries before the scope
-                        // joins it.
+                        // into the global state before the scope joins
+                        // it.
                         na_telemetry::flush_local();
-                        na_telemetry::trace::flush_local();
                     });
                 }
             });
@@ -252,17 +244,9 @@ impl Engine {
     /// ([`Engine::isolated`], fault scope `job{id}`); a panic becomes
     /// the job's [`Outcome::from_panic`] row.
     fn run_job(&self, job: &Job) -> RunRecord {
-        let _job_span = na_telemetry::trace::span_with(
-            "job",
-            "job",
-            vec![
-                ("job", na_telemetry::trace::ArgValue::U64(job.id)),
-                (
-                    "task",
-                    na_telemetry::trace::ArgValue::Str(job.task.name().to_string()),
-                ),
-            ],
-        );
+        let _job_span = na_telemetry::span_with(Span::Job, 0, || {
+            vec![("job", job.id.into()), ("task", job.task.name().into())]
+        });
         self.isolated(format!("job{}", job.id), || {
             execute_job(job, &self.cache, self.verify)
         })
@@ -278,29 +262,23 @@ impl Engine {
     /// job's own scope `job{id}`.
     #[allow(clippy::result_large_err)]
     fn run_shard(&self, job: &Job, shard: usize, range: ShotRange, trace_parent: u64) -> ShardDone {
-        let _shard_span = na_telemetry::trace::span_child_of(
-            "shard",
-            "shard",
-            trace_parent,
-            vec![
-                ("job", na_telemetry::trace::ArgValue::U64(job.id)),
-                ("shard", na_telemetry::trace::ArgValue::U64(shard as u64)),
-            ],
-        );
+        let _shard_span = na_telemetry::span_with(Span::Shard, trace_parent, || {
+            vec![("job", job.id.into()), ("shard", shard.into())]
+        });
         let scope = match job.task {
             Task::ShardedCampaign { .. } => format!("job{}.shard{}", job.id, shard),
             _ => format!("job{}", job.id),
         };
-        // Stage timers are thread-local, so the window between marks
+        // Span totals are thread-local, so the window since the mark
         // is exactly this shard's work on this worker thread.
-        let stage_mark = na_telemetry::is_enabled().then(na_telemetry::mark_stages);
+        let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
         let result = self
             .isolated(scope, || execute_shard(job, shard, range, &self.cache))
             .and_then(std::convert::identity);
         na_telemetry::add(na_telemetry::Counter::CampaignShards, 1);
         ShardDone {
             result,
-            timings: stage_mark.map(|mark| na_telemetry::stage_deltas_since(&mark)),
+            timings: mark.map(|mark| mark.deltas()),
         }
     }
 
@@ -400,12 +378,12 @@ struct ShardFan {
     /// Shards still running; the worker that decrements this to zero
     /// merges and writes the job's row.
     remaining: AtomicUsize,
-    /// Pre-allocated trace span id of the whole job (0 = tracing off).
-    /// Shard spans parent under it; the merging worker emits it as a
-    /// complete span on the job's virtual track.
-    trace_span: u64,
-    /// Trace timestamp of fan creation (the job span's begin).
-    trace_begin_ns: u64,
+    /// Trace id of the whole-job span (0 = untraced); shard and merge
+    /// spans parent under it.
+    job_span_id: u64,
+    /// The whole-job span, opened at fan creation; the merging worker
+    /// takes and ends it on the job's virtual track.
+    job_span: Mutex<Option<na_telemetry::OpenSpan>>,
 }
 
 /// What one shard produced: its partial campaign, or the typed
@@ -413,7 +391,7 @@ struct ShardFan {
 #[derive(Debug)]
 struct ShardDone {
     result: Result<CampaignResult, Outcome>,
-    /// Stage nanoseconds this shard accrued on its worker thread
+    /// Span nanoseconds this shard accrued on its worker thread
     /// (`None` while telemetry is disabled).
     timings: Option<std::collections::BTreeMap<String, u64>>,
 }
@@ -469,21 +447,12 @@ fn execute_shard(
 /// the shard results merge in shard-index order (so the row does not
 /// depend on completion order), and a failed shard — typed error,
 /// caught panic, expired deadline — fails the whole row with the
-/// lowest-indexed failure. Telemetry-tagged rows carry the per-stage
+/// lowest-indexed failure. Telemetry-tagged rows carry the per-span
 /// sums in `timings` and the per-shard breakdown in `shard_timings`.
 fn merge_fan(job: &Job, fan: &ShardFan, cache: &CompileCache) -> RunRecord {
-    let _merge_span = na_telemetry::trace::span_child_of(
-        "shard",
-        "merge",
-        fan.trace_span,
-        vec![
-            ("job", na_telemetry::trace::ArgValue::U64(job.id)),
-            (
-                "shards",
-                na_telemetry::trace::ArgValue::U64(fan.ranges.len() as u64),
-            ),
-        ],
-    );
+    let merge_span = na_telemetry::span_with(Span::Merge, fan.job_span_id, || {
+        vec![("job", job.id.into()), ("shards", fan.ranges.len().into())]
+    });
     let done: Vec<&ShardDone> = fan
         .results
         .iter()
@@ -523,29 +492,22 @@ fn merge_fan(job: &Job, fan: &ShardFan, cache: &CompileCache) -> RunRecord {
             record.pass_report = cache.pass_report(&key).map(|r| (*r).clone());
         }
     }
-    // The whole-job span, back-dated to fan creation and emitted on
-    // the job's own virtual track (it spans multiple workers).
-    if fan.trace_span != 0 {
-        na_telemetry::trace::complete(
-            "job",
-            "campaign_job",
-            na_telemetry::trace::JOB_TRACK_BASE + job.id,
-            fan.trace_begin_ns,
-            na_telemetry::trace::now_ns(),
-            fan.trace_span,
-            0,
+    // The whole-job span, opened at fan creation, ends on the job's
+    // own virtual track (it spans multiple workers).
+    drop(merge_span);
+    let job_span = fan
+        .job_span
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    if let Some(job_span) = job_span {
+        job_span.end_on_track(na_telemetry::trace::JOB_TRACK_BASE + job.id, || {
             vec![
-                ("job", na_telemetry::trace::ArgValue::U64(job.id)),
-                (
-                    "task",
-                    na_telemetry::trace::ArgValue::Str(job.task.name().to_string()),
-                ),
-                (
-                    "shards",
-                    na_telemetry::trace::ArgValue::U64(fan.ranges.len() as u64),
-                ),
-            ],
-        );
+                ("job", job.id.into()),
+                ("task", job.task.name().into()),
+                ("shards", fan.ranges.len().into()),
+            ]
+        });
     }
     record
 }
@@ -568,7 +530,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs one job to completion. Infallible by construction: errors
 /// become [`Outcome::Failed`] rows.
 ///
-/// When telemetry is enabled the row is tagged with the stage
+/// When telemetry is enabled the row is tagged with the span
 /// nanoseconds this job accrued on the executing thread (wall-clock,
 /// hence deliberately absent — `None` — in the deterministic default
 /// configuration).
@@ -582,7 +544,7 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
     if let Err(expired) = na_faults::check_deadline() {
         return RunRecord::new(job, Outcome::from_error(&expired.into()));
     }
-    let stage_mark = na_telemetry::is_enabled().then(na_telemetry::mark_stages);
+    let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
     let circuit = job.circuit();
     // Compile through the cache, optionally replaying the schedule
     // through the constraint verifier (Engine::verified).
@@ -648,12 +610,12 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
         }
     };
     let mut record = RunRecord::new(job, outcome);
-    if let Some(mark) = stage_mark {
-        let deltas = na_telemetry::stage_deltas_since(&mark);
+    if let Some(mark) = mark {
+        let deltas = mark.deltas();
         if !deltas.is_empty() {
             record.timings = Some(deltas);
         }
-        // Attach the pipeline's per-pass report next to the stage
+        // Attach the pipeline's per-pass report next to the span
         // deltas: rows sharing a compile key share the compiling
         // thread's report (it describes the artifact, not the lookup).
         if let Some(compile_cfg) = job.task.compile_config(&job.config) {

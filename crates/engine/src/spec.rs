@@ -96,7 +96,7 @@ impl LossSpec {
         self
     }
 
-    /// Instantiates the RNG-carrying model.
+    /// Builds the RNG-carrying model.
     pub fn build(&self) -> na_loss::LossModel {
         na_loss::LossModel::new(self.seed).with_improvement_factor(self.improvement_factor)
     }

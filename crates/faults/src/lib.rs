@@ -361,18 +361,13 @@ fn point_armed(site: &'static str) -> Result<(), InjectedFault> {
             .map(|p| p.action);
         (hit, action)
     });
-    if action.is_some() && na_telemetry::trace::is_enabled() {
+    if action.is_some() {
         // Mark the injection on the causal timeline *before* the
         // action fires — a panic unwinds past this frame, but the
         // thread's trace buffer survives to the worker's flush.
-        na_telemetry::trace::instant(
-            "fault",
-            "fault_injected",
-            vec![
-                ("site", na_telemetry::trace::ArgValue::Str(site.to_string())),
-                ("hit", na_telemetry::trace::ArgValue::U64(hit)),
-            ],
-        );
+        na_telemetry::trace::instant("fault", "fault_injected", || {
+            vec![("site", site.into()), ("hit", hit.into())]
+        });
     }
     match action {
         None => Ok(()),
@@ -502,7 +497,7 @@ pub fn check_deadline() -> Result<(), DeadlineExceeded> {
 fn check_deadline_slow() -> Result<(), DeadlineExceeded> {
     CURRENT_DEADLINE.with(|c| match c.get() {
         Some(t) if Instant::now() >= t => {
-            na_telemetry::trace::instant("fault", "deadline_expired", Vec::new());
+            na_telemetry::trace::instant("fault", "deadline_expired", Vec::new);
             Err(DeadlineExceeded)
         }
         _ => Ok(()),

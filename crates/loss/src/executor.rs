@@ -16,7 +16,6 @@ use na_noise::{success_probability, NoiseParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// When a campaign stops. Counts are `u64` so streaming campaigns can
 /// target 10⁶–10⁸ shots without widening anything downstream.
@@ -306,7 +305,7 @@ pub fn run_campaign(
     loss: LossModel,
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, CompileError> {
-    let t_compile = Instant::now();
+    let span = na_telemetry::span_timed(na_telemetry::Span::CampaignCompile);
     let state = StrategyState::new(
         program,
         grid_template,
@@ -316,7 +315,7 @@ pub fn run_campaign(
     )?;
     campaign_loop(
         state,
-        t_compile.elapsed().as_secs_f64(),
+        span.end() as f64 / 1e9,
         loss,
         cfg,
         cfg.seed,
@@ -586,7 +585,7 @@ fn campaign_loop(
         na_faults::point("loss.shot")?;
         na_faults::check_deadline()?;
         result.shots_attempted += 1;
-        let shot_span = na_telemetry::time(na_telemetry::Stage::Shot);
+        let shot_span = na_telemetry::span(na_telemetry::Span::Shot);
         na_telemetry::add(na_telemetry::Counter::ShotsAttempted, 1);
 
         // 1. Run the circuit.
@@ -679,7 +678,7 @@ fn campaign_loop(
         }
         if need_reload {
             na_telemetry::add(na_telemetry::Counter::Reloads, 1);
-            na_telemetry::trace::instant("campaign", "reload", Vec::new());
+            na_telemetry::trace::instant("campaign", "reload", Vec::new);
             state.reload();
             base = success_probability(state.compiled(), &params);
             ledger.add_reload(&cfg.overheads);

@@ -15,8 +15,8 @@ use na_core::{
     compile_with, run_passes, ArtifactKey, ArtifactStore, CompileError, CompiledCircuit,
     CompilerConfig, PlacementScratch, Reuse,
 };
+use na_telemetry::Span;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How the strategy absorbed one atom loss.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -273,7 +273,7 @@ impl StrategyState {
         match self.strategy {
             Strategy::AlwaysReload => LossOutcome::NeedsReload,
             Strategy::FullRecompile => {
-                let t0 = Instant::now();
+                let span = na_telemetry::span_timed(Span::Recompile);
                 // Recompile through the same passes as the compile
                 // path, against the live holey grid. The holes change
                 // the grid fingerprint, so full front-end artifacts
@@ -296,13 +296,10 @@ impl StrategyState {
                         self.used_addresses = c.used_sites().to_vec();
                         self.summary = Arc::new(InteractionSummary::of(&c));
                         self.compiled = Arc::new(c);
-                        let elapsed = t0.elapsed();
-                        // Reuses the measurement the outcome reports
-                        // anyway — no extra clock read for telemetry.
-                        na_telemetry::record_duration(na_telemetry::Stage::Recompile, elapsed);
+                        let ns = span.end();
                         na_telemetry::add(na_telemetry::Counter::Recompiles, 1);
                         LossOutcome::Recompiled {
-                            compile_seconds: elapsed.as_secs_f64(),
+                            compile_seconds: ns as f64 / 1e9,
                         }
                     }
                     Err(_) => LossOutcome::NeedsReload,
@@ -316,7 +313,7 @@ impl StrategyState {
         // `used_addresses` stays sorted (the `used_sites` contract), so
         // membership is a binary search over a borrow — no clone of the
         // list per interfering loss.
-        let remap_span = na_telemetry::time(na_telemetry::Stage::Remap);
+        let remap_span = na_telemetry::span(Span::Remap);
         let used = &self.used_addresses;
         let in_use = |addr: Site| used.binary_search(&addr).is_ok();
         let Some(dir) = self.vmap.best_shift_direction(&self.grid, site, &in_use) else {
@@ -332,7 +329,7 @@ impl StrategyState {
         drop(remap_span);
         na_telemetry::add(na_telemetry::Counter::Remaps, 1);
         if self.strategy.reroutes() {
-            let fixup_span = na_telemetry::time(na_telemetry::Stage::LossFixup);
+            let fixup_span = na_telemetry::span(Span::LossFixup);
             let expansions_before = self.fixup_scratch.expansions();
             let fixup = fixup_swaps_summary(
                 &self.summary,
@@ -364,7 +361,7 @@ impl StrategyState {
                 None => LossOutcome::NeedsReload,
             }
         } else {
-            let _span = na_telemetry::time(na_telemetry::Stage::LossFixup);
+            let _span = na_telemetry::span(Span::LossFixup);
             if resolved_ok_summary(&self.summary, &self.vmap, &self.grid, self.hardware_mid) {
                 LossOutcome::Tolerated {
                     remaps: 1,

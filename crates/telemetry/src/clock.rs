@@ -1,7 +1,21 @@
-//! Minimal UTC timestamp formatting (no chrono; the container has no
-//! crates.io access). Used for run metadata in `natoms bench --json`.
+//! The monotonic clock every span reads, plus minimal UTC timestamp
+//! formatting (no chrono: the workspace vendors its few dependencies)
+//! for run metadata in `natoms bench --json`.
 
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::sync::OnceLock;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+/// The process clock epoch, pinned on first use.
+pub(crate) fn epoch() -> &'static Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now)
+}
+
+/// Monotonic nanoseconds since the process epoch: the one clock read
+/// behind span durations and trace timestamps alike.
+pub(crate) fn now_ns() -> u64 {
+    epoch().elapsed().as_nanos() as u64
+}
 
 /// Formats a unix timestamp (seconds) as ISO-8601 UTC,
 /// e.g. `2021-06-14T09:30:00Z`.

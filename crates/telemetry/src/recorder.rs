@@ -3,20 +3,20 @@
 //! A [`Recorder`] is plain mutable state with no interior locking: each
 //! engine worker owns one (thread-local) and records into it with
 //! simple array arithmetic, then the full recorder is merged into the
-//! global registry once, at flush time. Every merge operation —
+//! global recorder once, at flush time. Every merge operation —
 //! counter addition, gauge max, bucketwise histogram addition — is
 //! commutative and associative, so the merged result is independent of
 //! worker join order.
 
 use crate::histogram::Histogram;
-use crate::{Counter, Gauge, Stage};
+use crate::{Counter, Gauge, Span};
 
-/// A flat bundle of counters, gauges, and per-stage histograms.
+/// A flat bundle of counters, gauges, and per-span histograms.
 #[derive(Clone, Copy)]
 pub struct Recorder {
     counters: [u64; Counter::COUNT],
     gauges: [u64; Gauge::COUNT],
-    stages: [Histogram; Stage::COUNT],
+    stages: [Histogram; Span::COUNT],
     dirty: bool,
 }
 
@@ -26,7 +26,7 @@ impl Recorder {
         Recorder {
             counters: [0; Counter::COUNT],
             gauges: [0; Gauge::COUNT],
-            stages: [Histogram::new(); Stage::COUNT],
+            stages: [Histogram::new(); Span::COUNT],
             dirty: false,
         }
     }
@@ -48,10 +48,10 @@ impl Recorder {
         self.dirty = true;
     }
 
-    /// Records one duration sample (in nanoseconds) for a stage.
+    /// Records one duration sample (in nanoseconds) under a span name.
     #[inline]
-    pub fn record_ns(&mut self, stage: Stage, ns: u64) {
-        self.stages[stage.index()].record(ns);
+    pub fn record_ns(&mut self, span: Span, ns: u64) {
+        self.stages[span.index()].record(ns);
         self.dirty = true;
     }
 
@@ -65,9 +65,9 @@ impl Recorder {
         self.gauges[gauge.index()]
     }
 
-    /// The latency histogram for a stage.
-    pub fn stage(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage.index()]
+    /// The latency histogram under a span name.
+    pub fn stage(&self, span: Span) -> &Histogram {
+        &self.stages[span.index()]
     }
 
     /// True when nothing has been recorded since the last clear.

@@ -10,12 +10,14 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::recorder::Recorder;
-use crate::{Counter, Gauge, Stage};
+use crate::{Counter, Gauge, Span};
 
-/// Schema tag stamped into every snapshot.
-pub const SNAPSHOT_SCHEMA: &str = "na-metrics-v1";
+/// Schema tag stamped into every snapshot. v2: the `stages` keys are
+/// [`Span`] names (pass spans include artifact-store hits, `schedule`
+/// became `route_schedule`); the JSON shape is unchanged from v1.
+pub const SNAPSHOT_SCHEMA: &str = "na-metrics-v2";
 
-/// Latency summary for one pipeline stage, extracted from its
+/// Latency summary for one span name, extracted from its
 /// log-scale histogram. All durations are nanoseconds; the percentile
 /// fields carry the histogram's bounded quantisation error (<= 12.5%).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,7 +61,7 @@ impl MetricsSnapshot {
             }
         }
         let mut stages = BTreeMap::new();
-        for s in Stage::ALL {
+        for s in Span::ALL {
             let h = recorder.stage(s);
             if !h.is_empty() {
                 stages.insert(
@@ -96,7 +98,7 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// Stage summary by name, if that stage recorded anything.
+    /// Span summary by name, if that span recorded anything.
     pub fn stage(&self, name: &str) -> Option<&StageSummary> {
         self.stages.get(name)
     }
@@ -120,12 +122,12 @@ impl MetricsSnapshot {
         }
         if !self.stages.is_empty() {
             out.push_str(&format!(
-                "  {:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
+                "  {:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
                 "stage", "count", "total", "p50", "p90", "p99", "max"
             ));
             for (name, s) in &self.stages {
                 out.push_str(&format!(
-                    "  {:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
+                    "  {:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
                     name,
                     s.count,
                     fmt_ns(s.total_ns),

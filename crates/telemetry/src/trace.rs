@@ -2,15 +2,16 @@
 //! timeline, exported as Chrome trace-event JSON.
 //!
 //! Where the [`Recorder`](crate::Recorder) aggregates (counters,
-//! histograms), this module keeps the *timeline*: one span per compile
-//! pass, per engine job, per campaign shard, with instant events for
-//! cache hits, artifact reuse, faults, and deadline expiries. The
-//! export loads directly in Perfetto / `chrome://tracing`.
+//! histograms), this module keeps the *timeline*: the traced
+//! [`Span`](crate::Span)s (one per compile pass, per engine job, per
+//! campaign shard) as begin/end pairs, with instant events for cache
+//! hits, artifact reuse, faults, and deadline expiries. The export
+//! loads directly in Perfetto / `chrome://tracing`.
 //!
 //! The contract matches the rest of `na-telemetry`:
 //!
-//! * **Disabled fast path** — every site is one relaxed atomic load
-//!   plus a branch when tracing is off (the default).
+//! * **Disabled fast path** — tracing is one bit of the crate's mode
+//!   word; with it off, every site is one relaxed load plus a branch.
 //! * **Strictly observational** — no RNG draws, no float folds, no
 //!   change to any output byte (`tests/trace_guard.rs` pins this).
 //! * **Order-independent merge** — events land in thread-local
@@ -18,21 +19,19 @@
 //!   `(tid, timestamp)`, so the file content is deterministic in
 //!   structure at any worker count.
 //!
-//! Span identity is explicit: every span gets a process-unique id and
-//! records its parent id (the enclosing span on the same thread, or an
-//! explicitly passed parent for cross-thread edges such as campaign
-//! shards under their job span). Ids travel in the Chrome `args` map
-//! (`id`, `parent`), since the trace-event format itself only nests by
-//! timestamp within a single track.
+//! Span identity is explicit: every traced span gets a process-unique
+//! id and records its parent id (the enclosing span on the same
+//! thread, or an explicitly passed parent for cross-thread edges such
+//! as campaign shards under their job span). Ids travel in the Chrome
+//! `args` map (`id`, `parent`), since the trace-event format itself
+//! only nests by timestamp within a single track.
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-/// Global switch. Off by default; a disabled event site is one
-/// relaxed load + branch.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+use crate::clock::{epoch, now_ns};
+use crate::{mode, set_mode_bit, Span, TRACE};
 
 /// Process-unique span id allocator. 0 means "no span".
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -53,26 +52,15 @@ pub const LAZY_TID_BASE: u64 = 100;
 /// it does not interleave with whichever worker ran the merge.
 pub const JOB_TRACK_BASE: u64 = 1_000_000;
 
-/// Per-thread event-buffer capacity. Instrumentation is span-per-pass
-/// and span-per-job (never per-shot), so real runs sit far below this;
-/// if a buffer fills anyway we drop and count rather than grow
-/// unboundedly.
+/// Per-thread event-buffer capacity. Per-shot spans are metrics-only
+/// (see [`Span::traced`]), so real runs sit far below this; if a
+/// buffer fills anyway we drop and count rather than grow unboundedly.
 const BUFFER_CAP: usize = 1 << 16;
-
-fn epoch() -> &'static Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now)
-}
-
-/// Nanoseconds since the process trace epoch.
-pub fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
-}
 
 /// Is tracing collecting? One relaxed load.
 #[inline]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    mode() & TRACE != 0
 }
 
 /// Turn collection on or off. Enabling pins the trace epoch.
@@ -80,13 +68,11 @@ pub fn set_enabled(enabled: bool) {
     if enabled {
         epoch();
     }
-    ENABLED.store(enabled, Ordering::Relaxed);
+    set_mode_bit(TRACE, enabled);
 }
 
-/// Allocate a process-unique span id (for spans whose begin/end are
-/// emitted manually via [`complete`], e.g. a campaign job span whose
-/// end is only known when the last shard finishes on another thread).
-pub fn alloc_span_id() -> u64 {
+/// Allocates a process-unique span id.
+pub(crate) fn alloc_span_id() -> u64 {
     NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -121,6 +107,9 @@ impl From<&str> for ArgValue {
     }
 }
 
+/// The arguments attached to an event.
+pub type Args = Vec<(&'static str, ArgValue)>;
+
 /// Chrome trace-event phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -145,7 +134,23 @@ pub struct TraceEvent {
     pub id: u64,
     /// Enclosing span id (0 = root).
     pub parent: u64,
-    pub args: Vec<(&'static str, ArgValue)>,
+    pub args: Args,
+}
+
+impl TraceEvent {
+    /// A span event with no parent or arguments yet.
+    fn span(span: Span, phase: Phase, ts_ns: u64, tid: u64, id: u64) -> Self {
+        TraceEvent {
+            name: span.name(),
+            cat: span.category(),
+            phase,
+            ts_ns,
+            tid,
+            id,
+            parent: 0,
+            args: Vec::new(),
+        }
+    }
 }
 
 struct LocalBuf {
@@ -177,6 +182,10 @@ thread_local! {
     static LOCAL: std::cell::RefCell<LocalBuf> = std::cell::RefCell::new(LocalBuf::new());
 }
 
+fn with_buf<T>(f: impl FnOnce(&mut LocalBuf) -> T) -> T {
+    LOCAL.with(|l| f(&mut l.borrow_mut()))
+}
+
 fn merged() -> &'static Mutex<Vec<TraceEvent>> {
     static MERGED: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
     MERGED.get_or_init(|| Mutex::new(Vec::new()))
@@ -189,18 +198,16 @@ pub fn set_thread_tid(tid: u64) {
     if !is_enabled() {
         return;
     }
-    LOCAL.with(|l| l.borrow_mut().tid = tid);
+    with_buf(|l| l.tid = tid);
 }
 
-/// Move this thread's buffered events into the global registry.
-/// Engine workers call this right before they join; the main thread's
-/// events are flushed by [`write_chrome_trace`] / [`take_events`].
-pub fn flush_local() {
+/// Move this thread's buffered events into the global registry
+/// ([`crate::flush_local`] calls this alongside the metrics flush).
+pub(crate) fn flush_local() {
     if !is_enabled() {
         return;
     }
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
+    with_buf(|l| {
         if l.events.is_empty() {
             return;
         }
@@ -209,113 +216,73 @@ pub fn flush_local() {
     });
 }
 
-/// RAII guard for a span: records `Begin` on construction, `End` on
-/// drop. A disabled guard (id 0) is inert.
-pub struct SpanGuard {
-    id: u64,
-    name: &'static str,
-    cat: &'static str,
-}
-
-impl SpanGuard {
-    /// The span id, for explicit child links across threads
-    /// (0 when tracing is disabled).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if self.id == 0 {
-            return;
-        }
-        let ts_ns = now_ns();
-        LOCAL.with(|l| {
-            let mut l = l.borrow_mut();
-            // Pop our own id; tolerate a foreign top if guards were
-            // dropped out of order (they never are in practice).
-            if let Some(pos) = l.stack.iter().rposition(|&s| s == self.id) {
-                l.stack.remove(pos);
-            }
-            let tid = l.tid;
-            l.push(TraceEvent {
-                name: self.name,
-                cat: self.cat,
-                phase: Phase::End,
-                ts_ns,
-                tid,
-                id: self.id,
-                parent: 0,
-                args: Vec::new(),
-            });
-        });
-    }
-}
-
-fn begin_span(
-    cat: &'static str,
-    name: &'static str,
-    explicit_parent: Option<u64>,
-    args: Vec<(&'static str, ArgValue)>,
-) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard { id: 0, name, cat };
-    }
+/// Pushes the begin event of a traced span at `ts_ns` and opens it on
+/// this thread's stack; returns its new id. `parent` 0 means the
+/// innermost open span on this thread.
+pub(crate) fn begin(span: Span, parent: u64, ts_ns: u64, args: Args) -> u64 {
     let id = alloc_span_id();
-    let ts_ns = now_ns();
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        let parent = explicit_parent.unwrap_or_else(|| l.stack.last().copied().unwrap_or(0));
-        let tid = l.tid;
+    with_buf(|l| {
+        let parent = match parent {
+            0 => l.stack.last().copied().unwrap_or(0),
+            explicit => explicit,
+        };
+        let begin = TraceEvent::span(span, Phase::Begin, ts_ns, l.tid, id);
         l.push(TraceEvent {
-            name,
-            cat,
-            phase: Phase::Begin,
-            ts_ns,
-            tid,
-            id,
             parent,
             args,
+            ..begin
         });
         l.stack.push(id);
     });
-    SpanGuard { id, name, cat }
+    id
 }
 
-/// Open a span; the parent is the innermost open span on this thread.
-pub fn span(cat: &'static str, name: &'static str) -> SpanGuard {
-    begin_span(cat, name, None, Vec::new())
+/// Pushes the end event of span `id` at `ts_ns` and closes it.
+pub(crate) fn end(span: Span, id: u64, ts_ns: u64) {
+    with_buf(|l| {
+        // Pop our own id; tolerate a foreign top if spans ended out of
+        // order (they never do in practice).
+        if let Some(pos) = l.stack.iter().rposition(|&s| s == id) {
+            l.stack.remove(pos);
+        }
+        l.push(TraceEvent::span(span, Phase::End, ts_ns, l.tid, id));
+    });
 }
 
-/// Open a span with arguments.
-pub fn span_with(
-    cat: &'static str,
-    name: &'static str,
-    args: Vec<(&'static str, ArgValue)>,
-) -> SpanGuard {
-    begin_span(cat, name, None, args)
+/// Pushes a complete begin/end pair for a root span whose lifetime
+/// crossed threads, onto track `tid` (this thread's track when
+/// `None`).
+pub(crate) fn complete(
+    span: Span,
+    tid: Option<u64>,
+    begin_ns: u64,
+    end_ns: u64,
+    id: u64,
+    args: Args,
+) {
+    with_buf(|l| {
+        let tid = tid.unwrap_or(l.tid);
+        let begin = TraceEvent::span(span, Phase::Begin, begin_ns, tid, id);
+        l.push(TraceEvent { args, ..begin });
+        l.push(TraceEvent::span(
+            span,
+            Phase::End,
+            end_ns.max(begin_ns),
+            tid,
+            id,
+        ));
+    });
 }
 
-/// Open a span with an explicit parent id (cross-thread edges, e.g. a
-/// campaign shard under its job span).
-pub fn span_child_of(
-    cat: &'static str,
-    name: &'static str,
-    parent: u64,
-    args: Vec<(&'static str, ArgValue)>,
-) -> SpanGuard {
-    begin_span(cat, name, Some(parent), args)
-}
-
-/// Record a thread-scoped instant event.
-pub fn instant(cat: &'static str, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
+/// Record a thread-scoped instant event. `args` runs only when tracing
+/// is on.
+pub fn instant(cat: &'static str, name: &'static str, args: impl FnOnce() -> Args) {
     if !is_enabled() {
         return;
     }
     let ts_ns = now_ns();
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
+    let args = args();
+    with_buf(|l| {
         let parent = l.stack.last().copied().unwrap_or(0);
         let tid = l.tid;
         l.push(TraceEvent {
@@ -331,49 +298,6 @@ pub fn instant(cat: &'static str, name: &'static str, args: Vec<(&'static str, A
     });
 }
 
-/// Emit a complete (begin + end) span with explicit timestamps onto an
-/// explicit track. Used for spans whose lifetime crosses threads: the
-/// whole-job span of a sharded campaign begins when the fan is created
-/// and ends on whichever worker merges the last shard.
-#[allow(clippy::too_many_arguments)]
-pub fn complete(
-    cat: &'static str,
-    name: &'static str,
-    tid: u64,
-    begin_ns: u64,
-    end_ns: u64,
-    id: u64,
-    parent: u64,
-    args: Vec<(&'static str, ArgValue)>,
-) {
-    if !is_enabled() {
-        return;
-    }
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        l.push(TraceEvent {
-            name,
-            cat,
-            phase: Phase::Begin,
-            ts_ns: begin_ns,
-            tid,
-            id,
-            parent,
-            args,
-        });
-        l.push(TraceEvent {
-            name,
-            cat,
-            phase: Phase::End,
-            ts_ns: end_ns.max(begin_ns),
-            tid,
-            id,
-            parent: 0,
-            args: Vec::new(),
-        });
-    });
-}
-
 /// Flush this thread and drain every merged event, stable-sorted by
 /// `(tid, ts_ns)`. Leaves the registry empty.
 pub fn take_events() -> Vec<TraceEvent> {
@@ -383,23 +307,11 @@ pub fn take_events() -> Vec<TraceEvent> {
     events
 }
 
-/// Number of events flushed into the global registry so far (after
-/// [`flush_local`]); test hook for non-vacuity assertions.
-pub fn merged_len() -> usize {
-    merged().lock().unwrap().len()
-}
-
-/// Events dropped on full thread buffers (0 in any sane run).
-pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
 /// Clear all trace state (merged events, drop counter). Thread-local
 /// buffers of *other* threads are untouched, so call between runs,
 /// not mid-run.
 pub fn reset() {
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
+    with_buf(|l| {
         l.events.clear();
         l.stack.clear();
     });
@@ -525,39 +437,34 @@ pub fn write_chrome_trace<W: Write>(w: &mut W) -> io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Trace state is process-global; keep every test under one lock.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::{span, span_detached, span_with, test_lock};
 
     #[test]
     fn disabled_sites_record_nothing() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(false);
         reset();
         {
-            let s = span("test", "noop");
+            let s = span(Span::Job);
             assert_eq!(s.id(), 0);
-            instant("test", "nothing", Vec::new());
+            instant("test", "nothing", Vec::new);
         }
         assert_eq!(take_events().len(), 0);
     }
 
     #[test]
     fn spans_nest_and_balance() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         let parent_id;
         {
-            let outer = span("test", "outer");
+            let outer = span(Span::Job);
             parent_id = outer.id();
             assert_ne!(parent_id, 0);
             {
-                let _inner = span_with("test", "inner", vec![("k", ArgValue::U64(7))]);
-                instant("test", "tick", Vec::new());
+                let _inner = span_with(Span::Lower, 0, || vec![("k", ArgValue::U64(7))]);
+                instant("test", "tick", Vec::new);
             }
         }
         let events = take_events();
@@ -567,8 +474,9 @@ mod tests {
         let ends = events.iter().filter(|e| e.phase == Phase::End).count();
         assert_eq!(begins.len(), 2);
         assert_eq!(ends, 2);
-        let inner = begins.iter().find(|e| e.name == "inner").unwrap();
+        let inner = begins.iter().find(|e| e.name == "lower").unwrap();
         assert_eq!(inner.parent, parent_id);
+        assert_eq!(inner.cat, "pass");
         let tick = events.iter().find(|e| e.name == "tick").unwrap();
         assert_eq!(tick.phase, Phase::Instant);
         assert_ne!(tick.parent, 0);
@@ -576,61 +484,58 @@ mod tests {
 
     #[test]
     fn complete_spans_carry_explicit_track_and_parent() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
-        let id = alloc_span_id();
-        complete(
-            "job",
-            "job",
-            JOB_TRACK_BASE + 3,
-            10,
-            20,
-            id,
-            0,
-            vec![("job", ArgValue::U64(3))],
-        );
+        let job = span_detached(Span::CampaignJob);
+        let id = job.id();
+        assert_ne!(id, 0);
+        drop(span_with(Span::Shard, id, Vec::new));
+        job.end_on_track(JOB_TRACK_BASE + 3, || vec![("job", ArgValue::U64(3))]);
         let events = take_events();
         set_enabled(false);
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.tid == JOB_TRACK_BASE + 3));
-        assert_eq!(events[0].ts_ns, 10);
-        assert_eq!(events[1].ts_ns, 20);
+        let job_events: Vec<_> = events.iter().filter(|e| e.id == id).collect();
+        assert_eq!(job_events.len(), 2);
+        assert!(job_events.iter().all(|e| e.tid == JOB_TRACK_BASE + 3));
+        assert_eq!(job_events[0].phase, Phase::Begin);
+        assert!(job_events[0].ts_ns <= job_events[1].ts_ns);
+        let shard = events.iter().find(|e| e.name == "shard").unwrap();
+        assert_eq!(shard.parent, id);
     }
 
     #[test]
     fn chrome_render_is_valid_shape() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         {
-            let _s = span_with(
-                "test",
-                "quoted \"name\" arg",
-                vec![("msg", ArgValue::Str("line1\nline2".into()))],
-            );
+            let _s = span_with(Span::Job, 0, || {
+                vec![("msg", ArgValue::Str("line1\nline2".into()))]
+            });
+            instant("test", "quoted \"name\"", Vec::new);
         }
         let mut buf = Vec::new();
         let n = write_chrome_trace(&mut buf).unwrap();
         set_enabled(false);
-        assert_eq!(n, 2);
+        assert_eq!(n, 3);
         let text = String::from_utf8(buf).unwrap();
         assert!(text.trim_start().starts_with('['));
         assert!(text.trim_end().ends_with(']'));
         assert!(text.contains("\\n"));
+        assert!(text.contains("quoted \\\"name\\\""));
         assert!(text.contains("\"ph\":\"B\""));
         assert!(text.contains("\"ph\":\"E\""));
     }
 
     #[test]
     fn events_sorted_by_tid_then_ts() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
-        let id = alloc_span_id();
-        complete("t", "late_track", 50, 5, 6, id, 0, Vec::new());
-        let id2 = alloc_span_id();
-        complete("t", "early_track", 2, 9, 11, id2, 0, Vec::new());
+        let late_track = span_detached(Span::CampaignJob);
+        let early_track = span_detached(Span::CampaignJob);
+        late_track.end_on_track(50, Vec::new);
+        early_track.end_on_track(2, Vec::new);
         let events = take_events();
         set_enabled(false);
         let tids: Vec<u64> = events.iter().map(|e| e.tid).collect();

@@ -1,19 +1,21 @@
 //! na-telemetry contract tests: histogram bucket layout, percentile
 //! extraction vs a brute-force reference, order-independent recorder
-//! merging (including across threads), and the disabled fast path.
+//! merging (including across threads), the disabled fast path, and
+//! the one span feeding metrics and the trace under the same name.
 //!
-//! Tests that touch the process-global registry serialize on
-//! [`global_lock`] so they can run under the default parallel test
-//! harness.
+//! Tests that touch the process-global mode word or recorder
+//! serialize on [`global_lock`] so they can run under the default
+//! parallel test harness.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread;
 
 use na_telemetry as tel;
-use na_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Recorder, Registry, Stage};
+use na_telemetry::trace::{self, Phase};
+use na_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Recorder, Span};
 
-/// Serializes tests that mutate the global registry.
+/// Serializes tests that mutate the global state.
 fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -154,10 +156,10 @@ fn scripted_recorder(seed: u64) -> Recorder {
     let mut state = seed | 1;
     for _ in 0..200 {
         let v = xorshift(&mut state);
-        r.record_ns(Stage::Place, v % 10_000_000);
-        r.record_ns(Stage::Schedule, v % 50_000_000);
+        r.record_ns(Span::Place, v % 10_000_000);
+        r.record_ns(Span::RouteSchedule, v % 50_000_000);
         if v.is_multiple_of(3) {
-            r.record_ns(Stage::LossFixup, v % 400_000);
+            r.record_ns(Span::LossFixup, v % 400_000);
         }
         r.add(Counter::CompileCacheHits, v % 5);
         r.add(Counter::OpsScheduled, v % 97);
@@ -172,16 +174,17 @@ fn merge_is_order_independent_serial() {
         .map(|i| scripted_recorder(i * 0x1234_5678))
         .collect();
 
-    let forward = Registry::new(true);
+    let mut forward = Recorder::new();
     for r in &recorders {
-        forward.merge(r);
+        forward.merge_from(r);
     }
-    let backward = Registry::new(true);
+    let mut backward = Recorder::new();
     for r in recorders.iter().rev() {
-        backward.merge(r);
+        backward.merge_from(r);
     }
-    assert_eq!(forward.snapshot(), backward.snapshot());
-    assert!(!forward.snapshot().is_empty());
+    let snapshot = |r: &Recorder| MetricsSnapshot::of(r, true);
+    assert_eq!(snapshot(&forward), snapshot(&backward));
+    assert!(!snapshot(&forward).is_empty());
 }
 
 #[test]
@@ -189,23 +192,23 @@ fn concurrent_merge_equals_serial_merge() {
     const THREADS: u64 = 8;
 
     // Serial reference: merge in index order.
-    let serial = Registry::new(true);
+    let mut serial = Recorder::new();
     for i in 1..=THREADS {
-        serial.merge(&scripted_recorder(i));
+        serial.merge_from(&scripted_recorder(i));
     }
 
     // Concurrent: N threads each build the same scripted recorder and
     // merge it whenever the scheduler lets them.
-    let concurrent = Registry::new(true);
+    let concurrent = Mutex::new(Recorder::new());
     thread::scope(|scope| {
         for i in 1..=THREADS {
-            let registry = &concurrent;
-            scope.spawn(move || registry.merge(&scripted_recorder(i)));
+            let merged = &concurrent;
+            scope.spawn(move || merged.lock().unwrap().merge_from(&scripted_recorder(i)));
         }
     });
 
-    let lhs = serial.snapshot();
-    let rhs = concurrent.snapshot();
+    let lhs = MetricsSnapshot::of(&serial, true);
+    let rhs = MetricsSnapshot::of(&concurrent.into_inner().unwrap(), true);
     assert_eq!(lhs, rhs);
     assert_eq!(lhs.counter("ops_scheduled"), rhs.counter("ops_scheduled"));
     assert!(lhs.stage("place").is_some());
@@ -220,10 +223,10 @@ fn disabled_registry_records_nothing() {
     tel::set_enabled(false);
 
     {
-        let _span = tel::time(Stage::Place);
+        let _span = tel::span(Span::Place);
         tel::add(Counter::Compiles, 10);
         tel::gauge_max(Gauge::EngineWorkers, 32);
-        tel::record_ns(Stage::Schedule, 1_000_000);
+        tel::record_ns(Span::RouteSchedule, 1_000_000);
     }
     let snap = tel::snapshot();
     assert!(snap.is_empty(), "disabled registry captured data: {snap:?}");
@@ -240,7 +243,7 @@ fn worker_threads_flush_into_global_snapshot() {
         for _ in 0..4 {
             scope.spawn(|| {
                 for i in 0..50u64 {
-                    tel::record_ns(Stage::Schedule, 1_000 + i);
+                    tel::record_ns(Span::RouteSchedule, 1_000 + i);
                     tel::add(Counter::ShotsAttempted, 1);
                 }
                 tel::flush_local();
@@ -253,7 +256,9 @@ fn worker_threads_flush_into_global_snapshot() {
     tel::reset();
 
     assert_eq!(snap.counter("shots_attempted"), 200);
-    let sched = snap.stage("schedule").expect("schedule stage present");
+    let sched = snap
+        .stage("route_schedule")
+        .expect("route_schedule span present");
     assert_eq!(sched.count, 200);
     assert!(sched.p50_ns >= 1_000);
     assert!(sched.max_ns <= 1_049 + 1_049 / 8); // bucket quantisation headroom
@@ -265,18 +270,18 @@ fn stage_marks_capture_per_job_deltas() {
     tel::reset();
     tel::set_enabled(true);
 
-    tel::record_ns(Stage::Place, 500);
-    let mark = tel::mark_stages();
-    tel::record_ns(Stage::Place, 1_000);
-    tel::record_ns(Stage::Schedule, 2_000);
-    let deltas = tel::stage_deltas_since(&mark);
+    tel::record_ns(Span::Place, 500);
+    let mark = tel::mark();
+    tel::record_ns(Span::Place, 1_000);
+    tel::record_ns(Span::RouteSchedule, 2_000);
+    let deltas = mark.deltas();
 
     tel::set_enabled(false);
     tel::reset();
 
     let expected: BTreeMap<String, u64> = [
         ("place".to_string(), 1_000),
-        ("schedule".to_string(), 2_000),
+        ("route_schedule".to_string(), 2_000),
     ]
     .into_iter()
     .collect();
@@ -285,11 +290,110 @@ fn stage_marks_capture_per_job_deltas() {
 
 #[test]
 fn snapshot_round_trips_through_json() {
-    let registry = Registry::new(true);
-    registry.merge(&scripted_recorder(42));
-    let snap = registry.snapshot();
+    let snap = MetricsSnapshot::of(&scripted_recorder(42), true);
     let json = serde_json::to_string(&snap).unwrap();
     let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(snap, back);
     assert_eq!(back.schema, tel::SNAPSHOT_SCHEMA);
+}
+
+// -------------------------------------------------------------- one span
+
+/// Runs `work` with metrics and tracing set as given, returning the
+/// metrics snapshot and the trace events it produced.
+fn observe(
+    metrics: bool,
+    tracing: bool,
+    work: impl FnOnce(),
+) -> (MetricsSnapshot, Vec<trace::TraceEvent>) {
+    tel::reset();
+    trace::reset();
+    tel::set_enabled(metrics);
+    trace::set_enabled(tracing);
+    work();
+    let snap = tel::snapshot();
+    let events = trace::take_events();
+    tel::set_enabled(false);
+    trace::set_enabled(false);
+    tel::reset();
+    trace::reset();
+    (snap, events)
+}
+
+#[test]
+fn one_span_feeds_one_sample_and_one_trace_pair() {
+    let _guard = global_lock();
+    let mut id = 0;
+    let (snap, events) = observe(true, true, || {
+        let span = tel::span(Span::RouteSchedule);
+        id = span.id();
+        span.end();
+    });
+    assert_ne!(id, 0, "a traced span carries an id");
+    let stage = snap.stage("route_schedule").expect("one histogram sample");
+    assert_eq!(stage.count, 1);
+    assert_eq!(snap.stages.len(), 1);
+    assert_eq!(events.len(), 2, "one begin/end pair: {events:?}");
+    assert!(events
+        .iter()
+        .all(|e| e.name == "route_schedule" && e.id == id));
+    assert_eq!(events[0].phase, Phase::Begin);
+    assert_eq!(events[1].phase, Phase::End);
+    // The histogram sample and the trace pair come from the same two
+    // clock reads.
+    assert_eq!(events[1].ts_ns - events[0].ts_ns, stage.total_ns);
+}
+
+#[test]
+fn span_is_inert_with_metrics_and_tracing_off() {
+    let _guard = global_lock();
+    let mut id = u64::MAX;
+    let mut ns = u64::MAX;
+    let (snap, events) = observe(false, false, || {
+        let span = tel::span(Span::Job);
+        id = span.id();
+        ns = span.end();
+    });
+    assert_eq!((id, ns), (0, 0));
+    assert!(snap.is_empty(), "inert span recorded: {snap:?}");
+    assert!(events.is_empty(), "inert span traced: {events:?}");
+}
+
+#[test]
+fn metrics_only_names_record_a_sample_but_no_trace_event() {
+    let _guard = global_lock();
+    let (snap, events) = observe(true, true, || {
+        let shot = tel::span(Span::Shot);
+        assert_eq!(shot.id(), 0, "shot is metrics-only");
+        drop(shot);
+    });
+    assert!(!Span::Shot.traced());
+    assert_eq!(snap.stage("shot").map(|s| s.count), Some(1));
+    assert!(events.is_empty(), "metrics-only span traced: {events:?}");
+}
+
+#[test]
+fn timed_span_returns_its_duration_with_telemetry_off() {
+    let _guard = global_lock();
+    let mut ns = 0;
+    let (snap, events) = observe(false, false, || {
+        let span = tel::span_timed(Span::Recompile);
+        thread::sleep(std::time::Duration::from_millis(1));
+        ns = span.end();
+    });
+    assert!(ns >= 1_000_000, "timed span measured {ns} ns");
+    assert!(snap.is_empty() && events.is_empty());
+}
+
+#[test]
+fn paused_span_records_its_running_stretches_as_one_sample() {
+    let _guard = global_lock();
+    let (snap, _) = observe(true, false, || {
+        let mut route = tel::span_paused(Span::Route);
+        for _ in 0..3 {
+            route.resume();
+            route.pause();
+        }
+    });
+    assert_eq!(snap.stage("route").map(|s| s.count), Some(1));
 }

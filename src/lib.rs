@@ -18,7 +18,7 @@
 //!   specs, a multi-threaded worker pool with deterministic results,
 //!   a memoized compilation cache, and JSON-lines result sinks;
 //! * [`telemetry`] — zero-dependency structured instrumentation:
-//!   stage timers, counters, and latency histograms, disabled by
+//!   named spans, counters, and latency histograms, disabled by
 //!   default and strictly observational (golden digests are
 //!   byte-identical with metrics on or off);
 //! * [`faults`] — failure-domain primitives: deterministic failpoint

@@ -139,7 +139,7 @@ fn metrics_on_and_off_produce_bit_identical_results() {
         "no route-stage samples (scheduler routing split)"
     );
     assert!(
-        snapshot.stage("schedule").is_some(),
+        snapshot.stage("route_schedule").is_some(),
         "no schedule-stage samples"
     );
     assert!(snapshot.stage("shot").is_some(), "no per-shot samples");

@@ -219,7 +219,8 @@ impl Grid {
     /// All usable sites within Euclidean distance `mid` of `site`,
     /// excluding `site` itself, in ascending `Site` order.
     pub fn neighbors_within(&self, site: Site, mid: f64) -> Vec<Site> {
-        let r = mid.floor() as i32;
+        // Offsets past the grid's extent never land on a site.
+        let r = (mid.floor() as i32).min(self.width.max(self.height) as i32);
         let mut out = Vec::new();
         for dy in -r..=r {
             for dx in -r..=r {

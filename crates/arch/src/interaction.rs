@@ -70,7 +70,9 @@ impl InteractionGraph {
             .map(|i| grid.is_usable(grid.site_at(i)))
             .collect();
 
-        let r = mid.floor() as i32;
+        // Offsets past the grid's extent never land on a site, so a huge
+        // MID clamps to it instead of enumerating a (2⌊mid⌋+1)² stencil.
+        let r = (mid.floor() as i32).min(width.max(height) as i32);
         let mut stencil = Vec::new();
         for dx in -r..=r {
             for dy in -r..=r {
@@ -174,7 +176,8 @@ impl InteractionGraph {
         self.usable.len()
     }
 
-    /// The neighbor offset stencil of this MID, ascending `(dx, dy)`.
+    /// The neighbor offset stencil of this MID, ascending `(dx, dy)`,
+    /// clipped to offsets no longer than the grid's larger side.
     #[inline]
     pub fn stencil(&self) -> &[(i32, i32)] {
         &self.stencil
@@ -511,6 +514,23 @@ mod tests {
                     assert_eq!(got, expect, "site {site} at MID {mid}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn huge_mid_clamps_to_the_grid() {
+        // 13 > the 10x10 diagonal, so both MIDs are all-to-all.
+        let grid = Grid::new(10, 10);
+        let (huge, exact) = (
+            InteractionGraph::build(&grid, 1e6),
+            InteractionGraph::build(&grid, 13.0),
+        );
+        for i in 0..grid.num_sites() {
+            assert_eq!(huge.neighbors(i), exact.neighbors(i), "site {i}");
+            assert_eq!(
+                grid.neighbors_within(grid.site_at(i), 1e6),
+                grid.neighbors_within(grid.site_at(i), 13.0)
+            );
         }
     }
 

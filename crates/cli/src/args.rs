@@ -102,6 +102,28 @@ impl Args {
                 .map_err(|_| ArgError(format!("invalid value {v:?} for --{key}"))),
         }
     }
+
+    /// [`Args::parse_or`], then rejects a value `valid` refuses with an
+    /// error naming the flag and its `rule`, so a bad number fails here
+    /// instead of tripping a library assertion later.
+    ///
+    /// # Errors
+    ///
+    /// Reports the offending key and value on parse or rule failure.
+    pub fn parse_checked<T: std::str::FromStr + fmt::Display>(
+        &self,
+        key: &str,
+        default: T,
+        valid: impl Fn(&T) -> bool,
+        rule: &str,
+    ) -> Result<T, ArgError> {
+        let v = self.parse_or(key, default)?;
+        if valid(&v) {
+            Ok(v)
+        } else {
+            Err(ArgError(format!("--{key} must be {rule}, got {v}")))
+        }
+    }
 }
 
 #[cfg(test)]

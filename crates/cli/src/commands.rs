@@ -10,14 +10,12 @@ use crate::args::{ArgError, Args};
 use na_arch::{AssemblySimulator, Grid, RestrictionPolicy};
 use na_benchmarks::{Benchmark, Workload};
 use na_circuit::parse_qasm;
-use na_core::{compile, verify, CompiledCircuit, CompilerConfig};
+use na_core::{verify, CompiledCircuit, CompilerConfig};
 use na_engine::{
     derive_seed, CompileCache, Engine, ExperimentSpec, FailureSummary, JsonlSink, LossSpec,
     Outcome, RunRecord, Task,
 };
-use na_loss::{
-    mean_loss_tolerance, render_timeline, run_campaign, CampaignConfig, ShotTarget, Strategy,
-};
+use na_loss::{mean_loss_tolerance, render_timeline, CampaignConfig, ShotTarget, Strategy};
 use na_noise::{success_probability, NoiseParams};
 use std::error::Error;
 use std::time::Duration;
@@ -79,6 +77,19 @@ fn load_qasm_workload(path: &str) -> Result<Workload, ArgError> {
     Ok(Workload::custom(label, circuit))
 }
 
+/// MIDs below one lattice site do not exist, and JSONL rows cannot
+/// carry an infinite one.
+fn valid_mid(mid: &f64) -> bool {
+    mid.is_finite() && *mid >= 1.0
+}
+
+const MID_RULE: &str = "a finite number of at least 1";
+
+/// `--error`: a two-qubit error rate strictly inside (0, 1).
+fn two_qubit_error(args: &Args, default: f64) -> Result<f64, ArgError> {
+    args.parse_checked("error", default, |&e| e > 0.0 && e < 1.0, "in (0, 1)")
+}
+
 struct Common {
     workload: Workload,
     size: u32,
@@ -123,12 +134,15 @@ fn common(args: &Args) -> Result<Common, ArgError> {
             Workload::from(parse_benchmark(args.get_or("benchmark", "bv"))?)
         }
     };
-    let size = args.parse_or("size", 30u32)?;
+    let builtin = matches!(workload, Workload::Bench(_));
+    let size = args.parse_checked(
+        "size",
+        30u32,
+        |&s| !builtin || s >= Benchmark::MIN_SIZE,
+        &format!("at least {} for a built-in benchmark", Benchmark::MIN_SIZE),
+    )?;
     let grid = parse_grid(args.get_or("grid", "10x10"))?;
-    let mid: f64 = args.parse_or("mid", 3.0)?;
-    if mid < 1.0 {
-        return Err(ArgError("--mid must be at least 1".into()));
-    }
+    let mid = args.parse_checked("mid", 3.0, valid_mid, MID_RULE)?;
     let mut config = CompilerConfig::new(mid);
     if args.flag("no-native") {
         config = config.with_native_multiqubit(false);
@@ -317,10 +331,10 @@ pub fn sweep_cmd(args: &Args) -> CmdResult {
     let mids: Vec<f64> = args
         .get_or("mids", &default_mids)
         .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|_| ArgError(format!("bad MID {s:?}")))
+        .map(|s| match s.trim().parse::<f64>() {
+            Ok(mid) if valid_mid(&mid) => Ok(mid),
+            Ok(mid) => Err(ArgError(format!("--mids: MID {mid} must be {MID_RULE}"))),
+            Err(_) => Err(ArgError(format!("--mids: bad MID {s:?}"))),
         })
         .collect::<Result<_, _>>()?;
 
@@ -371,7 +385,7 @@ pub fn sweep_cmd(args: &Args) -> CmdResult {
 /// `natoms success`
 pub fn success_cmd(args: &Args) -> CmdResult {
     let c = common(args)?;
-    let error: f64 = args.parse_or("error", 1e-3)?;
+    let error = two_qubit_error(args, 1e-3)?;
     // One cache for both architecture points of the comparison.
     let cache = CompileCache::new();
     let program = c.circuit();
@@ -440,16 +454,18 @@ pub fn campaign_cmd(args: &Args) -> CmdResult {
     let c = common(args)?;
     let strategy = parse_strategy(args.get_or("strategy", "c-small-reroute"))?;
     let shots: u64 = args.parse_or("shots", 500u64)?;
-    let error: f64 = args.parse_or("error", 0.035)?;
-    let factor: f64 = args.parse_or("loss-factor", 1.0)?;
-    let campaigns: u32 = args.parse_or("campaigns", 1u32)?;
-    if campaigns == 0 {
-        return Err(Box::new(ArgError("--campaigns must be at least 1".into())));
-    }
-    let shards: u32 = args.parse_or("shards", 1u32)?;
-    if shards == 0 {
-        return Err(Box::new(ArgError("--shards must be at least 1".into())));
-    }
+    let error = two_qubit_error(args, 0.035)?;
+    // The factor divides the loss rates; below the measurement-loss
+    // rate it would scale that probability past 1.
+    let min_factor = na_loss::LossModel::new(0).measurement_loss();
+    let factor = args.parse_checked(
+        "loss-factor",
+        1.0,
+        |&f| f >= min_factor,
+        &format!("at least {min_factor}"),
+    )?;
+    let campaigns = args.parse_checked("campaigns", 1u32, |&n| n >= 1, "at least 1")?;
+    let shards = args.parse_checked("shards", 1u32, |&n| n >= 1, "at least 1")?;
     let streaming = args.flag("streaming");
     if streaming && args.flag("timeline") {
         // The timeline grows with the shot count — exactly the
@@ -561,461 +577,10 @@ pub fn campaign_cmd(args: &Args) -> CmdResult {
     Ok(finish_rows(&records))
 }
 
-/// One timed workload of `natoms bench`.
-#[derive(Debug, serde::Serialize)]
-struct BenchWorkload {
-    /// Workload name (`fig07_compile`, `fig08_compile`, `placement`,
-    /// `placement_reference`, `loss_executor`).
-    name: String,
-    /// Timed repetitions of the whole workload.
-    passes: u32,
-    /// Work units (compiles or shots) in one pass.
-    units_per_pass: u32,
-    /// Total wall-clock seconds over all passes.
-    total_secs: f64,
-    /// Mean seconds per pass.
-    secs_per_pass: f64,
-    /// Work units per second.
-    units_per_sec: f64,
-}
-
-/// Provenance of one `natoms bench` run.
-#[derive(Debug, serde::Serialize)]
-struct BenchMeta {
-    /// `git rev-parse --short=12 HEAD` of the working tree, or
-    /// `"unknown"` outside a repository.
-    git_rev: String,
-    /// ISO-8601 UTC wall-clock time of the run.
-    timestamp: String,
-    /// Available hardware parallelism on the host.
-    workers: usize,
-}
-
-impl BenchMeta {
-    fn collect() -> Self {
-        let git_rev = std::process::Command::new("git")
-            .args(["rev-parse", "--short=12", "HEAD"])
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .and_then(|out| String::from_utf8(out.stdout).ok())
-            .map(|rev| rev.trim().to_string())
-            .filter(|rev| !rev.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
-        BenchMeta {
-            git_rev,
-            timestamp: na_telemetry::iso8601_now(),
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
-/// The machine-readable report of `natoms bench --json`.
-///
-/// Schema history: v2 added `meta` (run provenance) and `metrics` (the
-/// per-span telemetry snapshot of the benched workloads); every v1
-/// per-workload field is retained unchanged so units/s trajectories
-/// stay comparable across the schema bump. `pass_report` (the
-/// per-pass breakdown of one representative compile through the
-/// self-checking pipeline) is additive under v2.
-#[derive(Debug, serde::Serialize)]
-struct BenchReport {
-    /// Report format tag.
-    schema: String,
-    /// `"quick"` (CI smoke) or `"full"`.
-    mode: String,
-    /// Device the workloads compile onto.
-    grid: String,
-    /// Run provenance.
-    meta: BenchMeta,
-    /// The timed workloads.
-    workloads: Vec<BenchWorkload>,
-    /// Merged telemetry of the benched workloads: per-span latency
-    /// percentiles plus compile/loss counters.
-    metrics: na_telemetry::MetricsSnapshot,
-    /// Per-pass wall time and artifact stats of one representative
-    /// compile (BV at the fig07 size on the bench grid) through the
-    /// self-checking pass pipeline.
-    pass_report: na_core::PassReport,
-}
-
-/// `natoms bench` — wall-clock timings of the paper-grid compile and
-/// loss-executor workloads (the numbers tracked in
-/// `BENCH_compile.json`). `--json` emits the machine-readable report;
-/// `--quick` runs a reduced smoke-size variant for CI.
-pub fn bench_cmd(args: &Args) -> CmdResult {
-    let quick = args.flag("quick");
-    let timeout = job_timeout(args)?;
-    // bench always collects its own telemetry (that's the per-span
-    // breakdown the report embeds), regardless of --metrics.
-    let telemetry_was_enabled = na_telemetry::is_enabled();
-    na_telemetry::set_enabled(true);
-    na_telemetry::reset();
-    let outcome = bench_workloads(quick, timeout);
-    let metrics = na_telemetry::snapshot();
-    na_telemetry::set_enabled(telemetry_was_enabled);
-    let (grid, workloads, pass_report) = outcome?;
-
-    let report = BenchReport {
-        schema: "natoms-bench-v2".into(),
-        mode: if quick { "quick" } else { "full" }.into(),
-        grid: format!("{}x{}", grid.width(), grid.height()),
-        meta: BenchMeta::collect(),
-        workloads,
-        metrics,
-        pass_report,
-    };
-    if args.flag("json") {
-        println!("{}", serde_json::to_string(&report)?);
-    } else {
-        println!(
-            "== natoms bench ({}) on {} == [{} @ {}, {} cores]",
-            report.mode,
-            report.grid,
-            report.meta.git_rev,
-            report.meta.timestamp,
-            report.meta.workers
-        );
-        for w in &report.workloads {
-            println!(
-                "{:<16} {:>3} pass(es) x {:>4} units: {:.4} s/pass ({:.0} units/s)",
-                w.name, w.passes, w.units_per_pass, w.secs_per_pass, w.units_per_sec
-            );
-        }
-        print!("{}", report.metrics.render());
-        print!("{}", report.pass_report.render());
-    }
-    // The perf gate: compare this run's throughput against a committed
-    // baseline; a regression beyond tolerance exits nonzero (code 2).
-    if let Some(baseline) = args.get("check") {
-        let tolerance: f64 = args.parse_or("tolerance", 25.0)?;
-        return check_bench_regression(&report.workloads, baseline, tolerance);
-    }
-    Ok(CmdStatus::Ok)
-}
-
-/// Extracts `(name, units_per_sec)` baseline rows from a comparison
-/// file: a `natoms bench --json` report (`workloads`), or the
-/// committed `BENCH_compile.json` shape (preferring the most recent
-/// `current.results` measurement, falling back to
-/// `baseline.results`).
-fn baseline_rows(value: &serde_json::Value) -> Option<Vec<(String, f64)>> {
-    let results = |key: &str| {
-        value
-            .get(key)
-            .and_then(|section| section.get("results"))
-            .and_then(|rows| rows.as_array())
-    };
-    let rows = value
-        .get("workloads")
-        .and_then(|rows| rows.as_array())
-        .or_else(|| results("current"))
-        .or_else(|| results("baseline"))?;
-    let rows: Vec<(String, f64)> = rows
-        .iter()
-        .filter_map(|row| {
-            Some((
-                row.get("name")?.as_str()?.to_string(),
-                row.get("units_per_sec")?.as_f64()?,
-            ))
-        })
-        .collect();
-    (!rows.is_empty()).then_some(rows)
-}
-
-/// `natoms bench --check <baseline.json> [--tolerance PCT]`: every
-/// workload present in both runs must stay above
-/// `baseline * (1 - PCT/100)` units/s (default tolerance 25%).
-///
-/// # Errors
-///
-/// An unreadable or shape-less baseline file, or no common workloads.
-/// A throughput regression is *not* an `Err` — it reports per-workload
-/// verdicts on stderr and returns [`CmdStatus::PartialFailure`]
-/// (exit 2), matching the engine's typed-failure exit semantics.
-fn check_bench_regression(fresh: &[BenchWorkload], path: &str, tolerance_pct: f64) -> CmdResult {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ArgError(format!("cannot read bench baseline {path:?}: {e}")))?;
-    let value: serde_json::Value = serde_json::from_str(&text)
-        .map_err(|e| ArgError(format!("{path}: not a bench baseline: {e}")))?;
-    let baseline = baseline_rows(&value).ok_or_else(|| {
-        ArgError(format!(
-            "{path}: no workload rows (expected a bench report or BENCH_compile.json)"
-        ))
-    })?;
-    let mut compared = 0u32;
-    let mut regressions = 0u32;
-    eprintln!("bench check vs {path} (tolerance -{tolerance_pct}%):");
-    for w in fresh {
-        let Some((_, base_ups)) = baseline.iter().find(|(name, _)| name == &w.name) else {
-            continue;
-        };
-        compared += 1;
-        let floor = base_ups * (1.0 - tolerance_pct / 100.0);
-        let delta_pct = (w.units_per_sec / base_ups - 1.0) * 100.0;
-        let verdict = if w.units_per_sec < floor {
-            regressions += 1;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "  {:<24} {:>10.1} units/s vs {:>10.1} baseline ({:>+7.1}%) {}",
-            w.name, w.units_per_sec, base_ups, delta_pct, verdict
-        );
-    }
-    if compared == 0 {
-        return Err(Box::new(ArgError(format!(
-            "{path}: no workloads in common with this bench run"
-        ))));
-    }
-    if regressions > 0 {
-        eprintln!(
-            "bench check: {regressions}/{compared} workload(s) more than {tolerance_pct}% below baseline"
-        );
-        Ok(CmdStatus::PartialFailure)
-    } else {
-        eprintln!("bench check: {compared} workload(s) within tolerance");
-        Ok(CmdStatus::Ok)
-    }
-}
-
-/// The timed workloads of `natoms bench`. Each pass of each workload
-/// runs under the `--job-timeout` budget (unbounded without it); a
-/// workload that runs out stops at a compiler/campaign stage boundary
-/// and surfaces as a typed error naming the workload.
-#[allow(clippy::type_complexity)]
-fn bench_workloads(
-    quick: bool,
-    timeout: Option<Duration>,
-) -> Result<(Grid, Vec<BenchWorkload>, na_core::PassReport), Box<dyn Error>> {
-    use std::time::Instant;
-    let grid = Grid::new(10, 10);
-    let na_cfg = CompilerConfig::new(3.0);
-    let sc_cfg = CompilerConfig::new(1.0)
-        .with_native_multiqubit(false)
-        .with_restriction(RestrictionPolicy::None);
-    let mut workloads = Vec::new();
-
-    let mut timed = |name: &str,
-                     passes: u32,
-                     units_per_pass: u32,
-                     work: &mut dyn FnMut() -> Result<(), Box<dyn Error>>|
-     -> Result<(), Box<dyn Error>> {
-        let t0 = Instant::now();
-        for _ in 0..passes {
-            let _budget = na_faults::push_deadline(match timeout {
-                Some(d) => na_faults::Deadline::after(d),
-                None => na_faults::Deadline::UNBOUNDED,
-            });
-            work().map_err(|e| ArgError(format!("bench workload {name}: {e}")))?;
-        }
-        let total_secs = t0.elapsed().as_secs_f64();
-        let secs_per_pass = total_secs / f64::from(passes);
-        workloads.push(BenchWorkload {
-            name: name.to_string(),
-            passes,
-            units_per_pass,
-            total_secs,
-            secs_per_pass,
-            units_per_sec: f64::from(passes * units_per_pass) / total_secs,
-        });
-        Ok(())
-    };
-
-    // Fig. 7 workload: one compile per (benchmark, architecture) at
-    // the paper's 50-qubit program size.
-    let fig07_size = if quick { 16 } else { 50 };
-    let fig07_passes = if quick { 1 } else { 3 };
-    timed(
-        "fig07_compile",
-        fig07_passes,
-        (Benchmark::ALL.len() * 2) as u32,
-        &mut || {
-            for b in Benchmark::ALL {
-                let c = b.generate(fig07_size, 0);
-                compile(&c, &grid, &na_cfg)?;
-                compile(&c, &grid, &sc_cfg)?;
-            }
-            Ok(())
-        },
-    )?;
-
-    // Fig. 8 workload: the size ladder, both architectures.
-    let fig08_sizes: Vec<u32> = if quick {
-        vec![10, 20]
-    } else {
-        (5..=100).step_by(5).collect()
-    };
-    timed(
-        "fig08_compile",
-        1,
-        (Benchmark::ALL.len() * fig08_sizes.len() * 2) as u32,
-        &mut || {
-            for b in Benchmark::ALL {
-                for &size in &fig08_sizes {
-                    let c = b.generate(size, 0);
-                    compile(&c, &grid, &na_cfg)?;
-                    compile(&c, &grid, &sc_cfg)?;
-                }
-            }
-            Ok(())
-        },
-    )?;
-
-    // Placement workload: the initial-mapping slice of the compile
-    // pipeline, isolated. Circuits are pre-lowered and their lookahead
-    // weights pre-built outside the timed loop, so the numbers measure
-    // placement alone — the fast path (`placement`) against the seed
-    // O(n² · sites) placer kept as the in-tree oracle
-    // (`placement_reference`). Full mode uses the largest ladder
-    // programs (size 100) on the paper grid.
-    let placement_size = if quick { 16 } else { 100 };
-    let placement_passes = if quick { 1 } else { 10 };
-    let layouts: Vec<(na_circuit::Circuit, na_core::InteractionWeights)> = Benchmark::ALL
-        .iter()
-        .flat_map(|b| {
-            let c = b.generate(placement_size, 0);
-            [&na_cfg, &sc_cfg].map(|cfg| {
-                let lowered = na_core::lower_for(&c, cfg);
-                let weights = na_core::circuit_weights(&lowered, cfg.lookahead_depth);
-                (lowered, weights)
-            })
-        })
-        .collect();
-    let mut scratch = na_core::PlacementScratch::new();
-    // Untimed warmup so neither placement path pays the one-off
-    // cold-cache/allocation cost inside its timed loop.
-    for (c, w) in &layouts {
-        na_core::initial_placement_with(c, &grid, w, &mut scratch)?;
-        na_core::initial_placement_reference(c, &grid, w)?;
-    }
-    timed(
-        "placement",
-        placement_passes,
-        layouts.len() as u32,
-        &mut || {
-            for (c, w) in &layouts {
-                na_core::initial_placement_with(c, &grid, w, &mut scratch)?;
-            }
-            Ok(())
-        },
-    )?;
-    timed(
-        "placement_reference",
-        placement_passes,
-        layouts.len() as u32,
-        &mut || {
-            for (c, w) in &layouts {
-                na_core::initial_placement_reference(c, &grid, w)?;
-            }
-            Ok(())
-        },
-    )?;
-
-    // Loss-executor workload: a Monte-Carlo campaign under atom loss
-    // (compile + per-shot loss draws, remaps, and reroute fixups).
-    let shots = if quick { 25 } else { 200 };
-    timed("loss_executor", 1, shots, &mut || {
-        let program = Benchmark::Bv.generate(30, 0);
-        let cfg = CampaignConfig::new(3.0, Strategy::CompileSmallReroute)
-            .with_target(ShotTarget::Attempts(u64::from(shots)))
-            .with_seed(1);
-        run_campaign(&program, &grid, na_loss::LossModel::new(1), &cfg)?;
-        Ok(())
-    })?;
-
-    // Heavy loss-executor workload: destructive (50% measurement loss)
-    // readout on a larger program, so nearly every shot draws
-    // interfering losses and the per-shot remap + reroute-fixup
-    // costing dominates instead of the RNG draws.
-    let heavy_shots = if quick { 25 } else { 400 };
-    let heavy_size = if quick { 16 } else { 40 };
-    timed("loss_executor_heavy", 1, heavy_shots, &mut || {
-        let program = Benchmark::Cuccaro.generate(heavy_size, 0);
-        let cfg = CampaignConfig::new(4.0, Strategy::CompileSmallReroute)
-            .with_target(ShotTarget::Attempts(u64::from(heavy_shots)))
-            .with_seed(1);
-        run_campaign(
-            &program,
-            &grid,
-            na_loss::LossModel::destructive_readout(1),
-            &cfg,
-        )?;
-        Ok(())
-    })?;
-
-    // Sharded-campaign workload: the heavy campaign config through the
-    // engine pool at 1, 2, and 8 shards, in streaming mode (the
-    // constant-memory path sharding exists to scale). A warmup run
-    // fills the shared compile cache first, so every row times the
-    // shot loops and the merge, not the one compile all shard counts
-    // share. On a multi-core host the 8-shard row's units/s against
-    // the 1-shard row shows the fan-out speedup; on a single-core
-    // host the rows document the (small) sharding overhead instead.
-    let fan_shots: u32 = if quick { 25 } else { 400 };
-    let fan_size = if quick { 16 } else { 40 };
-    let fan_engine = Engine::new();
-    let sharded_spec = |shards: u32| {
-        let mut spec = ExperimentSpec::new("bench-sharded", grid.clone());
-        let cfg = CampaignConfig::new(4.0, Strategy::CompileSmallReroute)
-            .with_target(ShotTarget::Attempts(u64::from(fan_shots)))
-            .with_streaming()
-            .with_seed(1);
-        let task = if shards == 1 {
-            Task::Campaign {
-                config: cfg,
-                loss: LossSpec::new(1),
-            }
-        } else {
-            Task::ShardedCampaign {
-                config: cfg,
-                loss: LossSpec::new(1),
-                shards,
-            }
-        };
-        spec.push(
-            Benchmark::Cuccaro,
-            fan_size,
-            0,
-            CompilerConfig::new(4.0),
-            task,
-        );
-        spec
-    };
-    let run_sharded = |engine: &Engine, shards: u32| -> Result<(), Box<dyn Error>> {
-        for r in engine.run(&sharded_spec(shards)) {
-            if let Outcome::Failed { error, .. } = &r.outcome {
-                return Err(ArgError(format!("campaign_sharded_{shards}: {error}")).into());
-            }
-        }
-        Ok(())
-    };
-    run_sharded(&fan_engine, 1)?; // warmup: fill the compile cache
-    for shards in [1u32, 2, 8] {
-        timed(
-            &format!("campaign_sharded_{shards}"),
-            1,
-            fan_shots,
-            &mut || run_sharded(&fan_engine, shards),
-        )?;
-    }
-
-    // One representative compile through the self-checking pipeline:
-    // the per-pass breakdown the report embeds (untimed — it is a
-    // breakdown of where compile time goes, not a benchmark row).
-    let (_, pass_report) =
-        na_core::compile_with_report(&Benchmark::Bv.generate(fig07_size, 0), &grid, &na_cfg)?;
-
-    Ok((grid, workloads, pass_report))
-}
-
 /// `natoms reload-time`
 pub fn reload_time_cmd(args: &Args) -> CmdResult {
-    let width: u32 = args.parse_or("width", 10)?;
-    let height: u32 = args.parse_or("height", 10)?;
+    let width = args.parse_checked("width", 10u32, |&w| w > 0, "positive")?;
+    let height = args.parse_checked("height", 10u32, |&h| h > 0, "positive")?;
     let margin: u32 = args.parse_or("margin", 3)?;
     let trials: u32 = args.parse_or("trials", 10)?;
     let seed: u64 = args.parse_or("seed", 0u64)?;
@@ -1510,34 +1075,51 @@ mod tests {
     }
 
     #[test]
-    fn bench_quick_runs_and_report_serializes() {
-        let args = parse(&["bench", "--quick", "--json"]);
-        bench_cmd(&args).unwrap();
-        // The report type itself round-trips through serde_json, with
-        // the v1 per-workload units/s fields intact under v2.
-        let report = BenchReport {
-            schema: "natoms-bench-v2".into(),
-            mode: "quick".into(),
-            grid: "10x10".into(),
-            meta: BenchMeta::collect(),
-            workloads: vec![BenchWorkload {
-                name: "fig07_compile".into(),
-                passes: 1,
-                units_per_pass: 10,
-                total_secs: 0.5,
-                secs_per_pass: 0.5,
-                units_per_sec: 20.0,
-            }],
-            metrics: na_telemetry::MetricsSnapshot::of(&na_telemetry::Recorder::new(), true),
-            pass_report: na_core::PassReport::default(),
-        };
-        let line = serde_json::to_string(&report).unwrap();
-        assert!(line.contains("\"schema\":\"natoms-bench-v2\""));
-        assert!(line.contains("\"units_per_pass\":10"));
-        assert!(line.contains("\"git_rev\""));
-        assert!(line.contains("\"timestamp\""));
-        assert!(line.contains("\"metrics\""));
-        assert!(line.contains("\"pass_report\""));
+    fn bad_numeric_flags_are_typed_errors_naming_the_flag() {
+        // The last flag of each case is the bad one.
+        let cases = [
+            "compile --size 3",
+            "sweep --mids 3 --size 3",
+            "success --size 3",
+            "tolerance --size 3",
+            "campaign --size 3",
+            "compile --mid nan",
+            "compile --mid inf",
+            "sweep --size 8 --mids nan",
+            "sweep --size 8 --mids 0.5",
+            "sweep --size 8 --mids 3,-1",
+            "sweep --size 8 --mids inf",
+            "success --size 8 --error 0",
+            "success --size 8 --error 1",
+            "success --size 8 --error nan",
+            "campaign --size 8 --error -1",
+            "campaign --size 8 --error nan",
+            "campaign --size 8 --loss-factor -1",
+            "campaign --size 8 --loss-factor nan",
+            "campaign --size 8 --loss-factor 0.01",
+            "campaign --size 8 --campaigns 0",
+            "reload-time --width 0",
+            "reload-time --height 0",
+        ];
+        for case in cases {
+            let tokens: Vec<&str> = case.split(' ').collect();
+            let flag = tokens.iter().rfind(|t| t.starts_with("--")).unwrap();
+            let cmd: fn(&Args) -> CmdResult = match tokens[0] {
+                "compile" => compile_cmd,
+                "sweep" => sweep_cmd,
+                "success" => success_cmd,
+                "tolerance" => tolerance_cmd,
+                "campaign" => campaign_cmd,
+                _ => reload_time_cmd,
+            };
+            let err = cmd(&parse(&tokens)).expect_err(case);
+            assert!(err.to_string().starts_with(flag), "{case}: {err}");
+        }
+    }
+
+    #[test]
+    fn huge_mid_compile_finishes() {
+        compile_cmd(&parse(&["compile", "--size", "8", "--mid", "1e6"])).unwrap();
     }
 
     #[test]
@@ -1702,65 +1284,6 @@ mod tests {
         );
         assert!(err.is_err());
         assert!(!metrics.exists(), "failed runs must not write snapshots");
-    }
-
-    fn bench_row(name: &str, units_per_sec: f64) -> BenchWorkload {
-        BenchWorkload {
-            name: name.to_string(),
-            passes: 1,
-            units_per_pass: 10,
-            total_secs: 1.0,
-            secs_per_pass: 1.0,
-            units_per_sec,
-        }
-    }
-
-    #[test]
-    fn bench_check_flags_regressions_and_passes_within_tolerance() {
-        let path = std::env::temp_dir().join("natoms_cli_bench_baseline.json");
-        std::fs::write(
-            &path,
-            r#"{"current":{"results":[{"name":"fig07_compile","units_per_sec":100.0},
-                                      {"name":"placement","units_per_sec":50.0}]}}"#,
-        )
-        .unwrap();
-        let path = path.to_str().unwrap();
-        // Within tolerance: -20% on one workload at the default -25%.
-        let fresh = vec![
-            bench_row("fig07_compile", 80.0),
-            bench_row("placement", 55.0),
-        ];
-        assert_eq!(
-            check_bench_regression(&fresh, path, 25.0).unwrap(),
-            CmdStatus::Ok
-        );
-        // Synthetically regressed: -60% must fail with exit-2 status.
-        let slow = vec![
-            bench_row("fig07_compile", 40.0),
-            bench_row("placement", 55.0),
-        ];
-        assert_eq!(
-            check_bench_regression(&slow, path, 25.0).unwrap(),
-            CmdStatus::PartialFailure
-        );
-        // No common workloads is a hard error, not a silent pass.
-        let alien = vec![bench_row("unknown_workload", 1.0)];
-        assert!(check_bench_regression(&alien, path, 25.0).is_err());
-    }
-
-    #[test]
-    fn bench_check_reads_all_three_baseline_shapes() {
-        let report = r#"{"workloads":[{"name":"w","units_per_sec":10.0}]}"#;
-        let compare = r#"{"baseline":{"results":[{"name":"w","units_per_sec":10.0}]}}"#;
-        for text in [report, compare] {
-            let value: serde_json::Value = serde_json::from_str(text).unwrap();
-            assert_eq!(
-                baseline_rows(&value).unwrap(),
-                vec![("w".to_string(), 10.0)]
-            );
-        }
-        let other: serde_json::Value = serde_json::from_str(r#"{"schema": "x"}"#).unwrap();
-        assert!(baseline_rows(&other).is_none());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!                 --shots 500 --error 0.035 --loss-factor 1 \
 //!                 [--campaigns 8] [--shards 8] [--streaming] \
 //!                 [--workers 8] [--jsonl] [--timeline]
-//! natoms bench    [--json] [--quick]
 //! natoms reload-time --width 10 --height 10 --margin 3 --trials 10
 //! natoms stats    --file metrics.json [--require-stages lower,place] [--require-cache]
 //! natoms trace    t.json [--top 10]
@@ -53,9 +52,6 @@ SUBCOMMANDS:
   success      predicted shot success, NA vs SC
   tolerance    max atom loss before reload, per strategy
   campaign     multi-shot campaign under atom loss
-  bench        time the paper-grid compile/loss workloads [--json] [--quick]
-               [--check BASELINE.json [--tolerance PCT]]: compare against a
-               committed baseline and exit 2 on throughput regression
   reload-time  derive the array reload time from assembly physics
   stats        pretty-print a --metrics snapshot file
   trace        summarize a --trace file (critical path per job, top-k
@@ -82,7 +78,7 @@ COMMON OPTIONS:
 ENGINE OPTIONS (sweep, campaign):
   --workers N       worker threads              (default: all cores)
   --jsonl [FILE]    emit structured JSON-lines rows (stdout, or FILE)
-  --job-timeout S   per-job wall-clock budget in seconds (also bench);
+  --job-timeout S   per-job wall-clock budget in seconds;
                     over-budget jobs become typed failed rows
   --campaigns N     parallel campaign replicas  (campaign only)
   --shards K        split each campaign into K deterministic shot-range
@@ -172,7 +168,6 @@ fn main() -> ExitCode {
         Some("success") => commands::success_cmd(&args),
         Some("tolerance") => commands::tolerance_cmd(&args),
         Some("campaign") => commands::campaign_cmd(&args),
-        Some("bench") => commands::bench_cmd(&args),
         Some("reload-time") => commands::reload_time_cmd(&args),
         Some("stats") => commands::stats_cmd(&args),
         Some("trace") => commands::trace_cmd(&args),

@@ -255,9 +255,8 @@ pub fn compile_with_report(
 /// Lowers `circuit` to the gate set `config` selects (native
 /// multiqubit capped at `max_native_arity`, or the two-qubit set) —
 /// the exact front half of [`compile`], shared with
-/// [`crate::placement::initial_layout`] and the `natoms bench`
-/// placement workload so a lowering change can never silently drift
-/// between the compiler and the harnesses that mirror it.
+/// [`crate::placement::initial_layout`] so a lowering change can never
+/// silently drift between the compiler and the code that mirrors it.
 pub fn lower_for(circuit: &Circuit, config: &CompilerConfig) -> Circuit {
     if config.native_multiqubit {
         na_circuit::decompose::decompose_to_max_arity(circuit, config.max_native_arity)

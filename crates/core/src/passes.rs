@@ -334,8 +334,8 @@ pub struct PassTiming {
 }
 
 impl PassReport {
-    /// Renders the per-pass timing table `natoms bench` and
-    /// `natoms compile --passes` print.
+    /// Renders the per-pass timing table `natoms compile --passes`
+    /// prints.
     pub fn render(&self) -> String {
         let mut out = String::from("pass            time        stats\n");
         for row in &self.passes {

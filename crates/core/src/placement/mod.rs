@@ -307,8 +307,8 @@ pub fn circuit_weights(circuit: &Circuit, lookahead_depth: usize) -> Interaction
 /// lookahead weights, and maps the result onto `grid`.
 ///
 /// This is the placement-only slice of the compile pipeline, exposed
-/// so the golden placement-digest tests and the `natoms bench`
-/// placement workload exercise exactly the mapping the compiler uses.
+/// so the golden placement-digest tests exercise exactly the mapping
+/// the compiler uses.
 ///
 /// # Errors
 ///

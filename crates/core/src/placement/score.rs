@@ -108,9 +108,9 @@ pub(crate) fn accepts(score: f64, h: Site, best: Option<(f64, Site)>) -> bool {
 /// The seed placer, verbatim: O(n² · sites) greedy placement with full
 /// rescans.
 ///
-/// Kept as the differential oracle for the fast path — the property
+/// Kept as the differential oracle for the fast path: the property
 /// tests assert map-for-map equality on randomized programs and
-/// devices, and `natoms bench` times it as the placement baseline.
+/// devices.
 ///
 /// # Errors
 ///

@@ -93,7 +93,6 @@ mod snapshot;
 mod span;
 pub mod trace;
 
-pub use clock::{iso8601_now, iso8601_utc};
 pub use histogram::{Histogram, LINEAR_LIMIT, NUM_BUCKETS};
 pub use recorder::Recorder;
 pub use snapshot::{fmt_ns, MetricsSnapshot, StageSummary, SNAPSHOT_SCHEMA};

@@ -1,8 +1,7 @@
 //! Serializable point-in-time view of a [`Recorder`].
 //!
 //! [`MetricsSnapshot`] is the wire format for `natoms --metrics <file>`
-//! dumps, the payload embedded in `natoms bench --json`, and the input
-//! to `natoms stats`. Only non-zero counters/gauges and non-empty
+//! dumps and the input to `natoms stats`. Only non-zero counters/gauges and non-empty
 //! stages are included, so a disabled run serializes to an empty shell.
 
 use std::collections::BTreeMap;

@@ -1,6 +1,5 @@
 //! The 2D atom array.
 
-use crate::interaction::{BfsScratch, InteractionGraph};
 use crate::{Direction, Site};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -9,9 +8,11 @@ use std::fmt;
 /// their atom (*holes*).
 ///
 /// `Grid` answers the geometric questions the compiler and the loss
-/// strategies ask: which atoms exist, which pairs are within the maximum
-/// interaction distance (MID), hop-distance paths over usable atoms, and
-/// connectivity of the interaction graph.
+/// strategies ask: which atoms exist and which pairs are within the
+/// maximum interaction distance (MID). Graph queries (neighbors, hop
+/// distances, forced hops) run on the device's one
+/// [`InteractionGraph`](crate::InteractionGraph), with holes passed as
+/// [`Grid::usable_mask`].
 ///
 /// # Example
 ///
@@ -132,10 +133,10 @@ impl Grid {
 
     /// The usability vector in row-major flat-index order —
     /// `usable_mask()[i]` ⇔ the site with flat index `i` holds an
-    /// atom. This *is* the grid's internal state (not a copy), so it
-    /// can be handed directly to hole-masked queries like
-    /// `InteractionGraph::hop_distance_masked` without any mirror
-    /// bookkeeping.
+    /// atom. This *is* the grid's internal state (not a copy), and it
+    /// is how holes reach the interaction graph: every
+    /// [`InteractionGraph`](crate::InteractionGraph) query that must
+    /// avoid holes takes it as its `usable` mask.
     #[inline]
     pub fn usable_mask(&self) -> &[bool] {
         &self.usable
@@ -216,103 +217,6 @@ impl Grid {
         self.is_usable(a) && self.is_usable(b) && a.within(b, mid)
     }
 
-    /// All usable sites within Euclidean distance `mid` of `site`,
-    /// excluding `site` itself, in ascending `Site` order.
-    pub fn neighbors_within(&self, site: Site, mid: f64) -> Vec<Site> {
-        // Offsets past the grid's extent never land on a site.
-        let r = (mid.floor() as i32).min(self.width.max(self.height) as i32);
-        let mut out = Vec::new();
-        for dy in -r..=r {
-            for dx in -r..=r {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let s = Site::new(site.x + dx, site.y + dy);
-                if self.is_usable(s) && site.within(s, mid) {
-                    out.push(s);
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Hop distances (in MID-range hops over usable atoms) from `from`
-    /// to every site; `None` for unreachable or unusable sites.
-    ///
-    /// Returns an empty map-equivalent (all `None`) if `from` itself is
-    /// unusable. Runs over the memoized [`InteractionGraph`] so the BFS
-    /// allocates nothing per hop.
-    pub fn hop_distances(&self, from: Site, mid: f64) -> Vec<Option<u32>> {
-        let graph = InteractionGraph::cached(self, mid);
-        let mut out = Vec::new();
-        graph.hop_distances_into(from, &mut BfsScratch::new(), &mut out);
-        out
-    }
-
-    /// Hop distance between two usable sites, if connected.
-    pub fn hop_distance(&self, a: Site, b: Site, mid: f64) -> Option<u32> {
-        if !self.contains(b) {
-            return None;
-        }
-        InteractionGraph::cached(self, mid).hop_distance(a, b, &mut BfsScratch::new())
-    }
-
-    /// Shortest path (inclusive of both endpoints) between usable sites
-    /// where each hop is within `mid`, or `None` if disconnected.
-    pub fn shortest_path(&self, a: Site, b: Site, mid: f64) -> Option<Vec<Site>> {
-        if !self.is_usable(a) || !self.is_usable(b) {
-            return None;
-        }
-        if a == b {
-            return Some(vec![a]);
-        }
-        let graph = InteractionGraph::cached(self, mid);
-        let (ai, bi) = (self.idx(a), self.idx(b));
-        let mut prev: Vec<u32> = vec![u32::MAX; self.num_sites()];
-        let mut seen = vec![false; self.num_sites()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[ai] = true;
-        queue.push_back(ai as u32);
-        while let Some(s) = queue.pop_front() {
-            for &n in graph.neighbors(s as usize) {
-                let i = n as usize;
-                if seen[i] {
-                    continue;
-                }
-                seen[i] = true;
-                prev[i] = s;
-                if i == bi {
-                    let mut path = vec![b];
-                    let mut cur = s as usize;
-                    loop {
-                        path.push(self.site_at(cur));
-                        match prev[cur] {
-                            u32::MAX => break,
-                            p => cur = p as usize,
-                        }
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(n);
-            }
-        }
-        None
-    }
-
-    /// Size of the largest connected component of the usable interaction
-    /// graph at the given MID.
-    pub fn largest_component(&self, mid: f64) -> usize {
-        InteractionGraph::cached(self, mid).largest_component(&mut BfsScratch::new())
-    }
-
-    /// `true` if every usable atom can reach every other via MID hops.
-    pub fn is_connected(&self, mid: f64) -> bool {
-        let usable = self.num_usable();
-        usable == 0 || self.largest_component(mid) == usable
-    }
-
     /// Number of usable sites strictly beyond `from` in direction `dir`,
     /// up to the device edge (the "room to shift" of the virtual-remap
     /// strategy).
@@ -350,6 +254,7 @@ impl fmt::Display for Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BfsScratch, InteractionGraph};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -389,10 +294,26 @@ mod tests {
         }
     }
 
+    /// The usable sites within `mid` of `site`: the device graph's
+    /// neighbor list filtered by the hole mask.
+    fn neighbors(g: &Grid, site: Site, mid: f64) -> Vec<Site> {
+        let graph = InteractionGraph::build(g, mid);
+        graph
+            .neighbors(g.flat_index(site))
+            .iter()
+            .map(|&n| graph.site_at(n as usize))
+            .filter(|&n| g.is_usable(n))
+            .collect()
+    }
+
+    fn hops(g: &Grid, a: Site, b: Site, mid: f64) -> Option<u32> {
+        InteractionGraph::build(g, mid).hop_distance(a, b, g.usable_mask(), &mut BfsScratch::new())
+    }
+
     #[test]
-    fn neighbors_within_mid_one_are_cardinal() {
+    fn neighbors_at_mid_one_are_cardinal() {
         let g = Grid::new(5, 5);
-        let n = g.neighbors_within(Site::new(2, 2), 1.0);
+        let n = neighbors(&g, Site::new(2, 2), 1.0);
         assert_eq!(
             n,
             vec![
@@ -405,9 +326,9 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_within_mid_two_include_diagonals() {
+    fn neighbors_at_mid_two_include_diagonals() {
         let g = Grid::new(5, 5);
-        let n = g.neighbors_within(Site::new(2, 2), 2.0);
+        let n = neighbors(&g, Site::new(2, 2), 2.0);
         // 4 cardinal at distance 1, 4 diagonal at sqrt(2), 4 cardinal at 2.
         assert_eq!(n.len(), 12);
         assert!(n.contains(&Site::new(1, 1)));
@@ -419,7 +340,7 @@ mod tests {
     fn neighbors_skip_holes() {
         let mut g = Grid::new(3, 3);
         g.remove_atom(Site::new(1, 0));
-        let n = g.neighbors_within(Site::new(1, 1), 1.0);
+        let n = neighbors(&g, Site::new(1, 1), 1.0);
         assert!(!n.contains(&Site::new(1, 0)));
         assert_eq!(n.len(), 3);
     }
@@ -427,16 +348,13 @@ mod tests {
     #[test]
     fn corner_has_fewer_neighbors() {
         let g = Grid::new(5, 5);
-        assert_eq!(g.neighbors_within(Site::new(0, 0), 1.0).len(), 2);
+        assert_eq!(neighbors(&g, Site::new(0, 0), 1.0).len(), 2);
     }
 
     #[test]
     fn hop_distance_mid_one_is_manhattan() {
         let g = Grid::new(6, 6);
-        assert_eq!(
-            g.hop_distance(Site::new(0, 0), Site::new(3, 2), 1.0),
-            Some(5)
-        );
+        assert_eq!(hops(&g, Site::new(0, 0), Site::new(3, 2), 1.0), Some(5));
     }
 
     #[test]
@@ -444,64 +362,25 @@ mod tests {
         let g = Grid::new(10, 10);
         let a = Site::new(0, 0);
         let b = Site::new(9, 9);
-        let d1 = g.hop_distance(a, b, 1.0).unwrap();
-        let d3 = g.hop_distance(a, b, 3.0).unwrap();
+        let d1 = hops(&g, a, b, 1.0).unwrap();
+        let d3 = hops(&g, a, b, 3.0).unwrap();
         assert!(d3 < d1);
-        assert_eq!(g.hop_distance(a, b, g.max_distance()), Some(1));
-    }
-
-    #[test]
-    fn shortest_path_endpoints_and_hops() {
-        let g = Grid::new(5, 5);
-        let p = g
-            .shortest_path(Site::new(0, 0), Site::new(4, 0), 2.0)
-            .unwrap();
-        assert_eq!(p.first(), Some(&Site::new(0, 0)));
-        assert_eq!(p.last(), Some(&Site::new(4, 0)));
-        for w in p.windows(2) {
-            assert!(w[0].within(w[1], 2.0));
-        }
-        assert_eq!(p.len(), 3); // 0 -> 2 -> 4
-    }
-
-    #[test]
-    fn shortest_path_routes_around_holes() {
-        let mut g = Grid::new(3, 3);
-        // Wall of holes across the middle column except the top.
-        g.remove_atom(Site::new(1, 1));
-        g.remove_atom(Site::new(1, 2));
-        let p = g
-            .shortest_path(Site::new(0, 2), Site::new(2, 2), 1.0)
-            .unwrap();
-        assert!(p.len() > 3, "must detour around the wall");
-        for s in &p {
-            assert!(g.is_usable(*s));
-        }
+        assert_eq!(hops(&g, a, b, g.max_distance()), Some(1));
     }
 
     #[test]
     fn disconnected_grid_has_no_path() {
         let mut g = Grid::new(3, 1);
         g.remove_atom(Site::new(1, 0));
-        assert_eq!(g.shortest_path(Site::new(0, 0), Site::new(2, 0), 1.0), None);
-        assert!(!g.is_connected(1.0));
+        let (a, b) = (Site::new(0, 0), Site::new(2, 0));
+        assert_eq!(hops(&g, a, b, 1.0), None);
+        let graph = InteractionGraph::build(&g, 1.0);
+        assert_eq!(
+            graph.hop_toward(a, b, &[], g.usable_mask(), &mut BfsScratch::new()),
+            None
+        );
         // A bigger MID jumps the hole.
-        assert!(g.is_connected(2.0));
-    }
-
-    #[test]
-    fn path_to_self_is_singleton() {
-        let g = Grid::new(3, 3);
-        let s = Site::new(1, 1);
-        assert_eq!(g.shortest_path(s, s, 1.0), Some(vec![s]));
-    }
-
-    #[test]
-    fn largest_component_counts_usable_atoms() {
-        let mut g = Grid::new(4, 1);
-        assert_eq!(g.largest_component(1.0), 4);
-        g.remove_atom(Site::new(1, 0));
-        assert_eq!(g.largest_component(1.0), 2); // {2,3} vs {0}
+        assert_eq!(hops(&g, a, b, 2.0), Some(1));
     }
 
     #[test]
@@ -532,37 +411,55 @@ mod tests {
     #[test]
     fn prop_hop_distance_symmetric() {
         let mut rng = StdRng::seed_from_u64(1);
-        let g = Grid::new(6, 6);
+        let mut g = Grid::new(6, 6);
+        g.remove_atom(Site::new(2, 2));
+        g.remove_atom(Site::new(3, 1));
         for _ in 0..64 {
             let a = Site::new(rng.gen_range(0i32..6), rng.gen_range(0i32..6));
             let b = Site::new(rng.gen_range(0i32..6), rng.gen_range(0i32..6));
             let m = f64::from(rng.gen_range(1u32..4));
-            assert_eq!(g.hop_distance(a, b, m), g.hop_distance(b, a, m));
+            assert_eq!(hops(&g, a, b, m), hops(&g, b, a, m));
         }
     }
 
     #[test]
     fn prop_path_hops_match_hop_distance() {
+        // Walking forced hops from a to b takes exactly hop_distance
+        // steps: every hop lies on a shortest path.
         let mut rng = StdRng::seed_from_u64(2);
-        let g = Grid::new(6, 6);
+        let mut g = Grid::new(6, 6);
+        g.remove_atom(Site::new(2, 1));
+        g.remove_atom(Site::new(1, 3));
+        let mut scratch = BfsScratch::new();
         for _ in 0..64 {
             let a = Site::new(0, 0);
             let b = Site::new(rng.gen_range(0i32..6), rng.gen_range(0i32..6));
             let m = f64::from(rng.gen_range(1u32..4));
-            let path = g.shortest_path(a, b, m).unwrap();
-            let hops = g.hop_distance(a, b, m).unwrap();
-            assert_eq!(path.len() as u32, hops + 1);
+            let graph = InteractionGraph::build(&g, m);
+            let Some(hops) = graph.hop_distance(a, b, g.usable_mask(), &mut scratch) else {
+                assert!(!g.is_usable(b), "{a}->{b} disconnected at MID {m}");
+                continue;
+            };
+            let (mut at, mut steps) = (a, 0);
+            while let Some(next) = graph.hop_toward(at, b, &[], g.usable_mask(), &mut scratch) {
+                assert!(at.within(next, m) && g.is_usable(next));
+                (at, steps) = (next, steps + 1);
+            }
+            assert_eq!((at, steps), (b, hops), "{a}->{b} at MID {m}");
         }
     }
 
     #[test]
     fn prop_neighbors_are_in_range_and_usable() {
         let mut rng = StdRng::seed_from_u64(3);
-        let g = Grid::new(8, 8);
+        let mut g = Grid::new(8, 8);
+        for _ in 0..10 {
+            g.remove_atom(Site::new(rng.gen_range(0i32..8), rng.gen_range(0i32..8)));
+        }
         for _ in 0..64 {
             let s = Site::new(rng.gen_range(0i32..8), rng.gen_range(0i32..8));
             let m = f64::from(rng.gen_range(1u32..5));
-            for n in g.neighbors_within(s, m) {
+            for n in neighbors(&g, s, m) {
                 assert!(g.is_usable(n));
                 assert!(s.within(n, m));
                 assert!(n != s);

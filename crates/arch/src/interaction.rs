@@ -1,24 +1,24 @@
 //! The precomputed, flat-index interaction graph.
 //!
-//! Every hot loop of the compiler — neighbor scans during SWAP
+//! A device is a unit-disc graph over a fixed trap grid at one MID
+//! (paper §III-A). Every hot loop — neighbor scans during SWAP
 //! scoring, BFS hops of the forced router, reroute fixup costing —
-//! used to re-derive the MID topology from [`Grid`] on the fly,
-//! allocating a `Vec<Site>` per hop. This module computes the whole
-//! unit-disc graph once per `(grid, mid)` pair and stores it in CSR
-//! (compressed sparse row) layout: one flat neighbor array plus
-//! per-site offsets, so a neighbor scan is a slice iteration and a
-//! BFS needs no per-hop allocation at all.
+//! walks that graph, so it is computed once per `(width, height,
+//! mid)` and stored in CSR (compressed sparse row) layout: one flat
+//! neighbor array plus per-site offsets. A neighbor scan is then a
+//! slice iteration, and a BFS needs no per-hop allocation at all.
 //!
-//! Layout invariant: `neighbors(i)` lists exactly the sites
-//! [`Grid::neighbors_within`] would return for `site_at(i)`, in the
-//! same ascending [`Site`] order — the scheduler's byte-identical
-//! output contract rests on this.
+//! Atom loss only punches holes in the grid, so the graph never
+//! models them: it always spans every trap site, and each query that
+//! must avoid holes takes the current hole pattern as a flat-index
+//! mask ([`Grid::usable_mask`]). Loss campaigns and loss-driven
+//! recompiles therefore share the one graph of their device and MID,
+//! memoized process-wide by [`InteractionGraph::cached`].
 //!
-//! Graphs are memoized process-wide per `(grid fingerprint, mid)`
-//! through [`InteractionGraph::cached`] for long-lived topologies (the
-//! compile path); callers probing transient one-off hole patterns
-//! (e.g. per-loss-event fixup costing) should use
-//! [`InteractionGraph::build`] directly and skip the cache.
+//! Layout invariant: `neighbors(i)` lists every site within the MID
+//! of `site_at(i)` in ascending [`Site`] order, so filtering it by a
+//! mask gives the same order on every hole pattern — the scheduler's
+//! byte-identical output contract rests on this.
 
 use crate::{Grid, Site};
 use std::collections::HashMap;
@@ -28,21 +28,30 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Sentinel for "no site" in flat-index arrays.
 const NONE: u32 = u32::MAX;
 
-/// The usable-atom interaction graph of one grid at one MID, in CSR
-/// layout over row-major flat site indices.
+/// The interaction graph of one grid size at one MID, in CSR layout
+/// over row-major flat site indices. Holes are not part of it: pass
+/// [`Grid::usable_mask`] to the queries that must avoid them.
 ///
 /// # Example
 ///
 /// ```
-/// use na_arch::{Grid, InteractionGraph, Site};
+/// use na_arch::{BfsScratch, Grid, InteractionGraph, Site};
 ///
-/// let grid = Grid::new(5, 5);
+/// let mut grid = Grid::new(5, 5);
 /// let graph = InteractionGraph::build(&grid, 2.0);
 /// let center = graph.index_of(Site::new(2, 2)).unwrap();
+/// // 4 cardinal at distance 1, 4 diagonal at √2, 4 cardinal at 2.
 /// assert_eq!(graph.neighbors(center).len(), 12);
-/// // CSR neighbors agree with the grid's allocating scan.
-/// let from_graph: Vec<Site> = graph.neighbor_sites(center).collect();
-/// assert_eq!(from_graph, grid.neighbors_within(Site::new(2, 2), 2.0));
+/// for &n in graph.neighbors(center) {
+///     assert!(graph.site_at(n as usize).within(Site::new(2, 2), 2.0));
+/// }
+///
+/// // A hole is a masked site, not a different graph.
+/// let mut scratch = BfsScratch::new();
+/// let (a, b) = (Site::new(0, 0), Site::new(2, 0));
+/// assert_eq!(graph.hop_distance(a, b, grid.usable_mask(), &mut scratch), Some(1));
+/// grid.remove_atom(b);
+/// assert_eq!(graph.hop_distance(a, b, grid.usable_mask(), &mut scratch), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct InteractionGraph {
@@ -56,19 +65,17 @@ pub struct InteractionGraph {
     /// CSR offsets: site `i`'s neighbors live at
     /// `neighbors[offsets[i] .. offsets[i + 1]]`.
     offsets: Vec<u32>,
-    /// Flat neighbor site indices (usable sites only).
+    /// Flat neighbor site indices.
     neighbors: Vec<u32>,
-    usable: Vec<bool>,
 }
 
 impl InteractionGraph {
-    /// Builds the graph for `grid` at interaction distance `mid`.
+    /// Builds the graph for `grid`'s dimensions at interaction
+    /// distance `mid`. Only the dimensions are read: the graph of a
+    /// holey grid is the graph of the full device.
     pub fn build(grid: &Grid, mid: f64) -> Self {
         let (width, height) = (grid.width(), grid.height());
         let num_sites = grid.num_sites();
-        let usable: Vec<bool> = (0..num_sites)
-            .map(|i| grid.is_usable(grid.site_at(i)))
-            .collect();
 
         // Offsets past the grid's extent never land on a site, so a huge
         // MID clamps to it instead of enumerating a (2⌊mid⌋+1)² stencil.
@@ -90,19 +97,14 @@ impl InteractionGraph {
         let mut neighbors = Vec::new();
         offsets.push(0u32);
         for i in 0..num_sites {
-            if usable[i] {
-                let x = (i % width as usize) as i32;
-                let y = (i / width as usize) as i32;
-                for &(dx, dy) in &stencil {
-                    let (nx, ny) = (x + dx, y + dy);
-                    if nx < 0 || ny < 0 || nx >= width as i32 || ny >= height as i32 {
-                        continue;
-                    }
-                    let n = ny as usize * width as usize + nx as usize;
-                    if usable[n] {
-                        neighbors.push(n as u32);
-                    }
+            let x = (i % width as usize) as i32;
+            let y = (i / width as usize) as i32;
+            for &(dx, dy) in &stencil {
+                let (nx, ny) = (x + dx, y + dy);
+                if nx < 0 || ny < 0 || nx >= width as i32 || ny >= height as i32 {
+                    continue;
                 }
+                neighbors.push((ny as usize * width as usize + nx as usize) as u32);
             }
             offsets.push(neighbors.len() as u32);
         }
@@ -114,19 +116,17 @@ impl InteractionGraph {
             stencil,
             offsets,
             neighbors,
-            usable,
         }
     }
 
-    /// The memoized graph for `(grid, mid)`, keyed on the grid's
-    /// structural fingerprint. Loss simulations mutate hole patterns
-    /// back and forth between a handful of topologies; the cache hands
-    /// back the same `Arc` instead of rebuilding.
+    /// The memoized graph for `grid`'s dimensions at `mid`. Holes do
+    /// not enter the key, so every hole pattern of one device — each
+    /// loss-driven recompile included — shares the same `Arc`.
     pub fn cached(grid: &Grid, mid: f64) -> Arc<InteractionGraph> {
-        type GraphCache = Mutex<HashMap<(u64, u64), Arc<InteractionGraph>>>;
+        type GraphCache = Mutex<HashMap<(u32, u32, u64), Arc<InteractionGraph>>>;
         static CACHE: OnceLock<GraphCache> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let key = (grid.fingerprint(), mid.to_bits());
+        let key = (grid.width(), grid.height(), mid.to_bits());
         if let Some(g) = cache
             .lock()
             .expect("interaction graph cache lock")
@@ -142,8 +142,8 @@ impl InteractionGraph {
         if let Some(existing) = map.get(&key) {
             return Arc::clone(existing);
         }
-        // Bound memory for adversarial workloads (e.g. sweeps over
-        // thousands of distinct hole patterns): drop everything and
+        // Bound memory: MIDs and grid sizes come from CLI input, so an
+        // adversarial sweep could name thousands. Drop everything and
         // start over rather than tracking recency.
         if map.len() >= 256 {
             map.clear();
@@ -173,7 +173,7 @@ impl InteractionGraph {
     /// Total number of sites (including holes).
     #[inline]
     pub fn num_sites(&self) -> usize {
-        self.usable.len()
+        self.width as usize * self.height as usize
     }
 
     /// The neighbor offset stencil of this MID, ascending `(dx, dy)`,
@@ -202,50 +202,44 @@ impl InteractionGraph {
         )
     }
 
-    /// `true` if the site at `index` holds an atom.
-    #[inline]
-    pub fn is_usable_index(&self, index: usize) -> bool {
-        self.usable[index]
-    }
-
-    /// Usable neighbor indices of site `index`, ascending `Site` order.
-    /// Empty for holes.
+    /// Neighbor indices of site `index` (every site within the MID,
+    /// holes included), ascending `Site` order.
     #[inline]
     pub fn neighbors(&self, index: usize) -> &[u32] {
         &self.neighbors[self.offsets[index] as usize..self.offsets[index + 1] as usize]
     }
 
-    /// Usable neighbor sites of site `index`, ascending `Site` order.
-    pub fn neighbor_sites(&self, index: usize) -> impl Iterator<Item = Site> + '_ {
-        self.neighbors(index)
-            .iter()
-            .map(|&n| self.site_at(n as usize))
-    }
-
     /// Hop distance (MID-range hops over usable atoms) between two
-    /// sites, or `None` if either is unusable/out of bounds or they are
-    /// disconnected. Matches [`Grid::hop_distance`].
-    pub fn hop_distance(&self, a: Site, b: Site, scratch: &mut BfsScratch) -> Option<u32> {
+    /// sites, or `None` if either is out of bounds or a hole, or they
+    /// are disconnected. `usable[i]` masks the site with flat index `i`
+    /// ([`Grid::usable_mask`]); a `false` entry is a hole, both as an
+    /// endpoint and as a waypoint.
+    pub fn hop_distance(
+        &self,
+        a: Site,
+        b: Site,
+        usable: &[bool],
+        scratch: &mut BfsScratch,
+    ) -> Option<u32> {
+        debug_assert_eq!(usable.len(), self.num_sites(), "mask sized to the grid");
         let ai = self.index_of(a)?;
         let bi = self.index_of(b)?;
-        if !self.usable[ai] || !self.usable[bi] {
+        if !usable[ai] || !usable[bi] {
             return None;
         }
-        // CSR neighbor lists already contain only usable sites, so no
-        // extra per-hop filter is needed.
-        self.bfs_hop_distance(ai, bi, |_| true, scratch)
+        self.bfs_hop_distance(ai, bi, usable, scratch)
     }
 
-    /// The shared BFS kernel of the hop-distance queries: shortest hop
-    /// count from `ai` to `bi` over CSR neighbors passing `admit`.
-    /// Both public entry points must stay on this one body — the
-    /// compile path and the loss path drifting apart in BFS semantics
-    /// is exactly what the digest contracts forbid.
+    /// The BFS kernel of [`InteractionGraph::hop_distance`]: shortest
+    /// hop count from `ai` to `bi` over CSR neighbors `usable` admits.
+    /// Kept out of line so the function-alignment pin (the repo's
+    /// `.cargo/config.toml`) places this hot loop on a cache-line start.
+    #[inline(never)]
     fn bfs_hop_distance(
         &self,
         ai: usize,
         bi: usize,
-        admit: impl Fn(usize) -> bool,
+        usable: &[bool],
         scratch: &mut BfsScratch,
     ) -> Option<u32> {
         if ai == bi {
@@ -257,7 +251,7 @@ impl InteractionGraph {
         while let Some(s) = scratch.queue.pop_front() {
             let d = scratch.dist[s as usize];
             for &n in self.neighbors(s as usize) {
-                if scratch.is_visited(n as usize) || !admit(n as usize) {
+                if scratch.is_visited(n as usize) || !usable[n as usize] {
                     continue;
                 }
                 if n as usize == bi {
@@ -270,91 +264,31 @@ impl InteractionGraph {
         None
     }
 
-    /// [`InteractionGraph::hop_distance`] restricted to sites the
-    /// caller still considers usable: `usable[i]` masks the site with
-    /// flat index `i` (a `false` entry is treated as a hole, both as
-    /// an endpoint and as a waypoint).
+    /// One deterministic BFS hop of the atom at `from` toward `goal`
+    /// over the sites `usable` admits, avoiding `blocked` sites as
+    /// destinations (the goal itself is exempt while still an
+    /// intermediate waypoint). Returns the next site on a shortest hop
+    /// path, or `None` if `goal` is unreachable or `from` is already
+    /// there.
     ///
-    /// This is the loss path's costing primitive: the campaign
-    /// executor builds this graph **once** for the full (hole-free)
-    /// device, then threads the shot-by-shot hole pattern through the
-    /// mask instead of rebuilding a CSR graph per loss event. The
-    /// result is exactly what `InteractionGraph::build(holey_grid,
-    /// mid).hop_distance(a, b)` would return — BFS distance over the
-    /// same effective vertex set — without the O(sites × stencil)
-    /// rebuild.
-    pub fn hop_distance_masked(
-        &self,
-        a: Site,
-        b: Site,
-        usable: &[bool],
-        scratch: &mut BfsScratch,
-    ) -> Option<u32> {
-        debug_assert_eq!(usable.len(), self.num_sites(), "mask sized to the grid");
-        let ai = self.index_of(a)?;
-        let bi = self.index_of(b)?;
-        if !self.usable[ai] || !usable[ai] || !self.usable[bi] || !usable[bi] {
-            return None;
-        }
-        self.bfs_hop_distance(ai, bi, |i| usable[i], scratch)
-    }
-
-    /// Hop distances from `from` to every site (`None` for unreachable
-    /// or unusable sites), written into `out`. Matches
-    /// [`Grid::hop_distances`].
-    pub fn hop_distances_into(
-        &self,
-        from: Site,
-        scratch: &mut BfsScratch,
-        out: &mut Vec<Option<u32>>,
-    ) {
-        out.clear();
-        out.resize(self.num_sites(), None);
-        let Some(fi) = self.index_of(from) else {
-            return;
-        };
-        if !self.usable[fi] {
-            return;
-        }
-        scratch.begin(self.num_sites());
-        scratch.visit(fi, 0);
-        out[fi] = Some(0);
-        scratch.queue.push_back(fi as u32);
-        while let Some(s) = scratch.queue.pop_front() {
-            let d = scratch.dist[s as usize];
-            for &n in self.neighbors(s as usize) {
-                if scratch.is_visited(n as usize) {
-                    continue;
-                }
-                scratch.visit(n as usize, d + 1);
-                out[n as usize] = Some(d + 1);
-                scratch.queue.push_back(n);
-            }
-        }
-    }
-
-    /// One deterministic BFS hop of the atom at `from` toward `goal`,
-    /// avoiding `blocked` sites as destinations (the goal itself is
-    /// exempt while still an intermediate waypoint). Returns the next
-    /// site on a shortest hop path, or `None` if `goal` is unreachable
-    /// or `from` is already there.
-    ///
-    /// This is the allocation-free form of the router's forced hop;
-    /// the BFS expansion order (ascending neighbor sites) and the
-    /// walk-back tie-breaks match the original exactly.
+    /// This is the router's forced hop. The BFS expands neighbors in
+    /// ascending `Site` order and walks back along first-found
+    /// predecessors, so the hop is deterministic.
     pub fn hop_toward(
         &self,
         from: Site,
         goal: Site,
         blocked: &[Site],
+        usable: &[bool],
         scratch: &mut BfsScratch,
     ) -> Option<Site> {
+        debug_assert_eq!(usable.len(), self.num_sites(), "mask sized to the grid");
         if from == goal {
             return None;
         }
         let fi = self.index_of(from)?;
         let gi = self.index_of(goal)?;
-        if !self.usable[fi] {
+        if !usable[fi] {
             return None;
         }
         scratch.begin(self.num_sites());
@@ -369,7 +303,7 @@ impl InteractionGraph {
                 break 'bfs;
             }
             for &n in self.neighbors(s as usize) {
-                if scratch.is_visited(n as usize) {
+                if scratch.is_visited(n as usize) || !usable[n as usize] {
                     continue;
                 }
                 let site = self.site_at(n as usize);
@@ -394,32 +328,6 @@ impl InteractionGraph {
             return None;
         }
         Some(hop)
-    }
-
-    /// Size of the largest connected component of usable atoms.
-    /// Matches [`Grid::largest_component`].
-    pub fn largest_component(&self, scratch: &mut BfsScratch) -> usize {
-        scratch.begin(self.num_sites());
-        let mut best = 0usize;
-        for start in 0..self.num_sites() {
-            if !self.usable[start] || scratch.is_visited(start) {
-                continue;
-            }
-            let mut size = 0usize;
-            scratch.visit(start, 0);
-            scratch.queue.push_back(start as u32);
-            while let Some(s) = scratch.queue.pop_front() {
-                size += 1;
-                for &n in self.neighbors(s as usize) {
-                    if !scratch.is_visited(n as usize) {
-                        scratch.visit(n as usize, 0);
-                        scratch.queue.push_back(n);
-                    }
-                }
-            }
-            best = best.max(size);
-        }
-        best
     }
 }
 
@@ -496,25 +404,158 @@ mod tests {
         g
     }
 
-    #[test]
-    fn csr_neighbors_match_grid_scan_exactly() {
-        let mut rng = StdRng::seed_from_u64(21);
-        for _ in 0..16 {
-            let g = random_grid(&mut rng, 8, 7, 9);
-            for &mid in &[1.0, 2.0, 3.0, 4.4] {
-                let graph = InteractionGraph::build(&g, mid);
-                for i in 0..g.num_sites() {
-                    let site = g.site_at(i);
-                    let expect = if g.is_usable(site) {
-                        g.neighbors_within(site, mid)
-                    } else {
-                        Vec::new()
-                    };
-                    let got: Vec<Site> = graph.neighbor_sites(i).collect();
-                    assert_eq!(got, expect, "site {site} at MID {mid}");
+    /// The naive reference model of a holey device: an O(sites²) scan
+    /// for the usable sites within `mid` of `site`, ascending.
+    fn naive_neighbors(g: &Grid, site: Site, mid: f64) -> Vec<Site> {
+        if !g.is_usable(site) {
+            return Vec::new();
+        }
+        let mut out: Vec<Site> = g
+            .sites()
+            .filter(|&t| t != site && g.is_usable(t) && site.within(t, mid))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Reference BFS over [`naive_neighbors`]: the hop distance from
+    /// `from` to `goal` and the first hop of the path found by
+    /// expanding neighbors in ascending order, never entering a
+    /// `blocked` site other than `goal` (the rule of `hop_toward`).
+    fn naive_bfs(
+        g: &Grid,
+        from: Site,
+        goal: Site,
+        mid: f64,
+        blocked: &[Site],
+    ) -> Option<(u32, Site)> {
+        if !g.is_usable(from) || !g.is_usable(goal) {
+            return None;
+        }
+        let mut prev: HashMap<Site, Site> = HashMap::from([(from, from)]);
+        let mut queue = VecDeque::from([(from, 0u32)]);
+        while let Some((s, d)) = queue.pop_front() {
+            if s == goal {
+                let mut hop = goal;
+                while prev[&hop] != from {
+                    hop = prev[&hop];
                 }
+                return Some((d, hop));
+            }
+            for n in naive_neighbors(g, s, mid) {
+                if prev.contains_key(&n) || (n != goal && blocked.contains(&n)) {
+                    continue;
+                }
+                prev.insert(n, s);
+                queue.push_back((n, d + 1));
             }
         }
+        None
+    }
+
+    fn usable_neighbors(graph: &InteractionGraph, g: &Grid, site: Site) -> Vec<Site> {
+        if !g.is_usable(site) {
+            return Vec::new();
+        }
+        let i = graph.index_of(site).expect("on the grid");
+        graph
+            .neighbors(i)
+            .iter()
+            .filter(|&&n| g.usable_mask()[n as usize])
+            .map(|&n| graph.site_at(n as usize))
+            .collect()
+    }
+
+    /// Runs `check` on 12 random 8x7 grids with up to `holes` holes ×
+    /// MIDs {1, 2, 3, 4.4}, each with its hole-free graph for that MID.
+    fn for_each_case(
+        seed: u64,
+        holes: usize,
+        mut check: impl FnMut(&Grid, f64, &InteractionGraph, &mut StdRng),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..12 {
+            let g = random_grid(&mut rng, 8, 7, holes);
+            for &mid in &[1.0, 2.0, 3.0, 4.4] {
+                check(&g, mid, &InteractionGraph::build(&g, mid), &mut rng);
+            }
+        }
+    }
+
+    fn random_site(rng: &mut StdRng) -> Site {
+        Site::new(rng.gen_range(0..8), rng.gen_range(0..7))
+    }
+
+    #[test]
+    fn csr_neighbors_match_grid_scan_exactly() {
+        // Mask-filtered neighbor lists equal the naive scan, in order.
+        for_each_case(21, 10, |g, mid, graph, _| {
+            for site in g.sites() {
+                assert_eq!(
+                    usable_neighbors(graph, g, site),
+                    naive_neighbors(g, site, mid),
+                    "neighbors of {site} at MID {mid}\n{g}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn hop_distance_matches_grid_bfs() {
+        // Hole-free grids: the all-usable mask.
+        for_each_case(22, 0, |g, mid, graph, rng| {
+            let mut scratch = BfsScratch::new();
+            for _ in 0..24 {
+                let (a, b) = (random_site(rng), random_site(rng));
+                assert_eq!(
+                    graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
+                    naive_bfs(g, a, b, mid, &[]).map(|(d, _)| d),
+                    "{a}->{b} at MID {mid}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn masked_hop_distance_matches_holey_rebuild() {
+        // One hole-free graph plus the hole mask answers exactly as the
+        // naive model of the holey grid.
+        for_each_case(23, 10, |g, mid, graph, rng| {
+            let mut scratch = BfsScratch::new();
+            for _ in 0..24 {
+                let (a, b) = (random_site(rng), random_site(rng));
+                assert_eq!(
+                    graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
+                    naive_bfs(g, a, b, mid, &[]).map(|(d, _)| d),
+                    "{a}->{b} at MID {mid}\n{g}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn hop_toward_matches_naive_reference() {
+        // Forced hops on holey grids, with and without blockers.
+        for_each_case(24, 10, |g, mid, graph, rng| {
+            let mut scratch = BfsScratch::new();
+            for _ in 0..24 {
+                let (a, b) = (random_site(rng), random_site(rng));
+                let blocked: Vec<Site> = (0..rng.gen_range(0..4usize))
+                    .map(|_| random_site(rng))
+                    .collect();
+                for blocked in [&[][..], &blocked[..]] {
+                    let expect = naive_bfs(g, a, b, mid, blocked)
+                        .filter(|_| a != b)
+                        .map(|(_, hop)| hop)
+                        .filter(|hop| !blocked.contains(hop));
+                    assert_eq!(
+                        graph.hop_toward(a, b, blocked, g.usable_mask(), &mut scratch),
+                        expect,
+                        "hop {a}->{b} blocked {blocked:?} at MID {mid}\n{g}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]
@@ -527,70 +568,79 @@ mod tests {
         );
         for i in 0..grid.num_sites() {
             assert_eq!(huge.neighbors(i), exact.neighbors(i), "site {i}");
-            assert_eq!(
-                grid.neighbors_within(grid.site_at(i), 1e6),
-                grid.neighbors_within(grid.site_at(i), 13.0)
-            );
+            assert_eq!(huge.neighbors(i).len(), grid.num_sites() - 1);
         }
     }
 
     #[test]
-    fn hop_distance_matches_grid_bfs() {
-        let mut rng = StdRng::seed_from_u64(22);
+    fn hop_distance_routes_around_holes() {
+        let mut g = Grid::new(3, 3);
+        // Wall of holes across the middle column except the top.
+        g.remove_atom(Site::new(1, 1));
+        g.remove_atom(Site::new(1, 2));
+        let graph = InteractionGraph::build(&g, 1.0);
         let mut scratch = BfsScratch::new();
-        for _ in 0..12 {
-            let g = random_grid(&mut rng, 7, 7, 8);
-            let mid = f64::from(rng.gen_range(1u32..4));
-            let graph = InteractionGraph::build(&g, mid);
-            for _ in 0..24 {
-                let a = Site::new(rng.gen_range(0..7), rng.gen_range(0..7));
-                let b = Site::new(rng.gen_range(0..7), rng.gen_range(0..7));
-                assert_eq!(
-                    graph.hop_distance(a, b, &mut scratch),
-                    g.hop_distance(a, b, mid),
-                    "{a}->{b} at MID {mid}"
-                );
-            }
-        }
+        let (a, b) = (Site::new(0, 2), Site::new(2, 2));
+        // Up the left column, over the top, down the right: 6 hops.
+        assert_eq!(
+            graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
+            Some(6)
+        );
+        assert_eq!(
+            graph.hop_toward(a, b, &[], g.usable_mask(), &mut scratch),
+            Some(Site::new(0, 1))
+        );
     }
 
     #[test]
-    fn hop_distances_into_matches_grid() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut scratch = BfsScratch::new();
-        let mut out = Vec::new();
-        for _ in 0..8 {
-            let g = random_grid(&mut rng, 6, 6, 6);
-            let graph = InteractionGraph::build(&g, 2.0);
-            let from = Site::new(rng.gen_range(0..6), rng.gen_range(0..6));
-            graph.hop_distances_into(from, &mut scratch, &mut out);
-            assert_eq!(out, g.hop_distances(from, 2.0));
-        }
+    fn hop_toward_advances_along_bfs_path() {
+        let grid = Grid::new(6, 1);
+        let graph = InteractionGraph::build(&grid, 2.0);
+        let (from, goal) = (Site::new(0, 0), Site::new(5, 0));
+        let hop = graph
+            .hop_toward(from, goal, &[], grid.usable_mask(), &mut BfsScratch::new())
+            .unwrap();
+        assert!(from.within(hop, 2.0), "hop within MID");
+        assert!(
+            hop.distance(goal) < from.distance(goal),
+            "hop makes progress"
+        );
     }
 
     #[test]
-    fn masked_hop_distance_matches_holey_rebuild() {
-        // The loss-path contract: BFS over the full-grid graph with a
-        // usability mask must agree with a graph rebuilt from the
-        // holey grid, for every endpoint pair.
-        let mut rng = StdRng::seed_from_u64(31);
+    fn hop_toward_respects_blocked_sites() {
+        let grid = Grid::new(6, 1);
+        let graph = InteractionGraph::build(&grid, 2.0);
+        let hop = graph.hop_toward(
+            Site::new(0, 0),
+            Site::new(5, 0),
+            &[Site::new(2, 0)],
+            grid.usable_mask(),
+            &mut BfsScratch::new(),
+        );
+        assert_eq!(hop, Some(Site::new(1, 0)));
+    }
+
+    #[test]
+    fn hop_toward_none_at_goal_or_unreachable() {
+        let mut grid = Grid::new(5, 1);
+        let graph = InteractionGraph::build(&grid, 1.0);
         let mut scratch = BfsScratch::new();
-        for _ in 0..10 {
-            let full = Grid::new(7, 6);
-            let holey = random_grid(&mut rng, 7, 6, 10);
-            let mid = f64::from(rng.gen_range(1u32..4));
-            let full_graph = InteractionGraph::build(&full, mid);
-            let holey_graph = InteractionGraph::build(&holey, mid);
-            for _ in 0..32 {
-                let a = Site::new(rng.gen_range(0..7), rng.gen_range(0..6));
-                let b = Site::new(rng.gen_range(0..7), rng.gen_range(0..6));
-                assert_eq!(
-                    full_graph.hop_distance_masked(a, b, holey.usable_mask(), &mut scratch),
-                    holey_graph.hop_distance(a, b, &mut scratch),
-                    "{a}->{b} at MID {mid}"
-                );
-            }
-        }
+        let (a, mid, b) = (Site::new(0, 0), Site::new(2, 0), Site::new(4, 0));
+        assert_eq!(
+            graph.hop_toward(mid, mid, &[], grid.usable_mask(), &mut scratch),
+            None
+        );
+        grid.remove_atom(mid);
+        assert_eq!(
+            graph.hop_toward(a, b, &[], grid.usable_mask(), &mut scratch),
+            None
+        );
+        // A hole is never a destination, even as the goal itself.
+        assert_eq!(
+            graph.hop_toward(Site::new(1, 0), mid, &[], grid.usable_mask(), &mut scratch),
+            None
+        );
     }
 
     #[test]
@@ -601,24 +651,14 @@ mod tests {
         assert_eq!(graph.index_of(Site::new(3, 0)), None);
         let mut scratch = BfsScratch::new();
         assert_eq!(
-            graph.hop_distance(Site::new(0, 0), Site::new(9, 9), &mut scratch),
+            graph.hop_distance(
+                Site::new(0, 0),
+                Site::new(9, 9),
+                g.usable_mask(),
+                &mut scratch
+            ),
             None
         );
-    }
-
-    #[test]
-    fn largest_component_matches_grid() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut scratch = BfsScratch::new();
-        for _ in 0..12 {
-            let g = random_grid(&mut rng, 6, 5, 10);
-            let mid = f64::from(rng.gen_range(1u32..3));
-            let graph = InteractionGraph::build(&g, mid);
-            assert_eq!(
-                graph.largest_component(&mut scratch),
-                g.largest_component(mid)
-            );
-        }
     }
 
     #[test]
@@ -629,14 +669,15 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = InteractionGraph::cached(&g, 3.0);
         assert!(!Arc::ptr_eq(&a, &c));
-        // Same hole pattern built independently shares an entry.
-        let mut g2 = Grid::new(4, 4);
-        g2.remove_atom(Site::new(1, 1));
-        let mut g3 = Grid::new(4, 4);
-        g3.remove_atom(Site::new(1, 1));
-        assert!(Arc::ptr_eq(
-            &InteractionGraph::cached(&g2, 2.0),
-            &InteractionGraph::cached(&g3, 2.0)
+        // Holes never enter the key: every hole pattern of the device
+        // (each loss-driven recompile) shares the full device's graph.
+        let mut holey = Grid::new(4, 4);
+        holey.remove_atom(Site::new(1, 1));
+        holey.remove_atom(Site::new(3, 0));
+        assert!(Arc::ptr_eq(&InteractionGraph::cached(&holey, 2.0), &a));
+        assert!(!Arc::ptr_eq(
+            &InteractionGraph::cached(&Grid::new(4, 5), 2.0),
+            &a
         ));
     }
 
@@ -647,7 +688,12 @@ mod tests {
         let mut scratch = BfsScratch::new();
         for _ in 0..100 {
             assert_eq!(
-                graph.hop_distance(Site::new(0, 0), Site::new(5, 0), &mut scratch),
+                graph.hop_distance(
+                    Site::new(0, 0),
+                    Site::new(5, 0),
+                    g.usable_mask(),
+                    &mut scratch
+                ),
                 Some(5)
             );
         }

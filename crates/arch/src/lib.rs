@@ -16,8 +16,11 @@
 //! This crate provides:
 //!
 //! * [`Site`] — integer grid coordinates with Euclidean geometry;
-//! * [`Grid`] — the atom array: dimensions, holes, in-range neighbor
-//!   queries, BFS paths, and connectivity analysis;
+//! * [`Grid`] — the atom array: dimensions, holes (exposed as a
+//!   flat-index [`Grid::usable_mask`]) and in-range checks;
+//! * [`InteractionGraph`] — the unit-disc graph of one grid size at one
+//!   MID, shared by every hole pattern: neighbor lists, hop distances
+//!   and forced hops, each taking the hole mask;
 //! * [`RestrictionPolicy`] / [`RestrictionZone`] — the parallelism
 //!   predicate;
 //! * [`VirtualMap`] — the hardware address-indirection table behind the

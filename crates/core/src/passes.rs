@@ -14,9 +14,9 @@
 //! and opens the pass's [`na_telemetry::Span`], which feeds the
 //! metrics histogram and the trace under the pass name. When the
 //! caller asks for a [`PassReport`], the span's duration becomes the
-//! pass's row and its statistics are collected; `natoms
-//! bench`/`natoms compile --passes` print the report and
-//! telemetry-tagged engine rows carry it.
+//! pass's row and its statistics are collected; `natoms compile
+//! --passes` prints the report and telemetry-tagged engine rows carry
+//! it.
 //!
 //! # Artifact reuse
 //!
@@ -248,7 +248,9 @@ fn route_schedule(
     stats: &mut Stats,
 ) -> Result<ScheduleResult, CompileError> {
     // The precomputed flat-index interaction graph every hot loop
-    // (SWAP scoring, forced hops) runs over; memoized per (grid, MID).
+    // (SWAP scoring, forced hops) runs over, with the grid's holes as a
+    // mask; memoized per (grid size, MID), so a recompile on a holey
+    // grid reuses the full device's graph.
     let graph = InteractionGraph::cached(grid, config.mid);
     let result = scheduler::run(lowered, grid, &graph, config, placement)?;
     stats.set("ops", result.ops.len() as u64);

@@ -14,13 +14,13 @@
 //! being *strictly closer* to `u`'s most immediate interaction, which
 //! guarantees forward progress.
 //!
-//! A deterministic BFS fallback ([`forced_hop`]) guarantees global
-//! progress even when no scored candidate exists (e.g. routing around
-//! device corners), so compilation always terminates on connected
-//! topologies.
+//! A deterministic BFS fallback ([`InteractionGraph::hop_toward`])
+//! guarantees global progress even when no scored candidate exists
+//! (e.g. routing around device corners), so compilation always
+//! terminates on connected topologies.
 
 use crate::{InteractionWeights, QubitMap};
-use na_arch::{BfsScratch, Grid, InteractionGraph, Site};
+use na_arch::{Grid, InteractionGraph, Site};
 use na_circuit::Qubit;
 
 /// A candidate SWAP: exchange the occupants of `from` and `to`.
@@ -75,15 +75,17 @@ pub fn all_within_mid(operands: &[Qubit], map: &QubitMap, mid: f64) -> bool {
 /// The best-scoring SWAP that moves one operand of the gate strictly
 /// closer to its farthest co-operand. Returns `None` when no usable
 /// candidate site satisfies the strictly-closer constraint (the caller
-/// falls back to [`forced_hop`]).
+/// falls back to [`InteractionGraph::hop_toward`]).
 ///
 /// Candidate sites come from the precomputed [`InteractionGraph`]
-/// (built at the same MID), so the scan is a flat slice walk with no
+/// (built at the same MID) minus the holes in `usable`
+/// ([`Grid::usable_mask`]), so the scan is a flat slice walk with no
 /// per-call allocation.
 pub fn best_swap_for_gate(
     operands: &[Qubit],
     map: &QubitMap,
     graph: &InteractionGraph,
+    usable: &[bool],
     weights: &InteractionWeights,
     mid: f64,
 ) -> Option<SwapMove> {
@@ -105,7 +107,11 @@ pub fn best_swap_for_gate(
             continue; // this pair is already satisfied
         }
         let su_index = graph.index_of(su).expect("mapped sites are on the grid");
-        for h in graph.neighbor_sites(su_index) {
+        for &n in graph.neighbors(su_index) {
+            if !usable[n as usize] {
+                continue;
+            }
+            let h = graph.site_at(n as usize);
             // Strictly-closer constraint toward the immediate partner.
             if h.distance(st) + 1e-12 >= su.distance(st) {
                 continue;
@@ -197,20 +203,11 @@ pub fn meeting_point_of_sites(sites: &[Site], grid: &Grid) -> Site {
     best.expect("grid has a usable site").1
 }
 
-/// One deterministic BFS hop of the atom at `from` toward `goal`,
-/// avoiding `blocked` sites as destinations. Returns the next site on
-/// a shortest hop path, or `None` if `goal` is unreachable or `from`
-/// is already at `goal`.
-///
-/// Convenience wrapper over [`InteractionGraph::hop_toward`]; the
-/// scheduler holds its own graph and scratch and calls that directly.
-pub fn forced_hop(grid: &Grid, from: Site, goal: Site, mid: f64, blocked: &[Site]) -> Option<Site> {
-    InteractionGraph::cached(grid, mid).hop_toward(from, goal, blocked, &mut BfsScratch::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn line_map(positions: &[(i32, i32)]) -> QubitMap {
         let mut m = QubitMap::new(positions.len() as u32);
@@ -246,7 +243,15 @@ mod tests {
         let graph = InteractionGraph::cached(&grid, 2.0);
         let map = line_map(&[(0, 0), (6, 0)]);
         let w = weights_pair(2, Qubit(0), Qubit(1));
-        let mv = best_swap_for_gate(&[Qubit(0), Qubit(1)], &map, &graph, &w, 2.0).unwrap();
+        let mv = best_swap_for_gate(
+            &[Qubit(0), Qubit(1)],
+            &map,
+            &graph,
+            grid.usable_mask(),
+            &w,
+            2.0,
+        )
+        .unwrap();
         // Either endpoint can move, but the move must make strict progress.
         let gain_from = mv.from.distance(if mv.from.x == 0 {
             Site::new(6, 0)
@@ -269,7 +274,14 @@ mod tests {
         let map = line_map(&[(0, 0), (1, 0)]);
         let w = weights_pair(2, Qubit(0), Qubit(1));
         assert_eq!(
-            best_swap_for_gate(&[Qubit(0), Qubit(1)], &map, &graph, &w, 2.0),
+            best_swap_for_gate(
+                &[Qubit(0), Qubit(1)],
+                &map,
+                &graph,
+                grid.usable_mask(),
+                &w,
+                2.0
+            ),
             None
         );
     }
@@ -285,8 +297,14 @@ mod tests {
             [(&[Qubit(0), Qubit(1), Qubit(2)][..], 0usize)],
             20,
         );
-        if let Some(mv) = best_swap_for_gate(&[Qubit(0), Qubit(1), Qubit(2)], &map, &graph, &w, 1.0)
-        {
+        if let Some(mv) = best_swap_for_gate(
+            &[Qubit(0), Qubit(1), Qubit(2)],
+            &map,
+            &graph,
+            grid.usable_mask(),
+            &w,
+            1.0,
+        ) {
             let displaced = map.qubit_at(mv.to);
             assert!(
                 displaced.is_none_or(|q| q.0 > 2 || mv.to == Site::new(4, 0)),
@@ -341,43 +359,48 @@ mod tests {
     }
 
     #[test]
-    fn forced_hop_advances_along_bfs_path() {
-        let grid = Grid::new(6, 1);
-        let from = Site::new(0, 0);
-        let goal = Site::new(5, 0);
-        let hop = forced_hop(&grid, from, goal, 2.0, &[]).unwrap();
-        assert!(from.within(hop, 2.0), "hop within MID");
-        assert!(
-            hop.distance(goal) < from.distance(goal),
-            "hop makes progress"
-        );
-    }
-
-    #[test]
-    fn forced_hop_respects_blocked_sites() {
-        let grid = Grid::new(6, 1);
-        let hop = forced_hop(
-            &grid,
-            Site::new(0, 0),
-            Site::new(5, 0),
+    fn best_swap_never_targets_a_hole() {
+        // q0 at (0,3) wants q1 at (6,3) at MID 2. Every site that would
+        // bring either qubit strictly closer but (1,4) is a hole, among
+        // them the best-scoring (2,3); the move must land on (1,4).
+        let mut grid = Grid::new(7, 7);
+        let graph = InteractionGraph::cached(&grid, 2.0);
+        let map = line_map(&[(0, 3), (6, 3)]);
+        let w = weights_pair(2, Qubit(0), Qubit(1));
+        for s in [(1, 2), (1, 3), (2, 3), (5, 2), (5, 3), (5, 4), (4, 3)] {
+            grid.remove_atom(Site::new(s.0, s.1));
+        }
+        let mv = best_swap_for_gate(
+            &[Qubit(0), Qubit(1)],
+            &map,
+            &graph,
+            grid.usable_mask(),
+            &w,
             2.0,
-            &[Site::new(2, 0)],
         )
-        .unwrap();
-        assert_eq!(hop, Site::new(1, 0));
-    }
-
-    #[test]
-    fn forced_hop_none_at_goal_or_unreachable() {
-        let mut grid = Grid::new(5, 1);
-        assert_eq!(
-            forced_hop(&grid, Site::new(2, 0), Site::new(2, 0), 1.0, &[]),
-            None
-        );
-        grid.remove_atom(Site::new(2, 0));
-        assert_eq!(
-            forced_hop(&grid, Site::new(0, 0), Site::new(4, 0), 1.0, &[]),
-            None
-        );
+        .expect("a usable site is strictly closer");
+        assert_eq!((mv.from, mv.to), (Site::new(0, 3), Site::new(1, 4)));
+        // On a random holey grid no candidate is ever a hole either.
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..50 {
+            let mut g = Grid::new(7, 7);
+            for _ in 0..15 {
+                let s = Site::new(rng.gen_range(0..7), rng.gen_range(0..7));
+                if map.qubit_at(s).is_none() {
+                    g.remove_atom(s);
+                }
+            }
+            let graph = InteractionGraph::cached(&g, 2.0);
+            if let Some(mv) = best_swap_for_gate(
+                &[Qubit(0), Qubit(1)],
+                &map,
+                &graph,
+                g.usable_mask(),
+                &w,
+                2.0,
+            ) {
+                assert!(g.is_usable(mv.to), "swap into hole {mv:?}\n{g}");
+            }
+        }
     }
 }

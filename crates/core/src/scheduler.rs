@@ -503,8 +503,14 @@ pub(crate) fn run(
                 );
                 weights_dirty = false;
             }
-            let Some(mv) = best_swap_for_gate(ops_of_gate, &map, graph, &weights, config.mid)
-            else {
+            let Some(mv) = best_swap_for_gate(
+                ops_of_gate,
+                &map,
+                graph,
+                grid.usable_mask(),
+                &weights,
+                config.mid,
+            ) else {
                 continue;
             };
             if !zones.try_claim(&[mv.from, mv.to]) {
@@ -632,7 +638,7 @@ fn forced_move(
     let mover_site = mover;
     site_scratch.retain(|&s| s != mover_site);
     let hop = graph
-        .hop_toward(mover, goal, site_scratch, bfs_scratch)
+        .hop_toward(mover, goal, site_scratch, grid.usable_mask(), bfs_scratch)
         .ok_or(CompileError::Disconnected)?;
     Ok((mover, hop))
 }

@@ -43,8 +43,8 @@ pub use executor::{
 pub use model::LossModel;
 pub use overhead::{OverheadLedger, OverheadTimes, RecompileCost};
 pub use reroute::{
-    fixup_swaps, fixup_swaps_summary, fixup_swaps_with, max_resolved_span, resolved_ok,
-    resolved_ok_summary, InteractionSummary,
+    fixup_swaps_summary, fixup_swaps_with, max_resolved_span, resolved_ok, resolved_ok_summary,
+    InteractionSummary,
 };
 pub use state::{LossOutcome, StrategyState};
 pub use stats::{derive_seed, shard_seed, RunningMoments, StreakHistogram, StreakStats};

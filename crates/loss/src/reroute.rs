@@ -6,7 +6,7 @@
 //!
 //! * [`resolved_ok`] — does every interaction still fit within the
 //!   hardware MID (the virtual-remap go/no-go)?
-//! * [`fixup_swaps`] — if not, how many SWAPs does the
+//! * [`fixup_swaps_summary`] — if not, how many SWAPs does the
 //!   swap-out/execute/swap-back fixup of Fig. 9c cost per shot?
 //!
 //! Both questions depend on the schedule only through its *distinct*
@@ -14,11 +14,11 @@
 //! but needs one BFS. [`InteractionSummary`] precomputes that deduped
 //! pair multiset once per compiled schedule, and the `_summary`
 //! variants ([`resolved_ok_summary`], [`fixup_swaps_summary`]) answer
-//! from it — per distinct pair instead of per scheduled op, with the
-//! BFS running over a hole-masked full-grid [`InteractionGraph`]
-//! instead of a graph rebuilt per loss event. The per-op originals
-//! are retained verbatim as the reference costing path; randomized
-//! differential tests hold the two bit-for-bit equal.
+//! from it — per distinct pair instead of per scheduled op. The per-op
+//! originals ([`resolved_ok`], [`fixup_swaps_with`]) are retained as
+//! the reference costing path; randomized differential tests hold the
+//! two bit-for-bit equal. Both run their BFS over the device's one
+//! [`InteractionGraph`] with the current holes as a mask.
 
 use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
 use na_core::CompiledCircuit;
@@ -100,9 +100,8 @@ pub fn resolved_ok_summary(
 /// [`InteractionSummary`] and a hole-masked full-grid graph: one BFS
 /// per distinct out-of-range pair, its `2 · (hops − 1)` SWAP cost
 /// multiplied by the pair's scheduled multiplicity. `usable` is the
-/// current hole pattern as a flat-index mask (`graph` itself is built
-/// from the hole-free device, so it never needs rebuilding as losses
-/// accrue).
+/// current hole pattern as a flat-index mask ([`Grid::usable_mask`]),
+/// so `graph` never needs rebuilding as losses accrue.
 ///
 /// Returns `None` exactly when the reference path does: some operand
 /// resolves to a lost atom, or some required pair is disconnected.
@@ -126,7 +125,7 @@ pub fn fixup_swaps_summary(
         if ra.within(rb, hardware_mid) {
             continue;
         }
-        let dist = graph.hop_distance_masked(ra, rb, usable, scratch)?;
+        let dist = graph.hop_distance(ra, rb, usable, scratch)?;
         total += mult * 2 * (dist - 1);
     }
     Some(total)
@@ -178,31 +177,17 @@ pub fn resolved_ok(
 }
 
 /// SWAP count of the minor-reroute fixup (Fig. 9c) for the current
-/// topology: for every scheduled interaction whose resolved operands
-/// exceed `hardware_mid`, one operand is swapped along a shortest
-/// MID-hop path to within range, the gate executes, and the SWAPs are
-/// reversed to restore the mapping.
+/// topology, per scheduled op: the reference oracle of
+/// [`fixup_swaps_summary`]. For every scheduled interaction whose
+/// resolved operands exceed `hardware_mid`, one operand is swapped
+/// along a shortest MID-hop path to within range, the gate executes,
+/// and the SWAPs are reversed to restore the mapping.
 ///
 /// Returns `None` when some required pair has no path over usable
 /// atoms — the strategy must reload.
 ///
 /// These SWAPs recur *every shot* until the topology changes again, so
 /// the count feeds directly into the per-shot success-rate penalty.
-pub fn fixup_swaps(
-    compiled: &CompiledCircuit,
-    vmap: &VirtualMap,
-    grid: &Grid,
-    hardware_mid: f64,
-) -> Option<u32> {
-    fixup_swaps_with(compiled, vmap, grid, hardware_mid, &mut BfsScratch::new())
-}
-
-/// [`fixup_swaps`] reusing a caller-held BFS scratch.
-///
-/// The campaign executor calls the fixup costing on every interfering
-/// loss of every shot; [`crate::StrategyState`] holds one scratch for
-/// the campaign's lifetime so those calls stop reallocating the BFS
-/// queue and distance buffers.
 pub fn fixup_swaps_with(
     compiled: &CompiledCircuit,
     vmap: &VirtualMap,
@@ -210,12 +195,7 @@ pub fn fixup_swaps_with(
     hardware_mid: f64,
     scratch: &mut BfsScratch,
 ) -> Option<u32> {
-    // One interaction graph serves every out-of-range pair; nothing
-    // allocates per hop. Built uncached: each loss event leaves a
-    // unique cumulative hole pattern that would never be hit again, so
-    // memoizing it would only churn the process-wide cache that the
-    // compile path relies on.
-    let graph = InteractionGraph::build(grid, hardware_mid);
+    let graph = InteractionGraph::cached(grid, hardware_mid);
     let mut sites: Vec<Site> = Vec::new();
     let mut total = 0u32;
     for op in compiled.ops() {
@@ -235,7 +215,7 @@ pub fn fixup_swaps_with(
                 // shortest hop path (then it is within one hop — hence
                 // within MID — of the other), and walk it back
                 // afterwards: 2 · (hop distance − 1) SWAPs.
-                let dist = graph.hop_distance(sites[i], sites[j], scratch)?;
+                let dist = graph.hop_distance(sites[i], sites[j], grid.usable_mask(), scratch)?;
                 total += 2 * (dist - 1);
             }
         }
@@ -264,7 +244,10 @@ mod tests {
         let compiled = compiled_pair(&grid, 2.0);
         let vmap = VirtualMap::new();
         assert!(resolved_ok(&compiled, &vmap, &grid, 2.0));
-        assert_eq!(fixup_swaps(&compiled, &vmap, &grid, 2.0), Some(0));
+        assert_eq!(
+            fixup_swaps_with(&compiled, &vmap, &grid, 2.0, &mut BfsScratch::new()),
+            Some(0)
+        );
         assert!(max_resolved_span(&compiled, &vmap) <= 2.0);
     }
 
@@ -299,11 +282,14 @@ mod tests {
         // At MID 1 the fixup path must detour around the hole through
         // the second row: 4 hops, so 2*(5-2)=6 SWAPs per execution,
         // and the gate executes twice.
-        let swaps = fixup_swaps(&compiled, &vmap, &g, 1.0).unwrap();
+        let swaps = fixup_swaps_with(&compiled, &vmap, &g, 1.0, &mut BfsScratch::new()).unwrap();
         assert_eq!(swaps, 12);
         // At MID 2 the stretched pair is back in range: no fixup.
         assert!(resolved_ok(&compiled, &vmap, &g, 2.0));
-        assert_eq!(fixup_swaps(&compiled, &vmap, &g, 2.0), Some(0));
+        assert_eq!(
+            fixup_swaps_with(&compiled, &vmap, &g, 2.0, &mut BfsScratch::new()),
+            Some(0)
+        );
     }
 
     #[test]
@@ -337,7 +323,7 @@ mod tests {
                     break;
                 }
             }
-            match fixup_swaps(&compiled, &vmap, &g, 2.0) {
+            match fixup_swaps_with(&compiled, &vmap, &g, 2.0, &mut BfsScratch::new()) {
                 Some(0) => assert!(resolved_ok(&compiled, &vmap, &g, 2.0)),
                 Some(n) => {
                     assert!(!resolved_ok(&compiled, &vmap, &g, 2.0));
@@ -366,6 +352,9 @@ mod tests {
         let vmap = VirtualMap::new();
         g.remove_atom(used[0]);
         assert!(!resolved_ok(&compiled, &vmap, &g, 1.0));
-        assert_eq!(fixup_swaps(&compiled, &vmap, &g, 1.0), None);
+        assert_eq!(
+            fixup_swaps_with(&compiled, &vmap, &g, 1.0, &mut BfsScratch::new()),
+            None
+        );
     }
 }

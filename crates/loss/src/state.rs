@@ -68,11 +68,10 @@ pub struct StrategyState {
     /// changes (FullRecompile's per-loss recompilations and its
     /// reload).
     summary: Arc<InteractionSummary>,
-    /// The hole-free device's interaction graph at the hardware MID,
-    /// fingerprint-cached like the compile path's graphs. Fixup BFS
-    /// runs over this fixed graph with the live grid's
-    /// [`Grid::usable_mask`] as the hole pattern — no per-loss-event
-    /// graph rebuild and no mirror bookkeeping.
+    /// The device's interaction graph at the hardware MID, the same
+    /// cached graph the compile path uses. Fixup BFS runs over it with
+    /// the live grid's [`Grid::usable_mask`] as the hole pattern — no
+    /// per-loss-event graph rebuild and no mirror bookkeeping.
     full_graph: Arc<InteractionGraph>,
     /// Per-campaign artifact store, pre-seeded with the compiled
     /// schedule's (grid-independent) lowered circuit so FullRecompile's
@@ -153,10 +152,8 @@ impl StrategyState {
             "precompiled schedule MID does not match the strategy's compile MID"
         );
         let used = compiled.used_sites().to_vec();
-        // The costing graph is built from the *hole-free* template (a
-        // template normally is one), so every state on the same device
-        // and MID shares one cached graph; holes are threaded through
-        // `usable_mask` instead.
+        // Every state on the same device and MID shares one cached
+        // graph; holes are threaded through `usable_mask`.
         let full_graph = InteractionGraph::cached(grid_template, hardware_mid);
         // `CompiledCircuit::circuit()` *is* the pipeline's lowered
         // circuit (finalize stores it verbatim), and lowering never

@@ -13,7 +13,7 @@
 //!    the cloud is reloaded and assembly starts over.
 //!
 //! [`AssemblySimulator::assemble`] produces both a defect-free
-//! [`Grid`](crate::Grid) and the time spent, so campaign simulations
+//! [`Grid`] and the time spent, so campaign simulations
 //! can derive reload cost from physical parameters instead of assuming
 //! 0.3 s.
 

@@ -16,7 +16,7 @@ use std::fmt;
 /// Sentinel in the flat tables for "identity at this index".
 const NONE: u32 = u32::MAX;
 
-/// Error returned by [`VirtualMap::shift_from`] when no spare capacity
+/// Error returned by [`VirtualMap::shift_from_with`] when no spare capacity
 /// exists in the requested direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoSpareError {
@@ -78,7 +78,7 @@ impl ShiftScratch {
 ///
 /// Both directions are dense flat `Vec`s indexed by the grid's
 /// row-major flat site index (the `QubitMap` layout), sized lazily on
-/// the first [`VirtualMap::shift_from`]: `resolve`/`address_of` are
+/// the first [`VirtualMap::shift_from_with`]: `resolve`/`address_of` are
 /// O(1) loads on the loss executor's hottest paths (per-shot measured
 /// sets, interference checks, fixup costing) instead of `HashMap`
 /// probes. Sites outside the adopted grid always resolve to
@@ -87,14 +87,16 @@ impl ShiftScratch {
 /// # Example
 ///
 /// ```
-/// use na_arch::{Direction, Grid, Site, VirtualMap};
+/// use na_arch::{Direction, Grid, ShiftScratch, Site, VirtualMap};
 ///
 /// let mut grid = Grid::new(5, 1);
 /// let mut vmap = VirtualMap::new();
+/// let mut scratch = ShiftScratch::new();
 /// // Program uses addresses (0,0) and (1,0); (2..4,0) are spares.
 /// grid.remove_atom(Site::new(1, 0));
 /// let in_use = |a: Site| a.x <= 1 && a.y == 0;
-/// vmap.shift_from(&grid, Site::new(1, 0), Direction::East, &in_use).unwrap();
+/// vmap.shift_from_with(&grid, Site::new(1, 0), Direction::East, &in_use, &mut scratch)
+///     .unwrap();
 /// assert_eq!(vmap.resolve(Site::new(1, 0)), Site::new(2, 0));
 /// assert_eq!(vmap.resolve(Site::new(0, 0)), Site::new(0, 0));
 /// ```
@@ -242,35 +244,18 @@ impl VirtualMap {
     /// traps so the map stays a bijection.
     ///
     /// `in_use_addr` reports whether an *address* is used by the
-    /// compiled program.
+    /// compiled program. `scratch` is caller-held working memory, so
+    /// the campaign shot loop shifts once per interfering loss without
+    /// allocating.
     ///
-    /// Returns the `(address, new_physical)` pairs that changed.
+    /// Returns the number of changed addresses; the `(address,
+    /// new_physical)` pairs are in [`ShiftScratch::changes`].
     ///
     /// # Errors
     ///
     /// Returns [`NoSpareError`] if the usable atoms toward the edge
     /// cannot absorb the shifted addresses; the caller must then fall
     /// back to an array reload.
-    pub fn shift_from(
-        &mut self,
-        grid: &Grid,
-        lost_phys: Site,
-        dir: Direction,
-        in_use_addr: &dyn Fn(Site) -> bool,
-    ) -> Result<Vec<(Site, Site)>, NoSpareError> {
-        let mut scratch = ShiftScratch::new();
-        self.shift_from_with(grid, lost_phys, dir, in_use_addr, &mut scratch)?;
-        Ok(std::mem::take(&mut scratch.changes))
-    }
-
-    /// [`VirtualMap::shift_from`] reusing caller-held working memory —
-    /// the allocation-free form the campaign shot loop calls once per
-    /// interfering loss. Returns the number of changed addresses; the
-    /// pairs themselves are in [`ShiftScratch::changes`].
-    ///
-    /// # Errors
-    ///
-    /// See [`VirtualMap::shift_from`].
     pub fn shift_from_with(
         &mut self,
         grid: &Grid,
@@ -384,6 +369,19 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
 
+    /// One shift through a fresh scratch, returning the changed pairs.
+    fn shift(
+        v: &mut VirtualMap,
+        grid: &Grid,
+        lost: Site,
+        dir: Direction,
+        in_use: &dyn Fn(Site) -> bool,
+    ) -> Result<Vec<(Site, Site)>, NoSpareError> {
+        let mut scratch = ShiftScratch::new();
+        v.shift_from_with(grid, lost, dir, in_use, &mut scratch)?;
+        Ok(scratch.changes().to_vec())
+    }
+
     fn assert_bijective(vmap: &VirtualMap, grid: &Grid) {
         let mut seen = HashSet::new();
         for addr in grid.sites() {
@@ -409,9 +407,7 @@ mod tests {
         let mut v = VirtualMap::new();
         let in_use = |a: Site| a.y == 0 && a.x <= 2;
         grid.remove_atom(Site::new(1, 0));
-        let changes = v
-            .shift_from(&grid, Site::new(1, 0), Direction::East, &in_use)
-            .unwrap();
+        let changes = shift(&mut v, &grid, Site::new(1, 0), Direction::East, &in_use).unwrap();
         // Addresses 1 and 2 shift east by one.
         assert_eq!(v.resolve(Site::new(1, 0)), Site::new(2, 0));
         assert_eq!(v.resolve(Site::new(2, 0)), Site::new(3, 0));
@@ -431,8 +427,7 @@ mod tests {
         let in_use = |a: Site| a.y == 0 && a.x <= 1;
         grid.remove_atom(Site::new(2, 0)); // spare hole
         grid.remove_atom(Site::new(1, 0)); // in-use atom lost
-        v.shift_from(&grid, Site::new(1, 0), Direction::East, &in_use)
-            .unwrap();
+        shift(&mut v, &grid, Site::new(1, 0), Direction::East, &in_use).unwrap();
         // Address 1 skips the hole at x=2 and lands on x=3.
         assert_eq!(v.resolve(Site::new(1, 0)), Site::new(3, 0));
         assert_bijective(&v, &grid);
@@ -444,9 +439,7 @@ mod tests {
         let mut v = VirtualMap::new();
         let in_use = |_: Site| true; // whole device in use
         grid.remove_atom(Site::new(0, 0));
-        let err = v
-            .shift_from(&grid, Site::new(0, 0), Direction::East, &in_use)
-            .unwrap_err();
+        let err = shift(&mut v, &grid, Site::new(0, 0), Direction::East, &in_use).unwrap_err();
         assert_eq!(err.direction, Direction::East);
         assert_eq!(
             err.to_string(),
@@ -460,9 +453,7 @@ mod tests {
         let mut v = VirtualMap::new();
         let in_use = |a: Site| a == Site::new(0, 0);
         grid.remove_atom(Site::new(2, 0));
-        let changes = v
-            .shift_from(&grid, Site::new(2, 0), Direction::East, &in_use)
-            .unwrap();
+        let changes = shift(&mut v, &grid, Site::new(2, 0), Direction::East, &in_use).unwrap();
         assert!(changes.is_empty());
         assert!(v.is_identity());
     }
@@ -474,12 +465,10 @@ mod tests {
         let in_use = |a: Site| a.y == 0 && a.x <= 2;
         // First loss at x=1.
         grid.remove_atom(Site::new(1, 0));
-        v.shift_from(&grid, Site::new(1, 0), Direction::East, &in_use)
-            .unwrap();
+        shift(&mut v, &grid, Site::new(1, 0), Direction::East, &in_use).unwrap();
         // Now address 1 -> (2,0), address 2 -> (3,0). Lose (3,0).
         grid.remove_atom(Site::new(3, 0));
-        v.shift_from(&grid, Site::new(3, 0), Direction::East, &in_use)
-            .unwrap();
+        shift(&mut v, &grid, Site::new(3, 0), Direction::East, &in_use).unwrap();
         assert_eq!(v.resolve(Site::new(2, 0)), Site::new(4, 0));
         assert_eq!(v.resolve(Site::new(1, 0)), Site::new(2, 0));
         assert_bijective(&v, &grid);
@@ -520,8 +509,7 @@ mod tests {
         assert_eq!(v.address_of(far), far);
         let in_use = |a: Site| a.x <= 1 && a.y == 0;
         grid.remove_atom(Site::new(0, 0));
-        v.shift_from(&grid, Site::new(0, 0), Direction::East, &in_use)
-            .unwrap();
+        shift(&mut v, &grid, Site::new(0, 0), Direction::East, &in_use).unwrap();
         assert_eq!(v.resolve(far), far);
         assert_eq!(v.address_of(far), far);
     }
@@ -534,8 +522,7 @@ mod tests {
         let mut v = VirtualMap::new();
         let in_use = |a: Site| a.x <= 1 && a.y == 0;
         grid.remove_atom(Site::new(0, 0));
-        v.shift_from(&grid, Site::new(0, 0), Direction::East, &in_use)
-            .unwrap();
+        shift(&mut v, &grid, Site::new(0, 0), Direction::East, &in_use).unwrap();
         assert_ne!(v, VirtualMap::new());
         v.reset();
         assert_eq!(v, VirtualMap::new());
@@ -547,8 +534,7 @@ mod tests {
         let mut v = VirtualMap::new();
         let in_use = |a: Site| a.x <= 1 && a.y == 0;
         grid.remove_atom(Site::new(0, 0));
-        v.shift_from(&grid, Site::new(0, 0), Direction::East, &in_use)
-            .unwrap();
+        shift(&mut v, &grid, Site::new(0, 0), Direction::East, &in_use).unwrap();
         assert!(!v.is_identity());
         v.reset();
         assert!(v.is_identity());
@@ -575,7 +561,7 @@ mod tests {
                     Some(d) => d,
                     None => break,
                 };
-                let via_alloc = a.shift_from(&grid, lost, dir, &in_use);
+                let via_alloc = shift(&mut a, &grid, lost, dir, &in_use);
                 let via_scratch = b.shift_from_with(&grid, lost, dir, &in_use, &mut scratch);
                 match (via_alloc, via_scratch) {
                     (Ok(changes), Ok(n)) => {
@@ -614,7 +600,7 @@ mod tests {
                     continue;
                 }
                 if let Some(dir) = v.best_shift_direction(&grid, lost, &in_use) {
-                    if v.shift_from(&grid, lost, dir, &in_use).is_err() {
+                    if shift(&mut v, &grid, lost, dir, &in_use).is_err() {
                         break;
                     }
                 } else {

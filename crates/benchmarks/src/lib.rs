@@ -3,11 +3,11 @@
 //! The paper evaluates five program families chosen to span the
 //! parallelism and gate-composition spectrum:
 //!
-//! * [`bv`] — **Bernstein–Vazirani** with the all-1s oracle (maximum
+//! * [`bv()`] — **Bernstein–Vazirani** with the all-1s oracle (maximum
 //!   gate count for the family); completely serial on the ancilla.
-//! * [`cuccaro`] — **Cuccaro ripple-carry adder**, Toffoli-heavy with
+//! * [`cuccaro()`] — **Cuccaro ripple-carry adder**, Toffoli-heavy with
 //!   no parallelism.
-//! * [`cnu`] — **n-controlled-NOT** via the logarithmic-depth ancilla
+//! * [`cnu()`] — **n-controlled-NOT** via the logarithmic-depth ancilla
 //!   tree; highly parallel and Toffoli-built.
 //! * [`qft_adder`] — **QFT adder** (Ruiz-Perez/Draper): two QFT blocks
 //!   around a highly parallel controlled-phase cascade.

@@ -35,6 +35,12 @@ use std::collections::HashMap;
 /// towers and is defense in depth should that validation ever weaken.
 const MAX_MACRO_DEPTH: u32 = 64;
 
+/// Operand limit of one angle expression. It bounds both the parser's
+/// recursion and the depth of the expression tree (evaluated and
+/// dropped recursively), so a pathologically nested or long expression
+/// is a typed error instead of a stack overflow.
+const MAX_EXPR_OPERANDS: u32 = 256;
+
 /// Parses an OpenQASM 2.0 source string into a [`Circuit`].
 ///
 /// The returned circuit's register is the concatenation of every
@@ -266,6 +272,8 @@ struct Parser {
     cregs: HashMap<String, u32>,
     macros: HashMap<String, GateDef>,
     num_qubits: u32,
+    /// Operands the current angle expression may still parse.
+    operands_left: u32,
     /// Assembled gates with the source position of the call that
     /// produced them, for late circuit validation.
     gates: Vec<(Gate, u32, u32)>,
@@ -280,6 +288,7 @@ impl Parser {
             cregs: HashMap::new(),
             macros: HashMap::new(),
             num_qubits: 0,
+            operands_left: 0,
             gates: Vec::new(),
         }
     }
@@ -437,8 +446,12 @@ impl Parser {
         self.expect(&Tok::RBracket, "']'")?;
         self.expect(&Tok::Semi, "';' after the register declaration")?;
         if quantum {
+            let Some(total) = self.num_qubits.checked_add(size) else {
+                let what = format!("more than {} qubits", u32::MAX);
+                return Err(self.err_at(&st, QasmErrorKind::Unsupported(what)));
+            };
             self.qregs.insert(name, (self.num_qubits, size));
-            self.num_qubits += size;
+            self.num_qubits = total;
         } else {
             self.cregs.insert(name, size);
         }
@@ -508,7 +521,7 @@ impl Parser {
                 self.advance();
                 if self.peek().tok != Tok::RParen {
                     loop {
-                        call_params.push(self.expr(&params)?);
+                        call_params.push(self.angle(&params)?);
                         if self.peek().tok == Tok::Comma {
                             self.advance();
                         } else {
@@ -554,6 +567,13 @@ impl Parser {
 
     // --- expressions -----------------------------------------------------
 
+    /// One angle expression (a gate-call parameter), parsed within the
+    /// [`MAX_EXPR_OPERANDS`] budget.
+    fn angle(&mut self, params: &[String]) -> Result<Expr, QasmError> {
+        self.operands_left = MAX_EXPR_OPERANDS;
+        self.expr(params)
+    }
+
     fn expr(&mut self, params: &[String]) -> Result<Expr, QasmError> {
         let mut lhs = self.term(params)?;
         loop {
@@ -588,7 +608,14 @@ impl Parser {
         }
     }
 
+    /// Every operand, nested or not, passes through here, so this is
+    /// where the operand budget is spent.
     fn unary(&mut self, params: &[String]) -> Result<Expr, QasmError> {
+        if self.operands_left == 0 {
+            let what = format!("angle expression of more than {MAX_EXPR_OPERANDS} operands");
+            return Err(self.err_at(self.peek(), QasmErrorKind::Unsupported(what)));
+        }
+        self.operands_left -= 1;
         if self.peek().tok == Tok::Minus {
             self.advance();
             return Ok(Expr::Neg(Box::new(self.unary(params)?)));
@@ -693,7 +720,7 @@ impl Parser {
             self.advance();
             if self.peek().tok != Tok::RParen {
                 loop {
-                    let e = self.expr(&[])?;
+                    let e = self.angle(&[])?;
                     params.push(e.eval(&[]));
                     if self.peek().tok == Tok::Comma {
                         self.advance();

@@ -278,9 +278,8 @@ fn report_cache_stats() {
         snap.gauge("compile_cache_entries")
     );
     eprintln!(
-        "artifact store: {} placement hits, {} lowered hits",
-        snap.counter("artifact_hits"),
-        snap.counter("artifact_lowered_hits")
+        "artifact store: {} placement hits",
+        snap.counter("artifact_hits")
     );
 }
 

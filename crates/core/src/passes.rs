@@ -29,7 +29,8 @@
 //! variants of one circuit reuse the placement instead of recomputing
 //! it, bit-for-bit identical to a fresh compile (pinned by
 //! `tests/pipeline_differential.rs`). [`Reuse`] selects how a compile
-//! uses a store.
+//! uses a store, or whether it skips lowering because its input is a
+//! schedule's own lowered circuit (a loss-driven recompile).
 
 use crate::compiler::{lower_for, verify_parts, CompiledCircuit};
 use crate::placement::{circuit_weights, initial_placement_with, PlacementScratch};
@@ -43,7 +44,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// What a compile may take from, and leave in, an [`ArtifactStore`].
+/// Which front-end work a compile may skip.
 #[derive(Debug, Clone, Copy)]
 pub enum Reuse<'a> {
     /// Lower and place from scratch; touch no store.
@@ -53,14 +54,15 @@ pub enum Reuse<'a> {
     /// config), and deposit both after computing them. The engine's
     /// compile cache uses this across MID variants of one circuit.
     FrontEnd(&'a ArtifactStore),
-    /// Serve and deposit only the grid-independent lowering; always
-    /// place afresh and deposit no placement. This is for recompiling
-    /// one program against a mutating grid (the `FullRecompile` loss
-    /// strategy, where every loss event changes the grid fingerprint):
-    /// lowering never reads the grid, so it is reusable across every
-    /// hole pattern, but caching one placement per hole pattern would
-    /// grow without bound over a campaign.
-    Lowering(&'a ArtifactStore),
+    /// The `circuit` argument is already lowered for `config` (a
+    /// schedule's own [`CompiledCircuit::circuit`]), so `lower` hands
+    /// back a clone; placement always runs afresh. This is for
+    /// recompiling one program against a mutating grid (the
+    /// `FullRecompile` loss strategy): lowering never reads the grid,
+    /// so the original schedule's lowering serves every hole pattern,
+    /// while one cached placement per hole pattern would grow without
+    /// bound over a campaign.
+    Lowered,
 }
 
 /// Compiles `circuit` for `grid` under `config` through the six passes
@@ -86,31 +88,25 @@ pub fn run(
     report: Option<&mut PassReport>,
 ) -> Result<CompiledCircuit, CompileError> {
     let mut passes = Passes { report };
-    let (store, front_end) = match reuse {
-        Reuse::Nothing => (None, false),
-        Reuse::FrontEnd(store) => (Some(store), true),
-        Reuse::Lowering(store) => (Some(store), false),
+    let store = match reuse {
+        Reuse::FrontEnd(store) => Some((store, ArtifactKey::of(circuit, grid, config))),
+        Reuse::Nothing | Reuse::Lowered => None,
     };
-    let store = store.map(|store| (store, ArtifactKey::of(circuit, grid, config)));
-    let cached = match store {
-        Some((store, key)) if front_end => store.get(&key),
-        _ => None,
-    };
+    let cached = store.and_then(|(store, key)| store.get(&key));
 
     let lowered = passes.run(Span::Lower, |stats| {
-        Ok(lower(circuit, config, store, cached.as_deref(), stats))
+        Ok(lower(circuit, config, reuse, cached.as_deref(), stats))
     })?;
     passes.run(Span::ValidateArity, |stats| {
         validate_arity(&lowered, config, stats)
     })?;
     let placement = passes.run(Span::Place, |stats| {
-        let deposit = store.filter(|_| front_end);
         place(
             &lowered,
             grid,
             config,
             scratch,
-            deposit,
+            store,
             cached.as_deref(),
             stats,
         )
@@ -151,30 +147,27 @@ pub fn run(
     })
 }
 
-/// `lower`: gate-set lowering via [`lower_for`], served from the store
-/// when it holds this compile's front-end artifacts or its lowering.
-/// Lowering is a pure function of (circuit, front-end config), so a
-/// cached copy is bit-identical to a fresh one. Stats: `gates`, and
-/// `reused` or `reused_lowered` on a hit.
+/// `lower`: gate-set lowering via [`lower_for`], unless the store holds
+/// this compile's front-end artifacts or the caller passed an already
+/// lowered circuit ([`Reuse::Lowered`]). Lowering is a pure function of
+/// (circuit, front-end config), so either copy is bit-identical to a
+/// fresh one. Stats: `gates`, and `reused` (store hit) or
+/// `reused_lowered` (pre-lowered input).
 fn lower(
     circuit: &Circuit,
     config: &CompilerConfig,
-    store: Option<(&ArtifactStore, ArtifactKey)>,
+    reuse: Reuse<'_>,
     cached: Option<&PassArtifacts>,
     stats: &mut Stats,
 ) -> Circuit {
     let lowered = if let Some(art) = cached {
         stats.set("reused", 1);
         (*art.lowered).clone()
-    } else if let Some(low) = store.and_then(|(store, key)| store.get_lowered(&key)) {
+    } else if matches!(reuse, Reuse::Lowered) {
         stats.set("reused_lowered", 1);
-        (*low).clone()
+        circuit.clone()
     } else {
-        let low = lower_for(circuit, config);
-        if let Some((store, key)) = store {
-            store.insert_lowered(key, Arc::new(low.clone()));
-        }
-        low
+        lower_for(circuit, config)
     };
     stats.set("gates", lowered.len() as u64);
     lowered
@@ -208,7 +201,8 @@ fn validate_arity(
 
 /// `place`: the cached placement on a front-end hit, else the
 /// lookahead-weighted initial placement, deposited with the lowering
-/// into `deposit` when given. Stats: `qubits`, and `reused` on a hit.
+/// into the [`Reuse::FrontEnd`] store when given. Stats: `qubits`, and
+/// `reused` on a hit.
 fn place(
     lowered: &Circuit,
     grid: &Grid,
@@ -409,11 +403,6 @@ pub struct PassArtifacts {
 pub struct ArtifactStore {
     map: Mutex<HashMap<ArtifactKey, Arc<PassArtifacts>>>,
     hits: AtomicU64,
-    /// The grid-independent lowering cache, keyed by (circuit, front)
-    /// only: lowering never reads the grid, so one entry serves every
-    /// hole pattern of the same program (the `FullRecompile` case).
-    lowered: Mutex<HashMap<(u64, u64), Arc<Circuit>>>,
-    lowered_hits: AtomicU64,
 }
 
 impl ArtifactStore {
@@ -455,45 +444,10 @@ impl ArtifactStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Looks up the cached lowering for `key`'s (circuit, front) pair
-    /// — the grid component is deliberately ignored — counting a hit
-    /// when present.
-    pub fn get_lowered(&self, key: &ArtifactKey) -> Option<Arc<Circuit>> {
-        let got = lock_recover(&self.lowered)
-            .get(&(key.circuit, key.front))
-            .cloned();
-        if got.is_some() {
-            self.lowered_hits.fetch_add(1, Ordering::Relaxed);
-            na_telemetry::add(na_telemetry::Counter::ArtifactLoweredHits, 1);
-            na_telemetry::trace::instant("artifact", "artifact_lowered_hit", Vec::new);
-        }
-        got
-    }
-
-    /// Deposits a lowered circuit under `key`'s (circuit, front) pair
-    /// (first insert wins).
-    pub fn insert_lowered(&self, key: ArtifactKey, lowered: Arc<Circuit>) {
-        lock_recover(&self.lowered)
-            .entry((key.circuit, key.front))
-            .or_insert(lowered);
-    }
-
-    /// Number of cached lowerings.
-    pub fn lowered_len(&self) -> usize {
-        lock_recover(&self.lowered).len()
-    }
-
-    /// Number of compilations that reused a cached lowering.
-    pub fn lowered_hits(&self) -> u64 {
-        self.lowered_hits.load(Ordering::Relaxed)
-    }
-
-    /// Drops every entry (both maps) and zeroes the hit counters.
+    /// Drops every entry and zeroes the hit counter.
     pub fn clear(&self) {
         lock_recover(&self.map).clear();
         self.hits.store(0, Ordering::Relaxed);
-        lock_recover(&self.lowered).clear();
-        self.lowered_hits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -618,53 +572,29 @@ mod tests {
     fn lowered_only_reuse_serves_across_grids_without_storing_placements() {
         let (c, grid, cfg) = inputs();
         let store = ArtifactStore::new();
+        let compiled = compile_reusing(&c, &grid, &cfg, Reuse::FrontEnd(&store));
+        assert_eq!(store.len(), 1);
 
-        // First compile on the pristine grid, lowering only: deposits
-        // one lowering, zero full artifacts.
-        let fresh = compile_reusing(&c, &grid, &cfg, Reuse::Lowering(&store));
-        assert_eq!(store.lowered_len(), 1);
-        assert_eq!(store.lowered_hits(), 0);
-        assert_eq!(store.len(), 0, "lowering-only reuse stores no placements");
-
-        // Recompile on a mutated grid (different grid fingerprint —
-        // the FullRecompile situation): the lowering is served, the
-        // full map stays empty, and the compile is bit-identical to one
-        // without a store.
+        // Recompile the schedule's own lowered circuit on a mutated
+        // grid (the FullRecompile situation): bit-identical to a fresh
+        // compile of the source program, reported as a reused
+        // lowering, and the store is neither read nor written.
         let mut holey = grid.clone();
         holey.remove_atom(Site::new(0, 0));
-        let reused = compile_reusing(&c, &holey, &cfg, Reuse::Lowering(&store));
-        assert_eq!(store.lowered_hits(), 1);
-        assert_eq!(store.lowered_len(), 1);
-        assert_eq!(store.len(), 0);
-        let direct = compile_reusing(&c, &holey, &cfg, Reuse::Nothing);
-        assert_eq!(reused, direct);
-
-        // A pre-seeded lowering (how campaigns seed the store from an
-        // already compiled schedule) hits immediately.
-        let seeded = ArtifactStore::new();
-        seeded.insert_lowered(
-            ArtifactKey::of(&c, &grid, &cfg),
-            Arc::new(fresh.circuit().clone()),
-        );
-        compile_reusing(&c, &holey, &cfg, Reuse::Lowering(&seeded));
-        assert_eq!(seeded.lowered_hits(), 1);
-
-        store.clear();
-        assert_eq!(store.lowered_len(), 0);
-        assert_eq!(store.lowered_hits(), 0);
-    }
-
-    #[test]
-    fn full_reuse_also_populates_the_lowering_cache() {
-        let (c, grid, cfg) = inputs();
-        let store = ArtifactStore::new();
-        compile_reusing(&c, &grid, &cfg, Reuse::FrontEnd(&store));
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.lowered_len(), 1);
-        // A full-artifact hit never needs the lowering map.
-        compile_reusing(&c, &grid, &cfg, Reuse::FrontEnd(&store));
-        assert_eq!(store.hits(), 1);
-        assert_eq!(store.lowered_hits(), 0);
+        let mut report = PassReport::default();
+        let reused = run(
+            compiled.circuit(),
+            &holey,
+            &cfg,
+            &mut PlacementScratch::new(),
+            Reuse::Lowered,
+            false,
+            Some(&mut report),
+        )
+        .unwrap();
+        assert_eq!(reused, compile_reusing(&c, &holey, &cfg, Reuse::Nothing));
+        assert_eq!(report.passes[0].stats["reused_lowered"], 1);
+        assert_eq!((store.len(), store.hits()), (1, 0));
     }
 
     #[test]

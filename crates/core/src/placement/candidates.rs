@@ -2,7 +2,7 @@
 //!
 //! The seed placer asked the grid for `usable_sites()` and the map for
 //! `is_free()` on every scan, re-walking the whole device bitmap per
-//! qubit placed. [`FreeSites`] materializes the free usable sites once
+//! qubit placed. `FreeSites` materializes the free usable sites once
 //! per placement and shrinks as sites are claimed, so every scan walks
 //! exactly the candidates that are still available — in the same
 //! row-major order `Grid::usable_sites` yields, which the tie-breaking

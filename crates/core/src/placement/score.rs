@@ -18,10 +18,10 @@
 //! ```
 //!
 //! (every mapped partner lies inside the bounding box, and Chebyshev
-//! distance lower-bounds Euclidean). [`prune_cutoff`] folds in a
+//! distance lower-bounds Euclidean). `prune_cutoff` folds in a
 //! relative + absolute slack so that f64 rounding in either side of
 //! the inequality can never prune a candidate the exact fold would
-//! have accepted, and [`exact_score_below`] rejects through monotone
+//! have accepted, and `exact_score_below` rejects through monotone
 //! partial sums, which need no slack at all.
 
 use crate::{CompileError, InteractionWeights, QubitMap};

@@ -17,7 +17,7 @@
 //! # Hot-path layout
 //!
 //! The inner loop runs over the precomputed
-//! [`InteractionGraph`](na_arch::InteractionGraph) and allocates
+//! [`InteractionGraph`] and allocates
 //! nothing per timestep in steady state: gate operands live in a
 //! flattened CSR table built once per compile, the per-step
 //! `ready`/`in_range`/zone collections are reusable buffers, completion
@@ -32,7 +32,7 @@
 //!
 //! # Telemetry split
 //!
-//! [`run`] is timed as a whole by the `route_schedule` pass span. It
+//! `run` is timed as a whole by the `route_schedule` pass span. It
 //! also accumulates its routing phases (SWAP insertion and forced BFS
 //! hops — phase 2/3 above) in a paused [`Span::Route`], recorded as
 //! one sample per compile, so the schedule-only time (frontier refill,

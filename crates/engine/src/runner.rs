@@ -837,8 +837,9 @@ mod tests {
     #[test]
     fn sharded_campaign_matches_the_serial_shard_fold_at_any_worker_count() {
         // The pool's fan-out (shards completing in scheduler order)
-        // must reproduce na_loss::run_campaign_sharded — the serial
-        // index-order fold over the same shard plan — bit for bit.
+        // must reproduce the serial index-order fold of
+        // na_loss::run_campaign_shard over the same shard plan, bit for
+        // bit.
         let cfg = na_loss::CampaignConfig::new(4.0, na_loss::Strategy::VirtualRemap)
             .with_target(na_loss::ShotTarget::Attempts(60))
             .with_seed(11);
@@ -858,16 +859,23 @@ mod tests {
         let key = CacheKey::for_point(&circuit, &grid, &compile_cfg);
         let summary = oracle_engine.cache().summary_for(&key, &compiled);
         let ranges = na_loss::shard_ranges(&cfg, 3).unwrap();
-        let oracle = na_loss::run_campaign_sharded(
-            &circuit,
-            &grid,
-            compiled,
-            summary,
-            &LossSpec::new(5).build(),
-            &cfg,
-            &ranges,
-        )
-        .unwrap();
+        let shard = |i: usize| {
+            na_loss::run_campaign_shard(
+                &circuit,
+                &grid,
+                Arc::clone(&compiled),
+                Arc::clone(&summary),
+                &LossSpec::new(5).build(),
+                &cfg,
+                i as u32,
+                ranges[i],
+            )
+            .unwrap()
+        };
+        let oracle = (1..ranges.len()).fold(shard(0), |mut merged, i| {
+            merged.merge(&shard(i));
+            merged
+        });
 
         let mut spec = ExperimentSpec::new("t", grid);
         spec.push(Benchmark::Bv, 12, 0, CompilerConfig::new(4.0), task);

@@ -155,9 +155,9 @@ pub enum Task {
     /// The same campaign, fanned out as `shards` independent shot
     /// ranges across the worker pool and merged in shard-index order.
     /// Shard 0 replays the serial campaign's RNG streams exactly; the
-    /// merged result is bit-identical to the serial fold of the same
-    /// shard plan ([`na_loss::run_campaign_sharded`]), not to the
-    /// unsharded campaign (different shard counts draw different
+    /// merged result is bit-identical to the serial index-order fold of
+    /// [`na_loss::run_campaign_shard`] over the same shard plan, not to
+    /// the unsharded campaign (different shard counts draw different
     /// streams by design).
     ShardedCampaign {
         /// Campaign parameters (strategy, target, overhead model…).

@@ -319,7 +319,7 @@ pub fn run_campaign(
         loss,
         cfg,
         cfg.seed,
-        ShardGoal::of(cfg),
+        ShardGoal::for_range(cfg, whole_campaign(cfg)),
     )
 }
 
@@ -333,7 +333,8 @@ pub fn run_campaign(
 /// timeline.
 ///
 /// `compiled`/`summary` must satisfy the
-/// [`StrategyState::with_compiled`] contract.
+/// [`StrategyState::with_compiled`] contract. This is shard 0 of the
+/// one-shard plan ([`run_campaign_shard`]).
 ///
 /// # Errors
 ///
@@ -348,16 +349,16 @@ pub fn run_campaign_precompiled(
     loss: LossModel,
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, CompileError> {
-    let state = StrategyState::with_compiled(
+    run_campaign_shard(
         program,
         grid_template,
-        cfg.hardware_mid,
-        cfg.strategy,
-        swap_budget_for(cfg),
         compiled,
         summary,
-    );
-    campaign_loop(state, 0.0, loss, cfg, cfg.seed, ShardGoal::of(cfg))
+        &loss,
+        cfg,
+        0,
+        whole_campaign(cfg),
+    )
 }
 
 /// Runs one shard of a campaign: `range.len` attempts on its own pair
@@ -367,8 +368,8 @@ pub fn run_campaign_precompiled(
 ///
 /// `shard 0` draws **exactly** the serial campaign's streams — success
 /// RNG seeded `cfg.seed`, loss model `base_loss` as configured — so a
-/// 1-shard campaign is bit-identical to [`run_campaign_precompiled`]
-/// (the 24 campaign golden digests pin this). Shard `i > 0` derives
+/// 1-shard campaign is the serial campaign, [`run_campaign`] (the 24
+/// campaign golden digests pin this). Shard `i > 0` derives
 /// `derive_seed(cfg.seed, i)` for success draws and
 /// `derive_seed(base_loss.seed(), i)` for the loss stream (SplitMix64,
 /// see [`crate::stats::shard_seed`]), giving every shard a
@@ -427,47 +428,9 @@ pub fn run_campaign_shard(
     )
 }
 
-/// The serial sharded-campaign oracle: runs every shard of `ranges` in
-/// index order on one thread and folds the results with
-/// [`CampaignResult::merge`]. The engine's parallel fan-out must equal
-/// this bit for bit at any worker count — the shard merge tests and
-/// the engine's sharded-campaign suite pin that.
-///
-/// Callers obtain `ranges` from [`shard_ranges`] (which validates the
-/// plan); a 1-shard plan reproduces [`run_campaign_precompiled`]
-/// exactly.
-///
-/// # Errors
-///
-/// The first shard error (deadline expiry or injected fault), in shard
-/// order.
-pub fn run_campaign_sharded(
-    program: &Circuit,
-    grid_template: &Grid,
-    compiled: std::sync::Arc<na_core::CompiledCircuit>,
-    summary: std::sync::Arc<crate::InteractionSummary>,
-    loss: &LossModel,
-    cfg: &CampaignConfig,
-    ranges: &[ShotRange],
-) -> Result<CampaignResult, CompileError> {
-    let mut merged: Option<CampaignResult> = None;
-    for (i, &range) in ranges.iter().enumerate() {
-        let shard = run_campaign_shard(
-            program,
-            grid_template,
-            std::sync::Arc::clone(&compiled),
-            std::sync::Arc::clone(&summary),
-            loss,
-            cfg,
-            i as u32,
-            range,
-        )?;
-        match merged.as_mut() {
-            None => merged = Some(shard),
-            Some(m) => m.merge(&shard),
-        }
-    }
-    Ok(merged.unwrap_or_default())
+/// The one-shard plan: the whole campaign as a single [`ShotRange`].
+fn whole_campaign(cfg: &CampaignConfig) -> ShotRange {
+    shard_ranges(cfg, 1).expect("a one-shard plan is always valid")[0]
 }
 
 fn swap_budget_for(cfg: &CampaignConfig) -> Option<u32> {
@@ -479,52 +442,36 @@ fn swap_budget_for(cfg: &CampaignConfig) -> Option<u32> {
 }
 
 /// A shard-local stop condition, resolved from the campaign target so
-/// the shot loop never consults global state.
+/// the shot loop never consults global state: the shard's attempt
+/// budget, and the campaign's success count for a `Successes` target.
 #[derive(Debug, Clone, Copy)]
-enum ShardGoal {
-    /// Run exactly this many attempts.
-    Attempts(u64),
-    /// Run until `successes` succeed, capped at `max_attempts`.
-    Successes { successes: u64, max_attempts: u64 },
+struct ShardGoal {
+    attempts: u64,
+    successes: u64,
 }
 
 impl ShardGoal {
-    /// The whole campaign as one shard — exactly the historical
-    /// `target`/`max_attempts` stop condition.
-    fn of(cfg: &CampaignConfig) -> ShardGoal {
-        match cfg.target {
-            ShotTarget::Attempts(n) => ShardGoal::Attempts(n.min(cfg.max_attempts)),
-            ShotTarget::Successes(n) => ShardGoal::Successes {
-                successes: n,
-                max_attempts: cfg.max_attempts,
-            },
-        }
-    }
-
-    /// One shard's slice of the campaign.
+    /// One shard's slice of the campaign; for the one-shard plan this
+    /// is exactly the campaign's `target`/`max_attempts` stop
+    /// condition.
     fn for_range(cfg: &CampaignConfig, range: ShotRange) -> ShardGoal {
-        match cfg.target {
-            ShotTarget::Attempts(_) => ShardGoal::Attempts(range.len),
-            ShotTarget::Successes(n) => ShardGoal::Successes {
-                successes: n,
-                max_attempts: range.len,
-            },
+        let successes = match cfg.target {
+            ShotTarget::Attempts(_) => u64::MAX, // never reached
+            ShotTarget::Successes(n) => n,
+        };
+        ShardGoal {
+            attempts: range.len,
+            successes,
         }
     }
 
     fn done(self, attempted: u64, successful: u64) -> bool {
-        match self {
-            ShardGoal::Attempts(n) => attempted >= n,
-            ShardGoal::Successes {
-                successes,
-                max_attempts,
-            } => successful >= successes || attempted >= max_attempts,
-        }
+        attempted >= self.attempts || successful >= self.successes
     }
 }
 
 /// The shared shot loop behind every campaign entry point — serial
-/// campaigns run it once with [`ShardGoal::of`], sharded campaigns run
+/// campaigns run it once over the one-shard plan, sharded campaigns run
 /// it once per shard with that shard's goal and derived `seed`.
 /// `compile_secs` is the measured initial-compilation time, recorded
 /// only into the optional timeline (never the digested ledger).
@@ -990,73 +937,48 @@ mod tests {
             .contains("cannot be split"));
     }
 
+    /// The serial sharded-campaign fold: every shard of the `shards`
+    /// plan in index order, merged with [`CampaignResult::merge`].
+    fn fold_shards(cfg: &CampaignConfig, loss: &LossModel, shards: u32) -> CampaignResult {
+        use std::sync::Arc;
+        let compile_cfg = na_core::CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
+        let compiled =
+            Arc::new(na_core::compile(&program(), &grid(), &compile_cfg).expect("compiles"));
+        let summary = Arc::new(crate::InteractionSummary::of(&compiled));
+        let shard = |(i, range): (usize, ShotRange)| {
+            let (c, s) = (Arc::clone(&compiled), Arc::clone(&summary));
+            run_campaign_shard(&program(), &grid(), c, s, loss, cfg, i as u32, range).unwrap()
+        };
+        let mut results = shard_ranges(cfg, shards)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(shard);
+        let first = results.next().expect("at least one shard");
+        results.fold(first, |mut merged, next| {
+            merged.merge(&next);
+            merged
+        })
+    }
+
     #[test]
     fn one_shard_is_bit_identical_to_the_serial_campaign() {
         // The seeding contract's anchor: shard 0 = the serial draw
         // order, for both target kinds.
-        use crate::InteractionSummary;
-        use std::sync::Arc;
         for target in [ShotTarget::Attempts(80), ShotTarget::Successes(25)] {
             let cfg = quick(Strategy::CompileSmallReroute, 0).with_target(target);
-            let compile_cfg =
-                na_core::CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
-            let compiled =
-                Arc::new(na_core::compile(&program(), &grid(), &compile_cfg).expect("compiles"));
-            let summary = Arc::new(InteractionSummary::of(&compiled));
-            let serial = run_campaign_precompiled(
-                &program(),
-                &grid(),
-                Arc::clone(&compiled),
-                Arc::clone(&summary),
-                LossModel::new(5),
-                &cfg,
-            )
-            .unwrap();
-            let ranges = shard_ranges(&cfg, 1).unwrap();
-            let sharded = run_campaign_sharded(
-                &program(),
-                &grid(),
-                compiled,
-                summary,
-                &LossModel::new(5),
-                &cfg,
-                &ranges,
-            )
-            .unwrap();
+            let serial = run_campaign(&program(), &grid(), LossModel::new(5), &cfg).unwrap();
+            let sharded = fold_shards(&cfg, &LossModel::new(5), 1);
             assert_eq!(sharded, serial, "{target:?}");
         }
     }
 
     #[test]
     fn merged_shards_conserve_exact_counters() {
-        use crate::InteractionSummary;
-        use std::sync::Arc;
         let cfg = quick(Strategy::VirtualRemap, 120);
-        let compile_cfg = na_core::CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
-        let compiled =
-            Arc::new(na_core::compile(&program(), &grid(), &compile_cfg).expect("compiles"));
-        let summary = Arc::new(InteractionSummary::of(&compiled));
         let loss = LossModel::new(5);
-        let one = run_campaign_sharded(
-            &program(),
-            &grid(),
-            Arc::clone(&compiled),
-            Arc::clone(&summary),
-            &loss,
-            &cfg,
-            &shard_ranges(&cfg, 1).unwrap(),
-        )
-        .unwrap();
-        let four = run_campaign_sharded(
-            &program(),
-            &grid(),
-            compiled,
-            summary,
-            &loss,
-            &cfg,
-            &shard_ranges(&cfg, 4).unwrap(),
-        )
-        .unwrap();
+        let one = fold_shards(&cfg, &loss, 1);
+        let four = fold_shards(&cfg, &loss, 4);
         // Different shard counts draw different streams (by design —
         // each shard is an independent segment), but the attempt budget
         // and the bookkeeping identities are exact at any split.

@@ -37,8 +37,8 @@ pub mod timeline;
 pub mod tolerance;
 
 pub use executor::{
-    run_campaign, run_campaign_precompiled, run_campaign_shard, run_campaign_sharded, shard_ranges,
-    CampaignConfig, CampaignResult, ShardPlanError, ShotRange, ShotTarget,
+    run_campaign, run_campaign_precompiled, run_campaign_shard, shard_ranges, CampaignConfig,
+    CampaignResult, ShardPlanError, ShotRange, ShotTarget,
 };
 pub use model::LossModel;
 pub use overhead::{OverheadLedger, OverheadTimes, RecompileCost};

@@ -226,6 +226,7 @@ pub fn fixup_swaps_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use na_arch::ShiftScratch;
     use na_circuit::{Circuit, Qubit};
     use na_core::{compile, CompilerConfig};
 
@@ -273,7 +274,8 @@ mod tests {
         g.remove_atom(s0);
         let dir = vmap.best_shift_direction(&g, s0, &in_use).unwrap();
         assert_eq!(dir, na_arch::Direction::East);
-        vmap.shift_from(&g, s0, dir, &in_use).unwrap();
+        vmap.shift_from_with(&g, s0, dir, &in_use, &mut ShiftScratch::new())
+            .unwrap();
         assert_eq!(vmap.resolve(s0), Site::new(4, 0));
 
         let span = max_resolved_span(&compiled, &vmap);
@@ -319,7 +321,10 @@ mod tests {
                 let Some(dir) = vmap.best_shift_direction(&g, victim, &in_use) else {
                     break;
                 };
-                if vmap.shift_from(&g, victim, dir, &in_use).is_err() {
+                if vmap
+                    .shift_from_with(&g, victim, dir, &in_use, &mut ShiftScratch::new())
+                    .is_err()
+                {
                     break;
                 }
             }

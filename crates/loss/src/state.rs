@@ -12,8 +12,8 @@ use crate::Strategy;
 use na_arch::{BfsScratch, Grid, InteractionGraph, ShiftScratch, Site, VirtualMap};
 use na_circuit::Circuit;
 use na_core::{
-    compile_with, run_passes, ArtifactKey, ArtifactStore, CompileError, CompiledCircuit,
-    CompilerConfig, PlacementScratch, Reuse,
+    compile_with, run_passes, CompileError, CompiledCircuit, CompilerConfig, PlacementScratch,
+    Reuse,
 };
 use na_telemetry::Span;
 use std::sync::Arc;
@@ -39,11 +39,14 @@ pub enum LossOutcome {
 pub struct StrategyState {
     strategy: Strategy,
     hardware_mid: f64,
-    program: Circuit,
     compiler_config: CompilerConfig,
     grid_template: Grid,
     grid: Grid,
     vmap: VirtualMap,
+    /// The schedule compiled for the full grid. Its
+    /// [`CompiledCircuit::circuit`] is the program's lowering, which
+    /// every FullRecompile recompiles from: lowering never reads the
+    /// grid, so the holes cannot change it.
     original: Arc<CompiledCircuit>,
     compiled: Arc<CompiledCircuit>,
     used_addresses: Vec<Site>,
@@ -73,13 +76,6 @@ pub struct StrategyState {
     /// the live grid's [`Grid::usable_mask`] as the hole pattern — no
     /// per-loss-event graph rebuild and no mirror bookkeeping.
     full_graph: Arc<InteractionGraph>,
-    /// Per-campaign artifact store, pre-seeded with the compiled
-    /// schedule's (grid-independent) lowered circuit so FullRecompile's
-    /// per-loss recompilations reuse the lowering instead of
-    /// re-lowering on every loss event. `Arc` so cloning the state
-    /// shares the cache (it is keyed by fingerprints, so sharing is
-    /// always sound).
-    artifacts: Arc<ArtifactStore>,
 }
 
 impl StrategyState {
@@ -134,8 +130,9 @@ impl StrategyState {
     ///
     /// # Panics
     ///
-    /// Debug builds assert the compiled schedule's MID matches the
-    /// strategy's compile MID.
+    /// Debug builds assert the contract: the compiled schedule's MID is
+    /// the strategy's compile MID, and its circuit is the lowering of
+    /// `program`.
     pub fn with_compiled(
         program: &Circuit,
         grid_template: &Grid,
@@ -151,25 +148,18 @@ impl StrategyState {
             cfg.mid,
             "precompiled schedule MID does not match the strategy's compile MID"
         );
+        debug_assert_eq!(
+            *compiled.circuit(),
+            na_core::lower_for(program, &cfg),
+            "precompiled schedule is not a compilation of `program`"
+        );
         let used = compiled.used_sites().to_vec();
         // Every state on the same device and MID shares one cached
         // graph; holes are threaded through `usable_mask`.
         let full_graph = InteractionGraph::cached(grid_template, hardware_mid);
-        // `CompiledCircuit::circuit()` *is* the pipeline's lowered
-        // circuit (finalize stores it verbatim), and lowering never
-        // reads the grid — so the cached compilation seeds the
-        // per-campaign lowering cache without running a pass.
-        let artifacts = Arc::new(ArtifactStore::new());
-        if strategy == Strategy::FullRecompile {
-            artifacts.insert_lowered(
-                ArtifactKey::of(program, grid_template, &cfg),
-                Arc::new(compiled.circuit().clone()),
-            );
-        }
         StrategyState {
             strategy,
             hardware_mid,
-            program: program.clone(),
             compiler_config: cfg,
             grid_template: grid_template.clone(),
             grid: grid_template.clone(),
@@ -184,7 +174,6 @@ impl StrategyState {
             placement_scratch: PlacementScratch::new(),
             summary,
             full_graph,
-            artifacts,
         }
     }
 
@@ -272,20 +261,18 @@ impl StrategyState {
             Strategy::FullRecompile => {
                 let span = na_telemetry::span_timed(Span::Recompile);
                 // Recompile through the same passes as the compile
-                // path, against the live holey grid. The holes change
-                // the grid fingerprint, so full front-end artifacts
-                // cannot be reused — but lowering never reads the
-                // grid, so the per-campaign store serves the
-                // schedule's lowered circuit (pre-seeded at
-                // construction) instead of re-lowering per loss event.
-                // Bit-identical by the artifact-reuse contract; the
-                // campaign digests pin it.
+                // path, against the live holey grid. Lowering never
+                // reads the grid, so the original schedule's lowered
+                // circuit is passed in as is instead of re-lowering
+                // per loss event; placement and routing run afresh.
+                // Bit-identical to compiling the program; the campaign
+                // digests pin it.
                 match run_passes(
-                    &self.program,
+                    self.original.circuit(),
                     &self.grid,
                     &self.compiler_config,
                     &mut self.placement_scratch,
-                    Reuse::Lowering(&self.artifacts),
+                    Reuse::Lowered,
                     false,
                     None,
                 ) {

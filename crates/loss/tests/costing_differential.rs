@@ -4,10 +4,9 @@
 //! The fast path answers `resolved_ok`/`fixup_swaps` from a
 //! precomputed [`InteractionSummary`] and a hole-masked full-grid
 //! [`InteractionGraph`]; the reference path walks every scheduled op
-//! and rebuilds a CSR graph from the holey grid per call. On random
-//! loss sequences over random programs the two must agree exactly —
-//! same go/no-go verdicts, same SWAP totals, same `None`s on
-//! disconnection.
+//! and runs one BFS per out-of-range pair. On random loss sequences
+//! over random programs the two must agree exactly — same go/no-go
+//! verdicts, same SWAP totals, same `None`s on disconnection.
 
 use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
 use na_benchmarks::Benchmark;
@@ -53,7 +52,10 @@ fn summary_costing_matches_reference_under_random_loss() {
                 let Some(dir) = vmap.best_shift_direction(&g, victim, &in_use) else {
                     break;
                 };
-                if vmap.shift_from(&g, victim, dir, &in_use).is_err() {
+                if vmap
+                    .shift_from_with(&g, victim, dir, &in_use, &mut na_arch::ShiftScratch::new())
+                    .is_err()
+                {
                     break;
                 }
             }

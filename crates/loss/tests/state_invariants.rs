@@ -21,8 +21,10 @@ const ALL_STRATEGIES: [Strategy; 6] = [
 ];
 
 /// Whatever happens, program atoms stay on usable traps, fixup SWAPs
-/// stay zero for non-rerouting strategies, and a reload always
-/// restores the pristine state.
+/// stay zero for non-rerouting strategies, a recompile (which starts
+/// from the original schedule's lowered circuit) equals a fresh compile
+/// of the program on the holey grid, and a reload always restores the
+/// pristine state.
 #[test]
 fn random_loss_sequences_preserve_invariants() {
     let mut rng = StdRng::seed_from_u64(0xF00D);
@@ -79,6 +81,9 @@ fn random_loss_sequences_preserve_invariants() {
                     if strategy == Strategy::FullRecompile {
                         na_core::verify(state.compiled(), state.grid())
                             .expect("recompiled schedule verifies");
+                        let config = na_core::CompilerConfig::new(strategy.compile_mid(mid));
+                        let fresh = na_core::compile(&program, state.grid(), &config);
+                        assert_eq!(Ok(state.compiled()), fresh.as_ref(), "case {case}");
                     }
                 }
             }

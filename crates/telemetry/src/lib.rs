@@ -135,8 +135,6 @@ keys! {
         CompileCacheMisses => "compile_cache_misses",
         /// Artifact-store placement reuses across MID points.
         ArtifactHits => "artifact_hits",
-        /// Artifact-store lowered-circuit reuses across MID points.
-        ArtifactLoweredHits => "artifact_lowered_hits",
         /// Scheduled operations emitted across all compiles.
         OpsScheduled => "ops_scheduled",
         /// Loss-campaign shots attempted.

@@ -3,7 +3,7 @@
 //!
 //! Where the [`Recorder`](crate::Recorder) aggregates (counters,
 //! histograms), this module keeps the *timeline*: the traced
-//! [`Span`](crate::Span)s (one per compile pass, per engine job, per
+//! [`Span`]s (one per compile pass, per engine job, per
 //! campaign shard) as begin/end pairs, with instant events for cache
 //! hits, artifact reuse, faults, and deadline expiries. The export
 //! loads directly in Perfetto / `chrome://tracing`.
@@ -44,7 +44,7 @@ static NEXT_LAZY_TID: AtomicU64 = AtomicU64::new(LAZY_TID_BASE);
 /// Events dropped because a thread buffer hit [`BUFFER_CAP`].
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
-/// First lazily allocated tid (see [`NEXT_LAZY_TID`]).
+/// First lazily allocated tid (see `NEXT_LAZY_TID`).
 pub const LAZY_TID_BASE: u64 = 100;
 
 /// Virtual track base for whole-job spans of sharded campaign jobs:

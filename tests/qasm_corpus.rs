@@ -3,12 +3,21 @@
 //! fingerprint intact, prove state-vector equivalence against its
 //! two-qubit lowering, and compile on the paper grid. CI runs this
 //! suite as the corpus smoke step.
+//!
+//! The corpus also seeds a mutation fuzzer: byte flips, truncations and
+//! token splices of it must parse to a circuit or a typed `QasmError`,
+//! and a parsed circuit that fits a 10×10 grid must compile or fail
+//! with a typed `CompileError`, never panic. The mutation stream has a
+//! fixed seed, so a failure reproduces by case number.
 
 use natoms::arch::Grid;
-use natoms::circuit::qasm::{parse_qasm, to_qasm};
+use natoms::circuit::qasm::{parse_qasm, to_qasm, QasmErrorKind};
 use natoms::circuit::sim::{circuits_equivalent, StateVector, MAX_QUBITS};
 use natoms::circuit::{decompose_circuit, Circuit, DecomposeLevel};
 use natoms::compiler::{compile, verify, CompilerConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -17,7 +26,8 @@ fn corpus_dir() -> PathBuf {
         .join("qasm")
 }
 
-fn corpus() -> Vec<(String, Circuit)> {
+/// Every corpus file's name and source, in name order.
+fn sources() -> Vec<(String, String)> {
     let mut files: Vec<_> = std::fs::read_dir(corpus_dir())
         .expect("examples/qasm exists")
         .map(|e| e.expect("readable dir entry").path())
@@ -30,6 +40,15 @@ fn corpus() -> Vec<(String, Circuit)> {
         .map(|path| {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             let src = std::fs::read_to_string(&path).expect("readable corpus file");
+            (name, src)
+        })
+        .collect()
+}
+
+fn corpus() -> Vec<(String, Circuit)> {
+    sources()
+        .into_iter()
+        .map(|(name, src)| {
             let circuit =
                 parse_qasm(&src).unwrap_or_else(|e| panic!("{name} failed to parse: {e}"));
             (name, circuit)
@@ -149,4 +168,102 @@ fn corpus_circuits_run_a_loss_campaign_end_to_end() {
     let result = run_campaign(&c, &Grid::new(10, 10), LossModel::new(7), &cfg).unwrap();
     assert_eq!(result.shots_attempted, 40);
     assert!(result.shots_successful > 0, "GHZ campaign never succeeded");
+}
+
+/// Splice units: runs of word bytes, runs of whitespace, and single
+/// punctuation bytes.
+fn tokens(src: &[u8]) -> Vec<&[u8]> {
+    let class = |b: u8| match b {
+        b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'.' => 0,
+        b' ' | b'\t' | b'\n' | b'\r' => 1,
+        _ => 2,
+    };
+    let mut out = Vec::new();
+    let mut start = 0;
+    for i in 1..=src.len() {
+        if i == src.len() || class(src[i]) != class(src[start]) || class(src[i]) == 2 {
+            out.push(&src[start..i]);
+            start = i;
+        }
+    }
+    out
+}
+
+fn mutate(src: &[u8], corpus: &[Vec<u8>], rng: &mut StdRng) -> Vec<u8> {
+    let mut out = src.to_vec();
+    match rng.gen_range(0..4u32) {
+        // Bit flips, possibly leaving ASCII (decoded lossily to U+FFFD).
+        0 => {
+            for _ in 0..rng.gen_range(1..5) {
+                let i = rng.gen_range(0..out.len());
+                out[i] ^= 1u8 << rng.gen_range(0..8u32);
+            }
+        }
+        1 => out.truncate(rng.gen_range(0..out.len())),
+        // Token splices: a run of up to 8 tokens from any corpus file
+        // replaces up to 8 tokens; an empty run deletes, an empty range
+        // inserts.
+        _ => {
+            let donor = tokens(&corpus[rng.gen_range(0..corpus.len())]);
+            let mut toks = tokens(src);
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..=toks.len());
+                let end = (at + rng.gen_range(0..=8usize)).min(toks.len());
+                let from = rng.gen_range(0..donor.len());
+                let to = (from + rng.gen_range(0..=8usize)).min(donor.len());
+                toks.splice(at..end, donor[from..to].iter().copied());
+            }
+            out = toks.concat();
+        }
+    }
+    out
+}
+
+#[test]
+fn mutated_corpus_never_panics_the_importer_or_the_compiler() {
+    let corpus: Vec<Vec<u8>> = sources().into_iter().map(|(_, s)| s.into_bytes()).collect();
+    let grid = Grid::new(10, 10);
+    let mut rng = StdRng::seed_from_u64(0x9A5E);
+    let mut parsed = 0;
+    for case in 0..2_000 {
+        let src = &corpus[rng.gen_range(0..corpus.len())];
+        let text = String::from_utf8_lossy(&mutate(src, &corpus, &mut rng)).into_owned();
+        let mid = f64::from(rng.gen_range(1..4u32));
+        let Ok(result) = catch_unwind(|| parse_qasm(&text)) else {
+            panic!("case {case}: parse_qasm panicked on:\n{text}");
+        };
+        let Ok(circuit) = result else { continue };
+        parsed += 1;
+        if circuit.num_qubits() as usize <= grid.num_sites() {
+            let config = CompilerConfig::new(mid);
+            let compiled = catch_unwind(AssertUnwindSafe(|| compile(&circuit, &grid, &config)));
+            assert!(
+                compiled.is_ok(),
+                "case {case}: compile at MID {mid} panicked on:\n{text}"
+            );
+        }
+    }
+    assert!(parsed > 100, "only {parsed} of 2000 mutants parsed");
+}
+
+/// Regression: a qubit total past `u32::MAX` overflowed (a panic in
+/// debug builds), and deeply nested or very long angle expressions
+/// overflowed the stack (an abort).
+#[test]
+fn oversized_registers_and_expressions_are_typed_errors() {
+    let deep = 100_000;
+    let too_long = vec!["1"; deep].join("+");
+    for stmts in [
+        "qreg a[4294967295];\nqreg b[1];\n".to_string(),
+        format!("qreg q[1];\nrz({}1) q[0];\n", "(".repeat(deep)),
+        format!("qreg q[1];\nrz({}1) q[0];\n", "-".repeat(deep)),
+        format!("qreg q[1];\nrz({}1) q[0];\n", "sin(".repeat(deep)),
+        format!("qreg q[1];\nrz({}1) q[0];\n", "2^".repeat(deep)),
+        format!("qreg q[1];\nrz({too_long}) q[0];\n"),
+    ] {
+        let err = parse_qasm(&format!("OPENQASM 2.0;\n{stmts}")).unwrap_err();
+        assert!(matches!(err.kind, QasmErrorKind::Unsupported(_)), "{err}");
+    }
+    let sum = vec!["1"; 200].join("+");
+    assert!(parse_qasm(&format!("OPENQASM 2.0;\nqreg q[1];\nrz({sum}) q[0];\n")).is_ok());
 }

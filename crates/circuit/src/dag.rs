@@ -5,7 +5,8 @@
 //! operands. [`CircuitDag::layers`] gives the ASAP layering used by the
 //! paper's lookahead weight `w(u,v) = Σ_{ℓ≥ℓc} e^{-|ℓc-ℓ|}`, and
 //! [`Frontier`] is the mutable cursor the scheduler advances gate by
-//! gate.
+//! gate. [`Frontier::window_into`] layers only the gates within the
+//! lookahead depth of that cursor.
 
 use crate::{Circuit, Qubit};
 use std::collections::HashMap;
@@ -150,7 +151,9 @@ impl CircuitDag {
 ///
 /// The scheduler repeatedly inspects [`Frontier::ready`], picks a set of
 /// gates to execute this timestep, and calls [`Frontier::complete`] for
-/// each, which unlocks successors.
+/// each, which unlocks successors. Its per-gate in-degree counts the
+/// *unexecuted* predecessors, which is what seeds the lookahead walk of
+/// [`Frontier::window_into`].
 #[derive(Debug, Clone)]
 pub struct Frontier<'a> {
     dag: &'a CircuitDag,
@@ -212,38 +215,77 @@ impl<'a> Frontier<'a> {
         newly
     }
 
-    /// ASAP layer of every *unexecuted* gate relative to the current
-    /// frontier (ready gates are layer 0). Executed gates map to `None`.
+    /// Every unexecuted gate whose ASAP layer relative to the current
+    /// frontier is at most `depth`, as `(gate, layer)` in layer order
+    /// (ready gates are layer 0).
     ///
-    /// This is the `ℓ - ℓc` term of the paper's lookahead weight,
-    /// recomputed as the schedule advances.
-    pub fn remaining_layers(&self) -> Vec<Option<usize>> {
-        let mut rel = Vec::new();
-        self.remaining_layers_into(&mut rel);
-        rel
+    /// This is the window of the paper's lookahead weight: `layer` is
+    /// its `ℓ - ℓc` term, recomputed as the schedule advances. The walk
+    /// is Kahn's layering seeded with the ready gates. A successor's
+    /// count of unexecuted predecessors starts from the cursor's
+    /// in-degree and drops as each of them is placed; at zero the
+    /// successor joins the next layer. The walk stops after layer
+    /// `depth`, so its work scales with the window, not the circuit.
+    pub fn window_into(
+        &self,
+        depth: usize,
+        scratch: &mut WindowScratch,
+        out: &mut Vec<(GateId, usize)>,
+    ) {
+        let epoch = scratch.next_epoch(self.dag.len());
+        out.clear();
+        out.extend(self.ready.iter().map(|&g| (g, 0)));
+        let (mut start, mut layer) = (0, 0);
+        while start < out.len() && layer < depth {
+            let end = out.len();
+            for k in start..end {
+                for &s in self.dag.succs(out[k].0) {
+                    let (stamp, left) = &mut scratch.left[s.0];
+                    if *stamp != epoch {
+                        *stamp = epoch;
+                        *left = self.indegree[s.0] as u32;
+                    }
+                    *left -= 1;
+                    if *left == 0 {
+                        out.push((s, layer + 1));
+                    }
+                }
+            }
+            start = end;
+            layer += 1;
+        }
+    }
+}
+
+/// Reusable working memory for [`Frontier::window_into`]: per gate,
+/// the count of predecessors not yet placed in the window. A count is
+/// valid only where stamped with the current walk's epoch, so a walk
+/// never pays to reset them.
+#[derive(Debug, Clone, Default)]
+pub struct WindowScratch {
+    epoch: u32,
+    /// `(epoch stamp, predecessors left)` per gate.
+    left: Vec<(u32, u32)>,
+}
+
+impl WindowScratch {
+    /// Fresh scratch; grows to the circuit's gate count on first use.
+    pub fn new() -> Self {
+        WindowScratch::default()
     }
 
-    /// [`Frontier::remaining_layers`] into a caller-owned buffer, so a
-    /// scheduler recomputing layers every step reuses one allocation.
-    pub fn remaining_layers_into(&self, rel: &mut Vec<Option<usize>>) {
-        let n = self.dag.len();
-        rel.clear();
-        rel.resize(n, None);
-        // Process in id order: predecessors always have smaller ids
-        // because gates are appended in program order.
-        for i in 0..n {
-            if self.executed[i] {
-                continue;
-            }
-            let l = self
-                .dag
-                .preds(GateId(i))
-                .iter()
-                .filter_map(|p| rel[p.0].map(|x| x + 1))
-                .max()
-                .unwrap_or(0);
-            rel[i] = Some(l);
+    /// Starts a walk over `n` gates and returns its epoch.
+    fn next_epoch(&mut self, n: usize) -> u32 {
+        if self.left.len() < n {
+            self.left.resize(n, (0, 0));
         }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: clear every stamp so none can match a live epoch.
+            self.left.fill((0, 0));
+            self.epoch = 1;
+        }
+        self.epoch
     }
 }
 
@@ -325,16 +367,46 @@ mod tests {
         f.complete(GateId(2));
     }
 
+    /// Reference oracle for [`Frontier::window_into`]: the relative
+    /// ASAP layer of every unexecuted gate (`None` once executed), by a
+    /// full walk of the circuit in id order. Predecessors always have
+    /// smaller ids because gates are appended in program order.
+    fn remaining_layers(f: &Frontier<'_>) -> Vec<Option<usize>> {
+        let mut rel: Vec<Option<usize>> = vec![None; f.dag.len()];
+        for i in 0..f.dag.len() {
+            if f.is_executed(GateId(i)) {
+                continue;
+            }
+            let l = f
+                .dag
+                .preds(GateId(i))
+                .iter()
+                .filter_map(|p| rel[p.0].map(|x| x + 1))
+                .max()
+                .unwrap_or(0);
+            rel[i] = Some(l);
+        }
+        rel
+    }
+
+    fn window(f: &Frontier<'_>, depth: usize) -> Vec<(GateId, usize)> {
+        let mut out = Vec::new();
+        f.window_into(depth, &mut WindowScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     #[allow(clippy::needless_range_loop)]
     fn remaining_layers_initially_match_dag_layers() {
         let c = chain_circuit();
         let dag = c.dag();
         let f = dag.frontier();
-        let rel = f.remaining_layers();
+        let rel = remaining_layers(&f);
         for i in 0..dag.len() {
             assert_eq!(rel[i], Some(dag.layer(GateId(i))));
         }
+        let all = (0..dag.len()).map(|i| (GateId(i), i)).collect::<Vec<_>>();
+        assert_eq!(window(&f, usize::MAX), all);
     }
 
     #[test]
@@ -343,10 +415,11 @@ mod tests {
         let dag = c.dag();
         let mut f = dag.frontier();
         f.complete(GateId(0));
-        let rel = f.remaining_layers();
+        let rel = remaining_layers(&f);
         assert_eq!(rel[0], None);
         assert_eq!(rel[1], Some(0));
         assert_eq!(rel[2], Some(1));
+        assert_eq!(window(&f, 20), vec![(GateId(1), 0), (GateId(2), 1)]);
     }
 
     /// Generates a random circuit over at most `max_qubits` qubits for
@@ -416,6 +489,65 @@ mod tests {
             let dag = c.dag();
             let total: usize = dag.layers().iter().map(Vec::len).sum();
             assert_eq!(total, dag.len());
+        }
+    }
+
+    /// [`arb_circuit`] plus 3-qubit gates and gates that repeat an
+    /// earlier gate's operands (merged predecessor edges).
+    fn arb_wide_circuit(rng: &mut StdRng, max_qubits: u32, max_gates: usize) -> Circuit {
+        let mut c = arb_circuit(rng, max_qubits.max(3), max_gates);
+        let n = c.num_qubits();
+        for _ in 0..rng.gen_range(0..max_gates) {
+            let q = Qubit(rng.gen_range(0..n));
+            let a = Qubit((q.0 + 1) % n);
+            let b = Qubit((q.0 + 2) % n);
+            match rng.gen_range(0..3u8) {
+                0 if n >= 3 => {
+                    c.toffoli(q, a, b);
+                }
+                1 => {
+                    c.cnot(q, a);
+                    c.cz(a, q);
+                }
+                _ => {
+                    c.cnot(q, a);
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn prop_window_matches_remaining_layers() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut scratch = WindowScratch::new();
+        let mut out = Vec::new();
+        for _ in 0..48 {
+            let c = arb_wide_circuit(&mut rng, 7, 40);
+            let dag = c.dag();
+            let mut f = dag.frontier();
+            loop {
+                let rel = remaining_layers(&f);
+                for depth in [0, 1, 2, 5, 20, usize::MAX] {
+                    // One scratch across circuits and depths exercises
+                    // the epoch stamps.
+                    f.window_into(depth, &mut scratch, &mut out);
+                    assert!(out.windows(2).all(|p| p[0].1 <= p[1].1));
+                    let mut got = out.clone();
+                    got.sort_unstable();
+                    let want: Vec<(GateId, usize)> = rel
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, l)| l.filter(|&l| l <= depth).map(|l| (GateId(i), l)))
+                        .collect();
+                    assert_eq!(got, want, "depth {depth}");
+                }
+                if f.is_done() {
+                    break;
+                }
+                let next = f.ready()[rng.gen_range(0..f.ready().len())];
+                f.complete(next);
+            }
         }
     }
 }

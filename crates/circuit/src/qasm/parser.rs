@@ -41,6 +41,12 @@ const MAX_MACRO_DEPTH: u32 = 64;
 /// is a typed error instead of a stack overflow.
 const MAX_EXPR_OPERANDS: u32 = 256;
 
+/// Qubit total limit across every `qreg`. Far above any device natoms
+/// models, it stops a declared register from sizing the allocation: a
+/// broadcast over `qreg q[4000000000];` would otherwise ask for one
+/// gate per qubit and run out of memory.
+const MAX_QUBITS: u32 = 1 << 16;
+
 /// Parses an OpenQASM 2.0 source string into a [`Circuit`].
 ///
 /// The returned circuit's register is the concatenation of every
@@ -446,12 +452,13 @@ impl Parser {
         self.expect(&Tok::RBracket, "']'")?;
         self.expect(&Tok::Semi, "';' after the register declaration")?;
         if quantum {
-            let Some(total) = self.num_qubits.checked_add(size) else {
-                let what = format!("more than {} qubits", u32::MAX);
+            // `num_qubits` never exceeds the limit, so this cannot wrap.
+            if size > MAX_QUBITS - self.num_qubits {
+                let what = format!("more than {MAX_QUBITS} qubits");
                 return Err(self.err_at(&st, QasmErrorKind::Unsupported(what)));
-            };
+            }
             self.qregs.insert(name, (self.num_qubits, size));
-            self.num_qubits = total;
+            self.num_qubits += size;
         } else {
             self.cregs.insert(name, size);
         }

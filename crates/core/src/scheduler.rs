@@ -24,27 +24,34 @@
 //! is a bit mask, zone conflicts go through a bounding-box prefilter,
 //! and lookahead weights are rebuilt lazily (only when a completed gate
 //! has shifted the frontier *and* a long-distance gate actually needs a
-//! SWAP scored) into reused adjacency buffers. Emitted ops store their
-//! operand sites in an inline [`SiteList`] (up to three sites — SWAPs,
-//! 1q/2q gates, native Toffolis — with a heap spill only for larger
-//! CNX decompositions), so in steady state the loop allocates nothing
-//! per op beyond the `ops` vector's amortized growth.
+//! SWAP scored) into reused adjacency buffers. A rebuild walks only the
+//! `lookahead_depth` layers ahead of the frontier
+//! ([`Frontier::window_into`]), so its work scales with that window,
+//! not with the circuit. Emitted ops store their operand sites in an
+//! inline [`SiteList`] (up to three sites — SWAPs, 1q/2q gates, native
+//! Toffolis — with a heap spill only for larger CNX decompositions),
+//! so in steady state the loop allocates nothing per op beyond the
+//! `ops` vector's amortized growth.
 //!
 //! # Telemetry split
 //!
 //! `run` is timed as a whole by the `route_schedule` pass span. It
-//! also accumulates its routing phases (SWAP insertion and forced BFS
-//! hops — phase 2/3 above) in a paused [`Span::Route`], recorded as
-//! one sample per compile, so the schedule-only time (frontier refill,
-//! in-range packing, zone claims) is `route_schedule − route`. With
-//! metrics off the route span reads no clock; it is metrics-only and
-//! strictly observational.
+//! also accumulates two phases in paused spans, each recorded as one
+//! sample per compile: the routing phases (SWAP insertion and forced
+//! BFS hops — phase 2/3 above) in [`Span::Route`], and the lookahead
+//! weight rebuilds in [`Span::Lookahead`]. `route` is paused around
+//! each rebuild, so the schedule-only time (frontier refill, in-range
+//! packing, zone claims) is `route_schedule − route − lookahead`. The
+//! counters `weight_rebuilds` and `lookahead_gates_visited` count the
+//! rebuilds and the gates their windows hold. With metrics off neither
+//! span reads a clock; both are metrics-only and strictly
+//! observational.
 
 use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites};
 use crate::{CompileError, CompilerConfig, InteractionWeights, QubitMap, WeightScratch};
 use na_arch::{BfsScratch, Grid, InteractionGraph, RestrictionPolicy, Site};
-use na_circuit::{Circuit, Frontier, GateId, Qubit};
-use na_telemetry::Span;
+use na_circuit::{Circuit, Frontier, GateId, Qubit, WindowScratch};
+use na_telemetry::{Counter, Span};
 use std::fmt;
 
 /// One operation in the compiled schedule.
@@ -253,11 +260,6 @@ impl GateOperands {
         GateOperands { offsets, qubits }
     }
 
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Operands of gate `id`, controls first.
     #[inline]
     pub(crate) fn get(&self, id: usize) -> &[Qubit] {
@@ -396,16 +398,8 @@ pub(crate) fn run(
     // read when a long-distance gate needs a SWAP scored — rebuild
     // lazily at first use after a completion.
     let mut weights = InteractionWeights::empty(circuit.num_qubits());
-    let mut weight_scratch = WeightScratch::new();
-    let mut layer_scratch: Vec<Option<usize>> = Vec::new();
-    rebuild_weights(
-        &operands,
-        &frontier,
-        config.lookahead_depth,
-        &mut layer_scratch,
-        &mut weight_scratch,
-        &mut weights,
-    );
+    let mut lookahead = Lookahead::new();
+    lookahead.rebuild(&operands, &frontier, config.lookahead_depth, &mut weights);
     let mut weights_dirty = false;
 
     // Reusable per-step buffers (see module docs).
@@ -493,14 +487,9 @@ pub(crate) fn run(
                 continue;
             }
             if weights_dirty {
-                rebuild_weights(
-                    &operands,
-                    &frontier,
-                    config.lookahead_depth,
-                    &mut layer_scratch,
-                    &mut weight_scratch,
-                    &mut weights,
-                );
+                route.pause();
+                lookahead.rebuild(&operands, &frontier, config.lookahead_depth, &mut weights);
+                route.resume();
                 weights_dirty = false;
             }
             let Some(mv) = best_swap_for_gate(
@@ -571,33 +560,84 @@ pub(crate) fn frontier_weights(
 ) -> InteractionWeights {
     let operands = GateOperands::of(circuit);
     let mut weights = InteractionWeights::empty(circuit.num_qubits());
-    rebuild_weights(
-        &operands,
-        frontier,
-        lookahead_depth,
-        &mut Vec::new(),
-        &mut WeightScratch::new(),
-        &mut weights,
-    );
+    RebuildScratch::default().rebuild(&operands, frontier, lookahead_depth, &mut weights);
     weights
 }
 
-/// Rebuilds `weights` in place from the frontier's remaining layers,
-/// reusing every buffer involved.
-fn rebuild_weights(
-    operands: &GateOperands,
-    frontier: &Frontier<'_>,
-    lookahead_depth: usize,
-    layer_scratch: &mut Vec<Option<usize>>,
-    weight_scratch: &mut WeightScratch,
-    weights: &mut InteractionWeights,
-) {
-    frontier.remaining_layers_into(layer_scratch);
-    weights.rebuild_from_layered_gates(
-        (0..operands.len()).filter_map(|i| layer_scratch[i].map(|l| (operands.get(i), l))),
-        lookahead_depth,
-        weight_scratch,
-    );
+/// The reusable buffers of one lookahead rebuild.
+#[derive(Default)]
+struct RebuildScratch {
+    walk: WindowScratch,
+    window: Vec<(GateId, usize)>,
+    weights: WeightScratch,
+}
+
+impl RebuildScratch {
+    /// Rebuilds `weights` in place from the gates within
+    /// `lookahead_depth` layers of the frontier, reusing every buffer
+    /// involved. Returns the number of gates in the window.
+    fn rebuild(
+        &mut self,
+        operands: &GateOperands,
+        frontier: &Frontier<'_>,
+        lookahead_depth: usize,
+        weights: &mut InteractionWeights,
+    ) -> usize {
+        frontier.window_into(lookahead_depth, &mut self.walk, &mut self.window);
+        weights.rebuild(
+            self.window
+                .iter()
+                .map(|&(g, l)| (g.0, operands.get(g.0), l)),
+            lookahead_depth,
+            &mut self.weights,
+        );
+        self.window.len()
+    }
+}
+
+/// The scheduler's lookahead rebuilds: their buffers, their paused
+/// [`Span::Lookahead`], and their work counts, added to the counters
+/// once per compile when dropped.
+struct Lookahead {
+    scratch: RebuildScratch,
+    span: na_telemetry::OpenSpan,
+    rebuilds: u64,
+    gates_visited: u64,
+}
+
+impl Lookahead {
+    fn new() -> Self {
+        Lookahead {
+            scratch: RebuildScratch::default(),
+            span: na_telemetry::span_paused(Span::Lookahead),
+            rebuilds: 0,
+            gates_visited: 0,
+        }
+    }
+
+    fn rebuild(
+        &mut self,
+        operands: &GateOperands,
+        frontier: &Frontier<'_>,
+        lookahead_depth: usize,
+        weights: &mut InteractionWeights,
+    ) {
+        self.span.resume();
+        let visited = self
+            .scratch
+            .rebuild(operands, frontier, lookahead_depth, weights);
+        self.span.pause();
+        self.rebuilds += 1;
+        self.gates_visited += visited as u64;
+    }
+}
+
+impl Drop for Lookahead {
+    /// Adds the counts even when the compile fails, as the span records.
+    fn drop(&mut self) {
+        na_telemetry::add(Counter::WeightRebuilds, self.rebuilds);
+        na_telemetry::add(Counter::LookaheadGatesVisited, self.gates_visited);
+    }
 }
 
 /// Deterministic forced hop: move the operand farthest from the gate's
@@ -888,5 +928,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The lookahead weights as the scheduler built them before the
+    /// windowed walk: relative layers by a full walk of the circuit,
+    /// gates in id order, each pair's contributions stable-sorted by
+    /// pair and summed left to right. Weights are returned as bits.
+    fn full_walk_adjacency(
+        circuit: &Circuit,
+        frontier: &Frontier<'_>,
+        depth: usize,
+    ) -> Vec<Vec<(Qubit, u64)>> {
+        let dag = circuit.dag();
+        let mut rel: Vec<Option<usize>> = vec![None; circuit.len()];
+        let mut contribs: Vec<(u64, f64)> = Vec::new();
+        for (i, gate) in circuit.iter().enumerate() {
+            if frontier.is_executed(GateId(i)) {
+                continue;
+            }
+            let l = dag
+                .preds(GateId(i))
+                .iter()
+                .filter_map(|p| rel[p.0].map(|x| x + 1))
+                .max()
+                .unwrap_or(0);
+            rel[i] = Some(l);
+            if l > depth {
+                continue;
+            }
+            let ops = gate.qubits();
+            for a in 0..ops.len() {
+                for b in (a + 1)..ops.len() {
+                    let (u, v) = (ops[a].min(ops[b]), ops[a].max(ops[b]));
+                    let key = (u64::from(u.0) << 32) | u64::from(v.0);
+                    contribs.push((key, (-(l as f64)).exp()));
+                }
+            }
+        }
+        contribs.sort_by_key(|&(key, _)| key);
+        let mut adj = vec![Vec::new(); circuit.num_qubits() as usize];
+        for pair in contribs.chunk_by(|a, b| a.0 == b.0) {
+            let sum = pair.iter().fold(0.0f64, |s, &(_, w)| s + w);
+            let (u, v) = ((pair[0].0 >> 32) as u32, pair[0].0 as u32);
+            adj[u as usize].push((Qubit(v), sum.to_bits()));
+            adj[v as usize].push((Qubit(u), sum.to_bits()));
+        }
+        adj
+    }
+
+    #[test]
+    fn windowed_rebuilds_match_the_full_walk_bit_for_bit() {
+        use na_benchmarks::Benchmark;
+        let grid = Grid::new(10, 10);
+        let mut compared = 0usize;
+        for (bench, size) in [
+            (Benchmark::Bv, 16),
+            (Benchmark::Cnu, 15),
+            (Benchmark::Cuccaro, 20),
+            (Benchmark::QftAdder, 16),
+            (Benchmark::Qaoa, 16),
+        ] {
+            // Native Toffolis (3-operand windows) where the MID allows.
+            for mid in [1.0, 3.0] {
+                let config = CompilerConfig::new(mid).with_native_multiqubit(mid >= 2.0);
+                let compiled = crate::compile(&bench.generate(size, 7), &grid, &config).unwrap();
+                let circuit = compiled.circuit();
+                let operands = GateOperands::of(circuit);
+                let dag = circuit.dag();
+                let mut frontier = dag.frontier();
+                // One scratch and one graph across the whole schedule,
+                // reused like the scheduler reuses them.
+                let mut scratch = RebuildScratch::default();
+                let mut weights = InteractionWeights::empty(circuit.num_qubits());
+                let ops = compiled.ops();
+                let mut next = 0;
+                // Every frontier the scheduler saw: each lazy rebuild
+                // ran on one of them.
+                while !frontier.is_done() {
+                    let depth = config.lookahead_depth;
+                    scratch.rebuild(&operands, &frontier, depth, &mut weights);
+                    let want = full_walk_adjacency(circuit, &frontier, depth);
+                    for (q, want) in want.iter().enumerate() {
+                        let got: Vec<(Qubit, u64)> = weights
+                            .partners(Qubit(q as u32))
+                            .iter()
+                            .map(|&(p, w)| (p, w.to_bits()))
+                            .collect();
+                        assert_eq!(&got, want, "{} MID {mid}, qubit {q}", bench.name());
+                    }
+                    compared += 1;
+                    let time = ops[next].time;
+                    while next < ops.len() && ops[next].time == time {
+                        if let Some(g) = ops[next].source {
+                            frontier.complete(GateId(g));
+                        }
+                        next += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 500, "only {compared} frontiers compared");
     }
 }

@@ -137,6 +137,10 @@ keys! {
         ArtifactHits => "artifact_hits",
         /// Scheduled operations emitted across all compiles.
         OpsScheduled => "ops_scheduled",
+        /// Lookahead-weight rebuilds run by the scheduler.
+        WeightRebuilds => "weight_rebuilds",
+        /// Gates placed in a lookahead window, summed over rebuilds.
+        LookaheadGatesVisited => "lookahead_gates_visited",
         /// Loss-campaign shots attempted.
         ShotsAttempted => "shots_attempted",
         /// Atom losses drawn across all shots.

@@ -22,8 +22,13 @@ keys! {
         RouteSchedule => "route_schedule",
         /// The routing phases inside [`Span::RouteSchedule`] (SWAP
         /// insertion and forced BFS hops), accumulated over the
-        /// scheduler loop into one sample per compile. Metrics-only.
+        /// scheduler loop into one sample per compile. The lookahead
+        /// rebuilds are not included. Metrics-only.
         Route => "route",
+        /// The lookahead-weight rebuilds inside [`Span::RouteSchedule`],
+        /// accumulated like [`Span::Route`] into one sample per
+        /// compile. Metrics-only.
+        Lookahead => "lookahead",
         /// Schedule verification: the compile pass, or a standalone
         /// `na_core::verify`.
         Verify => "verify",
@@ -70,13 +75,18 @@ impl Span {
 
     /// Whether the span appears in the trace. The per-shot and
     /// per-loss names fire tens of thousands of times per campaign and
-    /// would overflow the per-thread trace buffer, and `route` is an
-    /// accumulated sample rather than one interval, so these five are
-    /// metrics-only.
+    /// would overflow the per-thread trace buffer, and `route` and
+    /// `lookahead` are accumulated samples rather than one interval, so
+    /// these six are metrics-only.
     pub const fn traced(self) -> bool {
         !matches!(
             self,
-            Span::Route | Span::Shot | Span::Remap | Span::LossFixup | Span::Recompile
+            Span::Route
+                | Span::Lookahead
+                | Span::Shot
+                | Span::Remap
+                | Span::LossFixup
+                | Span::Recompile
         )
     }
 }

@@ -267,3 +267,20 @@ fn oversized_registers_and_expressions_are_typed_errors() {
     let sum = vec!["1"; 200].join("+");
     assert!(parse_qasm(&format!("OPENQASM 2.0;\nqreg q[1];\nrz({sum}) q[0];\n")).is_ok());
 }
+
+/// Regression: a register read from input sized the allocation, so a
+/// broadcast over it asked for 4·10⁹ gates and ran out of memory. The
+/// qubit total is bounded before anything is allocated.
+#[test]
+fn huge_register_broadcast_is_a_typed_error_before_allocating() {
+    let err = parse_qasm("OPENQASM 2.0;\nqreg q[4000000000];\nh q;\n").unwrap_err();
+    assert!(matches!(err.kind, QasmErrorKind::Unsupported(_)), "{err}");
+    assert_eq!(err.line, 2, "{err}");
+    // The bound is on the total, not per register.
+    let split = "OPENQASM 2.0;\nqreg a[65536];\nqreg b[1];\nh b;\n";
+    let err = parse_qasm(split).unwrap_err();
+    assert!(matches!(err.kind, QasmErrorKind::Unsupported(_)), "{err}");
+    assert_eq!(err.line, 3, "{err}");
+    let at_limit = parse_qasm("OPENQASM 2.0;\nqreg q[65536];\nh q[0];\n").unwrap();
+    assert_eq!(at_limit.num_qubits(), 65_536);
+}

@@ -165,22 +165,6 @@ impl Grid {
         std::mem::replace(&mut self.usable[i], false)
     }
 
-    /// Restores the atom at `site` (used when modelling array reloads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is out of bounds.
-    pub fn restore_atom(&mut self, site: Site) {
-        assert!(self.contains(site), "site {site} out of bounds");
-        let i = self.idx(site);
-        self.usable[i] = true;
-    }
-
-    /// Reloads the entire array: every site holds an atom again.
-    pub fn restore_all(&mut self) {
-        self.usable.fill(true);
-    }
-
     /// The holes, in row-major order.
     pub fn holes(&self) -> Vec<Site> {
         (0..self.num_sites())
@@ -274,16 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_restore_atoms() {
+    fn remove_atom_reports_new_holes() {
         let mut g = Grid::new(3, 3);
         assert!(g.remove_atom(Site::new(1, 1)));
         assert!(!g.remove_atom(Site::new(1, 1)), "already a hole");
         assert_eq!(g.holes(), vec![Site::new(1, 1)]);
-        g.restore_atom(Site::new(1, 1));
-        assert_eq!(g.num_holes(), 0);
-        g.remove_atom(Site::new(0, 0));
-        g.restore_all();
-        assert_eq!(g.num_usable(), 9);
+        assert_eq!((g.num_holes(), g.num_usable()), (1, 8));
     }
 
     #[test]

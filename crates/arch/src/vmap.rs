@@ -215,11 +215,6 @@ impl VirtualMap {
         self.non_identity_entries().next().is_none()
     }
 
-    /// Number of addresses resolving somewhere other than themselves.
-    pub fn remapped_count(&self) -> usize {
-        self.non_identity_entries().count()
-    }
-
     /// Resets to the identity (used after an array reload), keeping
     /// the flat tables allocated.
     pub fn reset(&mut self) {
@@ -395,7 +390,6 @@ mod tests {
     fn fresh_map_is_identity() {
         let v = VirtualMap::new();
         assert!(v.is_identity());
-        assert_eq!(v.remapped_count(), 0);
         assert_eq!(v.resolve(Site::new(3, 4)), Site::new(3, 4));
         assert_eq!(v.address_of(Site::new(3, 4)), Site::new(3, 4));
     }

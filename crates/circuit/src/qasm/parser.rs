@@ -47,6 +47,15 @@ const MAX_EXPR_OPERANDS: u32 = 256;
 /// gate per qubit and run out of memory.
 const MAX_QUBITS: u32 = 1 << 16;
 
+/// Limit on the gates one import emits, after macro expansion and
+/// broadcast. Neither is otherwise bounded: each extra level of a
+/// doubling macro tower (`gate g2 a { g1 a; g1 a; }`) doubles the
+/// output, so a few hundred bytes of source could ask for billions of
+/// gates. The paper's largest programs (100 qubits) stay under 10⁴
+/// gates even lowered and routed at MID 1, and every committed corpus
+/// file under 10², so 2²⁰ leaves two orders of magnitude of headroom.
+const MAX_GATES: usize = 1 << 20;
+
 /// Parses an OpenQASM 2.0 source string into a [`Circuit`].
 ///
 /// The returned circuit's register is the concatenation of every
@@ -810,7 +819,7 @@ impl Parser {
                 ));
             }
             if let Some(g) = b.build(params, qubits) {
-                self.gates.push((g, t.line, t.col));
+                self.push_gate(g, t)?;
             }
             return Ok(());
         }
@@ -850,6 +859,17 @@ impl Parser {
         Ok(())
     }
 
+    /// Emits one gate at `t`'s position, refusing to grow the circuit
+    /// past [`MAX_GATES`].
+    fn push_gate(&mut self, gate: Gate, t: &Token) -> Result<(), QasmError> {
+        if self.gates.len() >= MAX_GATES {
+            let what = format!("more than {MAX_GATES} gates (the import limit)");
+            return Err(self.err_at(t, QasmErrorKind::Unsupported(what)));
+        }
+        self.gates.push((gate, t.line, t.col));
+        Ok(())
+    }
+
     fn measure(&mut self) -> Result<(), QasmError> {
         let src = self.quantum_operand()?;
         let arrow = self.peek().clone();
@@ -871,8 +891,7 @@ impl Parser {
                         },
                     ));
                 }
-                self.gates.push((Gate::Measure(q), arrow.line, arrow.col));
-                Ok(())
+                self.push_gate(Gate::Measure(q), &arrow)
             }
             (Operand::Reg { offset, size }, None) => {
                 if size != csize {
@@ -881,8 +900,7 @@ impl Parser {
                     );
                 }
                 for k in 0..size {
-                    self.gates
-                        .push((Gate::Measure(Qubit(offset + k)), arrow.line, arrow.col));
+                    self.push_gate(Gate::Measure(Qubit(offset + k)), &arrow)?;
                 }
                 Ok(())
             }

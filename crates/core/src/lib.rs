@@ -52,6 +52,14 @@ pub mod placement;
 pub mod routing;
 pub mod scheduler;
 
+// The seed placer the unit tests compare against is written against
+// the crate's public paths, as the integration tests see it.
+#[cfg(test)]
+extern crate self as na_core;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod oracles;
+
 pub use compiler::{
     compile, compile_with, compile_with_report, lower_for, schedule_digest, verify,
     CompiledCircuit, CompiledMetrics, ScheduledOp, SiteList, VerifyError,
@@ -63,6 +71,6 @@ pub use passes::{
     run as run_passes, ArtifactKey, ArtifactStore, PassArtifacts, PassReport, PassTiming, Reuse,
 };
 pub use placement::{
-    circuit_weights, initial_layout, initial_placement, initial_placement_reference,
-    initial_placement_with, placement_digest, PlacementScratch,
+    circuit_weights, initial_layout, initial_placement, initial_placement_with, placement_digest,
+    PlacementScratch,
 };

@@ -188,16 +188,6 @@ impl InteractionWeights {
         }
         best.map(|(p, _)| p)
     }
-
-    /// Qubits with at least one weighted interaction, ascending order.
-    pub fn active_qubits(&self) -> Vec<Qubit> {
-        self.adj
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.is_empty())
-            .map(|(i, _)| Qubit(i as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -328,9 +318,12 @@ mod tests {
     }
 
     #[test]
-    fn active_qubits_excludes_loners() {
+    fn loners_have_no_partners() {
         let w =
             InteractionWeights::from_layered_gates(4, [(&[Qubit(1), Qubit(3)][..], 0usize)], 20);
-        assert_eq!(w.active_qubits(), vec![Qubit(1), Qubit(3)]);
+        let with_partners: Vec<u32> = (0..4)
+            .filter(|&i| !w.partners(Qubit(i)).is_empty())
+            .collect();
+        assert_eq!(with_partners, vec![1, 3]);
     }
 }

@@ -34,15 +34,14 @@
 //!   same summation the seed placer ran, so ordering ties break
 //!   identically.
 //!
-//! [`score::initial_placement_reference`] preserves the seed placer
-//! verbatim as a differential oracle; the property tests below hold
-//! the fast path to map-for-map equality against it.
+//! `tests/common` preserves the seed placer verbatim as a
+//! differential oracle; the property tests below hold the fast path to
+//! map-for-map equality against it.
 
 pub mod candidates;
 pub mod score;
 pub mod scratch;
 
-pub use score::initial_placement_reference;
 pub use scratch::PlacementScratch;
 
 use self::candidates::FreeSites;
@@ -346,6 +345,7 @@ pub fn placement_digest(map: &QubitMap) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracles::initial_placement_reference;
     use na_circuit::Circuit;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

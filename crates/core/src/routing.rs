@@ -34,29 +34,6 @@ pub struct SwapMove {
     pub score: f64,
 }
 
-/// The pair of operands at maximum Euclidean distance under the current
-/// mapping.
-///
-/// # Panics
-///
-/// Panics if fewer than two operands are given or any operand is
-/// unmapped.
-pub fn farthest_pair(operands: &[Qubit], map: &QubitMap) -> (Qubit, Qubit) {
-    assert!(operands.len() >= 2, "need at least two operands");
-    let mut best = (operands[0], operands[1], -1.0f64);
-    for i in 0..operands.len() {
-        for j in (i + 1)..operands.len() {
-            let si = map.site_of(operands[i]).expect("operand mapped");
-            let sj = map.site_of(operands[j]).expect("operand mapped");
-            let d = si.distance(sj);
-            if d > best.2 {
-                best = (operands[i], operands[j], d);
-            }
-        }
-    }
-    (best.0, best.1)
-}
-
 /// `true` if every operand pair is within the MID (gate executable as
 /// far as distance is concerned).
 pub fn all_within_mid(operands: &[Qubit], map: &QubitMap, mid: f64) -> bool {
@@ -176,21 +153,12 @@ pub fn swap_score(
 }
 
 /// The usable site minimizing the maximum Euclidean distance to the
-/// gate's operands — where the operands should congregate.
+/// operand sites — where a gate's operands should congregate. The
+/// scheduler's fallback path calls this with its reusable site buffer.
 ///
 /// # Panics
 ///
-/// Panics if any operand is unmapped or the grid has no usable site.
-pub fn meeting_point(operands: &[Qubit], map: &QubitMap, grid: &Grid) -> Site {
-    let sites: Vec<Site> = operands
-        .iter()
-        .map(|&q| map.site_of(q).expect("operand mapped"))
-        .collect();
-    meeting_point_of_sites(&sites, grid)
-}
-
-/// [`meeting_point`] over already-resolved operand sites; the
-/// scheduler's fallback path calls this with its reusable site buffer.
+/// Panics if the grid has no usable site.
 pub fn meeting_point_of_sites(sites: &[Site], grid: &Grid) -> Site {
     let mut best: Option<(f64, Site)> = None;
     for m in grid.usable_sites() {
@@ -219,14 +187,6 @@ mod tests {
 
     fn weights_pair(n: u32, u: Qubit, v: Qubit) -> InteractionWeights {
         InteractionWeights::from_layered_gates(n, [(&[u, v][..], 0usize)], 20)
-    }
-
-    #[test]
-    fn farthest_pair_finds_extremes() {
-        let map = line_map(&[(0, 0), (1, 0), (5, 0)]);
-        let ops = [Qubit(0), Qubit(1), Qubit(2)];
-        let (a, b) = farthest_pair(&ops, &map);
-        assert_eq!((a, b), (Qubit(0), Qubit(2)));
     }
 
     #[test]
@@ -343,8 +303,7 @@ mod tests {
     #[test]
     fn meeting_point_centers_operands() {
         let grid = Grid::new(9, 9);
-        let map = line_map(&[(0, 4), (8, 4)]);
-        let m = meeting_point(&[Qubit(0), Qubit(1)], &map, &grid);
+        let m = meeting_point_of_sites(&[Site::new(0, 4), Site::new(8, 4)], &grid);
         assert_eq!(m, Site::new(4, 4));
     }
 
@@ -352,8 +311,7 @@ mod tests {
     fn meeting_point_avoids_holes() {
         let mut grid = Grid::new(9, 1);
         grid.remove_atom(Site::new(4, 0));
-        let map = line_map(&[(0, 0), (8, 0)]);
-        let m = meeting_point(&[Qubit(0), Qubit(1)], &map, &grid);
+        let m = meeting_point_of_sites(&[Site::new(0, 0), Site::new(8, 0)], &grid);
         assert!(grid.is_usable(m));
         assert!(m == Site::new(3, 0) || m == Site::new(5, 0));
     }

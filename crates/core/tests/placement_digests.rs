@@ -14,6 +14,8 @@
 //! MID 1 runs with multiqubit gates lowered (native Toffolis are
 //! unroutable below MID √2), exactly like the schedule digests.
 
+mod common;
+
 use na_arch::{Grid, Site};
 use na_benchmarks::Benchmark;
 use na_core::{initial_layout, placement_digest, CompilerConfig};
@@ -160,7 +162,7 @@ fn holey_grid_placements_match_recorded_digests() {
             );
             let lowered = na_core::lower_for(&circuit, &cfg);
             let weights = na_core::circuit_weights(&lowered, cfg.lookahead_depth);
-            let reference = na_core::initial_placement_reference(&lowered, &grid, &weights)
+            let reference = common::initial_placement_reference(&lowered, &grid, &weights)
                 .expect("reference places on the holey grid");
             assert_eq!(
                 placement_digest(&reference),

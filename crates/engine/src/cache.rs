@@ -15,6 +15,10 @@
 //! sweep points that *describe* the same compilation share an entry
 //! even if they were built independently.
 //!
+//! One entry per key holds everything known about its point: the
+//! compile result and, on success, the compiling thread's pass report
+//! and the interaction summary campaigns share (built on first use).
+//!
 //! Concurrency: one state cell per key (`Vacant` → `InFlight` →
 //! `Done`). The first thread to claim a key runs the compiler; any
 //! thread arriving while compilation is in flight waits on that entry
@@ -41,7 +45,7 @@ use na_loss::InteractionSummary;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 thread_local! {
     /// One placement scratch per worker thread: every cache miss this
@@ -80,7 +84,35 @@ impl CacheKey {
     }
 }
 
-type CompileResult = Result<Arc<CompiledCircuit>, CompileError>;
+/// A successful compilation point: the compiled schedule plus what
+/// the runner derives from it, shared by every requester of the point.
+#[derive(Debug)]
+pub(crate) struct CompiledPoint {
+    /// The compiled schedule.
+    pub(crate) compiled: Arc<CompiledCircuit>,
+    /// The compiling thread's [`PassReport`] (collected only while
+    /// telemetry is enabled). Cache hits share it: it describes the
+    /// artifact, not the lookup.
+    pub(crate) report: Option<PassReport>,
+    /// The deduped interaction-pair summary campaign shards share
+    /// instead of each [`na_loss::StrategyState`] rebuilding it.
+    summary: OnceLock<Arc<InteractionSummary>>,
+}
+
+impl CompiledPoint {
+    /// The memoized [`InteractionSummary`] of the schedule, built on
+    /// first use. A pure function of the schedule, so it does not
+    /// matter which thread builds it.
+    pub(crate) fn summary(&self) -> Arc<InteractionSummary> {
+        Arc::clone(
+            self.summary
+                .get_or_init(|| Arc::new(InteractionSummary::of(&self.compiled))),
+        )
+    }
+}
+
+/// What a lookup yields: the compiled point, or its compile error.
+pub(crate) type Lookup = Result<Arc<CompiledPoint>, CompileError>;
 
 /// Lifecycle of one cache entry.
 #[derive(Debug)]
@@ -92,7 +124,7 @@ enum EntryState {
     /// A thread is compiling; requesters wait on the entry's condvar.
     InFlight,
     /// Terminal memoized result shared by every requester.
-    Done(CompileResult),
+    Done(Lookup),
 }
 
 /// One keyed entry: a state cell plus the condvar in-flight waiters
@@ -160,20 +192,11 @@ impl CacheStats {
 #[derive(Debug, Default)]
 pub struct CompileCache {
     entries: Mutex<HashMap<CacheKey, Entry>>,
-    /// Per-compilation [`InteractionSummary`] memo: campaign jobs
-    /// sharing a compiled schedule also share its deduped
-    /// interaction-pair summary instead of each
-    /// [`na_loss::StrategyState`] rebuilding it.
-    summaries: Mutex<HashMap<CacheKey, Arc<InteractionSummary>>>,
     /// The compile passes' MID-independent front-end artifacts
     /// (lowered circuit + initial placement), shared across cache
     /// entries that differ only in MID/zone policy — a finer-grained
     /// reuse than the whole-compilation entries above.
     artifacts: ArtifactStore,
-    /// Per-entry [`PassReport`] from the compiling thread (collected
-    /// only while telemetry is enabled); runner rows attach it next to
-    /// their span deltas.
-    reports: Mutex<HashMap<CacheKey, Arc<PassReport>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -196,6 +219,13 @@ impl CompileCache {
         grid: &Grid,
         config: &CompilerConfig,
     ) -> Result<Arc<CompiledCircuit>, CompileError> {
+        self.lookup(circuit, grid, config)
+            .map(|point| Arc::clone(&point.compiled))
+    }
+
+    /// The entry of one compilation point: served from memory (a hit),
+    /// or compiled by this thread (a miss).
+    pub(crate) fn lookup(&self, circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> Lookup {
         let key = CacheKey::for_point(circuit, grid, config);
         let (entry, occupancy): (Entry, u64) = {
             let mut map = lock_recover(&self.entries);
@@ -240,7 +270,7 @@ impl CompileCache {
             cell: &entry,
             armed: true,
         };
-        let result: CompileResult = na_faults::point("engine.compile")
+        let result: Lookup = na_faults::point("engine.compile")
             .map_err(CompileError::from)
             .and_then(|()| {
                 PLACEMENT_SCRATCH.with(|s| {
@@ -254,12 +284,11 @@ impl CompileCache {
                         false,
                         report.as_mut(),
                     )?;
-                    if let Some(report) = report {
-                        lock_recover(&self.reports)
-                            .entry(key)
-                            .or_insert_with(|| Arc::new(report));
-                    }
-                    Ok(Arc::new(compiled))
+                    Ok(Arc::new(CompiledPoint {
+                        compiled: Arc::new(compiled),
+                        report,
+                        summary: OnceLock::new(),
+                    }))
                 })
             });
         claim.armed = false;
@@ -279,35 +308,6 @@ impl CompileCache {
         na_telemetry::add(na_telemetry::Counter::CompileCacheMisses, 1);
         na_telemetry::trace::instant("cache", "cache_miss", Vec::new);
         result
-    }
-
-    /// The memoized [`InteractionSummary`] of the compilation at
-    /// `key`, building (and caching) it from `compiled` on first use.
-    /// Deterministic regardless of which thread builds it — the
-    /// summary is a pure function of the compiled schedule.
-    pub fn summary_for(
-        &self,
-        key: &CacheKey,
-        compiled: &CompiledCircuit,
-    ) -> Arc<InteractionSummary> {
-        if let Some(summary) = lock_recover(&self.summaries).get(key) {
-            return Arc::clone(summary);
-        }
-        // Built *outside* the lock: a panic in the builder must leave
-        // the map untouched (the lock recovers from poison and the
-        // next requester rebuilds), and determinism makes the benign
-        // double-build race harmless — first insert wins, identical
-        // values either way.
-        let built = Arc::new(InteractionSummary::of(compiled));
-        Arc::clone(lock_recover(&self.summaries).entry(*key).or_insert(built))
-    }
-
-    /// The [`PassReport`] of the compilation at `key`, if one was
-    /// collected (the compiling thread records it only while telemetry
-    /// is enabled). Cache hits share the original compile's report —
-    /// it describes the artifact, not the lookup.
-    pub fn pass_report(&self, key: &CacheKey) -> Option<Arc<PassReport>> {
-        lock_recover(&self.reports).get(key).cloned()
     }
 
     /// The front-end artifact store (placement reuse across MID
@@ -335,12 +335,10 @@ impl CompileCache {
         }
     }
 
-    /// Drops all entries (summaries, pass artifacts, and reports
-    /// included) and zeroes the counters.
+    /// Drops all entries (with their summaries and reports) and the
+    /// front-end artifacts, and zeroes the counters.
     pub fn clear(&self) {
         lock_recover(&self.entries).clear();
-        lock_recover(&self.summaries).clear();
-        lock_recover(&self.reports).clear();
         self.artifacts.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -426,15 +424,42 @@ mod tests {
         let grid = Grid::new(6, 6);
         let cfg = CompilerConfig::new(3.0);
         let c = Benchmark::Bv.generate(8, 0);
-        let compiled = cache.get_or_compile(&c, &grid, &cfg).unwrap();
-        let key = CacheKey::for_point(&c, &grid, &cfg);
-        let s1 = cache.summary_for(&key, &compiled);
-        let s2 = cache.summary_for(&key, &compiled);
+        let first = cache.lookup(&c, &grid, &cfg).unwrap();
+        let s1 = first.summary();
+        let s2 = cache.lookup(&c, &grid, &cfg).unwrap().summary();
         assert!(Arc::ptr_eq(&s1, &s2), "summary must be memoized");
-        assert_eq!(*s1, na_loss::InteractionSummary::of(&compiled));
+        assert_eq!(*s1, na_loss::InteractionSummary::of(&first.compiled));
         cache.clear();
-        let s3 = cache.summary_for(&key, &compiled);
+        let s3 = cache.lookup(&c, &grid, &cfg).unwrap().summary();
         assert!(!Arc::ptr_eq(&s1, &s3), "clear must drop summaries");
+    }
+
+    #[test]
+    fn hits_carry_the_compiling_threads_pass_report() {
+        let cache = CompileCache::new();
+        let grid = Grid::new(6, 6);
+        let cfg = CompilerConfig::new(3.0);
+        let c = Benchmark::Bv.generate(8, 0);
+        // Reports are collected only while telemetry is on; the hit
+        // below runs with it off and still carries the compile's one.
+        // No other test in this crate switches telemetry, so the
+        // process-global flag cannot flip under this test.
+        na_telemetry::set_enabled(true);
+        let compiled = cache.lookup(&c, &grid, &cfg).unwrap();
+        na_telemetry::set_enabled(false);
+        let hit = cache.lookup(&c, &grid, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&compiled, &hit));
+        let report = hit.report.as_ref().expect("the compile collected a report");
+        assert_eq!(
+            report.passes.first().map(|p| p.pass.as_str()),
+            Some("lower")
+        );
+        assert_eq!(cache.stats().hits, 1);
+        cache.clear();
+        assert!(
+            cache.lookup(&c, &grid, &cfg).unwrap().report.is_none(),
+            "clear must drop reports"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   a `CompiledCircuit` shared by many sweep points is compiled once
 //!   and shared via `Arc`, with hit/miss counters that prove reuse
 //!   ([`cache`]);
-//! * **[`ResultSink`] / [`RunRecord`]** — structured JSON-lines
+//! * **[`RunRecord`] / [`JsonlSink`]** — structured JSON-lines
 //!   result rows with run metadata, replacing ad-hoc `println!`
 //!   output ([`record`], [`sink`]);
 //! * **[`paper`]** — the paper's shared sweep constants (10×10 grid,
@@ -61,7 +61,7 @@ pub mod spec;
 pub use cache::{CacheKey, CacheStats, CompileCache};
 pub use record::{FailureSummary, Outcome, RunRecord};
 pub use runner::Engine;
-pub use sink::{write_records, JsonlSink, MemorySink, ResultSink, SinkError};
+pub use sink::{write_records, JsonlSink, SinkError};
 pub use spec::{derive_seed, CircuitSource, ExperimentSpec, Job, LossSpec, Task};
 
 #[cfg(test)]

@@ -7,11 +7,11 @@
 //! id. Running the same spec with 1 worker or N workers therefore
 //! produces identical — byte-identical once serialized — result rows.
 
-use crate::cache::{CacheKey, CacheStats, CompileCache};
+use crate::cache::{CacheKey, CacheStats, CompileCache, CompiledPoint};
 use crate::record::{Outcome, RunRecord};
-use crate::sink::{ResultSink, SinkError};
 use crate::spec::{CircuitSource, ExperimentSpec, Job, Task};
 use na_benchmarks::Benchmark;
+use na_core::{CompileError, CompiledCircuit};
 use na_loss::{CampaignResult, LossOutcome, ShotRange, Strategy, StrategyState};
 use na_noise::{
     crosstalk_exposures, crosstalk_success, success_probability, success_with_crosstalk,
@@ -140,6 +140,7 @@ impl Engine {
                         ranges,
                         results,
                         remaining,
+                        point: OnceLock::new(),
                         job_span_id: job_span.id(),
                         job_span: Mutex::new(Some(job_span)),
                     });
@@ -172,13 +173,13 @@ impl Engine {
                 let fan = &fans[fan];
                 let job = &jobs[fan.job_index];
                 fan.results[shard]
-                    .set(self.run_shard(job, shard, fan.ranges[shard], fan.job_span_id))
+                    .set(self.run_shard(job, fan, shard))
                     .expect("shard slot written once");
                 // `AcqRel` so the last finisher observes every other
                 // shard's completed write before merging.
                 if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                     slots[fan.job_index]
-                        .set(merge_fan(job, fan, &self.cache))
+                        .set(merge_fan(job, fan))
                         .expect("slot written once");
                 }
             }
@@ -241,8 +242,8 @@ impl Engine {
     }
 
     /// Runs one whole job inside its failure domain
-    /// ([`Engine::isolated`], fault scope `job{id}`); a panic becomes
-    /// the job's [`Outcome::from_panic`] row.
+    /// ([`Engine::isolated`], fault scope `job{id}`); a panic, injected
+    /// fault or spent deadline at entry becomes the job's row.
     fn run_job(&self, job: &Job) -> RunRecord {
         let _job_span = na_telemetry::span_with(Span::Job, 0, || {
             vec![("job", job.id.into()), ("task", job.task.name().into())]
@@ -261,8 +262,8 @@ impl Engine {
     /// single shard; the one shard of an unsharded campaign keeps the
     /// job's own scope `job{id}`.
     #[allow(clippy::result_large_err)]
-    fn run_shard(&self, job: &Job, shard: usize, range: ShotRange, trace_parent: u64) -> ShardDone {
-        let _shard_span = na_telemetry::span_with(Span::Shard, trace_parent, || {
+    fn run_shard(&self, job: &Job, fan: &ShardFan, shard: usize) -> ShardDone {
+        let _shard_span = na_telemetry::span_with(Span::Shard, fan.job_span_id, || {
             vec![("job", job.id.into()), ("shard", shard.into())]
         });
         let scope = match job.task {
@@ -273,7 +274,7 @@ impl Engine {
         // is exactly this shard's work on this worker thread.
         let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
         let result = self
-            .isolated(scope, || execute_shard(job, shard, range, &self.cache))
+            .isolated(scope, || execute_shard(job, fan, shard, &self.cache))
             .and_then(std::convert::identity);
         na_telemetry::add(na_telemetry::Counter::CampaignShards, 1);
         ShardDone {
@@ -285,9 +286,12 @@ impl Engine {
     /// The failure domain every unit of pool work runs in: the fault
     /// scope `scope` (deterministic failpoint hit counts at any worker
     /// count), a fresh copy of the engine's per-job deadline budget,
-    /// and a panic boundary. A caught panic comes back as its typed
-    /// [`Outcome::from_panic`] — the worker keeps draining the cursor
-    /// and every other row is unaffected.
+    /// and a panic boundary. Inside it, the `engine.execute_job`
+    /// failpoint and a deadline check run before `work`, so a unit
+    /// whose budget is already spent fails typed without doing any.
+    /// A caught panic comes back as its typed [`Outcome::from_panic`]
+    /// — the worker keeps draining the cursor and every other row is
+    /// unaffected.
     // The Err side carries a full `Outcome` so a failed unit slots into
     // its row verbatim; units are coarse, so the extra bytes per return
     // never matter.
@@ -298,13 +302,20 @@ impl Engine {
             Some(budget) => na_faults::Deadline::after(budget),
             None => na_faults::Deadline::UNBOUNDED,
         });
-        catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+        catch_unwind(AssertUnwindSafe(|| -> Result<T, Outcome> {
+            na_faults::point("engine.execute_job")
+                .map_err(CompileError::from)
+                .and_then(|()| na_faults::check_deadline().map_err(CompileError::from))
+                .map_err(|e| Outcome::from_error(&e))?;
+            Ok(work())
+        }))
+        .unwrap_or_else(|payload| {
             // An unwind mid-placement may have left this worker's
             // reusable scratch half-updated; start the next unit from a
             // fresh one. (The compile cache protects itself with its
             // own claim guard and poison-recovering locks.)
             crate::cache::reset_thread_scratch();
-            Outcome::from_panic(panic_message(payload.as_ref()))
+            Err(Outcome::from_panic(panic_message(payload.as_ref())))
         })
     }
 
@@ -339,23 +350,6 @@ impl Engine {
             })
             .collect()
     }
-
-    /// Like [`Engine::run`], but also streams every record (in job-id
-    /// order) into `sink` before returning them.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SinkError`] the sink reported; the records were
-    /// still fully computed.
-    pub fn run_into(
-        &self,
-        spec: &ExperimentSpec,
-        sink: &mut dyn ResultSink,
-    ) -> Result<Vec<RunRecord>, SinkError> {
-        let records = self.run(spec);
-        crate::sink::write_records(&records, sink)?;
-        Ok(records)
-    }
 }
 
 /// One unit of pool work: a whole job, or one shard of a campaign
@@ -378,6 +372,9 @@ struct ShardFan {
     /// Shards still running; the worker that decrements this to zero
     /// merges and writes the job's row.
     remaining: AtomicUsize,
+    /// The compiled point, set by the first shard that reaches it; the
+    /// merged row carries its pass report.
+    point: OnceLock<Arc<CompiledPoint>>,
     /// Trace id of the whole-job span (0 = untraced); shard and merge
     /// spans parent under it.
     job_span_id: u64,
@@ -398,23 +395,17 @@ struct ShardDone {
 
 /// Runs one shard of a campaign: compile through the shared cache (at
 /// the strategy's compile MID; all shards hit the one artifact), reuse
-/// the memoized interaction summary, then execute just this shard's
+/// the point's interaction summary, then execute just this shard's
 /// shot range with its deterministically derived RNG streams. Shard 0
 /// of a one-shard plan draws exactly the unsharded campaign's streams,
 /// so it reproduces `na_loss::run_campaign` bit for bit.
 #[allow(clippy::result_large_err)]
 fn execute_shard(
     job: &Job,
+    fan: &ShardFan,
     shard: usize,
-    range: ShotRange,
     cache: &CompileCache,
 ) -> Result<CampaignResult, Outcome> {
-    if let Err(fault) = na_faults::point("engine.execute_job") {
-        return Err(Outcome::from_error(&fault.into()));
-    }
-    if let Err(expired) = na_faults::check_deadline() {
-        return Err(Outcome::from_error(&expired.into()));
-    }
     let (config, loss, _) = job
         .task
         .campaign()
@@ -424,21 +415,20 @@ fn execute_shard(
         .compile_config(&job.config)
         .expect("campaigns use the compile cache");
     let circuit = job.circuit();
-    let compiled = cache
-        .get_or_compile(&circuit, &job.grid, &compile_cfg)
+    let point = cache
+        .lookup(&circuit, &job.grid, &compile_cfg)
         .map_err(|e| Outcome::from_error(&e))?;
-    let key = CacheKey::for_point(&circuit, &job.grid, &compile_cfg);
-    let summary = cache.summary_for(&key, &compiled);
+    let point = fan.point.get_or_init(|| point);
     let shard_index = u32::try_from(shard).expect("shard counts are u32");
     na_loss::run_campaign_shard(
         &circuit,
         &job.grid,
-        compiled,
-        summary,
+        Arc::clone(&point.compiled),
+        point.summary(),
         &loss.build(),
         config,
         shard_index,
-        range,
+        fan.ranges[shard],
     )
     .map_err(|e| Outcome::from_error(&e))
 }
@@ -449,7 +439,7 @@ fn execute_shard(
 /// caught panic, expired deadline — fails the whole row with the
 /// lowest-indexed failure. Telemetry-tagged rows carry the per-span
 /// sums in `timings` and the per-shard breakdown in `shard_timings`.
-fn merge_fan(job: &Job, fan: &ShardFan, cache: &CompileCache) -> RunRecord {
+fn merge_fan(job: &Job, fan: &ShardFan) -> RunRecord {
     let merge_span = na_telemetry::span_with(Span::Merge, fan.job_span_id, || {
         vec![("job", job.id.into()), ("shards", fan.ranges.len().into())]
     });
@@ -487,10 +477,7 @@ fn merge_fan(job: &Job, fan: &ShardFan, cache: &CompileCache) -> RunRecord {
                 .map(|shard| shard.timings.clone().unwrap_or_default())
                 .collect(),
         );
-        if let Some(compile_cfg) = job.task.compile_config(&job.config) {
-            let key = CacheKey::for_point(&job.circuit(), &job.grid, &compile_cfg);
-            record.pass_report = cache.pass_report(&key).map(|r| (*r).clone());
-        }
+        record.pass_report = fan.point.get().and_then(|point| point.report.clone());
     }
     // The whole-job span, opened at fan creation, ends on the job's
     // own virtual track (it spans multiple workers).
@@ -535,25 +522,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// hence deliberately absent — `None` — in the deterministic default
 /// configuration).
 fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
-    // Failure boundary at job entry: the chaos failpoint and the
-    // cheapest possible deadline check (a job whose budget is already
-    // spent fails typed before doing any work).
-    if let Err(fault) = na_faults::point("engine.execute_job") {
-        return RunRecord::new(job, Outcome::from_error(&fault.into()));
-    }
-    if let Err(expired) = na_faults::check_deadline() {
-        return RunRecord::new(job, Outcome::from_error(&expired.into()));
-    }
     let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
     let circuit = job.circuit();
-    // Compile through the cache, optionally replaying the schedule
-    // through the constraint verifier (Engine::verified).
-    let compile_cached = |outcome: &dyn Fn(Arc<na_core::CompiledCircuit>) -> Outcome| match cache
-        .get_or_compile(&circuit, &job.grid, &job.config)
+    // Compile-family tasks compile through the cache; the schedule is
+    // optionally replayed through the constraint verifier
+    // (Engine::verified) before its metrics are reported.
+    let lookup = job
+        .task
+        .compile_config(&job.config)
+        .map(|config| cache.lookup(&circuit, &job.grid, &config));
+    let compile_cached = |outcome: &dyn Fn(&CompiledCircuit) -> Outcome| match lookup
+        .as_ref()
+        .expect("compile-family tasks use the compile cache")
     {
-        Ok(compiled) => {
+        Ok(point) => {
+            let compiled = &point.compiled;
             if verify {
-                if let Err(e) = na_core::verify(&compiled, &job.grid) {
+                if let Err(e) = na_core::verify(compiled, &job.grid) {
                     return Outcome::Failed {
                         unroutable: false,
                         panicked: false,
@@ -564,7 +549,7 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
             }
             outcome(compiled)
         }
-        Err(e) => Outcome::from_error(&e),
+        Err(e) => Outcome::from_error(e),
     };
     let outcome = match &job.task {
         Task::Compile => compile_cached(&|compiled| Outcome::Compiled {
@@ -573,10 +558,10 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
         }),
         Task::Success { params } => compile_cached(&|compiled| Outcome::Success {
             metrics: compiled.metrics(),
-            breakdown: success_probability(&compiled, params),
+            breakdown: success_probability(compiled, params),
         }),
         Task::Crosstalk { params, crosstalk } => {
-            compile_cached(&|compiled| run_crosstalk(&compiled, params, crosstalk))
+            compile_cached(&|compiled| run_crosstalk(compiled, params, crosstalk))
         }
         Task::Tolerance {
             strategy,
@@ -618,16 +603,15 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
         // Attach the pipeline's per-pass report next to the span
         // deltas: rows sharing a compile key share the compiling
         // thread's report (it describes the artifact, not the lookup).
-        if let Some(compile_cfg) = job.task.compile_config(&job.config) {
-            let key = CacheKey::for_point(&circuit, &job.grid, &compile_cfg);
-            record.pass_report = cache.pass_report(&key).map(|r| (*r).clone());
-        }
+        record.pass_report = lookup
+            .and_then(Result::ok)
+            .and_then(|point| point.report.clone());
     }
     record
 }
 
 fn run_crosstalk(
-    compiled: &na_core::CompiledCircuit,
+    compiled: &CompiledCircuit,
     params: &NoiseParams,
     crosstalk: &CrosstalkParams,
 ) -> Outcome {
@@ -851,20 +835,16 @@ mod tests {
         let circuit = Benchmark::Bv.generate(12, 0);
         let grid = Grid::new(8, 8);
         let compile_cfg = task.compile_config(&CompilerConfig::new(4.0)).unwrap();
-        let oracle_engine = Engine::with_workers(1);
-        let compiled = oracle_engine
-            .cache()
-            .get_or_compile(&circuit, &grid, &compile_cfg)
+        let point = CompileCache::new()
+            .lookup(&circuit, &grid, &compile_cfg)
             .unwrap();
-        let key = CacheKey::for_point(&circuit, &grid, &compile_cfg);
-        let summary = oracle_engine.cache().summary_for(&key, &compiled);
         let ranges = na_loss::shard_ranges(&cfg, 3).unwrap();
         let shard = |i: usize| {
             na_loss::run_campaign_shard(
                 &circuit,
                 &grid,
-                Arc::clone(&compiled),
-                Arc::clone(&summary),
+                Arc::clone(&point.compiled),
+                point.summary(),
                 &LossSpec::new(5).build(),
                 &cfg,
                 i as u32,

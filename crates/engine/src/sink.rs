@@ -1,8 +1,8 @@
-//! Result sinks: where finished rows go.
+//! The result sink: where finished rows go.
 //!
-//! The engine always returns records in job-id order; a
-//! [`ResultSink`] receives them in that same order, so any sink
-//! output is byte-for-byte reproducible regardless of worker count.
+//! The engine always returns records in job-id order; a [`JsonlSink`]
+//! writes them in that same order, so its output is byte-for-byte
+//! reproducible regardless of worker count.
 //!
 //! Writes are fallible: a sink returns [`SinkError`] instead of
 //! panicking, so `natoms sweep --jsonl | head` (a broken pipe) exits
@@ -45,34 +45,18 @@ impl From<std::io::Error> for SinkError {
     }
 }
 
-/// A destination for result rows.
-pub trait ResultSink {
-    /// Receives one finished row (rows arrive in job-id order).
-    ///
-    /// # Errors
-    ///
-    /// [`SinkError`] when the underlying writer fails.
-    fn write_record(&mut self, record: &RunRecord) -> Result<(), SinkError>;
-
-    /// Flushes buffered output (no-op by default).
-    ///
-    /// # Errors
-    ///
-    /// [`SinkError`] when flushing the underlying writer fails.
-    fn finish(&mut self) -> Result<(), SinkError> {
-        Ok(())
-    }
-}
-
 /// Drains already-collected records into a sink, in order, and
-/// flushes. The one sink-draining loop shared by `Engine::run_into`,
-/// the CLI's `--jsonl` paths, and the harnesses' `NATOMS_JSONL` mode.
+/// flushes. The one sink-draining loop shared by the CLI's `--jsonl`
+/// paths and the harnesses' `NATOMS_JSONL` mode.
 ///
 /// # Errors
 ///
 /// The first [`SinkError`] encountered; remaining records are not
 /// written.
-pub fn write_records(records: &[RunRecord], sink: &mut dyn ResultSink) -> Result<(), SinkError> {
+pub fn write_records<W: Write>(
+    records: &[RunRecord],
+    sink: &mut JsonlSink<W>,
+) -> Result<(), SinkError> {
     for record in records {
         sink.write_record(record)?;
     }
@@ -94,16 +78,8 @@ impl<W: Write> JsonlSink<W> {
     pub fn into_inner(self) -> W {
         self.writer
     }
-}
 
-impl JsonlSink<std::io::Stdout> {
-    /// A sink to standard output.
-    pub fn stdout() -> Self {
-        JsonlSink::new(std::io::stdout())
-    }
-}
-
-impl<W: Write> ResultSink for JsonlSink<W> {
+    /// Writes one row as a line of compact JSON.
     fn write_record(&mut self, record: &RunRecord) -> Result<(), SinkError> {
         // Chaos failpoint for the row-emission failure domain; the
         // injected error takes the same typed path a real I/O error
@@ -117,40 +93,17 @@ impl<W: Write> ResultSink for JsonlSink<W> {
         Ok(())
     }
 
+    /// Flushes buffered output.
     fn finish(&mut self) -> Result<(), SinkError> {
         self.writer.flush()?;
         Ok(())
     }
 }
 
-/// Collects rendered JSONL lines in memory (tests, diffing runs).
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    /// The rendered lines, in job-id order.
-    pub lines: Vec<String>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// All lines joined with newlines (the exact JSONL byte content).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = self.lines.join("\n");
-        if !self.lines.is_empty() {
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl ResultSink for MemorySink {
-    fn write_record(&mut self, record: &RunRecord) -> Result<(), SinkError> {
-        self.lines
-            .push(serde_json::to_string(record).expect("record serializes"));
-        Ok(())
+impl JsonlSink<std::io::Stdout> {
+    /// A sink to standard output.
+    pub fn stdout() -> Self {
+        JsonlSink::new(std::io::stdout())
     }
 }
 
@@ -186,15 +139,6 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.ends_with('\n'));
-    }
-
-    #[test]
-    fn memory_sink_matches_jsonl_sink_bytes() {
-        let mut mem = MemorySink::new();
-        mem.write_record(&record()).unwrap();
-        let mut jsonl = JsonlSink::new(Vec::new());
-        jsonl.write_record(&record()).unwrap();
-        assert_eq!(mem.to_jsonl().into_bytes(), jsonl.into_inner());
     }
 
     /// A writer that fails with a chosen [`std::io::ErrorKind`].

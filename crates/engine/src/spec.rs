@@ -328,29 +328,6 @@ impl ExperimentSpec {
         id
     }
 
-    /// Adds one job on an explicit grid (mixed-device sweeps).
-    pub fn push_on_grid(
-        &mut self,
-        grid: Grid,
-        source: impl Into<CircuitSource>,
-        size: u32,
-        circuit_seed: u64,
-        config: CompilerConfig,
-        task: Task,
-    ) -> u64 {
-        let id = self.jobs.len() as u64;
-        self.jobs.push(Job {
-            id,
-            source: source.into(),
-            size,
-            circuit_seed,
-            grid,
-            config,
-            task,
-        });
-        id
-    }
-
     /// The rectangular sweep most figures use: every
     /// `(benchmark, size, mid)` combination, in that nesting order.
     /// `point` returns the compiler config and task for a combination,

@@ -10,7 +10,7 @@
 use na_arch::Grid;
 use na_benchmarks::Benchmark;
 use na_core::CompilerConfig;
-use na_engine::{Engine, ExperimentSpec, MemorySink, Outcome, Task};
+use na_engine::{write_records, Engine, ExperimentSpec, JsonlSink, Outcome, Task};
 use std::time::Duration;
 
 fn compile_spec(name: &str, sizes: &[u32]) -> ExperimentSpec {
@@ -39,10 +39,7 @@ fn workers_drain_past_an_injected_panic_identically() {
     let spec = compile_spec("chaos-drain", &[6, 7, 8, 9, 10, 11]);
     let mut renders = Vec::new();
     for workers in [1usize, 2, 8] {
-        let mut sink = MemorySink::new();
-        let records = Engine::with_workers(workers)
-            .run_into(&spec, &mut sink)
-            .unwrap();
+        let records = Engine::with_workers(workers).run(&spec);
         assert_eq!(records.len(), 6, "{workers} workers must drain every job");
         match &records[2].outcome {
             Outcome::Failed {
@@ -59,7 +56,9 @@ fn workers_drain_past_an_injected_panic_identically() {
                 "job {i} must be isolated from job 2's panic"
             );
         }
-        renders.push(sink.to_jsonl());
+        let mut sink = JsonlSink::new(Vec::new());
+        write_records(&records, &mut sink).unwrap();
+        renders.push(sink.into_inner());
     }
     na_faults::reset();
     assert_eq!(renders[0], renders[1], "1 vs 2 workers");

@@ -3,7 +3,7 @@
 
 use na_benchmarks::Benchmark;
 use na_core::{compile, CompilerConfig};
-use na_engine::{paper, Engine, ExperimentSpec, MemorySink, Outcome, Task};
+use na_engine::{paper, write_records, Engine, ExperimentSpec, JsonlSink, Outcome, Task};
 use na_noise::NoiseParams;
 
 /// The acceptance sweep: ≥3 benchmarks × the paper MID set, run with
@@ -43,27 +43,20 @@ fn parallel_and_serial_runs_are_byte_identical() {
     }
     assert!(spec.len() >= 3 * mids.len());
 
-    let mut serial_sink = MemorySink::new();
-    Engine::with_workers(1)
-        .run_into(&spec, &mut serial_sink)
-        .expect("serial sink");
-
-    let mut parallel_sink = MemorySink::new();
-    Engine::with_workers(4)
-        .run_into(&spec, &mut parallel_sink)
-        .expect("parallel sink");
-
+    let jsonl = |workers: usize| {
+        let mut sink = JsonlSink::new(Vec::new());
+        write_records(&Engine::with_workers(workers).run(&spec), &mut sink)
+            .expect("in-memory sink");
+        sink.into_inner()
+    };
+    let serial = jsonl(1);
+    let parallel = jsonl(4);
     assert_eq!(
-        serial_sink.to_jsonl().into_bytes(),
-        parallel_sink.to_jsonl().into_bytes(),
+        serial, parallel,
         "4-worker rows must match 1-worker rows byte for byte"
     );
     // And repeating the parallel run is stable too.
-    let mut again = MemorySink::new();
-    Engine::with_workers(4)
-        .run_into(&spec, &mut again)
-        .expect("repeat sink");
-    assert_eq!(parallel_sink.to_jsonl(), again.to_jsonl());
+    assert_eq!(parallel, jsonl(4));
 }
 
 /// The cache counter proves repeated (circuit, grid, config) points

@@ -607,12 +607,12 @@ fn campaign_loop(
                     }
                 }
                 LossOutcome::Recompiled { compile_seconds } => {
-                    ledger.add_recompile(&cfg.overheads, compile_seconds);
+                    let charged = ledger.add_recompile(&cfg.overheads, compile_seconds);
                     record(
                         &mut timeline,
                         &mut clock,
                         EventKind::Compile,
-                        compile_seconds,
+                        charged,
                         record_timeline,
                     );
                     base = success_probability(state.compiled(), &params);
@@ -807,6 +807,37 @@ mod tests {
             .filter(|e| e.kind == EventKind::Reload)
             .count() as u64;
         assert_eq!(reloads, r.ledger.reloads);
+    }
+
+    #[test]
+    fn timeline_totals_match_the_ledger_under_fixed_recompile_cost() {
+        use crate::RecompileCost;
+        for strategy in [Strategy::FullRecompile, Strategy::CompileSmallReroute] {
+            let mut cfg = quick(strategy, 200).with_timeline();
+            cfg.overheads.recompile = RecompileCost::Fixed(1.5);
+            let r = run_campaign(&program(), &grid(), LossModel::new(4), &cfg).unwrap();
+            // The first event is the initial compile, which the ledger
+            // does not charge; every later event is a ledger charge.
+            let total = |kind: EventKind| -> f64 {
+                r.timeline[1..]
+                    .iter()
+                    .filter(|e| e.kind == kind)
+                    .map(|e| e.duration)
+                    .fold(0.0, |sum, d| sum + d)
+            };
+            let l = &r.ledger;
+            let absorbed = match strategy {
+                Strategy::FullRecompile => l.recompiles,
+                _ => l.remaps,
+            };
+            assert!(absorbed > 0, "{strategy}: no losses absorbed");
+            assert_eq!(total(EventKind::Compile), l.recompile_time, "{strategy}");
+            assert_eq!(total(EventKind::RunCircuit), l.circuit_time, "{strategy}");
+            assert_eq!(total(EventKind::Fluorescence), l.fluorescence_time);
+            assert_eq!(total(EventKind::Remap), l.remap_time, "{strategy}");
+            assert_eq!(total(EventKind::Fixup), l.fixup_time, "{strategy}");
+            assert_eq!(total(EventKind::Reload), l.reload_time, "{strategy}");
+        }
     }
 
     #[test]

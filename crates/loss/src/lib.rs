@@ -36,16 +36,18 @@ pub mod strategy;
 pub mod timeline;
 pub mod tolerance;
 
+/// The per-op reference costing the unit tests compare against.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod oracles;
+
 pub use executor::{
     run_campaign, run_campaign_precompiled, run_campaign_shard, shard_ranges, CampaignConfig,
     CampaignResult, ShardPlanError, ShotRange, ShotTarget,
 };
 pub use model::LossModel;
 pub use overhead::{OverheadLedger, OverheadTimes, RecompileCost};
-pub use reroute::{
-    fixup_swaps_summary, fixup_swaps_with, max_resolved_span, resolved_ok, resolved_ok_summary,
-    InteractionSummary,
-};
+pub use reroute::{fixup_swaps_summary, resolved_ok_summary, InteractionSummary};
 pub use state::{LossOutcome, StrategyState};
 pub use stats::{derive_seed, shard_seed, RunningMoments, StreakHistogram, StreakStats};
 pub use strategy::{ParseStrategyError, Strategy};

@@ -116,13 +116,17 @@ impl OverheadLedger {
         self.fixup_time += times.fixup;
     }
 
-    /// Records one recompilation of measured duration `measured_secs`.
-    pub fn add_recompile(&mut self, times: &OverheadTimes, measured_secs: f64) {
-        self.recompiles += 1;
-        self.recompile_time += match times.recompile {
+    /// Records one recompilation of measured duration `measured_secs`
+    /// and returns the seconds charged for it (`times.recompile`
+    /// decides whether that is the measurement or a fixed cost).
+    pub fn add_recompile(&mut self, times: &OverheadTimes, measured_secs: f64) -> f64 {
+        let charged = match times.recompile {
             RecompileCost::Measured => measured_secs,
             RecompileCost::Fixed(t) => t,
         };
+        self.recompiles += 1;
+        self.recompile_time += charged;
+        charged
     }
 
     /// Records circuit-execution time.
@@ -137,11 +141,6 @@ impl OverheadLedger {
             + self.remap_time
             + self.fixup_time
             + self.recompile_time
-    }
-
-    /// Total campaign wall-clock seconds.
-    pub fn total_time(&self) -> f64 {
-        self.overhead_time() + self.circuit_time
     }
 
     /// Folds another shard's ledger into this one: counts add exactly;
@@ -189,7 +188,7 @@ mod tests {
         assert_eq!(l.reloads, 2);
         assert!((l.reload_time - 0.6).abs() < 1e-12);
         assert!((l.overhead_time() - (0.6 + 6e-3 + 40e-9 + 81e-6)).abs() < 1e-12);
-        assert!((l.total_time() - l.overhead_time() - 1e-3).abs() < 1e-12);
+        assert!((l.circuit_time - 1e-3).abs() < 1e-12);
     }
 
     #[test]

@@ -4,21 +4,20 @@
 //! schedule's interactions resolve to new physical sites. This module
 //! answers two questions per topology state:
 //!
-//! * [`resolved_ok`] — does every interaction still fit within the
-//!   hardware MID (the virtual-remap go/no-go)?
+//! * [`resolved_ok_summary`] — does every interaction still fit within
+//!   the hardware MID (the virtual-remap go/no-go)?
 //! * [`fixup_swaps_summary`] — if not, how many SWAPs does the
 //!   swap-out/execute/swap-back fixup of Fig. 9c cost per shot?
 //!
 //! Both questions depend on the schedule only through its *distinct*
 //! operand pairs: a pair scheduled twenty times costs twenty fixups
 //! but needs one BFS. [`InteractionSummary`] precomputes that deduped
-//! pair multiset once per compiled schedule, and the `_summary`
-//! variants ([`resolved_ok_summary`], [`fixup_swaps_summary`]) answer
-//! from it — per distinct pair instead of per scheduled op. The per-op
-//! originals ([`resolved_ok`], [`fixup_swaps_with`]) are retained as
-//! the reference costing path; randomized differential tests hold the
-//! two bit-for-bit equal. Both run their BFS over the device's one
-//! [`InteractionGraph`] with the current holes as a mask.
+//! pair multiset once per compiled schedule, and both functions answer
+//! from it — per distinct pair instead of per scheduled op — running
+//! their BFS over the device's one [`InteractionGraph`] with the
+//! current holes as a mask. The per-op seed costing lives on in
+//! `tests/common` as the oracle randomized differential tests hold
+//! this path bit-for-bit equal to.
 
 use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
 use na_core::CompiledCircuit;
@@ -76,10 +75,12 @@ impl InteractionSummary {
     }
 }
 
-/// [`resolved_ok`] answered from a precomputed [`InteractionSummary`]:
-/// every distinct operand must resolve to a usable atom and every
-/// distinct pair must resolve within `hardware_mid`. Equivalent to the
-/// per-op scan — a violation exists in one iff it exists in the other.
+/// `true` if every scheduled interaction, resolved through `vmap`,
+/// stays within `hardware_mid` and on usable atoms, answered from a
+/// precomputed [`InteractionSummary`]: every distinct operand must
+/// resolve to a usable atom and every distinct pair must resolve within
+/// `hardware_mid`. Equivalent to a per-op scan — a violation exists in
+/// one iff it exists in the other.
 pub fn resolved_ok_summary(
     summary: &InteractionSummary,
     vmap: &VirtualMap,
@@ -96,15 +97,20 @@ pub fn resolved_ok_summary(
             .all(|&(a, b, _)| vmap.resolve(a).within(vmap.resolve(b), hardware_mid))
 }
 
-/// [`fixup_swaps_with`] answered from a precomputed
-/// [`InteractionSummary`] and a hole-masked full-grid graph: one BFS
-/// per distinct out-of-range pair, its `2 · (hops − 1)` SWAP cost
-/// multiplied by the pair's scheduled multiplicity. `usable` is the
-/// current hole pattern as a flat-index mask ([`Grid::usable_mask`]),
-/// so `graph` never needs rebuilding as losses accrue.
+/// SWAP count of the minor-reroute fixup (Fig. 9c) for the current
+/// topology: for every scheduled interaction whose resolved operands
+/// exceed `hardware_mid`, one operand is swapped along a shortest
+/// MID-hop path to within range, the gate executes, and the SWAPs are
+/// reversed. Answered from a precomputed [`InteractionSummary`] and a
+/// hole-masked full-grid graph: one BFS per distinct out-of-range pair,
+/// its `2 · (hops − 1)` SWAP cost multiplied by the pair's scheduled
+/// multiplicity. `usable` is the current hole pattern as a flat-index
+/// mask ([`Grid::usable_mask`]), so `graph` never needs rebuilding as
+/// losses accrue. These SWAPs recur every shot until the topology
+/// changes again.
 ///
-/// Returns `None` exactly when the reference path does: some operand
-/// resolves to a lost atom, or some required pair is disconnected.
+/// Returns `None` when some operand resolves to a lost atom or some
+/// required pair is disconnected — the strategy must reload.
 pub fn fixup_swaps_summary(
     summary: &InteractionSummary,
     vmap: &VirtualMap,
@@ -131,101 +137,10 @@ pub fn fixup_swaps_summary(
     Some(total)
 }
 
-/// The largest pairwise operand distance any scheduled interaction has
-/// after resolving through `vmap`.
-pub fn max_resolved_span(compiled: &CompiledCircuit, vmap: &VirtualMap) -> f64 {
-    let mut worst: f64 = 0.0;
-    let mut sites: Vec<Site> = Vec::new();
-    for op in compiled.ops() {
-        sites.clear();
-        sites.extend(op.sites.iter().map(|&s| vmap.resolve(s)));
-        for i in 0..sites.len() {
-            for j in (i + 1)..sites.len() {
-                worst = worst.max(sites[i].distance(sites[j]));
-            }
-        }
-    }
-    worst
-}
-
-/// `true` if every scheduled interaction, resolved through `vmap`,
-/// stays within `hardware_mid` and on usable atoms.
-pub fn resolved_ok(
-    compiled: &CompiledCircuit,
-    vmap: &VirtualMap,
-    grid: &Grid,
-    hardware_mid: f64,
-) -> bool {
-    let mut sites: Vec<Site> = Vec::new();
-    for op in compiled.ops() {
-        sites.clear();
-        sites.extend(op.sites.iter().map(|&s| vmap.resolve(s)));
-        for &s in &sites {
-            if !grid.is_usable(s) {
-                return false;
-            }
-        }
-        for i in 0..sites.len() {
-            for j in (i + 1)..sites.len() {
-                if !sites[i].within(sites[j], hardware_mid) {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// SWAP count of the minor-reroute fixup (Fig. 9c) for the current
-/// topology, per scheduled op: the reference oracle of
-/// [`fixup_swaps_summary`]. For every scheduled interaction whose
-/// resolved operands exceed `hardware_mid`, one operand is swapped
-/// along a shortest MID-hop path to within range, the gate executes,
-/// and the SWAPs are reversed to restore the mapping.
-///
-/// Returns `None` when some required pair has no path over usable
-/// atoms — the strategy must reload.
-///
-/// These SWAPs recur *every shot* until the topology changes again, so
-/// the count feeds directly into the per-shot success-rate penalty.
-pub fn fixup_swaps_with(
-    compiled: &CompiledCircuit,
-    vmap: &VirtualMap,
-    grid: &Grid,
-    hardware_mid: f64,
-    scratch: &mut BfsScratch,
-) -> Option<u32> {
-    let graph = InteractionGraph::cached(grid, hardware_mid);
-    let mut sites: Vec<Site> = Vec::new();
-    let mut total = 0u32;
-    for op in compiled.ops() {
-        sites.clear();
-        sites.extend(op.sites.iter().map(|&s| vmap.resolve(s)));
-        for &s in &sites {
-            if !grid.is_usable(s) {
-                return None;
-            }
-        }
-        for i in 0..sites.len() {
-            for j in (i + 1)..sites.len() {
-                if sites[i].within(sites[j], hardware_mid) {
-                    continue;
-                }
-                // Walk one endpoint to the penultimate node of a
-                // shortest hop path (then it is within one hop — hence
-                // within MID — of the other), and walk it back
-                // afterwards: 2 · (hop distance − 1) SWAPs.
-                let dist = graph.hop_distance(sites[i], sites[j], grid.usable_mask(), scratch)?;
-                total += 2 * (dist - 1);
-            }
-        }
-    }
-    Some(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracles::{fixup_swaps_with, max_resolved_span, resolved_ok};
     use na_arch::ShiftScratch;
     use na_circuit::{Circuit, Qubit};
     use na_core::{compile, CompilerConfig};

@@ -537,7 +537,7 @@ mod tests {
         // tolerated loss's recorded outcome must agree with the
         // retained per-op reference costing recomputed on the current
         // holey grid and virtual map.
-        use crate::reroute::{fixup_swaps_with, resolved_ok};
+        use crate::oracles::{fixup_swaps_with, resolved_ok};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xC057);

@@ -13,7 +13,7 @@
 //!   maintained by the campaign shot loop in O(1) memory.
 //!
 //! The accumulating interval vector stays in-tree as the differential
-//! oracle (the `initial_placement_reference` playbook):
+//! oracle (the seed-placer playbook of `na_core`'s placement tests):
 //! [`StreakStats::from_intervals`] pushes the recorded intervals
 //! through the *same* sequential code path the streaming loop uses, so
 //! on any single shard the two representations agree bit for bit —

@@ -62,17 +62,10 @@ pub fn render_timeline(events: &[TimelineEvent]) -> String {
         "timeline: {} events over {total:.3} s\n",
         events.len()
     ));
-    let mut by_kind: BTreeMap<&'static str, (usize, f64)> = BTreeMap::new();
+    // Keyed by display name, so the totals list alphabetically.
+    let mut by_kind: BTreeMap<String, (usize, f64)> = BTreeMap::new();
     for e in events {
-        let name = match e.kind {
-            EventKind::Compile => "compile",
-            EventKind::RunCircuit => "run circuit",
-            EventKind::Fluorescence => "fluorescence",
-            EventKind::Remap => "remap",
-            EventKind::Fixup => "circuit fixup",
-            EventKind::Reload => "reload atoms",
-        };
-        let entry = by_kind.entry(name).or_insert((0, 0.0));
+        let entry = by_kind.entry(e.kind.to_string()).or_insert((0, 0.0));
         entry.0 += 1;
         entry.1 += e.duration;
     }

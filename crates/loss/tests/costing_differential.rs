@@ -8,12 +8,13 @@
 //! over random programs the two must agree exactly — same go/no-go
 //! verdicts, same SWAP totals, same `None`s on disconnection.
 
+mod common;
+
+use common::{fixup_swaps_with, resolved_ok};
 use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
 use na_benchmarks::Benchmark;
 use na_core::{compile, CompilerConfig};
-use na_loss::{
-    fixup_swaps_summary, fixup_swaps_with, resolved_ok, resolved_ok_summary, InteractionSummary,
-};
+use na_loss::{fixup_swaps_summary, resolved_ok_summary, InteractionSummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -20,7 +20,7 @@ use natoms::arch::Grid;
 use natoms::benchmarks::Benchmark;
 use natoms::compiler::CompilerConfig;
 use natoms::engine::{
-    Engine, ExperimentSpec, JsonlSink, LossSpec, MemorySink, Outcome, RunRecord, Task,
+    write_records, Engine, ExperimentSpec, JsonlSink, LossSpec, Outcome, RunRecord, Task,
 };
 use natoms::faults;
 use natoms::loss::{CampaignConfig, ShotTarget, Strategy};
@@ -60,11 +60,17 @@ fn mixed_spec() -> ExperimentSpec {
 }
 
 fn run_jsonl(spec: &ExperimentSpec, workers: usize) -> (Vec<RunRecord>, Vec<String>) {
-    let mut sink = MemorySink::new();
-    let records = Engine::with_workers(workers)
-        .run_into(spec, &mut sink)
-        .expect("memory sink never fails");
-    (records, sink.lines)
+    let records = Engine::with_workers(workers).run(spec);
+    let lines = render(&records);
+    (records, lines)
+}
+
+/// The records' JSONL rows, one string per line.
+fn render(records: &[RunRecord]) -> Vec<String> {
+    let mut sink = JsonlSink::new(Vec::new());
+    write_records(records, &mut sink).expect("in-memory sink never fails");
+    let text = String::from_utf8(sink.into_inner()).expect("rows are UTF-8");
+    text.lines().map(str::to_owned).collect()
 }
 
 #[test]
@@ -170,7 +176,7 @@ fn sink_write_failpoint_surfaces_as_typed_sink_error() {
     let err = {
         let _scope = faults::scope("emit");
         let mut sink = JsonlSink::new(Vec::new());
-        let err = natoms::engine::write_records(&records, &mut sink).unwrap_err();
+        let err = write_records(&records, &mut sink).unwrap_err();
         let written = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(
             written.lines().count(),
@@ -225,11 +231,9 @@ fn deadline_extremes_are_typed_and_nonperturbing() {
 
     let mut renders = Vec::new();
     for workers in WORKER_COUNTS {
-        let mut sink = MemorySink::new();
         let records = Engine::with_workers(workers)
             .with_job_timeout(Duration::ZERO)
-            .run_into(&spec, &mut sink)
-            .unwrap();
+            .run(&spec);
         for record in &records {
             match &record.outcome {
                 Outcome::Failed {
@@ -244,19 +248,18 @@ fn deadline_extremes_are_typed_and_nonperturbing() {
                 other => panic!("expected a deadline row, got {other:?}"),
             }
         }
-        renders.push(sink.to_jsonl());
+        renders.push(render(&records));
     }
     assert_eq!(renders[0], renders[1]);
     assert_eq!(renders[1], renders[2]);
 
     let (_, golden) = run_jsonl(&spec, 2);
-    let mut sink = MemorySink::new();
-    Engine::with_workers(2)
+    let records = Engine::with_workers(2)
         .with_job_timeout(Duration::from_secs(3600))
-        .run_into(&spec, &mut sink)
-        .unwrap();
+        .run(&spec);
     assert_eq!(
-        sink.lines, golden,
+        render(&records),
+        golden,
         "a generous budget must not perturb a single byte"
     );
 }

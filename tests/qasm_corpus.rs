@@ -284,3 +284,25 @@ fn huge_register_broadcast_is_a_typed_error_before_allocating() {
     let at_limit = parse_qasm("OPENQASM 2.0;\nqreg q[65536];\nh q[0];\n").unwrap();
     assert_eq!(at_limit.num_qubits(), 65_536);
 }
+
+/// Regression: neither macro fan-out nor broadcast was bounded, so a
+/// 22-level doubling macro tower (a few hundred bytes) expanded to
+/// 4,194,304 gates and took seconds and gigabytes to import. The gate
+/// total is bounded as it grows.
+#[test]
+fn macro_towers_and_broadcast_floods_hit_the_gate_limit() {
+    let tower = std::fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/qasm_gate_tower.qasm"),
+    )
+    .expect("readable tower fixture");
+    let err = parse_qasm(&tower).unwrap_err();
+    assert!(matches!(err.kind, QasmErrorKind::Unsupported(_)), "{err}");
+    assert!(err.to_string().contains("1048576 gates"), "{err}");
+
+    // 2^16 qubits × 16 broadcasts is exactly the limit; the 17th
+    // broadcast (line 19) is the first statement past it.
+    let flood = format!("OPENQASM 2.0;\nqreg q[65536];\n{}", "h q;\n".repeat(17));
+    let err = parse_qasm(&flood).unwrap_err();
+    assert!(matches!(err.kind, QasmErrorKind::Unsupported(_)), "{err}");
+    assert_eq!(err.line, 19, "{err}");
+}

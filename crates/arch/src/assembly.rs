@@ -51,6 +51,21 @@ impl Default for AssemblyParams {
     }
 }
 
+impl AssemblyParams {
+    /// Whether a reservoir `margin` traps wide around a `width ×
+    /// height` target loads, on average, enough atoms to fill the
+    /// target's expected holes despite drag losses. When it does not,
+    /// [`AssemblySimulator::assemble`] succeeds only on rare lucky
+    /// clouds and retries practically forever.
+    pub fn reservoir_suffices(&self, width: u32, height: u32, margin: u32) -> bool {
+        let target = f64::from(width) * f64::from(height);
+        let field = (f64::from(width) + 2.0 * f64::from(margin))
+            * (f64::from(height) + 2.0 * f64::from(margin));
+        let p = self.load_probability;
+        p * (field - target) * self.move_success >= (1.0 - p) * target
+    }
+}
+
 /// Outcome of one assembly run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AssemblyReport {
@@ -99,12 +114,19 @@ impl AssemblySimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `width == 0`, `height == 0`, or
-    /// `load_probability == 0`.
+    /// Panics if `width == 0`, `height == 0`, `margin == 0`, or
+    /// `load_probability == 0`. With no reservoir, every target site
+    /// would have to load in the same cloud (probability
+    /// `load_probability^(width·height)`), so the retry loop would in
+    /// practice never end.
     pub fn assemble(&mut self, width: u32, height: u32, margin: u32) -> (Grid, AssemblyReport) {
         assert!(
             width > 0 && height > 0,
             "target dimensions must be positive"
+        );
+        assert!(
+            margin > 0,
+            "assembly needs a reservoir margin of at least 1"
         );
         assert!(
             self.params.load_probability > 0.0,
@@ -112,7 +134,7 @@ impl AssemblySimulator {
         );
         let field_w = width + 2 * margin;
         let field_h = height + 2 * margin;
-        let target_count = (width * height) as usize;
+        let target_count = width as usize * height as usize;
 
         let mut report = AssemblyReport {
             attempts: 0,
@@ -265,6 +287,17 @@ mod tests {
     }
 
     #[test]
+    fn reservoir_check_matches_the_tested_geometries() {
+        let params = AssemblyParams::default();
+        for (w, h, m) in [(10, 10, 3), (14, 14, 3), (8, 8, 2), (6, 6, 2), (5, 5, 2)] {
+            assert!(params.reservoir_suffices(w, h, m), "{w}x{h} margin {m}");
+        }
+        assert!(!params.reservoir_suffices(10, 10, 0));
+        assert!(!params.reservoir_suffices(10, 10, 1));
+        assert!(!params.reservoir_suffices(20, 20, 3));
+    }
+
+    #[test]
     fn larger_arrays_take_longer() {
         let t_small = AssemblySimulator::with_defaults(2).mean_reload_time(5, 5, 2, 6);
         let t_large = AssemblySimulator::with_defaults(2).mean_reload_time(14, 14, 3, 6);
@@ -275,5 +308,11 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_target_panics() {
         AssemblySimulator::with_defaults(0).assemble(0, 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "reservoir margin")]
+    fn zero_margin_panics() {
+        AssemblySimulator::with_defaults(0).assemble(4, 4, 0);
     }
 }

@@ -69,7 +69,7 @@ impl Grid {
         Grid {
             width,
             height,
-            usable: vec![true; (width * height) as usize],
+            usable: vec![true; width as usize * height as usize],
         }
     }
 
@@ -88,7 +88,7 @@ impl Grid {
     /// Total number of trap sites (including holes).
     #[inline]
     pub fn num_sites(&self) -> usize {
-        (self.width * self.height) as usize
+        self.usable.len()
     }
 
     /// Number of sites currently holding an atom.

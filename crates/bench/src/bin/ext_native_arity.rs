@@ -14,13 +14,14 @@
 //! proportionally large restriction zone.
 //!
 //! Raw (non-benchmark) circuits flow through the engine as
-//! `CircuitSource::Raw`; unroutable points come back as `Failed`
+//! `Workload::Custom`; unroutable points come back as `Failed`
 //! rows, rendered "-".
 
 use na_bench::{harness_engine, maybe_emit_jsonl, paper_grid, Table};
+use na_benchmarks::Workload;
 use na_circuit::{Circuit, Qubit};
 use na_core::CompilerConfig;
-use na_engine::{CircuitSource, ExperimentSpec, Outcome, Task};
+use na_engine::{ExperimentSpec, Outcome, Task};
 use na_noise::NoiseParams;
 
 /// A raw n-controlled-X without pre-lowering: the compiler decides.
@@ -43,12 +44,12 @@ fn main() {
 
     let mut spec = ExperimentSpec::new("ext_native_arity", paper_grid());
     for &controls in &control_counts {
-        let source = CircuitSource::raw(format!("CNU-{controls}c"), raw_cnu(controls));
+        let workload = Workload::custom(format!("CNU-{controls}c"), raw_cnu(controls));
         for (_, arity) in &arities {
             for &mid in &mids {
                 let cfg = CompilerConfig::new(mid).with_max_native_arity(*arity);
                 spec.push(
-                    source.clone(),
+                    workload.clone(),
                     controls + 1,
                     0,
                     cfg,

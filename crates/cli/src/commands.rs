@@ -7,7 +7,7 @@
 //! JSON-lines rows for downstream tooling.
 
 use crate::args::{ArgError, Args};
-use na_arch::{AssemblySimulator, Grid, RestrictionPolicy};
+use na_arch::{AssemblyParams, AssemblySimulator, Grid, RestrictionPolicy};
 use na_benchmarks::{Benchmark, Workload};
 use na_circuit::parse_qasm;
 use na_core::{verify, CompiledCircuit, CompilerConfig};
@@ -47,19 +47,26 @@ fn parse_strategy(name: &str) -> Result<Strategy, ArgError> {
         .map_err(|e: na_loss::ParseStrategyError| ArgError(e.to_string()))
 }
 
+/// The most trap sites a device flag may ask for: `--grid`, and the
+/// `reload-time` trap field of `--width` × `--height` padded by
+/// `--margin` on every side. The largest device in any test, example or
+/// benchmark is the 20×20 field of a 14×14 target with a 3-site margin
+/// (the paper's device is 10×10), ten times below the cap, while a
+/// fully connected interaction graph at the cap still fits in ~64 MB.
+const MAX_SITES: u64 = 4096;
+
+/// `--grid WxH`: positive sides and at most [`MAX_SITES`] sites.
 fn parse_grid(spec: &str) -> Result<Grid, ArgError> {
     let (w, h) = spec
         .split_once('x')
-        .ok_or_else(|| ArgError(format!("grid spec {spec:?} must look like 10x10")))?;
-    let w: u32 = w
-        .parse()
-        .map_err(|_| ArgError(format!("bad grid width {w:?}")))?;
-    let h: u32 = h
-        .parse()
-        .map_err(|_| ArgError(format!("bad grid height {h:?}")))?;
-    if w == 0 || h == 0 {
-        return Err(ArgError("grid dimensions must be positive".into()));
-    }
+        .and_then(|(w, h)| Some((w.parse::<u32>().ok()?, h.parse::<u32>().ok()?)))
+        .filter(|&(w, h)| w > 0 && h > 0 && u64::from(w) * u64::from(h) <= MAX_SITES)
+        .ok_or_else(|| {
+            ArgError(format!(
+                "--grid must be WxH (like 10x10) with positive sides and at most \
+                 {MAX_SITES} sites, got {spec:?}"
+            ))
+        })?;
     Ok(Grid::new(w, h))
 }
 
@@ -420,7 +427,7 @@ pub fn success_cmd(args: &Args) -> CmdResult {
 pub fn tolerance_cmd(args: &Args) -> CmdResult {
     let c = common(args)?;
     let strategy = parse_strategy(args.get_or("strategy", "c-small-reroute"))?;
-    let trials: u32 = args.parse_or("trials", 10)?;
+    let trials = args.parse_checked("trials", 10u32, |&t| t > 0, "at least 1")?;
     if !strategy.supports_mid(c.config.mid) {
         return Err(Box::new(ArgError(format!(
             "{strategy} needs a hardware MID of at least 3"
@@ -578,10 +585,36 @@ pub fn campaign_cmd(args: &Args) -> CmdResult {
 
 /// `natoms reload-time`
 pub fn reload_time_cmd(args: &Args) -> CmdResult {
-    let width = args.parse_checked("width", 10u32, |&w| w > 0, "positive")?;
-    let height = args.parse_checked("height", 10u32, |&h| h > 0, "positive")?;
-    let margin: u32 = args.parse_or("margin", 3)?;
-    let trials: u32 = args.parse_or("trials", 10)?;
+    // The trap field the simulator loads: the target plus the margin.
+    let field = |w: u32, h: u32, m: u32| {
+        (u64::from(w) + 2 * u64::from(m)) * (u64::from(h) + 2 * u64::from(m))
+    };
+    let width = args.parse_checked(
+        "width",
+        10u32,
+        |&w| w > 0 && field(w, 1, 0) <= MAX_SITES,
+        &format!("positive and at most {MAX_SITES}"),
+    )?;
+    let height = args.parse_checked(
+        "height",
+        10u32,
+        |&h| h > 0 && field(width, h, 0) <= MAX_SITES,
+        &format!("positive, with width x height at most {MAX_SITES} sites"),
+    )?;
+    let margin = args.parse_checked(
+        "margin",
+        3u32,
+        |&m| {
+            m > 0
+                && field(width, height, m) <= MAX_SITES
+                && AssemblyParams::default().reservoir_suffices(width, height, m)
+        },
+        &format!(
+            "at least 1, wide enough to refill the target, with the padded trap \
+             field at most {MAX_SITES} sites"
+        ),
+    )?;
+    let trials = args.parse_checked("trials", 10u32, |&t| t > 0, "at least 1")?;
     let seed: u64 = args.parse_or("seed", 0u64)?;
     let mut sim = AssemblySimulator::with_defaults(seed);
     let mean = sim.mean_reload_time(width, height, margin, trials);
@@ -606,7 +639,7 @@ pub fn write_metrics_snapshot(path: &str) -> Result<(), Box<dyn Error>> {
 /// `path` (the tail end of the global `--trace <file>` flag).
 pub fn write_trace(path: &str) -> Result<(), Box<dyn Error>> {
     let mut buf = Vec::new();
-    let events = na_telemetry::trace::write_chrome_trace(&mut buf)?;
+    let events = na_telemetry::trace::write_chrome_trace(&mut buf)?.len();
     std::fs::write(path, &buf)
         .map_err(|e| ArgError(format!("cannot write trace file {path:?}: {e}")))?;
     eprintln!("trace: wrote {events} events to {path}");
@@ -685,109 +718,10 @@ pub fn stats_cmd(args: &Args) -> CmdResult {
     Ok(CmdStatus::Ok)
 }
 
-/// One completed span reconstructed from a Chrome trace file.
-#[derive(Debug, Clone)]
-struct TraceSpan {
-    name: String,
-    /// Span id from `args.id` (0 when absent).
-    id: u64,
-    /// Parent span id from `args.parent` (0 = root).
-    parent: u64,
-    tid: u64,
-    /// Duration in microseconds.
-    dur_us: f64,
-    /// `args.job`, when the span carries one.
-    job: Option<u64>,
-    /// `args.task`, when the span carries one.
-    task: Option<String>,
-}
-
-/// Reconstructs spans (matched B/E pairs, LIFO per track) and instant
-/// counts from parsed trace events. Returns
-/// `(spans, instant counts by name, unmatched event count)`.
-fn fold_trace_events(
-    events: &[serde_json::Value],
-) -> (
-    Vec<TraceSpan>,
-    std::collections::BTreeMap<String, u64>,
-    usize,
-) {
-    let mut stacks: std::collections::HashMap<u64, Vec<(serde_json::Value, f64)>> =
-        std::collections::HashMap::new();
-    let mut spans = Vec::new();
-    let mut instants: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut unmatched = 0usize;
-    let name_of = |ev: &serde_json::Value| {
-        ev.get("name")
-            .and_then(|n| n.as_str())
-            .unwrap_or("?")
-            .to_string()
-    };
-    let arg =
-        |ev: &serde_json::Value, key: &str| ev.get("args").and_then(|args| args.get(key)).cloned();
-    for ev in events {
-        let tid = ev.get("tid").and_then(|t| t.as_u64()).unwrap_or(0);
-        let ts = ev.get("ts").and_then(|t| t.as_f64()).unwrap_or(0.0);
-        match ev.get("ph").and_then(|p| p.as_str()) {
-            Some("B") => stacks.entry(tid).or_default().push((ev.clone(), ts)),
-            Some("E") => match stacks.entry(tid).or_default().pop() {
-                Some((begin, begin_ts)) => spans.push(TraceSpan {
-                    name: name_of(&begin),
-                    id: arg(&begin, "id").and_then(|v| v.as_u64()).unwrap_or(0),
-                    parent: arg(&begin, "parent").and_then(|v| v.as_u64()).unwrap_or(0),
-                    tid,
-                    dur_us: (ts - begin_ts).max(0.0),
-                    job: arg(&begin, "job").and_then(|v| v.as_u64()),
-                    task: arg(&begin, "task").and_then(|v| v.as_str().map(str::to_string)),
-                }),
-                None => unmatched += 1,
-            },
-            Some("i") => {
-                *instants.entry(name_of(ev)).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-    unmatched += stacks.values().map(Vec::len).sum::<usize>();
-    (spans, instants, unmatched)
-}
-
-/// Walks the longest-child chain under `root`, rendering one critical
-/// path line per level.
-fn render_critical_path(
-    root: usize,
-    spans: &[TraceSpan],
-    children: &std::collections::HashMap<u64, Vec<usize>>,
-) -> String {
-    let mut path = String::new();
-    let mut at = root;
-    loop {
-        let slowest_child = children
-            .get(&spans[at].id)
-            .into_iter()
-            .flatten()
-            .copied()
-            .max_by(|&a, &b| spans[a].dur_us.total_cmp(&spans[b].dur_us));
-        match slowest_child {
-            Some(child) => {
-                path.push_str(&format!(
-                    " -> {} {:.3} ms",
-                    spans[child].name,
-                    spans[child].dur_us / 1e3
-                ));
-                at = child;
-            }
-            None => break,
-        }
-    }
-    path
-}
-
 /// `natoms trace <file>` — summarizes a Chrome trace-event file
-/// written by the global `--trace` flag: structural validation
-/// (matched begin/end pairs per track), per-job critical paths, the
-/// top-k slowest spans (`--top N`, default 10), and cache-wait
-/// totals. A closed stdout (`natoms trace f | head -1`) ends the
+/// written by the global `--trace` flag (the summary is
+/// [`na_telemetry::trace::write_summary`]; `--top N` slowest spans,
+/// default 10). A closed stdout (`natoms trace f | head -1`) ends the
 /// summary early without error.
 pub fn trace_cmd(args: &Args) -> CmdResult {
     let path = args
@@ -797,110 +731,12 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
     let top: usize = args.parse_or("top", 10)?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| ArgError(format!("cannot read trace file {path:?}: {e}")))?;
-    let events: Vec<serde_json::Value> = serde_json::from_str(&text)
+    let events = na_telemetry::trace::read_chrome_trace(&text)
         .map_err(|e| ArgError(format!("{path}: not a trace-event array: {e}")))?;
-    match write_trace_summary(&mut std::io::stdout().lock(), path, &events, top) {
+    match na_telemetry::trace::write_summary(&mut std::io::stdout().lock(), path, &events, top) {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(Box::new(e)),
         _ => Ok(CmdStatus::Ok),
     }
-}
-
-/// Writes the `natoms trace` summary of `events` to `out`.
-fn write_trace_summary(
-    out: &mut impl std::io::Write,
-    path: &str,
-    events: &[serde_json::Value],
-    top: usize,
-) -> std::io::Result<()> {
-    let (spans, instants, unmatched) = fold_trace_events(events);
-    let tracks: std::collections::BTreeSet<u64> = events
-        .iter()
-        .filter_map(|ev| ev.get("tid").and_then(|t| t.as_u64()))
-        .collect();
-    writeln!(
-        out,
-        "{path}: {} events, {} spans, {} tracks, {} unmatched begin/end",
-        events.len(),
-        spans.len(),
-        tracks.len(),
-        unmatched
-    )?;
-    if !instants.is_empty() {
-        let rendered: Vec<String> = instants
-            .iter()
-            .map(|(name, count)| format!("{name} x{count}"))
-            .collect();
-        writeln!(out, "instants: {}", rendered.join(", "))?;
-    }
-
-    let waits: Vec<&TraceSpan> = spans.iter().filter(|s| s.name == "cache_wait").collect();
-    if !waits.is_empty() {
-        writeln!(
-            out,
-            "cache wait: {} wait(s), {:.3} ms total",
-            waits.len(),
-            waits.iter().map(|s| s.dur_us).sum::<f64>() / 1e3
-        )?;
-    }
-
-    let mut slowest: Vec<usize> = (0..spans.len()).collect();
-    slowest.sort_by(|&a, &b| spans[b].dur_us.total_cmp(&spans[a].dur_us));
-    if !slowest.is_empty() {
-        writeln!(out, "top {} slowest spans:", top.min(slowest.len()))?;
-        for (rank, &i) in slowest.iter().take(top).enumerate() {
-            let s = &spans[i];
-            let mut label = s.name.clone();
-            if let Some(job) = s.job {
-                label.push_str(&format!(" job={job}"));
-            }
-            if let Some(task) = &s.task {
-                label.push_str(&format!(" task={task}"));
-            }
-            writeln!(
-                out,
-                "  {:>2}. {:<32} {:>10.3} ms  [tid {}]",
-                rank + 1,
-                label,
-                s.dur_us / 1e3,
-                s.tid
-            )?;
-        }
-    }
-
-    // Critical path per job: jobs are the root spans (`job` /
-    // `campaign_job`); children link by the explicit span ids the
-    // exporter put in `args`.
-    let mut children: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        if s.parent != 0 {
-            children.entry(s.parent).or_default().push(i);
-        }
-    }
-    let mut jobs: Vec<usize> = (0..spans.len())
-        .filter(|&i| {
-            (spans[i].name == "job" || spans[i].name == "campaign_job") && spans[i].id != 0
-        })
-        .collect();
-    jobs.sort_by_key(|&i| spans[i].job.unwrap_or(u64::MAX));
-    if !jobs.is_empty() {
-        writeln!(out, "per-job critical path:")?;
-        for &i in &jobs {
-            let s = &spans[i];
-            writeln!(
-                out,
-                "  job {} ({}) {:.3} ms{}",
-                s.job.map_or_else(|| "?".into(), |j| j.to_string()),
-                s.task.as_deref().unwrap_or(if s.name == "campaign_job" {
-                    "campaign_sharded"
-                } else {
-                    "?"
-                }),
-                s.dur_us / 1e3,
-                render_critical_path(i, &spans, &children)
-            )?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1099,6 +935,18 @@ mod tests {
             "campaign --size 8 --campaigns 0",
             "reload-time --width 0",
             "reload-time --height 0",
+            "tolerance --size 8 --trials 0",
+            "compile --grid 65536x65536",
+            "compile --grid 65536x65537",
+            "compile --grid 65x64",
+            "compile --grid 0x5",
+            "compile --grid 10by10",
+            "reload-time --width 4097",
+            "reload-time --width 100 --height 41",
+            "reload-time --margin 0",
+            "reload-time --width 60 --height 60 --margin 3",
+            "reload-time --width 20 --height 20 --margin 3",
+            "reload-time --trials 0",
         ];
         for case in cases {
             let tokens: Vec<&str> = case.split(' ').collect();
@@ -1301,17 +1149,10 @@ mod tests {
             ]"#,
         )
         .unwrap();
+        // The folding and the summary text are pinned next to the
+        // codec, in `na_telemetry::trace`'s tests.
         let args = parse(&["trace", path.to_str().unwrap()]);
         assert_eq!(trace_cmd(&args).unwrap(), CmdStatus::Ok);
-        // The folding itself: 3 matched spans, 1 instant, 0 unmatched.
-        let events: Vec<serde_json::Value> =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let (spans, instants, unmatched) = fold_trace_events(&events);
-        assert_eq!((spans.len(), unmatched), (3, 0));
-        assert_eq!(instants.get("cache_hit"), Some(&1));
-        let job = spans.iter().find(|s| s.name == "job").unwrap();
-        assert_eq!((job.id, job.job, job.dur_us), (1, Some(0), 10.0));
-        assert!(spans.iter().all(|s| s.name == "job" || s.parent == 1));
     }
 
     #[test]

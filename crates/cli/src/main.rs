@@ -66,7 +66,7 @@ COMMON OPTIONS:
   --benchmark bv|cnu|cuccaro|qft-adder|qaoa   (default bv)
   --qasm FILE       run an imported OpenQASM 2.0 circuit instead
   --size N          program qubit budget        (default 30)
-  --grid WxH        device dimensions           (default 10x10)
+  --grid WxH        device, at most 4096 sites  (default 10x10)
   --mid D           max interaction distance    (default 3)
   --seed N          RNG seed                    (default 0)
   --no-native       lower Toffolis to 2q gates
@@ -74,6 +74,14 @@ COMMON OPTIONS:
   --emit-qasm       print the compiled schedule as QASM (compile only)
   --passes          print per-pass wall time and artifact stats from
                     the self-checking pass pipeline (compile only)
+
+RELOAD-TIME OPTIONS:
+  --width N --height N   target array           (default 10x10)
+  --margin N        reservoir traps per side    (default 3): at least
+                    1, enough to refill the target, and the padded
+                    field at most 4096 sites
+  --trials N        trials to average, at least 1 (default 10; also
+                    tolerance)
 
 ENGINE OPTIONS (sweep, campaign):
   --workers N       worker threads              (default: all cores)

@@ -62,7 +62,7 @@ pub use cache::{CacheKey, CacheStats, CompileCache};
 pub use record::{FailureSummary, Outcome, RunRecord};
 pub use runner::Engine;
 pub use sink::{write_records, JsonlSink, SinkError};
-pub use spec::{derive_seed, CircuitSource, ExperimentSpec, Job, LossSpec, Task};
+pub use spec::{derive_seed, ExperimentSpec, Job, LossSpec, Task};
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,7 @@
 //! serialize to JSON lines (see [`crate::sink`]), replacing the seed's
 //! ad-hoc `println!` output with rows downstream tooling can parse.
 
-use crate::spec::{CircuitSource, Job, Task};
+use crate::spec::{Job, Task};
 use na_arch::RestrictionPolicy;
 use na_circuit::CircuitMetrics;
 use na_core::{CompileError, CompiledMetrics};
@@ -199,10 +199,6 @@ pub struct RunRecord {
 impl RunRecord {
     /// Assembles the row for a finished job.
     pub fn new(job: &Job, outcome: Outcome) -> Self {
-        let actual_size = match &job.source {
-            CircuitSource::Bench(b) => b.actual_size(job.size),
-            CircuitSource::Raw { circuit, .. } => circuit.num_qubits(),
-        };
         let strategy = match &job.task {
             Task::Tolerance { strategy, .. } | Task::LossTrace { strategy, .. } => {
                 Some(strategy.name().to_string())
@@ -222,9 +218,9 @@ impl RunRecord {
         };
         RunRecord {
             id: job.id,
-            benchmark: job.source.label().to_string(),
+            benchmark: job.workload.name().to_string(),
             size: job.size,
-            actual_size,
+            actual_size: job.workload.actual_size(job.size),
             grid: format!("{}x{}", job.grid.width(), job.grid.height()),
             holes: job.grid.num_holes(),
             mid: job.config.mid,

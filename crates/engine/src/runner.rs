@@ -9,8 +9,8 @@
 
 use crate::cache::{CacheKey, CacheStats, CompileCache, CompiledPoint};
 use crate::record::{Outcome, RunRecord};
-use crate::spec::{CircuitSource, ExperimentSpec, Job, Task};
-use na_benchmarks::Benchmark;
+use crate::spec::{ExperimentSpec, Job, Task};
+use na_benchmarks::{Benchmark, Workload};
 use na_core::{CompileError, CompiledCircuit};
 use na_loss::{CampaignResult, LossOutcome, ShotRange, Strategy, StrategyState};
 use na_noise::{
@@ -335,11 +335,11 @@ impl Engine {
                 // tasks compile at the job's config, campaigns at the
                 // strategy's compile MID.
                 let compile_cfg = job.task.compile_config(&job.config)?;
-                let circuit_fp = match &job.source {
-                    CircuitSource::Raw { circuit, .. } => circuit.fingerprint(),
-                    CircuitSource::Bench(b) => *bench_fingerprints
+                let circuit_fp = match &job.workload {
+                    Workload::Custom { circuit, .. } => circuit.fingerprint(),
+                    Workload::Bench(b) => *bench_fingerprints
                         .entry((*b, job.size, job.circuit_seed))
-                        .or_insert_with(|| job.circuit().fingerprint()),
+                        .or_insert_with(|| b.generate(job.size, job.circuit_seed).fingerprint()),
                 };
                 let key = CacheKey {
                     circuit: circuit_fp,
@@ -414,7 +414,7 @@ fn execute_shard(
         .task
         .compile_config(&job.config)
         .expect("campaigns use the compile cache");
-    let circuit = job.circuit();
+    let circuit = job.workload.circuit(job.size, job.circuit_seed);
     let point = cache
         .lookup(&circuit, &job.grid, &compile_cfg)
         .map_err(|e| Outcome::from_error(&e))?;
@@ -523,7 +523,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// configuration).
 fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
     let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
-    let circuit = job.circuit();
+    let circuit = job.workload.circuit(job.size, job.circuit_seed);
     // Compile-family tasks compile through the cache; the schedule is
     // optionally replayed through the constraint verifier
     // (Engine::verified) before its metrics are reported.

@@ -1,7 +1,7 @@
 //! The declarative experiment model: what to run, not how.
 //!
 //! An [`ExperimentSpec`] is an ordered list of [`Job`]s. Each job is a
-//! self-contained experiment point — circuit source, device, compiler
+//! self-contained experiment point — workload, device, compiler
 //! configuration, and a [`Task`] saying what to measure — so jobs can
 //! execute in any order on any thread and still produce identical
 //! results. All randomness a job consumes is seeded from values stored
@@ -9,66 +9,10 @@
 
 use na_arch::Grid;
 use na_benchmarks::{Benchmark, Workload};
-use na_circuit::Circuit;
 use na_core::CompilerConfig;
+pub use na_loss::derive_seed;
 use na_loss::{CampaignConfig, Strategy};
 use na_noise::{CrosstalkParams, NoiseParams};
-use std::sync::Arc;
-
-/// Where a job's circuit comes from.
-#[derive(Debug, Clone)]
-pub enum CircuitSource {
-    /// One of the paper's benchmark families, generated at the job's
-    /// `(size, circuit_seed)`.
-    Bench(Benchmark),
-    /// An explicit circuit with a display label (used by harnesses
-    /// that sweep hand-built programs, e.g. the native-arity
-    /// extension's raw CNU).
-    Raw {
-        /// Label used in result rows.
-        label: String,
-        /// The circuit itself, shared across jobs without copying.
-        circuit: Arc<Circuit>,
-    },
-}
-
-impl CircuitSource {
-    /// A raw source from a circuit and label.
-    pub fn raw(label: impl Into<String>, circuit: Circuit) -> Self {
-        CircuitSource::Raw {
-            label: label.into(),
-            circuit: Arc::new(circuit),
-        }
-    }
-
-    /// The display label used in result rows.
-    pub fn label(&self) -> &str {
-        match self {
-            CircuitSource::Bench(b) => b.name(),
-            CircuitSource::Raw { label, .. } => label,
-        }
-    }
-}
-
-impl From<Benchmark> for CircuitSource {
-    fn from(b: Benchmark) -> Self {
-        CircuitSource::Bench(b)
-    }
-}
-
-impl From<Workload> for CircuitSource {
-    /// A [`Workload`] maps straight onto a source: benchmark families
-    /// keep size-parametrized generation, custom circuits become
-    /// [`CircuitSource::Raw`] sharing the workload's `Arc` (so a sweep
-    /// over one imported QASM program never copies it, and every job
-    /// keys the compile cache on the same circuit fingerprint).
-    fn from(w: Workload) -> Self {
-        match w {
-            Workload::Bench(b) => CircuitSource::Bench(b),
-            Workload::Custom { label, circuit } => CircuitSource::Raw { label, circuit },
-        }
-    }
-}
 
 /// The loss-model parameters of a campaign job, spelled out as plain
 /// data so the job stays cloneable and hashable-by-value (the real
@@ -231,8 +175,8 @@ pub struct Job {
     /// Position in the spec; results are emitted in `id` order, which
     /// is what makes parallel and serial runs byte-identical.
     pub id: u64,
-    /// Circuit source.
-    pub source: CircuitSource,
+    /// The benchmark family or labelled circuit to run.
+    pub workload: Workload,
     /// Program-size budget handed to benchmark generation.
     pub size: u32,
     /// Seed for circuit generation (only QAOA's random graph uses it).
@@ -244,27 +188,6 @@ pub struct Job {
     pub config: CompilerConfig,
     /// What to measure.
     pub task: Task,
-}
-
-impl Job {
-    /// Generates (or clones out) the circuit for this job.
-    pub fn circuit(&self) -> Arc<Circuit> {
-        match &self.source {
-            CircuitSource::Bench(b) => Arc::new(b.generate(self.size, self.circuit_seed)),
-            CircuitSource::Raw { circuit, .. } => Arc::clone(circuit),
-        }
-    }
-}
-
-/// Splits one base seed into per-`id` seeds with unrelated streams
-/// (SplitMix64). Used by callers that need a deterministic seed per
-/// sweep point without hand-numbering them. The canonical
-/// implementation lives in [`na_loss::derive_seed`] (shard seeding
-/// uses the same stream-splitting function); this delegates so the
-/// two can never drift apart.
-#[must_use]
-pub fn derive_seed(base: u64, id: u64) -> u64 {
-    na_loss::derive_seed(base, id)
 }
 
 /// An ordered collection of jobs over one (default) device.
@@ -309,7 +232,7 @@ impl ExperimentSpec {
     /// Adds one job on the default grid; returns its id.
     pub fn push(
         &mut self,
-        source: impl Into<CircuitSource>,
+        workload: impl Into<Workload>,
         size: u32,
         circuit_seed: u64,
         config: CompilerConfig,
@@ -318,7 +241,7 @@ impl ExperimentSpec {
         let id = self.jobs.len() as u64;
         self.jobs.push(Job {
             id,
-            source: source.into(),
+            workload: workload.into(),
             size,
             circuit_seed,
             grid: self.grid.clone(),
@@ -396,14 +319,16 @@ mod tests {
 
     #[test]
     fn raw_sources_share_the_circuit() {
-        let mut c = Circuit::new(2);
+        let mut c = na_circuit::Circuit::new(2);
         c.h(na_circuit::Qubit(0));
-        let src = CircuitSource::raw("custom", c);
+        let w = Workload::custom("custom", c);
         let mut spec = ExperimentSpec::new("t", Grid::new(4, 4));
-        spec.push(src.clone(), 2, 0, CompilerConfig::new(2.0), Task::Compile);
-        spec.push(src, 2, 0, CompilerConfig::new(3.0), Task::Compile);
-        let c0 = spec.jobs()[0].circuit();
-        let c1 = spec.jobs()[1].circuit();
-        assert!(Arc::ptr_eq(&c0, &c1));
+        spec.push(w.clone(), 2, 0, CompilerConfig::new(2.0), Task::Compile);
+        spec.push(w, 2, 0, CompilerConfig::new(3.0), Task::Compile);
+        let [c0, c1] = [0, 1].map(|i| {
+            let job = &spec.jobs()[i];
+            job.workload.circuit(job.size, job.circuit_seed)
+        });
+        assert!(std::sync::Arc::ptr_eq(&c0, &c1));
     }
 }

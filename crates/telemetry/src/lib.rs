@@ -30,6 +30,9 @@
 //!   with per-span p50/p90/p99 latency extracted from the histograms;
 //!   [`mark`]/[`Mark::deltas`] carve one job's per-span totals out of
 //!   its thread's recorder.
+//! - The [`trace`] module keeps the timeline and is the one codec of
+//!   its Chrome trace-event export: it writes the file, reads it back
+//!   into the same events, and renders the `natoms trace` summary.
 //!
 //! # Usage
 //!

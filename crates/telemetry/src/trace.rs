@@ -19,6 +19,10 @@
 //!   `(tid, timestamp)`, so the file content is deterministic in
 //!   structure at any worker count.
 //!
+//! The module is the one codec of the export: [`write_chrome_trace`]
+//! writes it, [`read_chrome_trace`] reads it back into the same
+//! [`TraceEvent`]s, and [`write_summary`] renders `natoms trace`.
+//!
 //! Span identity is explicit: every traced span gets a process-unique
 //! id and records its parent id (the enclosing span on the same
 //! thread, or an explicitly passed parent for cross-thread edges such
@@ -26,9 +30,15 @@
 //! `args` map (`id`, `parent`), since the trace-event format itself
 //! only nests by timestamp within a single track.
 
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+use serde::de::parse;
+use serde::ser::to_json_string;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::clock::{epoch, now_ns};
 use crate::{mode, set_mode_bit, Span, TRACE};
@@ -77,7 +87,7 @@ pub(crate) fn alloc_span_id() -> u64 {
 }
 
 /// An argument value attached to an event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     U64(u64),
     Str(String),
@@ -107,7 +117,7 @@ impl From<&str> for ArgValue {
     }
 }
 
-/// The arguments attached to an event.
+/// The arguments a call site attaches to an event.
 pub type Args = Vec<(&'static str, ArgValue)>;
 
 /// Chrome trace-event phase.
@@ -122,11 +132,12 @@ pub enum Phase {
 }
 
 /// One trace event. `ts_ns` is nanoseconds since the process epoch;
-/// the Chrome export divides to microseconds.
-#[derive(Debug, Clone)]
+/// the Chrome export divides to microseconds. Recorded events borrow
+/// their static names; events read back from a file own them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    pub name: &'static str,
-    pub cat: &'static str,
+    pub name: Cow<'static, str>,
+    pub cat: Cow<'static, str>,
     pub phase: Phase,
     pub ts_ns: u64,
     pub tid: u64,
@@ -134,22 +145,38 @@ pub struct TraceEvent {
     pub id: u64,
     /// Enclosing span id (0 = root).
     pub parent: u64,
-    pub args: Args,
+    /// Arguments other than `id` and `parent`.
+    pub args: Vec<(Cow<'static, str>, ArgValue)>,
 }
 
 impl TraceEvent {
-    /// A span event with no parent or arguments yet.
-    fn span(span: Span, phase: Phase, ts_ns: u64, tid: u64, id: u64) -> Self {
+    /// An event recorded at a call site.
+    fn new(cat: &'static str, name: &'static str, phase: Phase, ts_ns: u64, tid: u64) -> Self {
         TraceEvent {
-            name: span.name(),
-            cat: span.category(),
+            name: Cow::Borrowed(name),
+            cat: Cow::Borrowed(cat),
             phase,
             ts_ns,
             tid,
-            id,
+            id: 0,
             parent: 0,
             args: Vec::new(),
         }
+    }
+
+    /// A span event with no parent or arguments yet.
+    fn span(span: Span, phase: Phase, ts_ns: u64, tid: u64, id: u64) -> Self {
+        let ev = TraceEvent::new(span.category(), span.name(), phase, ts_ns, tid);
+        TraceEvent { id, ..ev }
+    }
+
+    /// This event with the call site's `args` attached.
+    fn with_args(mut self, args: Args) -> Self {
+        self.args = args
+            .into_iter()
+            .map(|(k, v)| (Cow::Borrowed(k), v))
+            .collect();
+        self
     }
 }
 
@@ -226,12 +253,8 @@ pub(crate) fn begin(span: Span, parent: u64, ts_ns: u64, args: Args) -> u64 {
             0 => l.stack.last().copied().unwrap_or(0),
             explicit => explicit,
         };
-        let begin = TraceEvent::span(span, Phase::Begin, ts_ns, l.tid, id);
-        l.push(TraceEvent {
-            parent,
-            args,
-            ..begin
-        });
+        let begin = TraceEvent::span(span, Phase::Begin, ts_ns, l.tid, id).with_args(args);
+        l.push(TraceEvent { parent, ..begin });
         l.stack.push(id);
     });
     id
@@ -262,8 +285,7 @@ pub(crate) fn complete(
 ) {
     with_buf(|l| {
         let tid = tid.unwrap_or(l.tid);
-        let begin = TraceEvent::span(span, Phase::Begin, begin_ns, tid, id);
-        l.push(TraceEvent { args, ..begin });
+        l.push(TraceEvent::span(span, Phase::Begin, begin_ns, tid, id).with_args(args));
         l.push(TraceEvent::span(
             span,
             Phase::End,
@@ -284,17 +306,8 @@ pub fn instant(cat: &'static str, name: &'static str, args: impl FnOnce() -> Arg
     let args = args();
     with_buf(|l| {
         let parent = l.stack.last().copied().unwrap_or(0);
-        let tid = l.tid;
-        l.push(TraceEvent {
-            name,
-            cat,
-            phase: Phase::Instant,
-            ts_ns,
-            tid,
-            id: 0,
-            parent,
-            args,
-        });
+        let ev = TraceEvent::new(cat, name, Phase::Instant, ts_ns, l.tid).with_args(args);
+        l.push(TraceEvent { parent, ..ev });
     });
 }
 
@@ -319,119 +332,292 @@ pub fn reset() {
     DROPPED.store(0, Ordering::Relaxed);
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+// The file format, both ways: one event object per line of a JSON
+// array, `{"name","cat","ph",["s":"t",]"ts","pid":1,"tid"[,"args"]}`,
+// `ts` in microseconds to the nanosecond, `args` led by `id`/`parent`.
+
+impl Phase {
+    /// The Chrome `"ph"` code.
+    pub const fn code(self) -> &'static str {
+        match self {
+            Phase::Begin => "B",
+            Phase::End => "E",
+            Phase::Instant => "i",
         }
     }
 }
 
-fn write_event(out: &mut String, ev: &TraceEvent) {
-    out.push_str("{\"name\":\"");
-    escape_json(ev.name, out);
-    out.push_str("\",\"cat\":\"");
-    escape_json(ev.cat, out);
-    out.push_str("\",\"ph\":\"");
-    out.push_str(match ev.phase {
-        Phase::Begin => "B",
-        Phase::End => "E",
-        Phase::Instant => "i",
-    });
-    out.push('"');
-    if ev.phase == Phase::Instant {
-        out.push_str(",\"s\":\"t\"");
+impl Serialize for ArgValue {
+    fn to_value(&self) -> Value {
+        match self {
+            ArgValue::U64(v) => v.to_value(),
+            ArgValue::Str(s) => s.to_value(),
+        }
     }
-    // Microseconds with nanosecond precision preserved.
-    out.push_str(&format!(
-        ",\"ts\":{}.{:03}",
-        ev.ts_ns / 1_000,
-        ev.ts_ns % 1_000
-    ));
-    out.push_str(&format!(",\"pid\":1,\"tid\":{}", ev.tid));
-    if ev.id != 0 || ev.parent != 0 || !ev.args.is_empty() {
-        out.push_str(",\"args\":{");
-        let mut first = true;
-        let field = |out: &mut String, key: &str, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push('"');
-            escape_json(key, out);
-            out.push_str("\":");
+}
+
+impl Deserialize for ArgValue {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        match value {
+            Value::String(s) => Ok(ArgValue::Str(s.clone())),
+            _ => u64::from_value(value).map(ArgValue::U64),
+        }
+    }
+}
+
+impl Serialize for TraceEvent {
+    fn to_value(&self) -> Value {
+        let field = |key: &str, value: Value| (key.to_string(), value);
+        let mut fields = vec![
+            field("name", self.name.as_ref().to_value()),
+            field("cat", self.cat.as_ref().to_value()),
+            field("ph", self.phase.code().to_value()),
+        ];
+        if self.phase == Phase::Instant {
+            fields.push(field("s", "t".to_value()));
+        }
+        fields.push(field("ts", (self.ts_ns as f64 / 1e3).to_value()));
+        fields.push(field("pid", 1u64.to_value()));
+        fields.push(field("tid", self.tid.to_value()));
+        let links = [("id", self.id), ("parent", self.parent)];
+        let args: Vec<(String, Value)> = links
+            .into_iter()
+            .filter(|&(_, link)| link != 0)
+            .map(|(key, link)| field(key, link.to_value()))
+            .chain(self.args.iter().map(|(key, v)| field(key, v.to_value())))
+            .collect();
+        if !args.is_empty() {
+            fields.push(field("args", Value::Object(args)));
+        }
+        Value::Object(fields)
+    }
+}
+
+impl Deserialize for TraceEvent {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let get = |key: &str| {
+            value
+                .get(key)
+                .ok_or_else(|| DeError(format!("missing \"{key}\"")))
         };
-        if ev.id != 0 {
-            field(out, "id", &mut first);
-            out.push_str(&ev.id.to_string());
-        }
-        if ev.parent != 0 {
-            field(out, "parent", &mut first);
-            out.push_str(&ev.parent.to_string());
-        }
-        for (key, value) in &ev.args {
-            field(out, key, &mut first);
-            match value {
-                ArgValue::U64(v) => out.push_str(&v.to_string()),
-                ArgValue::Str(s) => {
-                    out.push('"');
-                    escape_json(s, out);
-                    out.push('"');
+        let text = |key: &str| String::from_value(get(key)?).map(Cow::Owned);
+        let ph = get("ph")?;
+        let phase = [Phase::Begin, Phase::End, Phase::Instant]
+            .into_iter()
+            .find(|p| ph.as_str() == Some(p.code()))
+            .ok_or_else(|| DeError::expected("a \"ph\" of B, E or i", ph))?;
+        let ts_us = f64::from_value(get("ts")?)?;
+        let mut event = TraceEvent {
+            name: text("name")?,
+            cat: text("cat")?,
+            phase,
+            ts_ns: (ts_us * 1e3).round() as u64,
+            tid: u64::from_value(get("tid")?)?,
+            id: 0,
+            parent: 0,
+            args: Vec::new(),
+        };
+        match value.get("args") {
+            None => {}
+            Some(Value::Object(args)) => {
+                for (key, v) in args {
+                    match key.as_str() {
+                        "id" => event.id = u64::from_value(v)?,
+                        "parent" => event.parent = u64::from_value(v)?,
+                        _ => event
+                            .args
+                            .push((Cow::Owned(key.clone()), ArgValue::from_value(v)?)),
+                    }
                 }
             }
+            Some(other) => return Err(DeError::expected("an \"args\" object", other)),
         }
-        out.push('}');
+        Ok(event)
     }
-    out.push('}');
-}
-
-/// Serialize events as a Chrome trace-event JSON array (the format
-/// Perfetto and `chrome://tracing` load directly). Hand-rolled so the
-/// telemetry crate stays serde_json-free.
-pub fn render_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 2);
-    out.push('[');
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        write_event(&mut out, ev);
-    }
-    out.push_str("\n]\n");
-    out
 }
 
 /// Drain all events (see [`take_events`]) and write them to `w` as
-/// Chrome trace JSON. Returns the number of events written. If any
-/// events were dropped on full buffers, a final instant event
-/// `trace_buffer_dropped` records the count.
-pub fn write_chrome_trace<W: Write>(w: &mut W) -> io::Result<usize> {
+/// Chrome trace JSON, the format Perfetto and `chrome://tracing` load
+/// directly. Returns the events written. If any events were dropped
+/// on full buffers, a final instant event `trace_buffer_dropped`
+/// records the count.
+pub fn write_chrome_trace<W: Write>(w: &mut W) -> io::Result<Vec<TraceEvent>> {
     let mut events = take_events();
     let dropped = DROPPED.load(Ordering::Relaxed);
     if dropped > 0 {
-        events.push(TraceEvent {
-            name: "trace_buffer_dropped",
-            cat: "trace",
-            phase: Phase::Instant,
-            ts_ns: now_ns(),
-            tid: LAZY_TID_BASE,
-            id: 0,
-            parent: 0,
-            args: vec![("dropped", ArgValue::U64(dropped))],
-        });
+        let ev = TraceEvent::new(
+            "trace",
+            "trace_buffer_dropped",
+            Phase::Instant,
+            now_ns(),
+            LAZY_TID_BASE,
+        );
+        events.push(ev.with_args(vec![("dropped", ArgValue::U64(dropped))]));
     }
-    let n = events.len();
-    w.write_all(render_chrome_trace(&events).as_bytes())?;
-    Ok(n)
+    w.write_all(b"[")?;
+    for (i, ev) in events.iter().enumerate() {
+        w.write_all(if i == 0 { b"\n" } else { b",\n" })?;
+        w.write_all(to_json_string(&ev.to_value()).as_bytes())?;
+    }
+    w.write_all(b"\n]\n")?;
+    Ok(events)
+}
+
+/// Reads a Chrome trace written by [`write_chrome_trace`] back into
+/// its events, in file order.
+///
+/// # Errors
+///
+/// The JSON syntax error, or the index and cause of the first entry
+/// that is not a `B`/`E`/`i` event of this format.
+pub fn read_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, DeError> {
+    let value = parse(text).map_err(DeError)?;
+    let entries = value
+        .as_array()
+        .ok_or_else(|| DeError("expected an array of events".into()))?;
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            TraceEvent::from_value(entry).map_err(|e| DeError(format!("event {i}: {e}")))
+        })
+        .collect()
+}
+
+/// One matched begin/end pair, with its `job` and `task` arguments.
+struct SpanRecord<'a> {
+    begin: &'a TraceEvent,
+    dur_us: f64,
+    job: Option<u64>,
+    task: Option<&'a str>,
+}
+
+/// Pairs each end with the innermost open begin on its track. Returns
+/// the spans in end order, the instant counts by name, and the number
+/// of unmatched begins and ends.
+fn fold(events: &[TraceEvent]) -> (Vec<SpanRecord<'_>>, BTreeMap<&str, u64>, usize) {
+    // `ts_ns / 1e3` is exactly the f64 a JSON reader parses from the
+    // file's `ts`, so durations round as they would for any reader.
+    let ts_us = |ev: &TraceEvent| ev.ts_ns as f64 / 1e3;
+    let mut open: HashMap<u64, Vec<&TraceEvent>> = HashMap::new();
+    let (mut spans, mut instants, mut unmatched) = (Vec::new(), BTreeMap::new(), 0);
+    for ev in events {
+        match ev.phase {
+            Phase::Begin => open.entry(ev.tid).or_default().push(ev),
+            Phase::End => match open.entry(ev.tid).or_default().pop() {
+                Some(begin) => spans.push(SpanRecord {
+                    begin,
+                    dur_us: (ts_us(ev) - ts_us(begin)).max(0.0),
+                    job: begin.args.iter().find_map(|(k, v)| match v {
+                        ArgValue::U64(job) if k == "job" => Some(*job),
+                        _ => None,
+                    }),
+                    task: begin.args.iter().find_map(|(k, v)| match v {
+                        ArgValue::Str(task) if k == "task" => Some(task.as_str()),
+                        _ => None,
+                    }),
+                }),
+                None => unmatched += 1,
+            },
+            Phase::Instant => *instants.entry(ev.name.as_ref()).or_insert(0) += 1,
+        }
+    }
+    unmatched += open.values().map(Vec::len).sum::<usize>();
+    (spans, instants, unmatched)
+}
+
+/// Writes the `natoms trace` summary of the trace read from `path`:
+/// event/span/track/unmatched counts, instant counts, the cache-wait
+/// total, the `top` slowest spans, and per job (`job`/`campaign_job`
+/// span) the chain of slowest children, linked by span id.
+///
+/// # Errors
+///
+/// Whatever writing to `out` returns.
+pub fn write_summary(
+    out: &mut impl Write,
+    path: &str,
+    events: &[TraceEvent],
+    top: usize,
+) -> io::Result<()> {
+    let (spans, instants, unmatched) = fold(events);
+    let tracks: BTreeSet<u64> = events.iter().map(|ev| ev.tid).collect();
+    writeln!(
+        out,
+        "{path}: {} events, {} spans, {} tracks, {unmatched} unmatched begin/end",
+        events.len(),
+        spans.len(),
+        tracks.len(),
+    )?;
+    if !instants.is_empty() {
+        let rendered: Vec<String> = instants
+            .iter()
+            .map(|(name, count)| format!("{name} x{count}"))
+            .collect();
+        writeln!(out, "instants: {}", rendered.join(", "))?;
+    }
+    let is = |s: &SpanRecord, span: Span| s.begin.name == span.name();
+    let waits: Vec<f64> = spans
+        .iter()
+        .filter(|s| is(s, Span::CacheWait))
+        .map(|s| s.dur_us)
+        .collect();
+    if !waits.is_empty() {
+        let total_ms = waits.iter().sum::<f64>() / 1e3;
+        let n = waits.len();
+        writeln!(out, "cache wait: {n} wait(s), {total_ms:.3} ms total")?;
+    }
+
+    let mut slowest: Vec<&SpanRecord> = spans.iter().collect();
+    slowest.sort_by(|a, b| b.dur_us.total_cmp(&a.dur_us));
+    if !slowest.is_empty() {
+        writeln!(out, "top {} slowest spans:", top.min(slowest.len()))?;
+    }
+    for (rank, s) in slowest.iter().take(top).enumerate() {
+        let mut label = s.begin.name.to_string();
+        if let Some(job) = s.job {
+            label.push_str(&format!(" job={job}"));
+        }
+        if let Some(task) = s.task {
+            label.push_str(&format!(" task={task}"));
+        }
+        let (rank, ms, tid) = (rank + 1, s.dur_us / 1e3, s.begin.tid);
+        writeln!(out, "  {rank:>2}. {label:<32} {ms:>10.3} ms  [tid {tid}]")?;
+    }
+
+    let mut children: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
+    for s in spans.iter().filter(|s| s.begin.parent != 0) {
+        children.entry(s.begin.parent).or_default().push(s);
+    }
+    let mut jobs: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.begin.id != 0 && (is(s, Span::Job) || is(s, Span::CampaignJob)))
+        .collect();
+    jobs.sort_by_key(|s| s.job.unwrap_or(u64::MAX));
+    if !jobs.is_empty() {
+        writeln!(out, "per-job critical path:")?;
+    }
+    for job in jobs {
+        let default_task = if is(job, Span::CampaignJob) {
+            "campaign_sharded"
+        } else {
+            "?"
+        };
+        let id = job.job.map_or_else(|| "?".into(), |j| j.to_string());
+        let (task, ms) = (job.task.unwrap_or(default_task), job.dur_us / 1e3);
+        write!(out, "  job {id} ({task}) {ms:.3} ms")?;
+        // Follow the slowest child (the last one on ties) to a leaf.
+        let mut at = job;
+        while let Some(&child) = children
+            .get(&at.begin.id)
+            .and_then(|kids| kids.iter().max_by(|a, b| a.dur_us.total_cmp(&b.dur_us)))
+        {
+            write!(out, " -> {} {:.3} ms", child.begin.name, child.dur_us / 1e3)?;
+            at = child;
+        }
+        writeln!(out)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -515,10 +701,11 @@ mod tests {
             instant("test", "quoted \"name\"", Vec::new);
         }
         let mut buf = Vec::new();
-        let n = write_chrome_trace(&mut buf).unwrap();
+        let written = write_chrome_trace(&mut buf).unwrap();
         set_enabled(false);
-        assert_eq!(n, 3);
+        assert_eq!(written.len(), 3);
         let text = String::from_utf8(buf).unwrap();
+        assert_eq!(read_chrome_trace(&text).unwrap(), written);
         assert!(text.trim_start().starts_with('['));
         assert!(text.trim_end().ends_with(']'));
         assert!(text.contains("\\n"));
@@ -540,5 +727,100 @@ mod tests {
         set_enabled(false);
         let tids: Vec<u64> = events.iter().map(|e| e.tid).collect();
         assert_eq!(tids, vec![2, 2, 50, 50]);
+    }
+
+    /// The 7-event fixture `natoms trace` is tested on: one compile
+    /// job with a `lower` pass, a cache wait and a cache hit.
+    const FIXTURE: &str = r#"[
+      {"name":"job","cat":"job","ph":"B","ts":10.0,"pid":1,"tid":1,"args":{"id":1,"job":0,"task":"compile"}},
+      {"name":"lower","cat":"pass","ph":"B","ts":11.0,"pid":1,"tid":1,"args":{"id":2,"parent":1}},
+      {"name":"lower","cat":"pass","ph":"E","ts":15.0,"pid":1,"tid":1},
+      {"name":"cache_wait","cat":"cache","ph":"B","ts":16.0,"pid":1,"tid":1,"args":{"id":3,"parent":1}},
+      {"name":"cache_wait","cat":"cache","ph":"E","ts":18.0,"pid":1,"tid":1},
+      {"name":"cache_hit","cat":"cache","ph":"i","s":"t","ts":19.0,"pid":1,"tid":1},
+      {"name":"job","cat":"job","ph":"E","ts":20.0,"pid":1,"tid":1}
+    ]"#;
+
+    #[test]
+    fn fixture_folds_into_three_spans() {
+        let events = read_chrome_trace(FIXTURE).unwrap();
+        assert_eq!(events.len(), 7);
+        assert_eq!(events[5].phase, Phase::Instant);
+        assert_eq!(
+            events[0].args[1],
+            ("task".into(), ArgValue::Str("compile".into()))
+        );
+        let (spans, instants, unmatched) = fold(&events);
+        assert_eq!((spans.len(), unmatched), (3, 0));
+        assert_eq!(instants.get("cache_hit"), Some(&1));
+        let job = spans.iter().find(|s| s.begin.name == "job").unwrap();
+        assert_eq!((job.begin.id, job.job, job.dur_us), (1, Some(0), 10.0));
+        assert_eq!(job.task, Some("compile"));
+        assert!(spans
+            .iter()
+            .all(|s| s.begin.name == "job" || s.begin.parent == 1));
+    }
+
+    #[test]
+    fn fixture_summary_is_pinned() {
+        let events = read_chrome_trace(FIXTURE).unwrap();
+        let mut out = Vec::new();
+        write_summary(&mut out, "t.json", &events, 10).unwrap();
+        let expected = [
+            "t.json: 7 events, 3 spans, 1 tracks, 0 unmatched begin/end",
+            "instants: cache_hit x1",
+            "cache wait: 1 wait(s), 0.002 ms total",
+            "top 3 slowest spans:",
+            "   1. job job=0 task=compile                0.010 ms  [tid 1]",
+            "   2. lower                                 0.004 ms  [tid 1]",
+            "   3. cache_wait                            0.002 ms  [tid 1]",
+            "per-job critical path:",
+            "  job 0 (compile) 0.010 ms -> lower 0.004 ms",
+        ];
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn unmatched_ends_and_open_begins_are_counted() {
+        let events = read_chrome_trace(
+            r#"[{"name":"a","cat":"pass","ph":"E","ts":1.0,"pid":1,"tid":1},
+                {"name":"b","cat":"pass","ph":"B","ts":2.0,"pid":1,"tid":2}]"#,
+        )
+        .unwrap();
+        let (spans, _, unmatched) = fold(&events);
+        assert_eq!((spans.len(), unmatched), (0, 2));
+    }
+
+    #[test]
+    fn malformed_traces_are_errors() {
+        for (text, cause) in [
+            ("{not json", "byte"),
+            (r#"{"name":"job"}"#, "array"),
+            (
+                r#"[{"name":"job","cat":"job","ts":1.0,"tid":1}]"#,
+                "event 0: missing \"ph\"",
+            ),
+            (
+                r#"[{"name":"job","cat":"job","ph":"X","ts":1.0,"tid":1}]"#,
+                "B, E or i",
+            ),
+            (
+                r#"[{"name":"job","cat":"job","ph":"B","ts":1.0,"tid":1,"args":[]}]"#,
+                "args",
+            ),
+        ] {
+            let err = read_chrome_trace(text).unwrap_err().to_string();
+            assert!(err.contains(cause), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn timestamps_round_trip_to_the_nanosecond() {
+        for ts_ns in [0, 1, 999, 1_000, 123_456_789, 86_400_000_000_001] {
+            let ev = TraceEvent::new("test", "t", Phase::Instant, ts_ns, 7);
+            let text = format!("[{}]", to_json_string(&ev.to_value()));
+            assert_eq!(read_chrome_trace(&text).unwrap(), vec![ev], "{text}");
+        }
     }
 }

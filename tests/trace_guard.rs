@@ -5,8 +5,10 @@
 //! draws no RNG and changes no float accumulation order — and this
 //! test is the tripwire that keeps it that way.
 //!
-//! A second test pins the *shape* of the Chrome trace-event export on
-//! a sharded campaign: valid JSON array, matched begin/end pairs,
+//! Two more tests export a sharded campaign: one reads it back through
+//! the `na_telemetry::trace` codec and requires every event to come
+//! back equal; the other parses it independently with `serde_json` and
+//! pins its *shape*: valid JSON array, matched begin/end pairs,
 //! monotone per-track timestamps, and per-shard child spans linked
 //! (via `args.parent`) to their campaign job span.
 
@@ -20,7 +22,7 @@ use natoms::loss::{run_campaign, CampaignConfig, CampaignResult, LossModel, Shot
 use natoms::telemetry::trace;
 use std::sync::Mutex;
 
-/// Tracing state is process-global; the two tests in this binary must
+/// Tracing state is process-global; the tests in this binary must
 /// not interleave their enable/reset windows.
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -127,10 +129,10 @@ fn tracing_on_and_off_produce_bit_identical_results() {
     );
 }
 
-#[test]
-fn sharded_campaign_trace_is_perfetto_shaped() {
+/// Runs a 2-shard campaign through the engine under tracing and
+/// exports it: the events written and the file text.
+fn traced_sharded_campaign() -> (Vec<trace::TraceEvent>, String) {
     let _guard = GUARD.lock().unwrap();
-
     trace::set_enabled(true);
     trace::reset();
     let mut spec = ExperimentSpec::new("trace-shape", Grid::new(10, 10));
@@ -152,12 +154,31 @@ fn sharded_campaign_trace_is_perfetto_shaped() {
     assert_eq!(rows.len(), 1);
 
     let mut buf = Vec::new();
-    trace::write_chrome_trace(&mut buf).expect("export succeeds");
+    let written = trace::write_chrome_trace(&mut buf).expect("export succeeds");
     trace::set_enabled(false);
     trace::reset();
+    (written, String::from_utf8(buf).expect("utf-8 export"))
+}
+
+/// The trace codec reads back exactly what it wrote: every event's
+/// name, category, phase, track, span links, arguments, and timestamp
+/// to the nanosecond.
+#[test]
+fn sharded_campaign_trace_round_trips() {
+    let (written, text) = traced_sharded_campaign();
+    assert!(written.iter().any(|e| e.name == "shard"), "no shard spans");
+    let read = trace::read_chrome_trace(&text).expect("the export reads back");
+    assert_eq!(read.len(), written.len());
+    for (back, original) in read.iter().zip(&written) {
+        assert_eq!(back, original);
+    }
+}
+
+#[test]
+fn sharded_campaign_trace_is_perfetto_shaped() {
+    let (_, text) = traced_sharded_campaign();
 
     // Valid JSON array of event objects.
-    let text = String::from_utf8(buf).expect("utf-8 export");
     let events: Vec<serde_json::Value> =
         serde_json::from_str(&text).expect("trace export parses as a JSON array");
     assert!(!events.is_empty(), "empty trace export");

@@ -214,6 +214,14 @@ impl InteractionGraph {
     /// are disconnected. `usable[i]` masks the site with flat index `i`
     /// ([`Grid::usable_mask`]); a `false` entry is a hole, both as an
     /// endpoint and as a waypoint.
+    ///
+    /// The checks run in order: `a == b` is 0 hops; `b` within the MID
+    /// of `a` is 1; an out-of-range pair is 2 iff some usable site lies
+    /// within the MID of both (the *lens* test, a scan of `a`'s
+    /// neighbors that stops at the first hit and never runs when
+    /// `|ab| > 2·MID`); anything else falls through to the BFS kernel.
+    /// Every range test is the `d² ≤ MID²` criterion of the CSR stencil,
+    /// so the shortcut answers exactly as the BFS would.
     pub fn hop_distance(
         &self,
         a: Site,
@@ -227,13 +235,43 @@ impl InteractionGraph {
         if !usable[ai] || !usable[bi] {
             return None;
         }
+        if ai == bi {
+            return Some(0);
+        }
+        if a.within(b, self.mid) {
+            return Some(1);
+        }
+        if a.within(b, 2.0 * self.mid) && self.lens_hit(a, b, usable, scratch) {
+            return Some(2);
+        }
         self.bfs_hop_distance(ai, bi, usable, scratch)
     }
 
+    /// Whether some usable site lies within the MID of both `a` and
+    /// `b`: the neighbors of `a`, walked through the stencil in
+    /// ascending `Site` order, each tested against `b`.
+    fn lens_hit(&self, a: Site, b: Site, usable: &[bool], scratch: &mut BfsScratch) -> bool {
+        for &(dx, dy) in &self.stencil {
+            let c = Site::new(a.x + dx, a.y + dy);
+            let Some(ci) = self.index_of(c) else {
+                continue;
+            };
+            scratch.lens_probes += 1;
+            if usable[ci] && c.within(b, self.mid) {
+                return true;
+            }
+        }
+        false
+    }
+
     /// The BFS kernel of [`InteractionGraph::hop_distance`]: shortest
-    /// hop count from `ai` to `bi` over CSR neighbors `usable` admits.
-    /// Kept out of line so the function-alignment pin (the repo's
-    /// `.cargo/config.toml`) places this hot loop on a cache-line start.
+    /// hop count from `ai` to `bi`, distinct and out of each other's
+    /// range, over CSR neighbors `usable` admits. It stops at the first
+    /// discovered site within the MID of `bi` rather than at `bi`
+    /// itself: BFS discovers sites level by level, so that site lies on
+    /// a shortest path, one hop short of the goal. Kept out of line as
+    /// the symbol CI checks the function-alignment pin (the repo's
+    /// `.cargo/config.toml`) on.
     #[inline(never)]
     fn bfs_hop_distance(
         &self,
@@ -242,9 +280,7 @@ impl InteractionGraph {
         usable: &[bool],
         scratch: &mut BfsScratch,
     ) -> Option<u32> {
-        if ai == bi {
-            return Some(0);
-        }
+        let goal = self.site_at(bi);
         scratch.begin(self.num_sites());
         scratch.visit(ai, 0);
         scratch.queue.push_back(ai as u32);
@@ -254,8 +290,8 @@ impl InteractionGraph {
                 if scratch.is_visited(n as usize) || !usable[n as usize] {
                     continue;
                 }
-                if n as usize == bi {
-                    return Some(d + 1);
+                if self.site_at(n as usize).within(goal, self.mid) {
+                    return Some(d + 2);
                 }
                 scratch.visit(n as usize, d + 1);
                 scratch.queue.push_back(n);
@@ -334,6 +370,7 @@ impl InteractionGraph {
 /// Reusable BFS working memory: epoch-stamped visited marks, a
 /// distance array, a predecessor array, and the frontier queue.
 /// `begin` resets in O(1) by bumping the epoch instead of clearing.
+/// It also keeps the work counters of every query run through it.
 #[derive(Debug, Clone, Default)]
 pub struct BfsScratch {
     mark: Vec<u32>,
@@ -342,6 +379,7 @@ pub struct BfsScratch {
     prev: Vec<u32>,
     queue: VecDeque<u32>,
     visits: u64,
+    lens_probes: u64,
 }
 
 impl BfsScratch {
@@ -356,6 +394,14 @@ impl BfsScratch {
     #[inline]
     pub fn expansions(&self) -> u64 {
         self.visits
+    }
+
+    /// Cumulative count of neighbor sites the distance-2 lens test of
+    /// [`InteractionGraph::hop_distance`] has tested, read the same way
+    /// as [`BfsScratch::expansions`] (which counts BFS visits only).
+    #[inline]
+    pub fn lens_probes(&self) -> u64 {
+        self.lens_probes
     }
 
     fn begin(&mut self, num_sites: usize) {
@@ -556,6 +602,86 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn lens_and_bfs_match_naive_bfs_on_every_pair() {
+        // Every ordered pair of sites, hole endpoints included, on
+        // random holey grids: the lens shortcut (distance 2) and the
+        // BFS kernel (distance ≥ 3, disconnected) answer as the naive
+        // reference does.
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut seen = [0usize; 5]; // 1, 2, 3, ≥4, None
+        for round in 0..6 {
+            let g = random_grid(&mut rng, 6, 5, 2 * round);
+            for &mid in &[1.0, 2.0, 3.0, 4.0, 4.4] {
+                let graph = InteractionGraph::build(&g, mid);
+                let mut scratch = BfsScratch::new();
+                for a in g.sites() {
+                    for b in g.sites() {
+                        let expect = naive_bfs(&g, a, b, mid, &[]).map(|(d, _)| d);
+                        assert_eq!(
+                            graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
+                            expect,
+                            "{a}->{b} at MID {mid}\n{g}"
+                        );
+                        match expect {
+                            Some(0) => {}
+                            Some(d) => seen[d.min(4) as usize - 1] += 1,
+                            None => seen[4] += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "distance classes {seen:?}");
+    }
+
+    #[test]
+    fn lens_never_passes_through_a_hole() {
+        // (0,0) and (2,0) at MID 1: their only common neighbor (1,0) is
+        // a hole, so the pair is not 2 hops apart.
+        let mut g = Grid::new(3, 2);
+        g.remove_atom(Site::new(1, 0));
+        let graph = InteractionGraph::build(&g, 1.0);
+        let mut scratch = BfsScratch::new();
+        let (a, b) = (Site::new(0, 0), Site::new(2, 0));
+        // Around through the second row: 4 hops.
+        assert_eq!(
+            graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
+            Some(4)
+        );
+        assert!(scratch.lens_probes() > 0);
+        // Without the second row there is no way around at all.
+        let mut g = Grid::new(3, 1);
+        g.remove_atom(Site::new(1, 0));
+        assert_eq!(
+            InteractionGraph::build(&g, 1.0).hop_distance(a, b, g.usable_mask(), &mut scratch),
+            None
+        );
+    }
+
+    #[test]
+    fn lens_answers_distance_two_without_a_bfs() {
+        let g = Grid::new(5, 5);
+        let graph = InteractionGraph::build(&g, 1.0);
+        let mut scratch = BfsScratch::new();
+        let mut hops = |b| graph.hop_distance(Site::new(0, 0), b, g.usable_mask(), &mut scratch);
+        assert_eq!(hops(Site::new(1, 1)), Some(2));
+        // Out of the lens's reach (|ab| > 2·MID): straight to the BFS.
+        assert_eq!(hops(Site::new(4, 4)), Some(8));
+        // One lens scan, then BFS visits for the second pair only.
+        let mut first = BfsScratch::new();
+        graph.hop_distance(
+            Site::new(0, 0),
+            Site::new(1, 1),
+            g.usable_mask(),
+            &mut first,
+        );
+        assert_eq!(first.expansions(), 0, "no BFS visit");
+        assert!(first.lens_probes() > 0);
+        assert_eq!(scratch.lens_probes(), first.lens_probes());
+        assert!(scratch.expansions() > 0);
     }
 
     #[test]

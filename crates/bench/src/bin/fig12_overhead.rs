@@ -120,6 +120,5 @@ fn main() {
     table.print();
 
     println!("\nNote: 'recompile' is charged at the measured Rust compile time; the");
-    println!("paper's Python compiler exceeded the 0.3 s reload, ours does not —");
-    println!("see EXPERIMENTS.md for the discussion.");
+    println!("paper's Python compiler exceeded the 0.3 s reload, ours does not.");
 }

@@ -65,8 +65,7 @@ fn main() {
         .timeline
         .iter()
         .filter(|e| e.kind == EventKind::Reload)
-        .map(|e| e.duration)
-        .sum();
+        .fold(0.0, |acc, e| acc + e.duration);
     let total = result
         .timeline
         .last()

@@ -2,8 +2,7 @@
 //!
 //! Every figure of the paper's evaluation has a binary in `src/bin`
 //! that builds an [`na_engine::ExperimentSpec`], runs it through the
-//! parallel [`na_engine::Engine`], and renders the resulting rows
-//! (see DESIGN.md §5 for the experiment index).
+//! parallel [`na_engine::Engine`], and renders the resulting rows.
 //!
 //! The sweep constants live in [`na_engine::paper`] — one copy shared
 //! by the harnesses, the CLI, and the engine tests — and are

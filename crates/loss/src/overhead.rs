@@ -6,8 +6,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RecompileCost {
     /// Charge the wall-clock time the Rust compiler actually takes.
-    /// (Orders of magnitude below the paper's Python compiler — a
-    /// finding EXPERIMENTS.md discusses.)
+    /// (Orders of magnitude below the paper's Python compiler.)
     Measured,
     /// Charge a fixed duration in seconds; `Fixed(1.5)` reproduces the
     /// paper's observation that software recompilation exceeds the

@@ -11,13 +11,15 @@
 //!
 //! Both questions depend on the schedule only through its *distinct*
 //! operand pairs: a pair scheduled twenty times costs twenty fixups
-//! but needs one BFS. [`InteractionSummary`] precomputes that deduped
-//! pair multiset once per compiled schedule, and both functions answer
-//! from it — per distinct pair instead of per scheduled op — running
-//! their BFS over the device's one [`InteractionGraph`] with the
-//! current holes as a mask. The per-op seed costing lives on in
-//! `tests/common` as the oracle randomized differential tests hold
-//! this path bit-for-bit equal to.
+//! but needs one hop-distance query. [`InteractionSummary`] precomputes
+//! that deduped pair multiset once per compiled schedule, and both
+//! functions answer from it — per distinct pair instead of per
+//! scheduled op — over the device's one [`InteractionGraph`] with the
+//! current holes as a mask. Most out-of-range pairs are exactly two
+//! hops apart, which [`InteractionGraph::hop_distance`] settles with a
+//! local lens test; only the rest pay for a BFS. The per-op seed
+//! costing lives on in `tests/common` as the oracle randomized
+//! differential tests hold this path bit-for-bit equal to.
 
 use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
 use na_core::CompiledCircuit;
@@ -102,9 +104,10 @@ pub fn resolved_ok_summary(
 /// exceed `hardware_mid`, one operand is swapped along a shortest
 /// MID-hop path to within range, the gate executes, and the SWAPs are
 /// reversed. Answered from a precomputed [`InteractionSummary`] and a
-/// hole-masked full-grid graph: one BFS per distinct out-of-range pair,
-/// its `2 · (hops − 1)` SWAP cost multiplied by the pair's scheduled
-/// multiplicity. `usable` is the current hole pattern as a flat-index
+/// hole-masked full-grid graph: one [`InteractionGraph::hop_distance`]
+/// per distinct out-of-range pair (a lens test for distance 2, a BFS
+/// beyond), its `2 · (hops − 1)` SWAP cost multiplied by the pair's
+/// scheduled multiplicity. `usable` is the current hole pattern as a flat-index
 /// mask ([`Grid::usable_mask`]), so `graph` never needs rebuilding as
 /// losses accrue. These SWAPs recur every shot until the topology
 /// changes again.

@@ -315,6 +315,7 @@ impl StrategyState {
         if self.strategy.reroutes() {
             let fixup_span = na_telemetry::span(Span::LossFixup);
             let expansions_before = self.fixup_scratch.expansions();
+            let probes_before = self.fixup_scratch.lens_probes();
             let fixup = fixup_swaps_summary(
                 &self.summary,
                 &self.vmap,
@@ -328,6 +329,10 @@ impl StrategyState {
             na_telemetry::add(
                 na_telemetry::Counter::FixupBfsExpansions,
                 self.fixup_scratch.expansions() - expansions_before,
+            );
+            na_telemetry::add(
+                na_telemetry::Counter::FixupLensProbes,
+                self.fixup_scratch.lens_probes() - probes_before,
             );
             match fixup {
                 Some(n) => {

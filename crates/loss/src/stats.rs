@@ -92,11 +92,6 @@ impl RunningMoments {
             self.m2 / self.count as f64
         }
     }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// Linear buckets below this value (one per integer).

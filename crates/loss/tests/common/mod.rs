@@ -62,6 +62,11 @@ pub fn resolved_ok(
 ///
 /// Returns `None` when some required pair has no path over usable
 /// atoms — the strategy must reload.
+///
+/// Hop distances come from the same `InteractionGraph::hop_distance`
+/// the fast path uses, so this oracle checks the per-pair dedup and
+/// multiplicity fold, not the distance kernel; `na_arch` holds that
+/// kernel to a naive BFS over every ordered pair of random holey grids.
 pub fn fixup_swaps_with(
     compiled: &CompiledCircuit,
     vmap: &VirtualMap,

@@ -16,8 +16,8 @@
 //! parameters ([`NoiseParams::neutral_atom`]) and an IBM-Rome-era
 //! superconducting baseline ([`NoiseParams::superconducting`]). The
 //! Rome calibration snapshot the paper used (accessed 2020-11-19) is
-//! not public; the constants here are representative of that device
-//! generation and are documented in DESIGN.md as a substitution.
+//! not public; the constants here are a substitution representative of
+//! that device generation.
 
 pub mod crosstalk;
 pub mod params;

@@ -154,6 +154,9 @@ keys! {
         Fixups => "fixups",
         /// BFS node expansions spent inside fixup searches.
         FixupBfsExpansions => "fixup_bfs_expansions",
+        /// Neighbor sites tested by the distance-2 lens shortcut of
+        /// fixup searches (not BFS visits).
+        FixupLensProbes => "fixup_lens_probes",
         /// Full recompilations triggered by losses.
         Recompiles => "recompiles",
         /// Array reloads (campaign strategy gave up on the shot state).

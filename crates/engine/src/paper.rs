@@ -1,6 +1,6 @@
 //! The paper's shared experimental setup (§III-C), in one place.
 //!
-//! Every harness — the figure binaries in `na-bench`, the CLI's sweep
+//! Every harness — the figure registry in `na-bench`, the CLI's sweep
 //! subcommands, and the engine's own tests — reads these constants
 //! instead of keeping private copies, so they cannot drift apart.
 

@@ -47,7 +47,7 @@ impl From<std::io::Error> for SinkError {
 
 /// Drains already-collected records into a sink, in order, and
 /// flushes. The one sink-draining loop shared by the CLI's `--jsonl`
-/// paths and the harnesses' `NATOMS_JSONL` mode.
+/// paths and `figures --jsonl`.
 ///
 /// # Errors
 ///

@@ -12,7 +12,7 @@
 //! some small probability. Scheduling with larger restriction zones
 //! spaces simultaneous gates out, trading depth (more decoherence) for
 //! fewer exposures — exactly the knob the paper proposes. The
-//! `ablation_crosstalk` harness sweeps it.
+//! `ablation_crosstalk` figure (`figures ablation_crosstalk`) sweeps it.
 
 use crate::NoiseParams;
 use na_core::CompiledCircuit;

@@ -184,13 +184,14 @@ impl<'a> Frontier<'a> {
         self.executed[id.0]
     }
 
-    /// Marks `id` as executed and returns the newly ready gates.
+    /// Marks `id` as executed and moves the successors it unlocks into
+    /// the ready list.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not currently ready (dependencies unsatisfied or
     /// already executed).
-    pub fn complete(&mut self, id: GateId) -> Vec<GateId> {
+    pub fn complete(&mut self, id: GateId) {
         let pos = self
             .ready
             .iter()
@@ -200,19 +201,15 @@ impl<'a> Frontier<'a> {
         self.executed[id.0] = true;
         self.executed_count += 1;
 
-        let mut newly = Vec::new();
         for &s in self.dag.succs(id) {
             self.indegree[s.0] -= 1;
             if self.indegree[s.0] == 0 {
-                newly.push(s);
+                // Keep the ready list sorted for deterministic
+                // scheduling.
+                let ins = self.ready.partition_point(|&r| r < s);
+                self.ready.insert(ins, s);
             }
         }
-        // Keep the ready list sorted for deterministic scheduling.
-        for &g in &newly {
-            let ins = self.ready.partition_point(|&r| r < g);
-            self.ready.insert(ins, g);
-        }
-        newly
     }
 
     /// Every unexecuted gate whose ASAP layer relative to the current
@@ -350,8 +347,8 @@ mod tests {
         let dag = c.dag();
         let mut f = dag.frontier();
         assert_eq!(f.ready(), &[GateId(0)]);
-        let newly = f.complete(GateId(0));
-        assert_eq!(newly, vec![GateId(1)]);
+        f.complete(GateId(0));
+        assert_eq!(f.ready(), &[GateId(1)]);
         f.complete(GateId(1));
         assert_eq!(f.ready(), &[GateId(2)]);
         f.complete(GateId(2));

@@ -9,8 +9,8 @@ use crate::passes::{self, PassReport, Reuse};
 use crate::placement::PlacementScratch;
 use crate::scheduler::ScheduleResult;
 use crate::{CompileError, CompilerConfig, QubitMap};
-use na_arch::{Grid, RestrictionZone, Site};
-use na_circuit::{decompose_circuit, Circuit, DecomposeLevel, Qubit};
+use na_arch::{BBox, Grid, RestrictionZone, Site};
+use na_circuit::{decompose_circuit, Circuit, CircuitDag, DecomposeLevel, Qubit};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
@@ -30,8 +30,8 @@ pub struct CompiledCircuit {
     final_map: HashMap<Qubit, Site>,
     num_timesteps: u32,
     config: CompilerConfig,
-    /// Every site the program touches, sorted and deduped once at
-    /// compile time (the loss strategies scan this per shot).
+    /// Every site the program touches, ascending and unique, computed
+    /// once at compile time (the loss strategies scan this per shot).
     used_sites: Vec<Site>,
 }
 
@@ -104,15 +104,28 @@ impl CompiledCircuit {
         &self.used_sites
     }
 
+    /// Every site of `initial_map` and `ops`, ascending and unique,
+    /// without a sort: each site is marked in an occupancy mask over
+    /// their bounding box, laid out x-major like [`Site`]'s order, and
+    /// the mask is read back in index order.
     fn compute_used_sites(initial_map: &HashMap<Qubit, Site>, ops: &[ScheduledOp]) -> Vec<Site> {
-        let mut sites: Vec<Site> = initial_map
-            .values()
-            .copied()
-            .chain(ops.iter().flat_map(|o| o.sites.iter().copied()))
-            .collect();
-        sites.sort();
-        sites.dedup();
-        sites
+        let sites = || {
+            let op_sites = ops.iter().flat_map(|o| o.sites.iter());
+            initial_map.values().chain(op_sites).copied()
+        };
+        let Some(b) = BBox::containing(sites()) else {
+            return Vec::new();
+        };
+        let height = (b.max_y - b.min_y + 1) as usize;
+        let mut occupied = vec![false; (b.max_x - b.min_x + 1) as usize * height];
+        for s in sites() {
+            occupied[(s.x - b.min_x) as usize * height + (s.y - b.min_y) as usize] = true;
+        }
+        let at = |i: usize| Site::new(b.min_x + (i / height) as i32, b.min_y + (i % height) as i32);
+        (0..occupied.len())
+            .filter(|&i| occupied[i])
+            .map(at)
+            .collect()
     }
 
     /// Assembles the container from the compile's intermediates (the
@@ -195,7 +208,8 @@ impl fmt::Display for CompiledMetrics {
 ///   range;
 /// * [`CompileError::Disconnected`] — interacting qubits in different
 ///   components of the interaction graph;
-/// * [`CompileError::RoutingStuck`] — step budget exceeded.
+/// * [`CompileError::RoutingStuck`] — the router is cycling (or its
+///   step budget ran out).
 pub fn compile(
     circuit: &Circuit,
     grid: &Grid,
@@ -372,6 +386,7 @@ pub fn verify(compiled: &CompiledCircuit, grid: &Grid) -> Result<(), VerifyError
     let _span = na_telemetry::span(na_telemetry::Span::Verify);
     verify_parts(
         compiled.circuit(),
+        &compiled.circuit().dag(),
         compiled.config(),
         compiled.ops(),
         compiled.initial_map(),
@@ -380,19 +395,19 @@ pub fn verify(compiled: &CompiledCircuit, grid: &Grid) -> Result<(), VerifyError
     )
 }
 
-/// [`verify`] over the raw schedule parts, shared with the pipeline's
-/// `verify` pass (which runs before the [`CompiledCircuit`] container
-/// exists). Untimed: both callers hold the `verify` span.
+/// [`verify`] over the raw schedule parts and `circuit`'s DAG, shared
+/// with the pipeline's `verify` pass (which runs before the
+/// [`CompiledCircuit`] container exists, and borrows the program's
+/// DAG). Untimed: both callers hold the `verify` span.
 pub(crate) fn verify_parts(
     circuit: &Circuit,
+    dag: &CircuitDag,
     config: &CompilerConfig,
     ops: &[ScheduledOp],
     initial_map: &HashMap<Qubit, Site>,
     final_map: &HashMap<Qubit, Site>,
     grid: &Grid,
 ) -> Result<(), VerifyError> {
-    let dag = circuit.dag();
-
     // Gate execution times (for counting and dependency checks).
     let mut exec_time: Vec<Option<u32>> = vec![None; circuit.len()];
     for op in ops {

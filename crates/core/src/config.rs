@@ -44,8 +44,9 @@ pub struct CompilerConfig {
     /// numerically irrelevant.
     pub lookahead_depth: usize,
     /// Hard cap on scheduler timesteps per gate, a backstop against
-    /// routing livelock. The default is generous; hitting it returns
-    /// [`CompileError::RoutingStuck`].
+    /// routing livelock. The scheduler stops a cycling router at its
+    /// first repeated state long before this; hitting the cap also
+    /// returns [`CompileError::RoutingStuck`].
     pub max_steps_per_gate: usize,
 }
 
@@ -141,11 +142,14 @@ pub enum CompileError {
     /// Two qubits that must interact sit in different connected
     /// components of the interaction graph.
     Disconnected,
-    /// The router exceeded its step budget without finishing (should
-    /// only occur on adversarial topologies; see
-    /// [`CompilerConfig::max_steps_per_gate`]).
+    /// The router can never finish: its state repeated with no gate
+    /// completed in between, so it is cycling. Holey grids produce this
+    /// routinely (a recompile campaign's grids between reloads). Also
+    /// returned if the step budget
+    /// ([`CompilerConfig::max_steps_per_gate`]) runs out first.
     RoutingStuck {
-        /// Timesteps executed before giving up.
+        /// Timesteps executed before giving up: the step at which the
+        /// repeat was found, or the budget.
         steps: usize,
     },
     /// A gate's operands can never be brought within the MID (e.g. a

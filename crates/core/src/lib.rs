@@ -49,6 +49,7 @@ pub mod lookahead;
 pub mod mapping;
 pub mod passes;
 pub mod placement;
+pub mod program;
 pub mod routing;
 pub mod scheduler;
 
@@ -74,3 +75,4 @@ pub use placement::{
     circuit_weights, initial_layout, initial_placement, initial_placement_with, placement_digest,
     PlacementScratch,
 };
+pub use program::Program;

@@ -73,6 +73,12 @@ impl QubitMap {
         self.q2s.len() as u32
     }
 
+    /// The site of every qubit, by qubit index: the whole of the
+    /// mapping's identity (see the `PartialEq` impl).
+    pub(crate) fn sites(&self) -> &[Option<Site>] {
+        &self.q2s
+    }
+
     /// Number of qubits currently placed.
     pub fn mapped_count(&self) -> usize {
         self.q2s.iter().filter(|s| s.is_some()).count()

@@ -5,8 +5,15 @@
 //!
 //! ```text
 //! lower → validate_arity → place → route_schedule → verify → finalize
-//!   Circuit                QubitMap  ScheduleResult             CompiledCircuit
+//!   Program                QubitMap  ScheduleResult             CompiledCircuit
 //! ```
+//!
+//! `lower` lowers the circuit to the configured gate set and builds
+//! its [`Program`]: the lowered circuit with its DAG, operand table and
+//! time-zero lookahead weights. Every later pass borrows that one
+//! artifact — placement reads its weights, the scheduler its DAG,
+//! operands and weights, `verify` its DAG — so no compile builds any of
+//! them twice.
 //!
 //! Before each pass it checks the job's cooperative deadline
 //! ([`na_faults::check_deadline`]), so an expired budget stops at the
@@ -22,18 +29,20 @@
 //!
 //! The MID enters compilation only at routing/scheduling: lowering
 //! reads the gate-set fields (`native_multiqubit`, `max_native_arity`)
-//! and placement reads `lookahead_depth`, so the lowered circuit and
-//! the initial placement are *MID-independent*. [`ArtifactStore`] is
-//! the cache that exploits this: keyed by circuit fingerprint × grid
-//! fingerprint × front-end config fingerprint, it lets a sweep over MID
-//! variants of one circuit reuse the placement instead of recomputing
-//! it, bit-for-bit identical to a fresh compile (pinned by
-//! `tests/pipeline_differential.rs`). [`Reuse`] selects how a compile
-//! uses a store, or whether it skips lowering because its input is a
-//! schedule's own lowered circuit (a loss-driven recompile).
+//! and the program's weights and placement read `lookahead_depth`, so
+//! the [`Program`] and the initial placement are *MID-independent*.
+//! [`ArtifactStore`] is the cache that exploits this: keyed by circuit
+//! fingerprint × grid fingerprint × front-end config fingerprint, it
+//! lets a sweep over MID variants of one circuit reuse the program and
+//! the placement instead of recomputing them, bit-for-bit identical to
+//! a fresh compile (pinned by `tests/pipeline_differential.rs`).
+//! [`Reuse`] selects how a compile uses a store, or whether it skips
+//! lowering because the caller holds the program already (a loss-driven
+//! recompile).
 
 use crate::compiler::{lower_for, verify_parts, CompiledCircuit};
-use crate::placement::{circuit_weights, initial_placement_with, PlacementScratch};
+use crate::placement::{initial_placement_with, PlacementScratch};
+use crate::program::Program;
 use crate::scheduler::{self, ScheduleResult};
 use crate::{CompileError, CompilerConfig, QubitMap};
 use na_arch::{Grid, InteractionGraph};
@@ -44,25 +53,28 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which front-end work a compile may skip.
+/// Which front-end work a compile may skip. Every compile uses exactly
+/// one [`Program`]: built once here, served from a store, or the
+/// caller's.
 #[derive(Debug, Clone, Copy)]
 pub enum Reuse<'a> {
-    /// Lower and place from scratch; touch no store.
+    /// Lower, build the program and place from scratch; touch no
+    /// store.
     Nothing,
-    /// Serve the lowered circuit and the initial placement from the
-    /// store when it holds them for this (circuit, grid, front-end
-    /// config), and deposit both after computing them. The engine's
-    /// compile cache uses this across MID variants of one circuit.
+    /// Serve the program and the initial placement from the store when
+    /// it holds them for this (circuit, grid, front-end config), and
+    /// deposit both after computing them. The engine's compile cache
+    /// uses this across MID variants of one circuit.
     FrontEnd(&'a ArtifactStore),
-    /// The `circuit` argument is already lowered for `config` (a
-    /// schedule's own [`CompiledCircuit::circuit`]), so `lower` hands
-    /// back a clone; placement always runs afresh. This is for
-    /// recompiling one program against a mutating grid (the
-    /// `FullRecompile` loss strategy): lowering never reads the grid,
-    /// so the original schedule's lowering serves every hole pattern,
-    /// while one cached placement per hole pattern would grow without
-    /// bound over a campaign.
-    Lowered,
+    /// Compile this program, already lowered for the config (built from
+    /// a schedule's own [`CompiledCircuit::circuit`] with the config's
+    /// `lookahead_depth`); the `circuit` argument is not read, and
+    /// placement always runs afresh. This is for recompiling one
+    /// program against a mutating grid (the `FullRecompile` loss
+    /// strategy): the program never reads the grid, so one serves
+    /// every hole pattern, while one cached placement per hole pattern
+    /// would grow without bound over a campaign.
+    Lowered(&'a Arc<Program>),
 }
 
 /// Compiles `circuit` for `grid` under `config` through the six passes
@@ -90,30 +102,27 @@ pub fn run(
     let mut passes = Passes { report };
     let store = match reuse {
         Reuse::FrontEnd(store) => Some((store, ArtifactKey::of(circuit, grid, config))),
-        Reuse::Nothing | Reuse::Lowered => None,
+        Reuse::Nothing | Reuse::Lowered(_) => None,
     };
     let cached = store.and_then(|(store, key)| store.get(&key));
 
-    let lowered = passes.run(Span::Lower, |stats| {
+    let program = passes.run(Span::Lower, |stats| {
         Ok(lower(circuit, config, reuse, cached.as_deref(), stats))
     })?;
+    debug_assert_eq!(
+        program.lookahead_depth(),
+        config.lookahead_depth,
+        "program built for another lookahead depth"
+    );
     passes.run(Span::ValidateArity, |stats| {
-        validate_arity(&lowered, config, stats)
+        validate_arity(program.circuit(), config, stats)
     })?;
     let placement = passes.run(Span::Place, |stats| {
-        place(
-            &lowered,
-            grid,
-            config,
-            scratch,
-            store,
-            cached.as_deref(),
-            stats,
-        )
+        place(&program, grid, scratch, store, cached.as_deref(), stats)
     })?;
     let initial = placement.to_table();
     let schedule = passes.run(Span::RouteSchedule, |stats| {
-        route_schedule(&lowered, grid, config, placement, stats)
+        route_schedule(&program, grid, config, placement, stats)
     })?;
     passes.run(Span::Verify, |stats| {
         if !verify {
@@ -122,7 +131,8 @@ pub fn run(
         }
         let final_table = schedule.final_map.to_table();
         verify_parts(
-            &lowered,
+            program.circuit(),
+            program.dag(),
             config,
             &schedule.ops,
             &initial,
@@ -141,36 +151,40 @@ pub fn run(
             na_telemetry::Counter::OpsScheduled,
             schedule.ops.len() as u64,
         );
-        let compiled = CompiledCircuit::from_parts(lowered, schedule, initial, *config);
+        let compiled =
+            CompiledCircuit::from_parts(program.circuit().clone(), schedule, initial, *config);
         stats.set("used_sites", compiled.used_sites().len() as u64);
         Ok(compiled)
     })
 }
 
-/// `lower`: gate-set lowering via [`lower_for`], unless the store holds
-/// this compile's front-end artifacts or the caller passed an already
-/// lowered circuit ([`Reuse::Lowered`]). Lowering is a pure function of
-/// (circuit, front-end config), so either copy is bit-identical to a
-/// fresh one. Stats: `gates`, and `reused` (store hit) or
-/// `reused_lowered` (pre-lowered input).
+/// `lower`: gate-set lowering via [`lower_for`] and the [`Program`]
+/// built from it, unless the store holds this compile's front-end
+/// artifacts or the caller passed its program ([`Reuse::Lowered`]).
+/// Lowering is a pure function of (circuit, front-end config), so
+/// either program is bit-identical to a fresh one. Stats: `gates`, and
+/// `reused` (store hit) or `reused_lowered` (the caller's program).
 fn lower(
     circuit: &Circuit,
     config: &CompilerConfig,
     reuse: Reuse<'_>,
     cached: Option<&PassArtifacts>,
     stats: &mut Stats,
-) -> Circuit {
-    let lowered = if let Some(art) = cached {
+) -> Arc<Program> {
+    let program = if let Some(art) = cached {
         stats.set("reused", 1);
-        (*art.lowered).clone()
-    } else if matches!(reuse, Reuse::Lowered) {
+        Arc::clone(&art.program)
+    } else if let Reuse::Lowered(program) = reuse {
         stats.set("reused_lowered", 1);
-        circuit.clone()
+        Arc::clone(program)
     } else {
-        lower_for(circuit, config)
+        Arc::new(Program::new(
+            lower_for(circuit, config),
+            config.lookahead_depth,
+        ))
     };
-    stats.set("gates", lowered.len() as u64);
-    lowered
+    stats.set("gates", program.circuit().len() as u64);
+    program
 }
 
 /// `validate_arity`: rejects native multiqubit gates no placement can
@@ -199,31 +213,29 @@ fn validate_arity(
     Ok(())
 }
 
-/// `place`: the cached placement on a front-end hit, else the
-/// lookahead-weighted initial placement, deposited with the lowering
-/// into the [`Reuse::FrontEnd`] store when given. Stats: `qubits`, and
-/// `reused` on a hit.
+/// `place`: the cached placement on a front-end hit, else the initial
+/// placement from the program's time-zero weights, deposited with the
+/// program into the [`Reuse::FrontEnd`] store when given. Stats:
+/// `qubits`, and `reused` on a hit.
 fn place(
-    lowered: &Circuit,
+    program: &Arc<Program>,
     grid: &Grid,
-    config: &CompilerConfig,
     scratch: &mut PlacementScratch,
     deposit: Option<(&ArtifactStore, ArtifactKey)>,
     cached: Option<&PassArtifacts>,
     stats: &mut Stats,
 ) -> Result<QubitMap, CompileError> {
-    stats.set("qubits", u64::from(lowered.num_qubits()));
+    stats.set("qubits", u64::from(program.circuit().num_qubits()));
     if let Some(art) = cached {
         stats.set("reused", 1);
         return Ok(art.placement.clone());
     }
-    let weights = circuit_weights(lowered, config.lookahead_depth);
-    let placement = initial_placement_with(lowered, grid, &weights, scratch)?;
+    let placement = initial_placement_with(program.circuit(), grid, program.weights(), scratch)?;
     if let Some((store, key)) = deposit {
         store.insert(
             key,
             PassArtifacts {
-                lowered: Arc::new(lowered.clone()),
+                program: Arc::clone(program),
                 placement: placement.clone(),
             },
         );
@@ -235,7 +247,7 @@ fn place(
 /// ([`crate::scheduler`]), which also reports its routing phases under
 /// [`Span::Route`]. Stats: `ops`, `swaps`, `timesteps`.
 fn route_schedule(
-    lowered: &Circuit,
+    program: &Program,
     grid: &Grid,
     config: &CompilerConfig,
     placement: QubitMap,
@@ -246,7 +258,7 @@ fn route_schedule(
     // mask; memoized per (grid size, MID), so a recompile on a holey
     // grid reuses the full device's graph.
     let graph = InteractionGraph::cached(grid, config.mid);
-    let result = scheduler::run(lowered, grid, &graph, config, placement)?;
+    let result = scheduler::run(program, grid, &graph, config, placement)?;
     stats.set("ops", result.ops.len() as u64);
     stats.set(
         "swaps",
@@ -387,8 +399,8 @@ impl ArtifactKey {
 /// The MID-independent front-end artifacts of one compilation.
 #[derive(Debug)]
 pub struct PassArtifacts {
-    /// The lowered circuit (`lower` output).
-    pub lowered: Arc<Circuit>,
+    /// The lowered program (`lower` output).
+    pub program: Arc<Program>,
     /// The lookahead-weighted initial placement (`place` output).
     pub placement: QubitMap,
 }
@@ -575,19 +587,24 @@ mod tests {
         let compiled = compile_reusing(&c, &grid, &cfg, Reuse::FrontEnd(&store));
         assert_eq!(store.len(), 1);
 
-        // Recompile the schedule's own lowered circuit on a mutated
-        // grid (the FullRecompile situation): bit-identical to a fresh
-        // compile of the source program, reported as a reused
-        // lowering, and the store is neither read nor written.
+        // Recompile the program of the schedule's own lowered circuit
+        // on a mutated grid (the FullRecompile situation):
+        // bit-identical to a fresh compile of the source program,
+        // reported as a reused lowering, and the store is neither read
+        // nor written.
         let mut holey = grid.clone();
         holey.remove_atom(Site::new(0, 0));
+        let program = Arc::new(Program::new(
+            compiled.circuit().clone(),
+            cfg.lookahead_depth,
+        ));
         let mut report = PassReport::default();
         let reused = run(
-            compiled.circuit(),
+            program.circuit(),
             &holey,
             &cfg,
             &mut PlacementScratch::new(),
-            Reuse::Lowered,
+            Reuse::Lowered(&program),
             false,
             Some(&mut report),
         )

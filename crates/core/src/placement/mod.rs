@@ -293,12 +293,16 @@ fn nearest_free_site(free: &FreeSites, anchor: Site) -> Option<Site> {
 
 /// Builds the lookahead interaction weights [`initial_placement`]
 /// consumes for a (possibly pre-lowered) circuit, exactly as
-/// [`crate::compile`] does before placing: DAG frontier at time zero,
-/// decaying over `lookahead_depth` layers.
+/// [`crate::compile`] does before placing: the time-zero weights of
+/// [`Program::weights`](crate::Program::weights), decaying over
+/// `lookahead_depth` layers.
 pub fn circuit_weights(circuit: &Circuit, lookahead_depth: usize) -> InteractionWeights {
-    let dag = circuit.dag();
-    let frontier = dag.frontier();
-    crate::scheduler::frontier_weights(circuit, &frontier, lookahead_depth)
+    crate::program::time_zero_weights(
+        circuit,
+        &circuit.dag(),
+        &crate::program::GateOperands::of(circuit),
+        lookahead_depth,
+    )
 }
 
 /// The initial placement [`crate::compile`] would start from: lowers

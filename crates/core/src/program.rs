@@ -1,0 +1,120 @@
+//! The grid-independent artifact of one lowered circuit.
+//!
+//! Everything the compiler derives from a lowered [`Circuit`] before it
+//! looks at a grid is built once into a [`Program`]: the
+//! data-dependency DAG, the flattened operand table the scheduler's
+//! inner loop reads, and the time-zero lookahead weights that drive
+//! placement and seed the router. Placement and the scheduler borrow
+//! it, so a loss-driven recompile (same program, new holes) redoes only
+//! the grid-dependent work. A `Program` is MID-independent: its only
+//! configuration input is `lookahead_depth`.
+
+use crate::scheduler::RebuildScratch;
+use crate::InteractionWeights;
+use na_circuit::{Circuit, CircuitDag, Qubit};
+use na_telemetry::{Counter, Span};
+
+/// A lowered circuit with its DAG, operand table and time-zero
+/// lookahead weights, built once and borrowed by every compile of it
+/// (see the module docs).
+#[derive(Debug)]
+pub struct Program {
+    circuit: Circuit,
+    dag: CircuitDag,
+    operands: GateOperands,
+    weights: InteractionWeights,
+    lookahead_depth: usize,
+}
+
+impl Program {
+    /// Builds the artifact of `lowered` (a circuit already lowered for
+    /// the compile's gate set, see [`crate::lower_for`]) with weights
+    /// decaying over `lookahead_depth` layers. Counted in the
+    /// `program_builds` counter; the weight build is a lookahead
+    /// rebuild (see [`crate::scheduler`]'s telemetry split).
+    pub fn new(lowered: Circuit, lookahead_depth: usize) -> Self {
+        na_telemetry::add(Counter::ProgramBuilds, 1);
+        let dag = lowered.dag();
+        let operands = GateOperands::of(&lowered);
+        let weights = time_zero_weights(&lowered, &dag, &operands, lookahead_depth);
+        Program {
+            circuit: lowered,
+            dag,
+            operands,
+            weights,
+            lookahead_depth,
+        }
+    }
+
+    /// The lowered circuit.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// The circuit's data-dependency DAG.
+    pub fn dag(&self) -> &CircuitDag {
+        &self.dag
+    }
+
+    /// The flattened operand table.
+    pub(crate) fn operands(&self) -> &GateOperands {
+        &self.operands
+    }
+
+    /// The lookahead weights of the DAG frontier at time zero: the
+    /// initial placement's input and the scheduler's first weights.
+    pub fn weights(&self) -> &InteractionWeights {
+        &self.weights
+    }
+
+    /// The lookahead depth the weights were built with.
+    pub fn lookahead_depth(&self) -> usize {
+        self.lookahead_depth
+    }
+}
+
+/// The lookahead weights of `dag`'s time-zero frontier over
+/// `lookahead_depth` layers, timed under [`Span::Lookahead`] and counted
+/// as one weight rebuild.
+pub(crate) fn time_zero_weights(
+    circuit: &Circuit,
+    dag: &CircuitDag,
+    operands: &GateOperands,
+    lookahead_depth: usize,
+) -> InteractionWeights {
+    let _span = na_telemetry::span(Span::Lookahead);
+    let mut weights = InteractionWeights::empty(circuit.num_qubits());
+    let visited =
+        RebuildScratch::default().rebuild(operands, &dag.frontier(), lookahead_depth, &mut weights);
+    na_telemetry::add(Counter::WeightRebuilds, 1);
+    na_telemetry::add(Counter::LookaheadGatesVisited, visited as u64);
+    weights
+}
+
+/// Flattened per-gate operand lists in CSR layout, so the scheduler
+/// never calls the allocating [`na_circuit::Gate::qubits`] in its inner
+/// loop.
+#[derive(Debug)]
+pub(crate) struct GateOperands {
+    offsets: Vec<u32>,
+    qubits: Vec<Qubit>,
+}
+
+impl GateOperands {
+    pub(crate) fn of(circuit: &Circuit) -> Self {
+        let mut offsets = Vec::with_capacity(circuit.len() + 1);
+        let mut qubits = Vec::new();
+        offsets.push(0u32);
+        for gate in circuit.iter() {
+            gate.qubits_into(&mut qubits);
+            offsets.push(qubits.len() as u32);
+        }
+        GateOperands { offsets, qubits }
+    }
+
+    /// Operands of gate `id`, controls first.
+    #[inline]
+    pub(crate) fn get(&self, id: usize) -> &[Qubit] {
+        &self.qubits[self.offsets[id] as usize..self.offsets[id + 1] as usize]
+    }
+}

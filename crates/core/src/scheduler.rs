@@ -16,10 +16,13 @@
 //!
 //! # Hot-path layout
 //!
-//! The inner loop runs over the precomputed
-//! [`InteractionGraph`] and allocates
-//! nothing per timestep in steady state: gate operands live in a
-//! flattened CSR table built once per compile, the per-step
+//! The inner loop runs over the precomputed [`InteractionGraph`] and
+//! borrows everything grid-independent from the [`Program`]: the DAG
+//! the frontier walks, the flattened CSR operand table, and the
+//! time-zero lookahead weights, which the scheduler clones instead of
+//! rebuilding. None of these is rebuilt per compile, so a loss-driven
+//! recompile of one program pays only for the grid-dependent work. It
+//! allocates nothing per timestep in steady state: the per-step
 //! `ready`/`in_range`/zone collections are reusable buffers, completion
 //! is a bit mask, zone conflicts go through a bounding-box prefilter,
 //! and lookahead weights are rebuilt lazily (only when a completed gate
@@ -33,6 +36,17 @@
 //! so in steady state the loop allocates nothing per op beyond the
 //! `ops` vector's amortized growth.
 //!
+//! # Stuck routings
+//!
+//! Each step is a deterministic function of the mapping, the frontier
+//! and the lookahead weights. While no gate completes, the frontier and
+//! the (clean) weights stay fixed, so a mapping that repeats means the
+//! router is cycling and will never complete another gate. The loop
+//! checks for that with Brent's cycle detection (one map compare per
+//! step) and returns [`CompileError::RoutingStuck`] at the first
+//! repeat, counted in `routing_cycles`, instead of running on to the
+//! step budget ([`CompilerConfig::max_steps_per_gate`]).
+//!
 //! # Telemetry split
 //!
 //! `run` is timed as a whole by the `route_schedule` pass span. It
@@ -43,14 +57,16 @@
 //! each rebuild, so the schedule-only time (frontier refill, in-range
 //! packing, zone claims) is `route_schedule − route − lookahead`. The
 //! counters `weight_rebuilds` and `lookahead_gates_visited` count the
-//! rebuilds and the gates their windows hold. With metrics off neither
-//! span reads a clock; both are metrics-only and strictly
-//! observational.
+//! rebuilds and the gates their windows hold; a program's time-zero
+//! weights count as one more rebuild when the [`Program`] is built.
+//! With metrics off neither span reads a clock; both are metrics-only
+//! and strictly observational.
 
+use crate::program::{GateOperands, Program};
 use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites};
 use crate::{CompileError, CompilerConfig, InteractionWeights, QubitMap, WeightScratch};
 use na_arch::{BfsScratch, Grid, InteractionGraph, RestrictionPolicy, Site};
-use na_circuit::{Circuit, Frontier, GateId, Qubit, WindowScratch};
+use na_circuit::{Frontier, GateId, Qubit, WindowScratch};
 use na_telemetry::{Counter, Span};
 use std::fmt;
 
@@ -240,33 +256,6 @@ pub(crate) struct ScheduleResult {
     pub num_timesteps: u32,
 }
 
-/// Flattened per-gate operand lists in CSR layout, built once per
-/// compile so the scheduler never calls the allocating
-/// [`na_circuit::Gate::qubits`] in its inner loop.
-pub(crate) struct GateOperands {
-    offsets: Vec<u32>,
-    qubits: Vec<Qubit>,
-}
-
-impl GateOperands {
-    pub(crate) fn of(circuit: &Circuit) -> Self {
-        let mut offsets = Vec::with_capacity(circuit.len() + 1);
-        let mut qubits = Vec::new();
-        offsets.push(0u32);
-        for gate in circuit.iter() {
-            gate.qubits_into(&mut qubits);
-            offsets.push(qubits.len() as u32);
-        }
-        GateOperands { offsets, qubits }
-    }
-
-    /// Operands of gate `id`, controls first.
-    #[inline]
-    pub(crate) fn get(&self, id: usize) -> &[Qubit] {
-        &self.qubits[self.offsets[id] as usize..self.offsets[id + 1] as usize]
-    }
-}
-
 /// Completed-gate bit mask: `contains` is one word probe instead of a
 /// linear scan over the step's completion list.
 struct GateMask {
@@ -374,16 +363,17 @@ impl ZoneBuffer {
     }
 }
 
-/// Schedules a (pre-lowered) circuit starting from `initial` placement.
+/// Schedules `program` starting from `initial` placement.
 pub(crate) fn run(
-    circuit: &Circuit,
+    program: &Program,
     grid: &Grid,
     graph: &InteractionGraph,
     config: &CompilerConfig,
     initial: QubitMap,
 ) -> Result<ScheduleResult, CompileError> {
-    let dag = circuit.dag();
-    let mut frontier = dag.frontier();
+    let circuit = program.circuit();
+    let operands = program.operands();
+    let mut frontier = program.dag().frontier();
     let mut map = initial;
     let mut ops: Vec<ScheduledOp> = Vec::new();
     let mut time: u32 = 0;
@@ -392,15 +382,14 @@ pub(crate) fn run(
         .saturating_mul(circuit.len().max(1))
         .saturating_add(1024);
 
-    let operands = GateOperands::of(circuit);
-
     // Lookahead weights change only when gates complete, and are only
     // read when a long-distance gate needs a SWAP scored — rebuild
-    // lazily at first use after a completion.
-    let mut weights = InteractionWeights::empty(circuit.num_qubits());
+    // lazily at first use after a completion. The time-zero weights
+    // are the program's.
+    let mut weights = program.weights().clone();
     let mut lookahead = Lookahead::new();
-    lookahead.rebuild(&operands, &frontier, config.lookahead_depth, &mut weights);
     let mut weights_dirty = false;
+    let mut cycle = CycleCheck::new();
 
     // Reusable per-step buffers (see module docs).
     let mut ready: Vec<GateId> = Vec::new();
@@ -488,7 +477,7 @@ pub(crate) fn run(
             }
             if weights_dirty {
                 route.pause();
-                lookahead.rebuild(&operands, &frontier, config.lookahead_depth, &mut weights);
+                lookahead.rebuild(operands, &frontier, config.lookahead_depth, &mut weights);
                 route.resume();
                 weights_dirty = false;
             }
@@ -537,10 +526,20 @@ pub(crate) fn run(
         for id in completed.iter() {
             frontier.complete(*id);
         }
-        if !completed.is_empty() && !frontier.is_done() {
-            weights_dirty = true;
-        }
         time += 1;
+        if !completed.is_empty() {
+            cycle.reset();
+            weights_dirty = !frontier.is_done();
+        } else if !weights_dirty && cycle.repeats(&map) {
+            // Each step is a deterministic function of the mapping, the
+            // frontier and the weights, and neither of the latter two
+            // has changed since the anchor: the router is cycling and
+            // can never complete another gate.
+            na_telemetry::add(Counter::RoutingCycles, 1);
+            return Err(CompileError::RoutingStuck {
+                steps: time as usize,
+            });
+        }
     }
 
     route.end();
@@ -552,21 +551,9 @@ pub(crate) fn run(
     })
 }
 
-/// Builds lookahead weights from the live frontier.
-pub(crate) fn frontier_weights(
-    circuit: &Circuit,
-    frontier: &Frontier<'_>,
-    lookahead_depth: usize,
-) -> InteractionWeights {
-    let operands = GateOperands::of(circuit);
-    let mut weights = InteractionWeights::empty(circuit.num_qubits());
-    RebuildScratch::default().rebuild(&operands, frontier, lookahead_depth, &mut weights);
-    weights
-}
-
 /// The reusable buffers of one lookahead rebuild.
 #[derive(Default)]
-struct RebuildScratch {
+pub(crate) struct RebuildScratch {
     walk: WindowScratch,
     window: Vec<(GateId, usize)>,
     weights: WeightScratch,
@@ -576,7 +563,7 @@ impl RebuildScratch {
     /// Rebuilds `weights` in place from the gates within
     /// `lookahead_depth` layers of the frontier, reusing every buffer
     /// involved. Returns the number of gates in the window.
-    fn rebuild(
+    pub(crate) fn rebuild(
         &mut self,
         operands: &GateOperands,
         frontier: &Frontier<'_>,
@@ -637,6 +624,61 @@ impl Drop for Lookahead {
     fn drop(&mut self) {
         na_telemetry::add(Counter::WeightRebuilds, self.rebuilds);
         na_telemetry::add(Counter::LookaheadGatesVisited, self.gates_visited);
+    }
+}
+
+/// Brent's cycle detection over the router's mapping while the
+/// frontier and the weights stand still: the mapping is compared with
+/// an anchor copy that moves to the current mapping after 1, 2, 4, …
+/// observations, so a cycle of period λ entered after μ steps is found
+/// within 2·max(μ, λ) + λ steps, at one map compare per step.
+struct CycleCheck {
+    /// [`QubitMap::sites`] at the anchor.
+    anchor: Vec<Option<Site>>,
+    /// `false` until the first observation after a reset.
+    armed: bool,
+    /// Observations since the anchor last moved, and the count at
+    /// which it moves next.
+    since: u32,
+    power: u32,
+}
+
+impl CycleCheck {
+    fn new() -> Self {
+        CycleCheck {
+            anchor: Vec::new(),
+            armed: false,
+            since: 0,
+            power: 1,
+        }
+    }
+
+    /// Forgets the anchor: the frontier moved, so earlier mappings no
+    /// longer describe the same state.
+    fn reset(&mut self) {
+        self.armed = false;
+    }
+
+    /// Observes the mapping after a step that completed no gate;
+    /// `true` when it repeats the anchor exactly.
+    fn repeats(&mut self, map: &QubitMap) -> bool {
+        if self.armed {
+            self.since += 1;
+            if map.sites() == self.anchor {
+                return true;
+            }
+            if self.since < self.power {
+                return false;
+            }
+            self.power *= 2;
+        } else {
+            self.armed = true;
+            self.power = 1;
+        }
+        self.since = 0;
+        self.anchor.clear();
+        self.anchor.extend_from_slice(map.sites());
+        false
     }
 }
 
@@ -704,12 +746,10 @@ mod tests {
     use na_circuit::Circuit;
 
     fn schedule_circuit(circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> ScheduleResult {
-        let dag = circuit.dag();
-        let frontier = dag.frontier();
-        let w = frontier_weights(circuit, &frontier, config.lookahead_depth);
-        let map = initial_placement(circuit, grid, &w).unwrap();
+        let program = Program::new(circuit.clone(), config.lookahead_depth);
+        let map = initial_placement(circuit, grid, program.weights()).unwrap();
         let graph = InteractionGraph::cached(grid, config.mid);
-        run(circuit, grid, &graph, config, map).unwrap()
+        run(&program, grid, &graph, config, map).unwrap()
     }
 
     #[test]
@@ -993,9 +1033,9 @@ mod tests {
                 let config = CompilerConfig::new(mid).with_native_multiqubit(mid >= 2.0);
                 let compiled = crate::compile(&bench.generate(size, 7), &grid, &config).unwrap();
                 let circuit = compiled.circuit();
-                let operands = GateOperands::of(circuit);
-                let dag = circuit.dag();
-                let mut frontier = dag.frontier();
+                let program = Program::new(circuit.clone(), config.lookahead_depth);
+                let operands = program.operands();
+                let mut frontier = program.dag().frontier();
                 // One scratch and one graph across the whole schedule,
                 // reused like the scheduler reuses them.
                 let mut scratch = RebuildScratch::default();
@@ -1006,7 +1046,7 @@ mod tests {
                 // ran on one of them.
                 while !frontier.is_done() {
                     let depth = config.lookahead_depth;
-                    scratch.rebuild(&operands, &frontier, depth, &mut weights);
+                    scratch.rebuild(operands, &frontier, depth, &mut weights);
                     let want = full_walk_adjacency(circuit, &frontier, depth);
                     for (q, want) in want.iter().enumerate() {
                         let got: Vec<(Qubit, u64)> = weights

@@ -13,7 +13,7 @@ use na_arch::{BfsScratch, Grid, InteractionGraph, ShiftScratch, Site, VirtualMap
 use na_circuit::Circuit;
 use na_core::{
     compile_with, run_passes, CompileError, CompiledCircuit, CompilerConfig, PlacementScratch,
-    Reuse,
+    Program, Reuse,
 };
 use na_telemetry::Span;
 use std::sync::Arc;
@@ -43,11 +43,13 @@ pub struct StrategyState {
     grid_template: Grid,
     grid: Grid,
     vmap: VirtualMap,
-    /// The schedule compiled for the full grid. Its
-    /// [`CompiledCircuit::circuit`] is the program's lowering, which
-    /// every FullRecompile recompiles from: lowering never reads the
-    /// grid, so the holes cannot change it.
+    /// The schedule compiled for the full grid, restored on reload.
     original: Arc<CompiledCircuit>,
+    /// FullRecompile only: the [`Program`] of `original`'s lowered
+    /// circuit, built at the first recompile and recompiled from on
+    /// every interfering loss after it. The program never reads the
+    /// grid, so the holes cannot change it.
+    program: Option<Arc<Program>>,
     compiled: Arc<CompiledCircuit>,
     used_addresses: Vec<Site>,
     extra_swaps: u32,
@@ -64,12 +66,12 @@ pub struct StrategyState {
     /// Placement working memory reused by the FullRecompile strategy's
     /// per-loss recompilations.
     placement_scratch: PlacementScratch,
-    /// Distinct operand pairs (with multiplicities) of `compiled`,
+    /// Distinct operand pairs (with multiplicities) of `original`,
     /// precomputed once so fixup costing iterates distinct pairs
     /// instead of scheduled ops. Shared (`Arc`) between states built
-    /// from the same cached compilation; rebuilt only when `compiled`
-    /// changes (FullRecompile's per-loss recompilations and its
-    /// reload).
+    /// from the same cached compilation. Only the remapping strategies
+    /// read it, and their schedule never changes; FullRecompile's
+    /// recompilations never touch it.
     summary: Arc<InteractionSummary>,
     /// The device's interaction graph at the hardware MID, the same
     /// cached graph the compile path uses. Fixup BFS runs over it with
@@ -165,6 +167,7 @@ impl StrategyState {
             grid: grid_template.clone(),
             vmap: VirtualMap::new(),
             original: Arc::clone(&compiled),
+            program: None,
             compiled,
             used_addresses: used,
             extra_swaps: 0,
@@ -261,24 +264,28 @@ impl StrategyState {
             Strategy::FullRecompile => {
                 let span = na_telemetry::span_timed(Span::Recompile);
                 // Recompile through the same passes as the compile
-                // path, against the live holey grid. Lowering never
-                // reads the grid, so the original schedule's lowered
-                // circuit is passed in as is instead of re-lowering
-                // per loss event; placement and routing run afresh.
+                // path, against the live holey grid, from the program
+                // built once from the original schedule's lowering:
+                // placement and routing run afresh, nothing else does.
                 // Bit-identical to compiling the program; the campaign
                 // digests pin it.
+                let program = self.program.get_or_insert_with(|| {
+                    Arc::new(Program::new(
+                        self.original.circuit().clone(),
+                        self.compiler_config.lookahead_depth,
+                    ))
+                });
                 match run_passes(
-                    self.original.circuit(),
+                    program.circuit(),
                     &self.grid,
                     &self.compiler_config,
                     &mut self.placement_scratch,
-                    Reuse::Lowered,
+                    Reuse::Lowered(program),
                     false,
                     None,
                 ) {
                     Ok(c) => {
                         self.used_addresses = c.used_sites().to_vec();
-                        self.summary = Arc::new(InteractionSummary::of(&c));
                         self.compiled = Arc::new(c);
                         let ns = span.end();
                         na_telemetry::add(na_telemetry::Counter::Recompiles, 1);
@@ -371,7 +378,6 @@ impl StrategyState {
         if self.strategy == Strategy::FullRecompile {
             self.compiled = Arc::clone(&self.original);
             self.used_addresses = self.compiled.used_sites().to_vec();
-            self.summary = Arc::new(InteractionSummary::of(&self.compiled));
         }
     }
 }
@@ -431,6 +437,33 @@ mod tests {
             }
             other => panic!("expected recompile, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn full_recompile_never_rebuilds_its_summary_or_program() {
+        let mut s = state(Strategy::FullRecompile, 3.0);
+        let summary = Arc::clone(&s.summary);
+        assert!(s.program.is_none(), "no program before the first recompile");
+        let mut program = None;
+        for _ in 0..4 {
+            let used = first_used(&s);
+            match s.apply_loss(used) {
+                LossOutcome::Recompiled { .. } => {
+                    let built = s.program.as_ref().expect("a recompile builds the program");
+                    let first = program.get_or_insert_with(|| Arc::clone(built));
+                    assert!(Arc::ptr_eq(built, first), "program rebuilt");
+                }
+                LossOutcome::NeedsReload => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        s.reload();
+        let program = program.expect("no loss was absorbed by a recompile");
+        assert!(Arc::ptr_eq(&s.summary, &summary), "summary rebuilt");
+        assert!(
+            Arc::ptr_eq(s.program.as_ref().unwrap(), &program),
+            "program dropped on reload"
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use na_arch::Grid;
 use na_benchmarks::Benchmark;
+use na_core::{compile_with, schedule_digest, verify, CompilerConfig, PlacementScratch};
 use na_loss::{LossOutcome, Strategy, StrategyState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,6 +95,72 @@ fn random_loss_sequences_preserve_invariants() {
             }
         }
     }
+}
+
+/// FullRecompile on grids made holey by losing program atoms, as a
+/// recompile campaign does: every recompiled schedule has the digest of
+/// a fresh [`compile_with`] of the program on that grid and passes
+/// `verify`, and a recompile fails exactly when the fresh compile does.
+#[test]
+fn full_recompiles_match_fresh_compiles_on_random_holey_grids() {
+    let points = [
+        (Benchmark::Cuccaro, 30, 4.0),
+        (Benchmark::Qaoa, 20, 3.0),
+        (Benchmark::Bv, 24, 2.0),
+    ];
+    let mut scratch = PlacementScratch::new();
+    let (mut recompiled, mut failed) = (0, 0);
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(0x5EED ^ seed);
+        let (bench, size, mid) = points[seed as usize % points.len()];
+        let program = bench.generate(size, seed);
+        let config = CompilerConfig::new(mid);
+        let mut state = StrategyState::new(
+            &program,
+            &Grid::new(8, 8),
+            mid,
+            Strategy::FullRecompile,
+            None,
+        )
+        .expect("the full grid compiles");
+        for step in 0..40 {
+            let used = state.measured_sites();
+            let victim = used[rng.gen_range(0..used.len())];
+            let mut holey = state.grid().clone();
+            holey.remove_atom(victim);
+            let fresh = compile_with(&program, &holey, &config, &mut scratch);
+            match state.apply_loss(victim) {
+                LossOutcome::Recompiled { .. } => {
+                    let fresh = fresh.unwrap_or_else(|e| {
+                        panic!(
+                            "seed {seed} step {step}: recompiled, but a fresh compile fails: {e}"
+                        )
+                    });
+                    assert_eq!(
+                        schedule_digest(state.compiled()),
+                        schedule_digest(&fresh),
+                        "seed {seed} step {step}"
+                    );
+                    verify(state.compiled(), state.grid())
+                        .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
+                    recompiled += 1;
+                }
+                LossOutcome::NeedsReload => {
+                    assert!(
+                        fresh.is_err(),
+                        "seed {seed} step {step}: recompile failed alone"
+                    );
+                    failed += 1;
+                    state.reload();
+                }
+                other => panic!("seed {seed} step {step}: a program atom's loss gave {other:?}"),
+            }
+        }
+    }
+    assert!(
+        recompiled >= 100 && failed > 0,
+        "{recompiled} recompiles, {failed} failures"
+    );
 }
 
 /// Swap penalties are always in (0, 1] and monotone in the swap count.

@@ -140,10 +140,17 @@ keys! {
         ArtifactHits => "artifact_hits",
         /// Scheduled operations emitted across all compiles.
         OpsScheduled => "ops_scheduled",
-        /// Lookahead-weight rebuilds run by the scheduler.
+        /// Lookahead-weight rebuilds: the scheduler's, plus each
+        /// program's time-zero build.
         WeightRebuilds => "weight_rebuilds",
         /// Gates placed in a lookahead window, summed over rebuilds.
         LookaheadGatesVisited => "lookahead_gates_visited",
+        /// Program artifacts (DAG, operands, time-zero weights) built
+        /// from a lowered circuit.
+        ProgramBuilds => "program_builds",
+        /// Routings stopped as stuck because the router's state
+        /// repeated with no gate completed in between.
+        RoutingCycles => "routing_cycles",
         /// Loss-campaign shots attempted.
         ShotsAttempted => "shots_attempted",
         /// Atom losses drawn across all shots.

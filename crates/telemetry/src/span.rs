@@ -11,12 +11,13 @@ keys! {
     /// ones also appear in the Chrome trace under the same name, which
     /// is also the snapshot key and the JSONL `timings` key.
     pub enum Span {
-        /// Compile pass: gate-set lowering (artifact-store hits included).
+        /// Compile pass: gate-set lowering and the program artifact
+        /// built from it (artifact-store hits included).
         Lower => "lower",
         /// Compile pass: native-gate arity check against the MID.
         ValidateArity => "validate_arity",
-        /// Compile pass: interaction weights plus initial placement
-        /// (artifact-store hits included).
+        /// Compile pass: initial placement (artifact-store hits
+        /// included).
         Place => "place",
         /// Compile pass: the restriction-zone scheduler, routing included.
         RouteSchedule => "route_schedule",
@@ -27,7 +28,8 @@ keys! {
         Route => "route",
         /// The lookahead-weight rebuilds inside [`Span::RouteSchedule`],
         /// accumulated like [`Span::Route`] into one sample per
-        /// compile. Metrics-only.
+        /// compile, plus one sample per program artifact for its
+        /// time-zero weights (inside [`Span::Lower`]). Metrics-only.
         Lookahead => "lookahead",
         /// Schedule verification: the compile pass, or a standalone
         /// `na_core::verify`.

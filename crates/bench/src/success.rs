@@ -70,6 +70,23 @@ fn arch_table(cell: impl Fn(Benchmark, NoiseParams, bool) -> String) {
     table.print();
 }
 
+/// `value`'s `(NA, SC)` pair at every benchmark and swept error, as
+/// [`every`]'s cells, each labelled with the benchmark, the error and
+/// `what` the pair is.
+fn arch_cells<T>(
+    what: &str,
+    value: impl Fn(Benchmark, NoiseParams, bool) -> T,
+) -> Vec<(String, (T, T))> {
+    let mut cells = Vec::new();
+    for b in Benchmark::ALL {
+        for e in swept_errors() {
+            let [na, sc] = architectures(e).map(|(params, na)| value(b, params, na));
+            cells.push((format!("{b} at 2q error {e:.1e} (NA, SC {what})"), (na, sc)));
+        }
+    }
+    cells
+}
+
 /// Compilations (rows whose compile missed the cache) in a run.
 fn compilations(records: &[RunRecord]) -> usize {
     records
@@ -125,14 +142,7 @@ pub(crate) const FIG07: Figure = Figure {
                wherever SC error < 1",
         check: |records| {
             let success = success_by_point(records);
-            let error = |b, params, na| 1.0 - success(b, 50, params, na);
-            let mut cells = Vec::new();
-            for b in Benchmark::ALL {
-                for e in swept_errors() {
-                    let [na, sc] = architectures(e).map(|(params, na)| error(b, params, na));
-                    cells.push((format!("{b} at 2q error {e:.1e} (NA, SC error)"), (na, sc)));
-                }
-            }
+            let cells = arch_cells("error", |b, params, na| 1.0 - success(b, 50, params, na));
             every(cells, |&(na, sc)| na <= sc && (na < sc || sc >= 1.0))
         },
     }],
@@ -140,6 +150,18 @@ pub(crate) const FIG07: Figure = Figure {
 
 fn fig08_sizes() -> Vec<u32> {
     (5..=100).step_by(5).collect()
+}
+
+/// Fig. 8's cells: the largest swept size of a benchmark whose
+/// predicted success at a noise point reaches 2/3, if any size does.
+fn largest_runnable(records: &[RunRecord]) -> impl Fn(Benchmark, NoiseParams, bool) -> Option<u32> {
+    let success = success_by_point(records);
+    move |b, params, na| {
+        let series = fig08_sizes()
+            .into_iter()
+            .map(|s| (b.actual_size(s), success(b, s, params, na)));
+        largest_passing_size(series, 2.0 / 3.0)
+    }
 }
 
 /// Fig. 8 — Largest runnable program size vs. two-qubit gate error.
@@ -163,22 +185,24 @@ pub(crate) const FIG08: Figure = Figure {
         }
     },
     render: |records| {
-        let sizes = fig08_sizes();
         // One compilation per (benchmark, size, architecture).
-        let compiles = Benchmark::ALL.len() * sizes.len() * 2;
+        let compiles = Benchmark::ALL.len() * fig08_sizes().len() * 2;
         assert_eq!(compilations(records), compiles, "one compile per point");
-        let success = success_by_point(records);
+        let largest = largest_runnable(records);
 
         println!("== Fig. 8: largest runnable size at success >= 2/3 ==");
         println!("   NA: MID 3, native multiqubit; SC: MID 1, 2q gates\n");
-        arch_table(|b, params, na| {
-            let series = sizes
-                .iter()
-                .map(|&s| (b.actual_size(s), success(b, s, params, na)));
-            largest_passing_size(series, 2.0 / 3.0).map_or("-".into(), |s| s.to_string())
-        });
+        arch_table(|b, params, na| largest(b, params, na).map_or("-".into(), |s| s.to_string()));
     },
-    claims: &[],
+    claims: &[Claim {
+        text: "NA's largest runnable size >= SC's for every benchmark at every swept \
+               error, with no runnable size counted as 0",
+        check: |records| {
+            let largest = largest_runnable(records);
+            let cells = arch_cells("size", |b, params, na| largest(b, params, na).unwrap_or(0));
+            every(cells, |&(na, sc)| na >= sc)
+        },
+    }],
 };
 
 const CROSSTALK_POLICIES: [(&str, RestrictionPolicy); 5] = [

@@ -7,24 +7,27 @@
 
 use crate::passes::{self, PassReport, Reuse};
 use crate::placement::PlacementScratch;
+use crate::program::Program;
 use crate::scheduler::ScheduleResult;
 use crate::{CompileError, CompilerConfig, QubitMap};
 use na_arch::{BBox, Grid, RestrictionZone, Site};
-use na_circuit::{decompose_circuit, Circuit, CircuitDag, DecomposeLevel, Qubit};
+use na_circuit::{decompose_circuit, Circuit, DecomposeLevel, Qubit};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 pub use crate::scheduler::{ScheduledOp, SiteList};
 
 /// A fully mapped, routed, and scheduled circuit.
 ///
 /// Produced by [`compile`]; consumed by the error model (`na-noise`)
-/// and the atom-loss machinery (`na-loss`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// and the atom-loss machinery (`na-loss`). It holds the [`Program`]
+/// its compile used.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledCircuit {
-    circuit: Circuit,
+    program: Arc<Program>,
     ops: Vec<ScheduledOp>,
     initial_map: HashMap<Qubit, Site>,
     final_map: HashMap<Qubit, Site>,
@@ -39,7 +42,13 @@ impl CompiledCircuit {
     /// The lowered program that was scheduled (after any Toffoli/CNX
     /// decomposition chosen by the config).
     pub fn circuit(&self) -> &Circuit {
-        &self.circuit
+        self.program.circuit()
+    }
+
+    /// The [`Program`] the compile used: the lowered circuit with its
+    /// DAG and time-zero weights, ready for [`Reuse::Lowered`].
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
     }
 
     /// The schedule, in time order.
@@ -80,7 +89,7 @@ impl CompiledCircuit {
                 m.two_qubit += 1;
                 continue;
             }
-            let gate = &self.circuit.gates()[op.source.expect("program op")];
+            let gate = &self.circuit().gates()[op.source.expect("program op")];
             if gate.is_measure() {
                 m.measurements += 1;
                 continue;
@@ -131,14 +140,14 @@ impl CompiledCircuit {
     /// Assembles the container from the compile's intermediates (the
     /// `finalize` pass calls this).
     pub(crate) fn from_parts(
-        circuit: Circuit,
+        program: Arc<Program>,
         result: ScheduleResult,
         initial_map: HashMap<Qubit, Site>,
         config: CompilerConfig,
     ) -> Self {
         let used_sites = Self::compute_used_sites(&initial_map, &result.ops);
         CompiledCircuit {
-            circuit,
+            program,
             final_map: result.final_map.to_table(),
             num_timesteps: result.num_timesteps,
             ops: result.ops,
@@ -385,8 +394,7 @@ impl Error for VerifyError {}
 pub fn verify(compiled: &CompiledCircuit, grid: &Grid) -> Result<(), VerifyError> {
     let _span = na_telemetry::span(na_telemetry::Span::Verify);
     verify_parts(
-        compiled.circuit(),
-        &compiled.circuit().dag(),
+        compiled.program(),
         compiled.config(),
         compiled.ops(),
         compiled.initial_map(),
@@ -395,19 +403,19 @@ pub fn verify(compiled: &CompiledCircuit, grid: &Grid) -> Result<(), VerifyError
     )
 }
 
-/// [`verify`] over the raw schedule parts and `circuit`'s DAG, shared
-/// with the pipeline's `verify` pass (which runs before the
-/// [`CompiledCircuit`] container exists, and borrows the program's
-/// DAG). Untimed: both callers hold the `verify` span.
+/// [`verify`] over the raw schedule parts of `program` (whose DAG it
+/// reads), shared with the pipeline's `verify` pass, which runs before
+/// the [`CompiledCircuit`] container exists. Untimed: both callers hold
+/// the `verify` span.
 pub(crate) fn verify_parts(
-    circuit: &Circuit,
-    dag: &CircuitDag,
+    program: &Program,
     config: &CompilerConfig,
     ops: &[ScheduledOp],
     initial_map: &HashMap<Qubit, Site>,
     final_map: &HashMap<Qubit, Site>,
     grid: &Grid,
 ) -> Result<(), VerifyError> {
+    let (circuit, dag) = (program.circuit(), program.dag());
     // Gate execution times (for counting and dependency checks).
     let mut exec_time: Vec<Option<u32>> = vec![None; circuit.len()];
     for op in ops {

@@ -13,7 +13,8 @@
 //! time-zero lookahead weights. Every later pass borrows that one
 //! artifact — placement reads its weights, the scheduler its DAG,
 //! operands and weights, `verify` its DAG — so no compile builds any of
-//! them twice.
+//! them twice — and `finalize` hands it to the [`CompiledCircuit`],
+//! which keeps it.
 //!
 //! Before each pass it checks the job's cooperative deadline
 //! ([`na_faults::check_deadline`]), so an expired budget stops at the
@@ -66,14 +67,15 @@ pub enum Reuse<'a> {
     /// deposit both after computing them. The engine's compile cache
     /// uses this across MID variants of one circuit.
     FrontEnd(&'a ArtifactStore),
-    /// Compile this program, already lowered for the config (built from
-    /// a schedule's own [`CompiledCircuit::circuit`] with the config's
-    /// `lookahead_depth`); the `circuit` argument is not read, and
+    /// Compile this program, already lowered for the config (a
+    /// schedule's own [`CompiledCircuit::program`], compiled under that
+    /// schedule's config); the `circuit` argument is not read, and
     /// placement always runs afresh. This is for recompiling one
     /// program against a mutating grid (the `FullRecompile` loss
     /// strategy): the program never reads the grid, so one serves
-    /// every hole pattern, while one cached placement per hole pattern
-    /// would grow without bound over a campaign.
+    /// every hole pattern and every recompiled schedule shares it,
+    /// while one cached placement per hole pattern would grow without
+    /// bound over a campaign.
     Lowered(&'a Arc<Program>),
 }
 
@@ -131,8 +133,7 @@ pub fn run(
         }
         let final_table = schedule.final_map.to_table();
         verify_parts(
-            program.circuit(),
-            program.dag(),
+            &program,
             config,
             &schedule.ops,
             &initial,
@@ -151,8 +152,7 @@ pub fn run(
             na_telemetry::Counter::OpsScheduled,
             schedule.ops.len() as u64,
         );
-        let compiled =
-            CompiledCircuit::from_parts(program.circuit().clone(), schedule, initial, *config);
+        let compiled = CompiledCircuit::from_parts(program, schedule, initial, *config);
         stats.set("used_sites", compiled.used_sites().len() as u64);
         Ok(compiled)
     })
@@ -587,29 +587,27 @@ mod tests {
         let compiled = compile_reusing(&c, &grid, &cfg, Reuse::FrontEnd(&store));
         assert_eq!(store.len(), 1);
 
-        // Recompile the program of the schedule's own lowered circuit
-        // on a mutated grid (the FullRecompile situation):
-        // bit-identical to a fresh compile of the source program,
-        // reported as a reused lowering, and the store is neither read
-        // nor written.
+        // Recompile the schedule's own program on a mutated grid (the
+        // FullRecompile situation): bit-identical to a fresh compile of
+        // the source program, reported as a reused lowering, holding
+        // the very same program, and the store is neither read nor
+        // written.
         let mut holey = grid.clone();
         holey.remove_atom(Site::new(0, 0));
-        let program = Arc::new(Program::new(
-            compiled.circuit().clone(),
-            cfg.lookahead_depth,
-        ));
+        let program = compiled.program();
         let mut report = PassReport::default();
         let reused = run(
             program.circuit(),
             &holey,
             &cfg,
             &mut PlacementScratch::new(),
-            Reuse::Lowered(&program),
+            Reuse::Lowered(program),
             false,
             Some(&mut report),
         )
         .unwrap();
         assert_eq!(reused, compile_reusing(&c, &holey, &cfg, Reuse::Nothing));
+        assert!(Arc::ptr_eq(reused.program(), program));
         assert_eq!(report.passes[0].stats["reused_lowered"], 1);
         assert_eq!((store.len(), store.hits()), (1, 0));
     }

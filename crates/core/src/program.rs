@@ -5,8 +5,9 @@
 //! data-dependency DAG, the flattened operand table the scheduler's
 //! inner loop reads, and the time-zero lookahead weights that drive
 //! placement and seed the router. Placement and the scheduler borrow
-//! it, so a loss-driven recompile (same program, new holes) redoes only
-//! the grid-dependent work. A `Program` is MID-independent: its only
+//! it, and the [`crate::CompiledCircuit`] a compile produces holds it,
+//! so a loss-driven recompile (same program, new holes) redoes only the
+//! grid-dependent work. A `Program` is MID-independent: its only
 //! configuration input is `lookahead_depth`.
 
 use crate::scheduler::RebuildScratch;
@@ -15,8 +16,8 @@ use na_circuit::{Circuit, CircuitDag, Qubit};
 use na_telemetry::{Counter, Span};
 
 /// A lowered circuit with its DAG, operand table and time-zero
-/// lookahead weights, built once and borrowed by every compile of it
-/// (see the module docs).
+/// lookahead weights, built once and shared by every compile of it and
+/// every schedule those compiles produce (see the module docs).
 #[derive(Debug)]
 pub struct Program {
     circuit: Circuit,
@@ -70,6 +71,14 @@ impl Program {
     /// The lookahead depth the weights were built with.
     pub fn lookahead_depth(&self) -> usize {
         self.lookahead_depth
+    }
+}
+
+/// Programs are equal when their lowered circuits and lookahead depths
+/// are: the DAG, operand table and weights are functions of those.
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.circuit == other.circuit && self.lookahead_depth == other.lookahead_depth
     }
 }
 

@@ -39,7 +39,7 @@ use na_arch::Grid;
 use na_circuit::Circuit;
 use na_core::{
     ArtifactStore, CompileError, CompiledCircuit, CompilerConfig, PassReport, PlacementScratch,
-    Reuse,
+    Reuse, VerifyError,
 };
 use na_loss::InteractionSummary;
 use std::cell::RefCell;
@@ -97,6 +97,8 @@ pub(crate) struct CompiledPoint {
     /// The deduped interaction-pair summary campaign shards share
     /// instead of each [`na_loss::StrategyState`] rebuilding it.
     summary: OnceLock<Arc<InteractionSummary>>,
+    /// [`na_core::verify`]'s verdict on the schedule, replayed once.
+    verified: OnceLock<Result<(), VerifyError>>,
 }
 
 impl CompiledPoint {
@@ -108,6 +110,18 @@ impl CompiledPoint {
             self.summary
                 .get_or_init(|| Arc::new(InteractionSummary::of(&self.compiled))),
         )
+    }
+
+    /// [`na_core::verify`] of the schedule on `grid`, the device it was
+    /// compiled for: replayed by the first requester, shared by every
+    /// job and campaign shard of the point.
+    pub(crate) fn verify(&self, grid: &Grid) -> Result<(), CompileError> {
+        let verdict = self
+            .verified
+            .get_or_init(|| na_core::verify(&self.compiled, grid));
+        verdict.clone().map_err(|e| CompileError::VerifyFailed {
+            detail: e.to_string(),
+        })
     }
 }
 
@@ -288,6 +302,7 @@ impl CompileCache {
                         compiled: Arc::new(compiled),
                         report,
                         summary: OnceLock::new(),
+                        verified: OnceLock::new(),
                     }))
                 })
             });

@@ -74,10 +74,10 @@ impl Engine {
     }
 
     /// Enables schedule verification: every compiled circuit a
-    /// compile-family task produces is replayed through
-    /// [`na_core::verify`] before its metrics are reported, and a
-    /// constraint violation becomes an [`Outcome::Failed`] row.
-    /// Used by validation harnesses; off by default (verification
+    /// compile-family task or a campaign starts from is replayed through
+    /// [`na_core::verify`] (once per compilation point) before it is
+    /// used, and a constraint violation becomes an [`Outcome::Failed`]
+    /// row. Used by validation harnesses; off by default (verification
     /// replays the whole schedule).
     pub fn verified(mut self) -> Self {
         self.verify = true;
@@ -274,7 +274,9 @@ impl Engine {
         // is exactly this shard's work on this worker thread.
         let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
         let result = self
-            .isolated(scope, || execute_shard(job, fan, shard, &self.cache))
+            .isolated(scope, || {
+                execute_shard(job, fan, shard, &self.cache, self.verify)
+            })
             .and_then(std::convert::identity);
         na_telemetry::add(na_telemetry::Counter::CampaignShards, 1);
         ShardDone {
@@ -394,8 +396,9 @@ struct ShardDone {
 }
 
 /// Runs one shard of a campaign: compile through the shared cache (at
-/// the strategy's compile MID; all shards hit the one artifact), reuse
-/// the point's interaction summary, then execute just this shard's
+/// the strategy's compile MID; all shards hit the one artifact), verify
+/// its schedule when `verify` is on, reuse the point's interaction
+/// summary, then execute just this shard's
 /// shot range with its deterministically derived RNG streams. Shard 0
 /// of a one-shard plan draws exactly the unsharded campaign's streams,
 /// so it reproduces `na_loss::run_campaign` bit for bit.
@@ -405,6 +408,7 @@ fn execute_shard(
     fan: &ShardFan,
     shard: usize,
     cache: &CompileCache,
+    verify: bool,
 ) -> Result<CampaignResult, Outcome> {
     let (config, loss, _) = job
         .task
@@ -419,6 +423,11 @@ fn execute_shard(
         .lookup(&circuit, &job.grid, &compile_cfg)
         .map_err(|e| Outcome::from_error(&e))?;
     let point = fan.point.get_or_init(|| point);
+    if verify {
+        point
+            .verify(&job.grid)
+            .map_err(|e| Outcome::from_error(&e))?;
+    }
     let shard_index = u32::try_from(shard).expect("shard counts are u32");
     na_loss::run_campaign_shard(
         &circuit,
@@ -535,20 +544,10 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
         .as_ref()
         .expect("compile-family tasks use the compile cache")
     {
-        Ok(point) => {
-            let compiled = &point.compiled;
-            if verify {
-                if let Err(e) = na_core::verify(compiled, &job.grid) {
-                    return Outcome::Failed {
-                        unroutable: false,
-                        panicked: false,
-                        deadline: false,
-                        error: format!("schedule verification failed: {e}"),
-                    };
-                }
-            }
-            outcome(compiled)
-        }
+        Ok(point) => match verify.then(|| point.verify(&job.grid)) {
+            Some(Err(e)) => Outcome::from_error(&e),
+            _ => outcome(&point.compiled),
+        },
         Err(e) => Outcome::from_error(e),
     };
     let outcome = match &job.task {

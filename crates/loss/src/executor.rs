@@ -305,17 +305,18 @@ pub fn run_campaign(
     loss: LossModel,
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, CompileError> {
-    let span = na_telemetry::span_timed(na_telemetry::Span::CampaignCompile);
-    let state = StrategyState::new(
-        program,
-        grid_template,
-        cfg.hardware_mid,
-        cfg.strategy,
-        swap_budget_for(cfg),
-    )?;
+    let state = {
+        let _span = na_telemetry::span(na_telemetry::Span::CampaignCompile);
+        StrategyState::new(
+            program,
+            grid_template,
+            cfg.hardware_mid,
+            cfg.strategy,
+            swap_budget_for(cfg),
+        )?
+    };
     campaign_loop(
         state,
-        span.end() as f64 / 1e9,
         loss,
         cfg,
         cfg.seed,
@@ -328,9 +329,9 @@ pub fn run_campaign(
 /// for callers that memoize compilations (the experiment engine's
 /// compile cache shares one artifact and one summary across every
 /// campaign job describing the same compilation point). Produces
-/// results identical to [`run_campaign`] given the same inputs: the
-/// compile step only ever contributed wall-clock time to the optional
-/// timeline.
+/// results identical to [`run_campaign`] given the same inputs, the
+/// timeline included: both record the initial compile as a
+/// zero-length event.
 ///
 /// `compiled`/`summary` must satisfy the
 /// [`StrategyState::with_compiled`] contract. This is shard 0 of the
@@ -420,7 +421,6 @@ pub fn run_campaign_shard(
     };
     campaign_loop(
         state,
-        0.0,
         loss,
         cfg,
         shard_seed(cfg.seed, shard_index),
@@ -472,12 +472,12 @@ impl ShardGoal {
 
 /// The shared shot loop behind every campaign entry point — serial
 /// campaigns run it once over the one-shard plan, sharded campaigns run
-/// it once per shard with that shard's goal and derived `seed`.
-/// `compile_secs` is the measured initial-compilation time, recorded
-/// only into the optional timeline (never the digested ledger).
+/// it once per shard with that shard's goal and derived `seed`. The
+/// optional timeline opens with the initial compile as a zero-length
+/// event on every path: its wall-clock time would make the timeline
+/// depend on the machine and on whether the compile was cached.
 fn campaign_loop(
     mut state: StrategyState,
-    compile_secs: f64,
     mut loss: LossModel,
     cfg: &CampaignConfig,
     seed: u64,
@@ -492,28 +492,18 @@ fn campaign_loop(
     // event per shot) is suppressed along with the interval vector.
     let record_timeline = cfg.record_timeline && !cfg.streaming;
     let mut timeline: Vec<TimelineEvent> = Vec::new();
-    let mut clock = 0.0f64;
-    let record = |timeline: &mut Vec<TimelineEvent>,
-                  clock: &mut f64,
-                  kind: EventKind,
-                  duration: f64,
-                  on: bool| {
-        if on {
+    // Each event starts where the previous one ended.
+    let mut record = |kind: EventKind, duration: f64| {
+        if record_timeline {
+            let start = timeline.last().map_or(0.0, TimelineEvent::end);
             timeline.push(TimelineEvent {
                 kind,
-                start: *clock,
+                start,
                 duration,
             });
         }
-        *clock += duration;
     };
-    record(
-        &mut timeline,
-        &mut clock,
-        EventKind::Compile,
-        compile_secs,
-        record_timeline,
-    );
+    record(EventKind::Compile, 0.0);
 
     let mut result = CampaignResult::default();
     let mut streak = 0u64;
@@ -537,25 +527,13 @@ fn campaign_loop(
 
         // 1. Run the circuit.
         ledger.add_circuit(base.duration);
-        record(
-            &mut timeline,
-            &mut clock,
-            EventKind::RunCircuit,
-            base.duration,
-            record_timeline,
-        );
+        record(EventKind::RunCircuit, base.duration);
         let p_shot = base.probability() * state.swap_penalty(params.p2);
         let noise_ok = p_shot > 0.0 && rng.gen_bool(p_shot.min(1.0));
 
         // 2. Detect loss.
         ledger.add_fluorescence(&cfg.overheads);
-        record(
-            &mut timeline,
-            &mut clock,
-            EventKind::Fluorescence,
-            cfg.overheads.fluorescence,
-            record_timeline,
-        );
+        record(EventKind::Fluorescence, cfg.overheads.fluorescence);
         state.write_measured_mask(&mut measured_mask);
         loss.draw_losses_with(state.grid(), &measured_mask, &mut losses);
         na_telemetry::add(na_telemetry::Counter::LossesDrawn, losses.len() as u64);
@@ -587,34 +565,16 @@ fn campaign_loop(
                 LossOutcome::Tolerated { remaps, refixed } => {
                     for _ in 0..remaps {
                         ledger.add_remap(&cfg.overheads);
-                        record(
-                            &mut timeline,
-                            &mut clock,
-                            EventKind::Remap,
-                            cfg.overheads.remap,
-                            record_timeline,
-                        );
+                        record(EventKind::Remap, cfg.overheads.remap);
                     }
                     if refixed {
                         ledger.add_fixup(&cfg.overheads);
-                        record(
-                            &mut timeline,
-                            &mut clock,
-                            EventKind::Fixup,
-                            cfg.overheads.fixup,
-                            record_timeline,
-                        );
+                        record(EventKind::Fixup, cfg.overheads.fixup);
                     }
                 }
                 LossOutcome::Recompiled { compile_seconds } => {
                     let charged = ledger.add_recompile(&cfg.overheads, compile_seconds);
-                    record(
-                        &mut timeline,
-                        &mut clock,
-                        EventKind::Compile,
-                        charged,
-                        record_timeline,
-                    );
+                    record(EventKind::Compile, charged);
                     base = success_probability(state.compiled(), &params);
                 }
                 LossOutcome::NeedsReload => {
@@ -629,13 +589,7 @@ fn campaign_loop(
             state.reload();
             base = success_probability(state.compiled(), &params);
             ledger.add_reload(&cfg.overheads);
-            record(
-                &mut timeline,
-                &mut clock,
-                EventKind::Reload,
-                cfg.overheads.reload,
-                record_timeline,
-            );
+            record(EventKind::Reload, cfg.overheads.reload);
             result.streaks.complete(streak);
             if !cfg.streaming {
                 // The accumulating vector is the differential oracle
@@ -696,21 +650,23 @@ mod tests {
         // The engine hands campaigns a cached compilation + summary;
         // every field of the result (timeline included) must match the
         // self-compiling path, for strategies with and without
-        // recompiles/reroutes.
-        use crate::InteractionSummary;
+        // recompiles/reroutes. A fixed recompile charge keeps measured
+        // compile times out of the ledger and the timeline.
+        use crate::{InteractionSummary, RecompileCost};
         use std::sync::Arc;
         for strategy in [
             Strategy::CompileSmallReroute,
             Strategy::VirtualRemap,
             Strategy::FullRecompile,
         ] {
-            let cfg = quick(strategy, 60);
+            let mut cfg = quick(strategy, 60).with_timeline();
+            cfg.overheads.recompile = RecompileCost::Fixed(1.5);
             let own = run_campaign(&program(), &grid(), LossModel::new(5), &cfg).unwrap();
             let compile_cfg = na_core::CompilerConfig::new(strategy.compile_mid(cfg.hardware_mid));
             let compiled =
                 Arc::new(na_core::compile(&program(), &grid(), &compile_cfg).expect("compiles"));
             let summary = Arc::new(InteractionSummary::of(&compiled));
-            let mut pre = run_campaign_precompiled(
+            let pre = run_campaign_precompiled(
                 &program(),
                 &grid(),
                 compiled,
@@ -719,12 +675,7 @@ mod tests {
                 &cfg,
             )
             .unwrap();
-            // recompile_time is measured wall clock (the one
-            // nondeterministic ledger field); everything else must be
-            // bit-identical.
-            let mut own = own;
-            own.ledger.recompile_time = 0.0;
-            pre.ledger.recompile_time = 0.0;
+            assert!(!own.timeline.is_empty(), "{strategy}");
             assert_eq!(own, pre, "{strategy}");
         }
     }

@@ -13,7 +13,7 @@ use na_arch::{BfsScratch, Grid, InteractionGraph, ShiftScratch, Site, VirtualMap
 use na_circuit::Circuit;
 use na_core::{
     compile_with, run_passes, CompileError, CompiledCircuit, CompilerConfig, PlacementScratch,
-    Program, Reuse,
+    Reuse,
 };
 use na_telemetry::Span;
 use std::sync::Arc;
@@ -39,17 +39,14 @@ pub enum LossOutcome {
 pub struct StrategyState {
     strategy: Strategy,
     hardware_mid: f64,
-    compiler_config: CompilerConfig,
     grid_template: Grid,
     grid: Grid,
     vmap: VirtualMap,
     /// The schedule compiled for the full grid, restored on reload.
-    original: Arc<CompiledCircuit>,
-    /// FullRecompile only: the [`Program`] of `original`'s lowered
-    /// circuit, built at the first recompile and recompiled from on
-    /// every interfering loss after it. The program never reads the
+    /// FullRecompile recompiles its [`na_core::Program`] under its
+    /// config on every interfering loss: the program never reads the
     /// grid, so the holes cannot change it.
-    program: Option<Arc<Program>>,
+    original: Arc<CompiledCircuit>,
     compiled: Arc<CompiledCircuit>,
     used_addresses: Vec<Site>,
     extra_swaps: u32,
@@ -132,9 +129,9 @@ impl StrategyState {
     ///
     /// # Panics
     ///
-    /// Debug builds assert the contract: the compiled schedule's MID is
-    /// the strategy's compile MID, and its circuit is the lowering of
-    /// `program`.
+    /// Debug builds assert the contract: the compiled schedule's config
+    /// is the strategy's compile config, and its circuit is the
+    /// lowering of `program`.
     pub fn with_compiled(
         program: &Circuit,
         grid_template: &Grid,
@@ -146,9 +143,9 @@ impl StrategyState {
     ) -> Self {
         let cfg = CompilerConfig::new(strategy.compile_mid(hardware_mid));
         debug_assert_eq!(
-            compiled.config().mid,
-            cfg.mid,
-            "precompiled schedule MID does not match the strategy's compile MID"
+            *compiled.config(),
+            cfg,
+            "precompiled schedule config does not match the strategy's compile config"
         );
         debug_assert_eq!(
             *compiled.circuit(),
@@ -162,12 +159,10 @@ impl StrategyState {
         StrategyState {
             strategy,
             hardware_mid,
-            compiler_config: cfg,
             grid_template: grid_template.clone(),
             grid: grid_template.clone(),
             vmap: VirtualMap::new(),
             original: Arc::clone(&compiled),
-            program: None,
             compiled,
             used_addresses: used,
             extra_swaps: 0,
@@ -264,23 +259,17 @@ impl StrategyState {
             Strategy::FullRecompile => {
                 let span = na_telemetry::span_timed(Span::Recompile);
                 // Recompile through the same passes as the compile
-                // path, against the live holey grid, from the program
-                // built once from the original schedule's lowering:
-                // placement and routing run afresh, nothing else does.
-                // Bit-identical to compiling the program; the campaign
-                // digests pin it.
-                let program = self.program.get_or_insert_with(|| {
-                    Arc::new(Program::new(
-                        self.original.circuit().clone(),
-                        self.compiler_config.lookahead_depth,
-                    ))
-                });
+                // path, against the live holey grid, from the original
+                // schedule's program under its config: placement and
+                // routing run afresh, nothing else does. Bit-identical
+                // to compiling the program; the campaign digests pin it.
+                let original = &self.original;
                 match run_passes(
-                    program.circuit(),
+                    original.circuit(),
                     &self.grid,
-                    &self.compiler_config,
+                    original.config(),
                     &mut self.placement_scratch,
-                    Reuse::Lowered(program),
+                    Reuse::Lowered(original.program()),
                     false,
                     None,
                 ) {
@@ -443,27 +432,26 @@ mod tests {
     fn full_recompile_never_rebuilds_its_summary_or_program() {
         let mut s = state(Strategy::FullRecompile, 3.0);
         let summary = Arc::clone(&s.summary);
-        assert!(s.program.is_none(), "no program before the first recompile");
-        let mut program = None;
+        let program = Arc::clone(s.compiled().program());
+        let mut recompiles = 0;
         for _ in 0..4 {
             let used = first_used(&s);
             match s.apply_loss(used) {
                 LossOutcome::Recompiled { .. } => {
-                    let built = s.program.as_ref().expect("a recompile builds the program");
-                    let first = program.get_or_insert_with(|| Arc::clone(built));
-                    assert!(Arc::ptr_eq(built, first), "program rebuilt");
+                    recompiles += 1;
+                    assert!(
+                        Arc::ptr_eq(s.compiled().program(), &program),
+                        "recompile {recompiles} built its own program"
+                    );
                 }
                 LossOutcome::NeedsReload => break,
                 other => panic!("unexpected {other:?}"),
             }
         }
+        assert!(recompiles > 0, "no loss was absorbed by a recompile");
         s.reload();
-        let program = program.expect("no loss was absorbed by a recompile");
         assert!(Arc::ptr_eq(&s.summary, &summary), "summary rebuilt");
-        assert!(
-            Arc::ptr_eq(s.program.as_ref().unwrap(), &program),
-            "program dropped on reload"
-        );
+        assert!(Arc::ptr_eq(s.compiled().program(), &program));
     }
 
     #[test]

@@ -194,11 +194,25 @@ pub(crate) const FIG03: Figure = Figure {
     }],
 };
 
+/// Restriction zones erode the depth benefit at larger MIDs (see
+/// [`DEPTH_SAVINGS`]); here CNU's, QAOA's and QFT-Adder's savings turn
+/// negative. The claim pins the two benchmarks whose savings stay
+/// positive at every MID, BV and Cuccaro.
 pub(crate) const FIG04: Figure = Figure {
     id: "fig04",
     build: mid_sweep,
     render: |records| DEPTH_SAVINGS.render(records),
-    claims: &[],
+    claims: &[Claim {
+        text: "depth savings over MID 1 are > 0 at every MID >= 2 for BV and Cuccaro",
+        check: |records| {
+            let cells = DEPTH_SAVINGS
+                .savings(records)
+                .into_iter()
+                .filter(|(b, _, _)| matches!(b, Benchmark::Bv | Benchmark::Cuccaro))
+                .map(|(b, mid, (mean, _))| (format!("{b} MID {mid}"), mean));
+            every(cells, |&mean| mean > 0.0)
+        },
+    }],
 };
 
 impl Savings {

@@ -56,6 +56,8 @@ impl WeightScratch {
 pub struct InteractionWeights {
     /// Symmetric adjacency: `adj[q]` lists `(partner, weight)` pairs.
     adj: Vec<Vec<(Qubit, f64)>>,
+    /// `totals[q] = Σ_v w(q, v)`, folded in partner order.
+    totals: Vec<f64>,
 }
 
 impl InteractionWeights {
@@ -64,6 +66,7 @@ impl InteractionWeights {
     pub fn empty(num_qubits: u32) -> Self {
         InteractionWeights {
             adj: vec![Vec::new(); num_qubits as usize],
+            totals: vec![0.0; num_qubits as usize],
         }
     }
 
@@ -102,6 +105,7 @@ impl InteractionWeights {
         for list in &mut self.adj {
             list.clear();
         }
+        self.totals.fill(0.0);
         scratch.contribs.resize_with(self.adj.len(), Vec::new);
         for list in &mut scratch.contribs {
             list.clear();
@@ -127,15 +131,22 @@ impl InteractionWeights {
         // so the unstable sort cannot change a sum. Visiting buckets in
         // qubit order leaves every adjacency list in partner order.
         // Many small sorts beat one sort of the whole list by packed
-        // pair: about 16% more compile_sweep units/s end to end.
+        // pair: about 16% more compile_sweep units/s end to end. A
+        // qubit's partners arrive in ascending order here too (smaller
+        // ones from earlier buckets, then its own), so its total folds
+        // the same terms in the same order as its adjacency list.
         for (u, list) in scratch.contribs.iter_mut().enumerate() {
             list.sort_unstable_by_key(|&(v, gate, _)| (v, gate));
+            let mut total = self.totals[u];
             for pair in list.chunk_by(|a, b| a.0 == b.0) {
                 let sum = pair.iter().fold(0.0f64, |sum, &(_, _, w)| sum + w);
                 let v = pair[0].0;
                 self.adj[u].push((Qubit(v), sum));
                 self.adj[v as usize].push((Qubit(u as u32), sum));
+                total += sum;
+                self.totals[v as usize] += sum;
             }
+            self.totals[u] = total;
         }
     }
 
@@ -156,6 +167,14 @@ impl InteractionWeights {
     /// All weighted partners of `u`, in ascending qubit order.
     pub fn partners(&self, u: Qubit) -> &[(Qubit, f64)] {
         self.adj.get(u.index()).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Total interaction weight of `u`, `Σ_v w(u, v)`: bit for bit the
+    /// left fold of [`InteractionWeights::partners`]. The router's
+    /// candidate bound reads it (see [`crate::routing`]).
+    #[inline]
+    pub fn total(&self, u: Qubit) -> f64 {
+        self.totals.get(u.index()).copied().unwrap_or(0.0)
     }
 
     /// Total interaction weight of `u` against a set of already-placed

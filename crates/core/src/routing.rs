@@ -18,6 +18,23 @@
 //! guarantees global progress even when no scored candidate exists
 //! (e.g. routing around device corners), so compilation always
 //! terminates on connected topologies.
+//!
+//! # Bounding the scan
+//!
+//! Each term of `s(u, h)` is bounded by the triangle inequality:
+//! `|d(φ(u), φ(v)) − d(h, φ(v))| ≤ d(φ(u), h)`. Both sums run over
+//! subsets of the partners of `u` and of the occupant `o = φ⁻¹(h)`,
+//! and weights are non-negative, so
+//!
+//! ```text
+//! s(u, h) ≤ d(φ(u), h) · (W(u) + W(o)),   W(q) = Σ_v w(q, v)
+//! ```
+//!
+//! with `W(o) = 0` for an empty `h`. The totals `W` come with the
+//! weights ([`InteractionWeights::total`]), so the bound costs one
+//! distance and one multiply — far less than the score's walk over
+//! two partner lists. [`best_swap_for_gate`] skips a candidate whose
+//! bound cannot reach its running best.
 
 use crate::{InteractionWeights, QubitMap};
 use na_arch::{Grid, InteractionGraph, Site};
@@ -49,15 +66,40 @@ pub fn all_within_mid(operands: &[Qubit], map: &QubitMap, mid: f64) -> bool {
     true
 }
 
+/// Work counts of [`best_swap_for_gate`] calls: candidates whose
+/// score was computed, and candidates the bound skipped. Their sum is
+/// what a full scan would have scored.
+#[derive(Debug, Default)]
+pub struct CandidateCounts {
+    /// Candidates scored with [`swap_score`].
+    pub scored: u64,
+    /// Candidates skipped because their bound cannot beat the best.
+    pub pruned: u64,
+}
+
 /// The best-scoring SWAP that moves one operand of the gate strictly
 /// closer to its farthest co-operand. Returns `None` when no usable
 /// candidate site satisfies the strictly-closer constraint (the caller
-/// falls back to [`InteractionGraph::hop_toward`]).
+/// falls back to [`InteractionGraph::hop_toward`]). Adds its work to
+/// `counts`.
 ///
 /// Candidate sites come from the precomputed [`InteractionGraph`]
 /// (built at the same MID) minus the holes in `usable`
 /// ([`Grid::usable_mask`]), so the scan is a flat slice walk with no
 /// per-call allocation.
+///
+/// Candidates are visited operand by operand, neighbor by neighbor,
+/// and one beats the running best `b` when it scores more than
+/// `b + 1e-12`, or within `1e-12` of it at a smaller `(from, to)`.
+/// Once `b` exists, a candidate whose bound `ub` (module docs)
+/// satisfies `ub · (1 + 1e-9) + 1e-9 < b − 1e-12` is not scored. The
+/// slack covers the f64 rounding of the score and the bound on grids
+/// of up to 4,096 sites, so such a candidate's computed score is below
+/// `b − 1e-12`: neither better nor an ε-tie. Skipping it leaves the
+/// running best, and so the result, exactly as the full scan has it.
+/// The bound is tested only against the running best of this scan
+/// order: the ε-tie comparator is not transitive, so a best seeded
+/// from a candidate scored out of order could change the winner.
 pub fn best_swap_for_gate(
     operands: &[Qubit],
     map: &QubitMap,
@@ -65,6 +107,7 @@ pub fn best_swap_for_gate(
     usable: &[bool],
     weights: &InteractionWeights,
     mid: f64,
+    counts: &mut CandidateCounts,
 ) -> Option<SwapMove> {
     let mut best: Option<SwapMove> = None;
     for &u in operands {
@@ -83,6 +126,7 @@ pub fn best_swap_for_gate(
         if su.within(st, mid) && operands.len() == 2 {
             continue; // this pair is already satisfied
         }
+        let total_u = weights.total(u);
         let su_index = graph.index_of(su).expect("mapped sites are on the grid");
         for &n in graph.neighbors(su_index) {
             if !usable[n as usize] {
@@ -95,11 +139,19 @@ pub fn best_swap_for_gate(
             }
             // Never displace a co-operand of the same gate; that undoes
             // progress on another pair.
-            if let Some(q) = map.qubit_at(h) {
-                if operands.contains(&q) {
+            let occupant = map.qubit_at(h);
+            if occupant.is_some_and(|q| operands.contains(&q)) {
+                continue;
+            }
+            if let Some(b) = best {
+                let total = total_u + occupant.map_or(0.0, |q| weights.total(q));
+                let bound = su.distance(h) * total;
+                if bound * (1.0 + 1e-9) + 1e-9 < b.score - 1e-12 {
+                    counts.pruned += 1;
                     continue;
                 }
             }
+            counts.scored += 1;
             let score = swap_score(u, su, h, map, weights);
             let better = match best {
                 None => true,
@@ -210,6 +262,7 @@ mod tests {
             grid.usable_mask(),
             &w,
             2.0,
+            &mut CandidateCounts::default(),
         )
         .unwrap();
         // Either endpoint can move, but the move must make strict progress.
@@ -240,7 +293,8 @@ mod tests {
                 &graph,
                 grid.usable_mask(),
                 &w,
-                2.0
+                2.0,
+                &mut CandidateCounts::default(),
             ),
             None
         );
@@ -264,6 +318,7 @@ mod tests {
             grid.usable_mask(),
             &w,
             1.0,
+            &mut CandidateCounts::default(),
         ) {
             let displaced = map.qubit_at(mv.to);
             assert!(
@@ -335,6 +390,7 @@ mod tests {
             grid.usable_mask(),
             &w,
             2.0,
+            &mut CandidateCounts::default(),
         )
         .expect("a usable site is strictly closer");
         assert_eq!((mv.from, mv.to), (Site::new(0, 3), Site::new(1, 4)));
@@ -356,6 +412,7 @@ mod tests {
                 g.usable_mask(),
                 &w,
                 2.0,
+                &mut CandidateCounts::default(),
             ) {
                 assert!(g.is_usable(mv.to), "swap into hole {mv:?}\n{g}");
             }

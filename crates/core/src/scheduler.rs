@@ -7,7 +7,12 @@
 //!    MID and whose restriction zone does not intersect a zone already
 //!    claimed this step (greedy maximal packing, deterministic order);
 //! 2. for each remaining long-distance frontier gate, schedules the
-//!    best-scoring SWAP (see [`crate::routing`]) if its zone fits;
+//!    best-scoring SWAP (see [`crate::routing`]) if its zone fits. The
+//!    search is skipped when a claimed zone already blocks every
+//!    operand's site at the radius of a unit-distance SWAP: every
+//!    candidate moves an operand one site or more, and every policy's
+//!    radius grows with distance, so no move it returned could be
+//!    claimed;
 //! 3. if the step would otherwise be empty, forces one BFS hop toward
 //!    the gate's congregation point so progress is guaranteed.
 //!
@@ -59,11 +64,18 @@
 //! counters `weight_rebuilds` and `lookahead_gates_visited` count the
 //! rebuilds and the gates their windows hold; a program's time-zero
 //! weights count as one more rebuild when the [`Program`] is built.
-//! With metrics off neither span reads a clock; both are metrics-only
-//! and strictly observational.
+//! Five counters break down the SWAP searches of phase 2:
+//! `swap_searches` (ready long-distance gates that reached the search),
+//! `swap_searches_blocked` (of those, skipped as zone-blocked),
+//! `swap_candidates_scored` and `swap_candidates_pruned` (skipped by
+//! the score bound, see [`crate::routing`]), and
+//! `swap_searches_discarded` (a move found whose zone claim failed).
+//! Like the rebuild counts they are kept in locals and added once per
+//! compile. With metrics off neither span reads a clock; both are
+//! metrics-only and strictly observational.
 
 use crate::program::{GateOperands, Program};
-use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites};
+use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites, CandidateCounts};
 use crate::{CompileError, CompilerConfig, InteractionWeights, QubitMap, WeightScratch};
 use na_arch::{BfsScratch, Grid, InteractionGraph, RestrictionPolicy, Site};
 use na_circuit::{Frontier, GateId, Qubit, WindowScratch};
@@ -331,22 +343,8 @@ impl ZoneBuffer {
             min_y = min_y.min(f64::from(s.y) - radius);
             max_y = max_y.max(f64::from(s.y) + radius);
         }
-        for zone in &self.zones {
-            // Bounding-box prefilter: disc overlap (strict) or a shared
-            // operand site both imply the expanded boxes touch, so a
-            // separated box pair can never conflict.
-            if zone.min_x > max_x || min_x > zone.max_x || zone.min_y > max_y || min_y > zone.max_y
-            {
-                continue;
-            }
-            let claimed = &self.centers[zone.start as usize..zone.end as usize];
-            for a in claimed {
-                for b in sites {
-                    if a == b || a.distance(*b) < zone.radius + radius {
-                        return false;
-                    }
-                }
-            }
+        if self.conflicts(sites, radius, [min_x, max_x, min_y, max_y]) {
+            return false;
         }
         let start = self.centers.len() as u32;
         self.centers.extend_from_slice(sites);
@@ -360,6 +358,45 @@ impl ZoneBuffer {
             max_y,
         });
         true
+    }
+
+    /// `true` if a disc of `radius` around `site` conflicts with a zone
+    /// claimed this step. A gate on `site` whose own zone radius is at
+    /// least `radius` can then not be claimed: its box contains this
+    /// one and the disc test is monotone in the radius.
+    fn blocks(&self, site: Site, radius: f64) -> bool {
+        let (x, y) = (f64::from(site.x), f64::from(site.y));
+        self.conflicts(
+            &[site],
+            radius,
+            [x - radius, x + radius, y - radius, y + radius],
+        )
+    }
+
+    /// `true` if the zone of radius `radius` over `sites`, whose
+    /// radius-expanded bounding box is `[min_x, max_x, min_y, max_y]`,
+    /// conflicts with a claimed zone.
+    #[inline]
+    fn conflicts(&self, sites: &[Site], radius: f64, bbox: [f64; 4]) -> bool {
+        let [min_x, max_x, min_y, max_y] = bbox;
+        for zone in &self.zones {
+            // Bounding-box prefilter: disc overlap (strict) or a shared
+            // operand site both imply the expanded boxes touch, so a
+            // separated box pair can never conflict.
+            if zone.min_x > max_x || min_x > zone.max_x || zone.min_y > max_y || min_y > zone.max_y
+            {
+                continue;
+            }
+            let claimed = &self.centers[zone.start as usize..zone.end as usize];
+            for a in claimed {
+                for b in sites {
+                    if a == b || a.distance(*b) < zone.radius + radius {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
     }
 }
 
@@ -390,6 +427,8 @@ pub(crate) fn run(
     let mut lookahead = Lookahead::new();
     let mut weights_dirty = false;
     let mut cycle = CycleCheck::new();
+    let mut searches = SwapSearches::default();
+    let blocked_radius = config.restriction.radius(1.0);
 
     // Reusable per-step buffers (see module docs).
     let mut ready: Vec<GateId> = Vec::new();
@@ -481,6 +520,16 @@ pub(crate) fn run(
                 route.resume();
                 weights_dirty = false;
             }
+            searches.searches += 1;
+            // No move out of a blocked operand site could be claimed
+            // (see step 2 in the module docs).
+            if ops_of_gate
+                .iter()
+                .all(|&q| zones.blocks(map.site_of(q).expect("operand mapped"), blocked_radius))
+            {
+                searches.blocked += 1;
+                continue;
+            }
             let Some(mv) = best_swap_for_gate(
                 ops_of_gate,
                 &map,
@@ -488,10 +537,12 @@ pub(crate) fn run(
                 grid.usable_mask(),
                 &weights,
                 config.mid,
+                &mut searches.candidates,
             ) else {
                 continue;
             };
             if !zones.try_claim(&[mv.from, mv.to]) {
+                searches.discarded += 1;
                 continue;
             }
             ops.push(ScheduledOp {
@@ -624,6 +675,30 @@ impl Drop for Lookahead {
     fn drop(&mut self) {
         na_telemetry::add(Counter::WeightRebuilds, self.rebuilds);
         na_telemetry::add(Counter::LookaheadGatesVisited, self.gates_visited);
+    }
+}
+
+/// The work counts of the scheduler's SWAP searches, added to the
+/// counters once per compile when dropped (as [`Lookahead`]'s are).
+#[derive(Default)]
+struct SwapSearches {
+    /// Ready long-distance gates that reached the search.
+    searches: u64,
+    /// Of those, searches skipped because every operand was blocked.
+    blocked: u64,
+    /// Searches whose move failed its zone claim.
+    discarded: u64,
+    /// Candidates the searches that ran scored and pruned.
+    candidates: CandidateCounts,
+}
+
+impl Drop for SwapSearches {
+    fn drop(&mut self) {
+        na_telemetry::add(Counter::SwapSearches, self.searches);
+        na_telemetry::add(Counter::SwapSearchesBlocked, self.blocked);
+        na_telemetry::add(Counter::SwapCandidatesScored, self.candidates.scored);
+        na_telemetry::add(Counter::SwapCandidatesPruned, self.candidates.pruned);
+        na_telemetry::add(Counter::SwapSearchesDiscarded, self.discarded);
     }
 }
 
@@ -933,6 +1008,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
+        let mut blocked = 0;
         for policy in [
             RestrictionPolicy::HalfDistance,
             RestrictionPolicy::None,
@@ -966,8 +1042,28 @@ mod tests {
                         reference.push(zone);
                     }
                 }
+                // The blocked-operand skip: where a unit-distance zone
+                // on `su` conflicts, so does every SWAP out of `su`.
+                let mid = f64::from(rng.gen_range(1..=5u32));
+                let su = Site::new(rng.gen_range(0..8), rng.gen_range(0..8));
+                if !buffer.blocks(su, policy.radius(1.0)) {
+                    continue;
+                }
+                blocked += 1;
+                for x in 0..8 {
+                    for y in 0..8 {
+                        let h = Site::new(x, y);
+                        if h != su && su.within(h, mid) {
+                            assert!(
+                                !buffer.try_claim(&[su, h]),
+                                "{su:?} blocked, yet a SWAP to {h:?} claimed under {policy:?}"
+                            );
+                        }
+                    }
+                }
             }
         }
+        assert!(blocked > 64, "only {blocked} blocked operand sites");
     }
 
     /// The lookahead weights as the scheduler built them before the
@@ -1016,11 +1112,17 @@ mod tests {
         adj
     }
 
-    #[test]
-    fn windowed_rebuilds_match_the_full_walk_bit_for_bit() {
+    /// Rebuilds one weight graph, with one scratch, on every frontier
+    /// the scheduler passed through compiling a spread of benchmarks
+    /// at MIDs 1 and 3 (native Toffolis, so 3-operand windows, at 3),
+    /// as the scheduler reuses them, and calls `visit` after each
+    /// rebuild. Returns the number of frontiers visited.
+    fn for_each_rebuilt_frontier(
+        mut visit: impl FnMut(&str, &Circuit, &Frontier<'_>, usize, &InteractionWeights),
+    ) -> usize {
         use na_benchmarks::Benchmark;
         let grid = Grid::new(10, 10);
-        let mut compared = 0usize;
+        let mut visited = 0usize;
         for (bench, size) in [
             (Benchmark::Bv, 16),
             (Benchmark::Cnu, 15),
@@ -1028,7 +1130,6 @@ mod tests {
             (Benchmark::QftAdder, 16),
             (Benchmark::Qaoa, 16),
         ] {
-            // Native Toffolis (3-operand windows) where the MID allows.
             for mid in [1.0, 3.0] {
                 let config = CompilerConfig::new(mid).with_native_multiqubit(mid >= 2.0);
                 let compiled = crate::compile(&bench.generate(size, 7), &grid, &config).unwrap();
@@ -1036,27 +1137,16 @@ mod tests {
                 let program = Program::new(circuit.clone(), config.lookahead_depth);
                 let operands = program.operands();
                 let mut frontier = program.dag().frontier();
-                // One scratch and one graph across the whole schedule,
-                // reused like the scheduler reuses them.
                 let mut scratch = RebuildScratch::default();
                 let mut weights = InteractionWeights::empty(circuit.num_qubits());
                 let ops = compiled.ops();
                 let mut next = 0;
-                // Every frontier the scheduler saw: each lazy rebuild
-                // ran on one of them.
+                let case = format!("{} MID {mid}", bench.name());
                 while !frontier.is_done() {
                     let depth = config.lookahead_depth;
                     scratch.rebuild(operands, &frontier, depth, &mut weights);
-                    let want = full_walk_adjacency(circuit, &frontier, depth);
-                    for (q, want) in want.iter().enumerate() {
-                        let got: Vec<(Qubit, u64)> = weights
-                            .partners(Qubit(q as u32))
-                            .iter()
-                            .map(|&(p, w)| (p, w.to_bits()))
-                            .collect();
-                        assert_eq!(&got, want, "{} MID {mid}, qubit {q}", bench.name());
-                    }
-                    compared += 1;
+                    visit(&case, circuit, &frontier, depth, &weights);
+                    visited += 1;
                     let time = ops[next].time;
                     while next < ops.len() && ops[next].time == time {
                         if let Some(g) = ops[next].source {
@@ -1067,6 +1157,39 @@ mod tests {
                 }
             }
         }
+        visited
+    }
+
+    #[test]
+    fn windowed_rebuilds_match_the_full_walk_bit_for_bit() {
+        let compared = for_each_rebuilt_frontier(|case, circuit, frontier, depth, weights| {
+            let want = full_walk_adjacency(circuit, frontier, depth);
+            for (q, want) in want.iter().enumerate() {
+                let got: Vec<(Qubit, u64)> = weights
+                    .partners(Qubit(q as u32))
+                    .iter()
+                    .map(|&(p, w)| (p, w.to_bits()))
+                    .collect();
+                assert_eq!(&got, want, "{case}, qubit {q}");
+            }
+        });
         assert!(compared > 500, "only {compared} frontiers compared");
+    }
+
+    #[test]
+    fn weight_totals_fold_their_partners_after_windowed_rebuilds() {
+        for_each_rebuilt_frontier(|case, circuit, _, _, weights| {
+            for q in (0..circuit.num_qubits()).map(Qubit) {
+                let fold = weights
+                    .partners(q)
+                    .iter()
+                    .fold(0.0f64, |sum, &(_, w)| sum + w);
+                assert_eq!(
+                    weights.total(q).to_bits(),
+                    fold.to_bits(),
+                    "{case}, qubit {q:?}"
+                );
+            }
+        });
     }
 }

@@ -1,9 +1,12 @@
 //! The seed placer, verbatim: the O(n² · sites) greedy placement with
 //! full rescans that the placement fast path must reproduce map for
 //! map. Shared by the crate's unit tests and its integration tests as
-//! their differential oracle; not part of the public API.
+//! their differential oracle; not part of the public API. The unbounded
+//! SWAP scan the router must reproduce lives in [`swap_search`].
 
 #![allow(dead_code)]
+
+pub mod swap_search;
 
 use na_arch::{Grid, Site};
 use na_circuit::{Circuit, Qubit};

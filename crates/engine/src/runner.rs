@@ -11,6 +11,7 @@ use crate::cache::{CacheKey, CacheStats, CompileCache, CompiledPoint};
 use crate::record::{Outcome, RunRecord};
 use crate::spec::{ExperimentSpec, Job, Task};
 use na_benchmarks::{Benchmark, Workload};
+use na_circuit::Circuit;
 use na_core::{CompileError, CompiledCircuit};
 use na_loss::{CampaignResult, LossOutcome, ShotRange, Strategy, StrategyState};
 use na_noise::{
@@ -374,9 +375,10 @@ struct ShardFan {
     /// Shards still running; the worker that decrements this to zero
     /// merges and writes the job's row.
     remaining: AtomicUsize,
-    /// The compiled point, set by the first shard that reaches it; the
-    /// merged row carries its pass report.
-    point: OnceLock<Arc<CompiledPoint>>,
+    /// Resolved once, by the first shard to run, so a campaign costs
+    /// one cache lookup at any shard count. The merged row carries the
+    /// point's pass report.
+    point: OnceLock<FanPoint>,
     /// Trace id of the whole-job span (0 = untraced); shard and merge
     /// spans parent under it.
     job_span_id: u64,
@@ -384,6 +386,10 @@ struct ShardFan {
     /// takes and ends it on the job's virtual track.
     job_span: Mutex<Option<na_telemetry::OpenSpan>>,
 }
+
+/// A campaign's circuit and compiled point, or the typed failure of
+/// its cache lookup.
+type FanPoint = Result<(Arc<Circuit>, Arc<CompiledPoint>), Outcome>;
 
 /// What one shard produced: its partial campaign, or the typed
 /// failure outcome that will become the whole job's row.
@@ -395,13 +401,14 @@ struct ShardDone {
     timings: Option<std::collections::BTreeMap<String, u64>>,
 }
 
-/// Runs one shard of a campaign: compile through the shared cache (at
-/// the strategy's compile MID; all shards hit the one artifact), verify
-/// its schedule when `verify` is on, reuse the point's interaction
-/// summary, then execute just this shard's
-/// shot range with its deterministically derived RNG streams. Shard 0
-/// of a one-shard plan draws exactly the unsharded campaign's streams,
-/// so it reproduces `na_loss::run_campaign` bit for bit.
+/// Runs one shard of a campaign: take the fan's compiled point (the
+/// first shard generates the circuit and looks it up in the shared
+/// cache, at the strategy's compile MID), verify its schedule when
+/// `verify` is on, reuse the point's interaction summary, then execute
+/// just this shard's shot range with its deterministically derived RNG
+/// streams. Shard 0 of a one-shard plan draws exactly the unsharded
+/// campaign's streams, so it reproduces `na_loss::run_campaign` bit for
+/// bit.
 #[allow(clippy::result_large_err)]
 fn execute_shard(
     job: &Job,
@@ -418,11 +425,17 @@ fn execute_shard(
         .task
         .compile_config(&job.config)
         .expect("campaigns use the compile cache");
-    let circuit = job.workload.circuit(job.size, job.circuit_seed);
-    let point = cache
-        .lookup(&circuit, &job.grid, &compile_cfg)
-        .map_err(|e| Outcome::from_error(&e))?;
-    let point = fan.point.get_or_init(|| point);
+    let (circuit, point) = fan
+        .point
+        .get_or_init(|| {
+            let circuit = job.workload.circuit(job.size, job.circuit_seed);
+            let point = cache
+                .lookup(&circuit, &job.grid, &compile_cfg)
+                .map_err(|e| Outcome::from_error(&e))?;
+            Ok((circuit, point))
+        })
+        .as_ref()
+        .map_err(Outcome::clone)?;
     if verify {
         point
             .verify(&job.grid)
@@ -430,7 +443,7 @@ fn execute_shard(
     }
     let shard_index = u32::try_from(shard).expect("shard counts are u32");
     na_loss::run_campaign_shard(
-        &circuit,
+        circuit,
         &job.grid,
         Arc::clone(&point.compiled),
         point.summary(),
@@ -486,7 +499,11 @@ fn merge_fan(job: &Job, fan: &ShardFan) -> RunRecord {
                 .map(|shard| shard.timings.clone().unwrap_or_default())
                 .collect(),
         );
-        record.pass_report = fan.point.get().and_then(|point| point.report.clone());
+        record.pass_report = fan
+            .point
+            .get()
+            .and_then(|point| point.as_ref().ok())
+            .and_then(|(_, point)| point.report.clone());
     }
     // The whole-job span, opened at fan creation, ends on the job's
     // own virtual track (it spans multiple workers).

@@ -77,6 +77,9 @@ fn a_sharded_recompile_campaign_builds_one_program() {
     assert!(recompiles > 0, "no loss was absorbed by a recompile");
     assert_eq!(metrics.counter("compiles"), recompiles + 1);
     assert_eq!(metrics.counter("campaign_shards"), 4);
+    // The first shard looks the point up; the other three reuse it.
+    assert_eq!(metrics.counter("compile_cache_misses"), 1);
+    assert_eq!(metrics.counter("compile_cache_hits"), 0);
     assert_eq!(
         metrics.counter("program_builds"),
         1,

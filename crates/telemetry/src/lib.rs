@@ -145,6 +145,20 @@ keys! {
         WeightRebuilds => "weight_rebuilds",
         /// Gates placed in a lookahead window, summed over rebuilds.
         LookaheadGatesVisited => "lookahead_gates_visited",
+        /// Ready long-distance gates the scheduler sought a routing
+        /// SWAP for, skipped searches included.
+        SwapSearches => "swap_searches",
+        /// SWAP searches skipped because a claimed restriction zone
+        /// blocks every operand's site, so no move could be claimed.
+        SwapSearchesBlocked => "swap_searches_blocked",
+        /// SWAP candidates whose score the router computed.
+        SwapCandidatesScored => "swap_candidates_scored",
+        /// SWAP candidates skipped because their score bound cannot
+        /// beat the search's running best.
+        SwapCandidatesPruned => "swap_candidates_pruned",
+        /// SWAP searches whose move the scheduler dropped because its
+        /// restriction zone could not be claimed.
+        SwapSearchesDiscarded => "swap_searches_discarded",
         /// Program artifacts (DAG, operands, time-zero weights) built
         /// from a lowered circuit.
         ProgramBuilds => "program_builds",

@@ -137,7 +137,8 @@ fn tolerance(r: &RunRecord) -> (f64, f64) {
     }
 }
 
-/// Fig. 11's (strategy, MID) cases, one table column each.
+/// Fig. 11's (strategy, MID) cases, one table column each. The first,
+/// reroute at MID 2, is the case the figure's claim ranks lowest.
 const TRACE_CASES: [(Strategy, f64); 8] = [
     (Strategy::MinorReroute, 2.0),
     (Strategy::MinorReroute, 3.0),
@@ -200,8 +201,63 @@ pub(crate) const FIG11: Figure = Figure {
         }
     },
     render: render_fig11,
-    claims: &[],
+    claims: &[
+        Claim {
+            text: "no rerouting seed ever succeeds more often than the loss-free program \
+                   (fixup SWAPs only cost)",
+            check: |records| {
+                let recompile = Some(Strategy::FullRecompile.name());
+                let rerouting = records
+                    .iter()
+                    .filter(|r| r.strategy.as_deref() != recompile);
+                let cells = rerouting.map(|r| {
+                    let success = trace(r);
+                    let peak = success.iter().copied().fold(f64::MIN, f64::max);
+                    (
+                        format!("row {} (peak, loss-free)", r.id),
+                        (peak, success[0]),
+                    )
+                });
+                every(cells, |&(peak, loss_free)| peak <= loss_free)
+            },
+        },
+        Claim {
+            text: "reroute at MID 2 ends lowest of all cases at 20 holes, for both benchmarks",
+            check: |records| {
+                let mut cells = Vec::new();
+                for b in LOSS_BENCHMARKS {
+                    // Mean success at 20 holes over the seeds that get there.
+                    let at_max = |&(strategy, mid): &(Strategy, f64)| {
+                        let ends: Vec<f64> = records
+                            .iter()
+                            .filter(|r| r.benchmark == b.name() && r.mid == mid)
+                            .filter(|r| r.strategy.as_deref() == Some(strategy.name()))
+                            .filter_map(|r| trace(r).get(MAX_HOLES).copied())
+                            .collect();
+                        (!ends.is_empty()).then(|| mean_std(&ends).0)
+                    };
+                    let lowest = at_max(&TRACE_CASES[0]);
+                    cells.extend(TRACE_CASES[1..].iter().map(|case| {
+                        let cell = format!("{b} {} MID {} vs reroute MID 2", case.0, case.1);
+                        (cell, (lowest, at_max(case)))
+                    }));
+                }
+                every(cells, |&(lowest, other)| {
+                    lowest
+                        .zip(other)
+                        .is_some_and(|(lowest, other)| lowest < other)
+                })
+            },
+        },
+    ],
 };
+
+fn trace(r: &RunRecord) -> &[f64] {
+    match &r.outcome {
+        Outcome::LossTrace { success } => success,
+        other => panic!("{} {:?} MID {}: {other:?}", r.benchmark, r.strategy, r.mid),
+    }
+}
 
 fn render_fig11(records: &[RunRecord]) {
     for b in LOSS_BENCHMARKS {
@@ -219,13 +275,8 @@ fn render_fig11(records: &[RunRecord]) {
                 .iter()
                 .position(|&(s, mid)| r.strategy.as_deref() == Some(s.name()) && r.mid == mid)
                 .expect("row of a Fig. 11 case");
-            match &r.outcome {
-                Outcome::LossTrace { success: trace } => {
-                    for (k, p) in trace.iter().enumerate() {
-                        success[case][k].push(*p);
-                    }
-                }
-                other => panic!("{b} case {case}: {other:?}"),
+            for (k, p) in trace(r).iter().enumerate() {
+                success[case][k].push(*p);
             }
         }
 
@@ -458,4 +509,216 @@ fn render_fig14(records: &[RunRecord]) {
         "\nreload fraction of wall clock: {:.1}% (paper: reloads dominate)",
         100.0 * reload_time / total
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use na_circuit::fingerprint::fnv1a_extend;
+    use na_engine::Engine;
+    use na_telemetry::MetricsSnapshot;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Telemetry counters are process-global: one counted run at a time.
+    static COUNTED: Mutex<()> = Mutex::new(());
+
+    /// Runs `figure` as `figures` does (a fresh verified engine) with
+    /// metrics on; returns its rows, the engine's compile-cache misses
+    /// and the metrics. Every job must run and verify, and every claim
+    /// must hold.
+    fn counted(figure: &Figure) -> (Vec<RunRecord>, u64, MetricsSnapshot) {
+        let spec = figure.spec();
+        let _serial = COUNTED.lock().unwrap_or_else(PoisonError::into_inner);
+        let engine = Engine::new().verified();
+        na_telemetry::reset();
+        na_telemetry::set_enabled(true);
+        let records = engine.run(&spec);
+        let metrics = na_telemetry::snapshot();
+        na_telemetry::set_enabled(false);
+        assert_eq!(figure.failed_claims(&records), Vec::<String>::new());
+        (records, engine.cache_stats().misses, metrics)
+    }
+
+    /// FNV-1a over a row's measurement: Fig. 10's mean and σ bits and
+    /// trial count, Fig. 11's success bits.
+    fn digest(r: &RunRecord) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        match &r.outcome {
+            Outcome::Tolerance { mean, std, trials } => {
+                let h = fnv1a_extend(OFFSET, mean.to_bits());
+                fnv1a_extend(fnv1a_extend(h, std.to_bits()), u64::from(*trials))
+            }
+            Outcome::LossTrace { success } => {
+                let h = fnv1a_extend(OFFSET, success.len() as u64);
+                success.iter().fold(h, |h, p| fnv1a_extend(h, p.to_bits()))
+            }
+            other => panic!("row {}: {other:?}", r.id),
+        }
+    }
+
+    fn assert_digests(records: &[RunRecord], golden: &[u64]) {
+        assert_eq!(records.len(), golden.len());
+        for (r, &want) in records.iter().zip(golden) {
+            let cell = format!(
+                "row {} ({} {:?} MID {})",
+                r.id, r.benchmark, r.strategy, r.mid
+            );
+            assert_eq!(digest(r), want, "{cell}");
+        }
+    }
+
+    /// Row digests in job order, recorded when every tolerance trial
+    /// and every trace compiled its own strategy state.
+    const FIG10_DIGESTS: [u64; 46] = [
+        0x606681151199e190,
+        0x4f8275c8e26a9c14,
+        0xc7ae77cccd3dd16c,
+        0x0f923d2ccc0f9a08,
+        0x4f4c4930e14e8300,
+        0xb961f86f02d3603b,
+        0x0a33d4bd87afc689,
+        0x0a33d4bd87afc689,
+        0x0a33d4bd87afc689,
+        0x0a33d4bd87afc689,
+        0x5f510647244280f8,
+        0xc7ae77cccd3dd16c,
+        0x0f923d2ccc0f9a08,
+        0x4f4c4930e14e8300,
+        0x0a33d4bd87afc689,
+        0x0a33d4bd87afc689,
+        0x0a33d4bd87afc689,
+        0x0a33d4bd87afc689,
+        0x989821a411b031fd,
+        0xfa7082a3b39d3765,
+        0x5aee14a60aa177bb,
+        0x52204ff421bec56b,
+        0x52204ff421bec56b,
+        0x0f5698b7fc093cde,
+        0x8602b381c40d982d,
+        0xa98e33cd19328477,
+        0xdc3249cc43f25d1e,
+        0x9f6443ee466d4da3,
+        0x6b6aa1056324e29a,
+        0x0cf8eb3ff940b6f2,
+        0x3b91246c32639a16,
+        0xac0de8caa63291b2,
+        0xac0de8caa63291b2,
+        0x900b4b718139c1f7,
+        0x1be47f06fd4c7f0c,
+        0xc5de375f818d0207,
+        0xe535017934fb6cab,
+        0xadfced13f6847e04,
+        0x0cf8eb3ff940b6f2,
+        0x3b91246c32639a16,
+        0xac0de8caa63291b2,
+        0xeff9fdf3bf460879,
+        0x541323480d009f30,
+        0xdc05899503ef873e,
+        0xdc98e1cff49a19b1,
+        0xdc98e1cff49a19b1,
+    ];
+    const FIG11_DIGESTS: [u64; 80] = [
+        0xb9f155e9289f8b06,
+        0xc14ea33fd3b9f5a7,
+        0x79d71ed210048cdc,
+        0x689bdbd8f9dd5041,
+        0x03f7839e83ecdd09,
+        0x7dc5a70c165c6098,
+        0x1c2a1b6f5acd0fa6,
+        0x7dc5a70c165c6098,
+        0x2e9e3b2d33c28544,
+        0x84382b69077919e8,
+        0x7dc5a70c165c6098,
+        0x7dc5a70c165c6098,
+        0x7dc5a70c165c6098,
+        0x7dc5a70c165c6098,
+        0x7dc5a70c165c6098,
+        0xc3669d8ef7804bd4,
+        0x9f58eb99ae0c2fef,
+        0xc3669d8ef7804bd4,
+        0xcef6b4ace23c2827,
+        0xb7850d1ac0c54eac,
+        0x7dc5a70c165c6098,
+        0x7dc5a70c165c6098,
+        0x7dc5a70c165c6098,
+        0x7dc5a70c165c6098,
+        0x7dc5a70c165c6098,
+        0xe319f2ffbb73df12,
+        0x46f5539969f59785,
+        0x36050aa2b5e5c7f2,
+        0xfa60a1f6af38e23f,
+        0xd10061b5092bdd65,
+        0x5a1ed1201f571931,
+        0x235a24f8a5dace0f,
+        0x9b43dfded8d74113,
+        0xececf4589000002d,
+        0xf7ec7650546848d1,
+        0x828fdec95e0101cc,
+        0x235a24f8a5dace0f,
+        0x9b43dfded8d74113,
+        0x474009993c0fd429,
+        0x9f15128db4505383,
+        0x8300857d9cef4221,
+        0x268a2ee15375dbcf,
+        0xb677a382b8495890,
+        0x0d85f3b4767720b6,
+        0x1b4a0f6b4d1986d9,
+        0xb82561333382c3ad,
+        0x19b04ebafab914ba,
+        0x79a2e6daa29a05c0,
+        0x6c14739eff2a6e63,
+        0xbb1e9c6a3d5b24e8,
+        0x4d720b4147e7d12f,
+        0x220137440ad565b2,
+        0xde0ba0523d88fcda,
+        0xccee6214aa0ea14b,
+        0x4837a5f8f28b0da3,
+        0xcecf77c1f01d2be8,
+        0x19642e8b6485cf00,
+        0x9d2a77ec61fb0ac8,
+        0xfc3e428b6775431b,
+        0xf8691051975fef80,
+        0x4c7a04a5aae186f9,
+        0x4c7a04a5aae186f9,
+        0x4c7a04a5aae186f9,
+        0x4c7a04a5aae186f9,
+        0x4c7a04a5aae186f9,
+        0xe7d988938960dea7,
+        0x1bbc99309c998d79,
+        0xcafd30c13e9cadae,
+        0x4d96519a155aa11d,
+        0xdc773165e2000c34,
+        0x2ba0e427f1d8e8b5,
+        0x4b4b13572fbf8c3b,
+        0xecbecabc8d5fa1fe,
+        0xf4a5156c6f3ca96a,
+        0x453df6684483d51d,
+        0x9b568441765c17c7,
+        0xca3eba1753a2cf59,
+        0xa77235b33fe13a99,
+        0x08c9b21f28018611,
+        0x74bc3b900bf7947a,
+    ];
+
+    #[test]
+    fn fig10_walks_ten_compiled_points() {
+        let (records, misses, metrics) = counted(&FIG10);
+        assert_digests(&records, &FIG10_DIGESTS);
+        // One compile per (benchmark, strategy compile MID): the 460
+        // trials walk clones of ten cached points, whose compiles share
+        // one lowered program per benchmark.
+        assert_eq!(misses, 10);
+        assert_eq!(metrics.counter("program_builds"), 2);
+        assert_eq!(metrics.counter("recompiles"), 2_731);
+    }
+
+    #[test]
+    fn fig11_walks_eight_compiled_points() {
+        let (records, misses, metrics) = counted(&FIG11);
+        assert_digests(&records, &FIG11_DIGESTS);
+        // Four compile MIDs per benchmark for the 80 traces, plus the
+        // two MID-3 compiles that tune each benchmark's error rate.
+        assert_eq!(misses, 8);
+        assert_eq!(metrics.counter("recompiles"), 174);
+    }
 }

@@ -15,7 +15,7 @@ use na_engine::{
     derive_seed, CompileCache, Engine, ExperimentSpec, FailureSummary, JsonlSink, LossSpec,
     Outcome, RunRecord, Task,
 };
-use na_loss::{mean_loss_tolerance, render_timeline, CampaignConfig, ShotTarget, Strategy};
+use na_loss::{render_timeline, CampaignConfig, ShotTarget, Strategy};
 use na_noise::{success_probability, NoiseParams};
 use std::error::Error;
 use std::time::Duration;
@@ -423,19 +423,39 @@ pub fn success_cmd(args: &Args) -> CmdResult {
     Ok(CmdStatus::Ok)
 }
 
-/// `natoms tolerance`
+/// Most `--trials` `natoms tolerance` accepts, far past any useful
+/// average (a trial of a 30-qubit program takes up to a few ms).
+const MAX_TOLERANCE_TRIALS: u32 = 100_000;
+
+/// `natoms tolerance` — one engine `Tolerance` job (Fig. 10's task) on
+/// a verified engine.
 pub fn tolerance_cmd(args: &Args) -> CmdResult {
     let c = common(args)?;
     let strategy = parse_strategy(args.get_or("strategy", "c-small-reroute"))?;
-    let trials = args.parse_checked("trials", 10u32, |&t| t > 0, "at least 1")?;
+    let trials = args.parse_checked(
+        "trials",
+        10u32,
+        |t| (1..=MAX_TOLERANCE_TRIALS).contains(t),
+        &format!("between 1 and {MAX_TOLERANCE_TRIALS}"),
+    )?;
     if !strategy.supports_mid(c.config.mid) {
         return Err(Box::new(ArgError(format!(
             "{strategy} needs a hardware MID of at least 3"
         ))));
     }
-    let program = c.circuit();
-    let (mean, std) =
-        mean_loss_tolerance(&program, &c.grid, c.config.mid, strategy, trials, c.seed)?;
+    let mut spec = ExperimentSpec::new("tolerance", c.grid.clone());
+    let task = Task::Tolerance {
+        strategy,
+        trials,
+        seed: c.seed,
+    };
+    spec.push(c.workload.clone(), c.size, c.seed, c.config, task);
+    let record = Engine::with_workers(1).verified().run(&spec).remove(0);
+    let (mean, std) = match record.outcome {
+        Outcome::Tolerance { mean, std, .. } => (mean, std),
+        Outcome::Failed { error, .. } => return Err(error.into()),
+        other => unreachable!("a tolerance job measured {other:?}"),
+    };
     println!(
         "{strategy} on {} ({} qubits, MID {}): sustains {:.1}% +/- {:.1}% of the device",
         c.workload,
@@ -936,6 +956,8 @@ mod tests {
             "reload-time --width 0",
             "reload-time --height 0",
             "tolerance --size 8 --trials 0",
+            "tolerance --size 8 --trials 100001",
+            "tolerance --size 8 --trials 4294967295",
             "compile --grid 65536x65536",
             "compile --grid 65536x65537",
             "compile --grid 65x64",

@@ -81,7 +81,7 @@ RELOAD-TIME OPTIONS:
                     1, enough to refill the target, and the padded
                     field at most 4096 sites
   --trials N        trials to average, at least 1 (default 10; also
-                    tolerance)
+                    tolerance, at most 100000)
 
 ENGINE OPTIONS (sweep, campaign):
   --workers N       worker threads              (default: all cores)

@@ -161,7 +161,9 @@ pub struct RunRecord {
     /// sweep coordinates from job-id arithmetic.
     pub noise_p2: Option<f64>,
     /// Whether this row's compilation was served from the engine's
-    /// memoized compile cache; `None` for tasks that bypass it.
+    /// memoized compile cache. Every task reads the cache, so every
+    /// [`crate::Engine::run`] row carries it; `None` on rows built
+    /// elsewhere or written before the field existed.
     ///
     /// Defined in *spec order* — `true` iff the job's compile key was
     /// already cached before the run or appears on an earlier job of
@@ -182,7 +184,7 @@ pub struct RunRecord {
     ///
     /// Wall-clock like [`RunRecord::timings`], so equally exempt from
     /// the byte-reproducibility contract; `None` in the default
-    /// configuration and for tasks that bypass the compile cache.
+    /// configuration and when the compile failed.
     pub pass_report: Option<na_core::PassReport>,
     /// Per-shard span timings for campaign rows (indexed by shard,
     /// span name → ns on the shard's worker thread; an unsharded

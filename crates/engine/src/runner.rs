@@ -12,15 +12,12 @@ use crate::record::{Outcome, RunRecord};
 use crate::spec::{ExperimentSpec, Job, Task};
 use na_benchmarks::{Benchmark, Workload};
 use na_circuit::Circuit;
-use na_core::{CompileError, CompiledCircuit};
-use na_loss::{CampaignResult, LossOutcome, ShotRange, Strategy, StrategyState};
+use na_core::CompileError;
+use na_loss::{CampaignResult, ShotRange, Strategy, StrategyState};
 use na_noise::{
     crosstalk_exposures, crosstalk_success, success_probability, success_with_crosstalk,
-    CrosstalkParams, NoiseParams,
 };
 use na_telemetry::Span;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,12 +71,12 @@ impl Engine {
         self
     }
 
-    /// Enables schedule verification: every compiled circuit a
-    /// compile-family task or a campaign starts from is replayed through
-    /// [`na_core::verify`] (once per compilation point) before it is
-    /// used, and a constraint violation becomes an [`Outcome::Failed`]
-    /// row. Used by validation harnesses; off by default (verification
-    /// replays the whole schedule).
+    /// Enables schedule verification: every compiled circuit a job
+    /// starts from is replayed through [`na_core::verify`] (once per
+    /// compilation point) before it is used, and a constraint
+    /// violation becomes an [`Outcome::Failed`] row. Used by validation
+    /// harnesses; off by default (verification replays the whole
+    /// schedule).
     pub fn verified(mut self) -> Self {
         self.verify = true;
         self
@@ -220,7 +217,7 @@ impl Engine {
             .zip(cache_flags)
             .map(|(slot, cache_hit)| {
                 let mut record = slot.into_inner().expect("every job ran");
-                record.cache_hit = cache_hit;
+                record.cache_hit = Some(cache_hit);
                 record
             })
             .collect();
@@ -322,10 +319,9 @@ impl Engine {
         })
     }
 
-    /// `cache_hit` for every job: `None` for tasks that bypass the
-    /// compile cache, otherwise whether the job's compile key is
+    /// `cache_hit` for every job: whether the job's compile key is
     /// already cached or claimed by an earlier job of this spec.
-    fn cache_hit_flags(&self, jobs: &[Job]) -> Vec<Option<bool>> {
+    fn cache_hit_flags(&self, jobs: &[Job]) -> Vec<bool> {
         let mut claimed: HashSet<CacheKey> = HashSet::new();
         // A benchmark circuit's fingerprint depends only on
         // (benchmark, size, seed); memoize it so a sweep pricing one
@@ -334,10 +330,6 @@ impl Engine {
         let mut bench_fingerprints: HashMap<(Benchmark, u32, u64), u64> = HashMap::new();
         jobs.iter()
             .map(|job| {
-                // The cached config is task-dependent: compile-family
-                // tasks compile at the job's config, campaigns at the
-                // strategy's compile MID.
-                let compile_cfg = job.task.compile_config(&job.config)?;
                 let circuit_fp = match &job.workload {
                     Workload::Custom { circuit, .. } => circuit.fingerprint(),
                     Workload::Bench(b) => *bench_fingerprints
@@ -347,9 +339,9 @@ impl Engine {
                 let key = CacheKey {
                     circuit: circuit_fp,
                     grid: job.grid.fingerprint(),
-                    config: compile_cfg.fingerprint(),
+                    config: job.task.compile_config(&job.config).fingerprint(),
                 };
-                Some(self.cache.contains(&key) || !claimed.insert(key))
+                self.cache.contains(&key) || !claimed.insert(key)
             })
             .collect()
     }
@@ -421,16 +413,12 @@ fn execute_shard(
         .task
         .campaign()
         .expect("only campaigns expand into shard work items");
-    let compile_cfg = job
-        .task
-        .compile_config(&job.config)
-        .expect("campaigns use the compile cache");
     let (circuit, point) = fan
         .point
         .get_or_init(|| {
             let circuit = job.workload.circuit(job.size, job.circuit_seed);
             let point = cache
-                .lookup(&circuit, &job.grid, &compile_cfg)
+                .lookup(&circuit, &job.grid, &job.task.compile_config(&job.config))
                 .map_err(|e| Outcome::from_error(&e))?;
             Ok((circuit, point))
         })
@@ -543,6 +531,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs one job to completion. Infallible by construction: errors
 /// become [`Outcome::Failed`] rows.
 ///
+/// Every task reads its compiled point from the cache (at
+/// [`Task::compile_config`]); the schedule is optionally replayed
+/// through the constraint verifier ([`Engine::verified`]) before the
+/// task uses it.
+///
 /// When telemetry is enabled the row is tagged with the span
 /// nanoseconds this job accrued on the executing thread (wall-clock,
 /// hence deliberately absent — `None` — in the deterministic default
@@ -550,65 +543,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
     let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
     let circuit = job.workload.circuit(job.size, job.circuit_seed);
-    // Compile-family tasks compile through the cache; the schedule is
-    // optionally replayed through the constraint verifier
-    // (Engine::verified) before its metrics are reported.
-    let lookup = job
-        .task
-        .compile_config(&job.config)
-        .map(|config| cache.lookup(&circuit, &job.grid, &config));
-    let compile_cached = |outcome: &dyn Fn(&CompiledCircuit) -> Outcome| match lookup
-        .as_ref()
-        .expect("compile-family tasks use the compile cache")
-    {
+    let lookup = cache.lookup(&circuit, &job.grid, &job.task.compile_config(&job.config));
+    let outcome = match &lookup {
         Ok(point) => match verify.then(|| point.verify(&job.grid)) {
             Some(Err(e)) => Outcome::from_error(&e),
-            _ => outcome(&point.compiled),
+            _ => run_task(job, &circuit, point),
         },
         Err(e) => Outcome::from_error(e),
     };
-    let outcome = match &job.task {
-        Task::Compile => compile_cached(&|compiled| Outcome::Compiled {
-            source: compiled.circuit().metrics(),
-            metrics: compiled.metrics(),
-        }),
-        Task::Success { params } => compile_cached(&|compiled| Outcome::Success {
-            metrics: compiled.metrics(),
-            breakdown: success_probability(compiled, params),
-        }),
-        Task::Crosstalk { params, crosstalk } => {
-            compile_cached(&|compiled| run_crosstalk(compiled, params, crosstalk))
-        }
-        Task::Tolerance {
-            strategy,
-            trials,
-            seed,
-        } => match na_loss::mean_loss_tolerance(
-            &circuit,
-            &job.grid,
-            job.config.mid,
-            *strategy,
-            *trials,
-            *seed,
-        ) {
-            Ok((mean, std)) => Outcome::Tolerance {
-                mean,
-                std,
-                trials: *trials,
-            },
-            Err(e) => Outcome::from_error(&e),
-        },
-        Task::LossTrace {
-            strategy,
-            max_holes,
-            params,
-            seed,
-        } => run_loss_trace(&circuit, job, *strategy, *max_holes, params, *seed),
-        // Campaigns are expanded into per-shard work items by
-        // `Engine::run` and never reach the whole-job path.
-        Task::Campaign { .. } | Task::ShardedCampaign { .. } => {
-            unreachable!("campaigns expand into shard work items")
-        }
+    // A loss walk's recompile that runs out of the job's budget reads
+    // as a forced reload and ends the walk early: fail the row rather
+    // than report the truncated measurement.
+    let outcome = match na_faults::check_deadline() {
+        Err(e) if !outcome.is_failed() => Outcome::from_error(&e.into()),
+        _ => outcome,
     };
     let mut record = RunRecord::new(job, outcome);
     if let Some(mark) = mark {
@@ -619,63 +567,78 @@ fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
         // Attach the pipeline's per-pass report next to the span
         // deltas: rows sharing a compile key share the compiling
         // thread's report (it describes the artifact, not the lookup).
-        record.pass_report = lookup
-            .and_then(Result::ok)
-            .and_then(|point| point.report.clone());
+        record.pass_report = lookup.ok().and_then(|point| point.report.clone());
     }
     record
 }
 
-fn run_crosstalk(
-    compiled: &CompiledCircuit,
-    params: &NoiseParams,
-    crosstalk: &CrosstalkParams,
-) -> Outcome {
-    Outcome::Crosstalk {
-        depth: compiled.metrics().depth,
-        exposures: crosstalk_exposures(compiled, crosstalk),
-        p_crosstalk: crosstalk_success(compiled, crosstalk),
-        p_standard: success_probability(compiled, params).probability(),
-        p_combined: success_with_crosstalk(compiled, params, crosstalk),
-    }
-}
-
-/// The Fig. 11 measurement: lose atoms one at a time, letting the
-/// strategy absorb each loss, and record predicted shot success after
-/// every survived loss. Ends at the first forced reload.
-fn run_loss_trace(
-    circuit: &na_circuit::Circuit,
-    job: &Job,
-    strategy: Strategy,
-    max_holes: u32,
-    params: &NoiseParams,
-    seed: u64,
-) -> Outcome {
-    let mut state = match StrategyState::new(circuit, &job.grid, job.config.mid, strategy, None) {
-        Ok(s) => s,
-        Err(e) => return Outcome::from_error(&e),
+/// Measures a whole job's task on its compiled point.
+fn run_task(job: &Job, circuit: &Circuit, point: &CompiledPoint) -> Outcome {
+    let compiled = &point.compiled;
+    // The loss tasks start from one strategy state around the cached
+    // point (the job's MID is the hardware MID).
+    let loss_state = |strategy: Strategy| {
+        StrategyState::with_compiled(
+            circuit,
+            &job.grid,
+            job.config.mid,
+            strategy,
+            None,
+            Arc::clone(compiled),
+            point.summary(),
+        )
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut success = vec![success_probability(state.compiled(), params).probability()];
-    for _ in 1..=max_holes {
-        let usable: Vec<_> = state.grid().usable_sites().collect();
-        if usable.is_empty() {
-            break;
+    match &job.task {
+        Task::Compile => Outcome::Compiled {
+            source: compiled.circuit().metrics(),
+            metrics: compiled.metrics(),
+        },
+        Task::Success { params } => Outcome::Success {
+            metrics: compiled.metrics(),
+            breakdown: success_probability(compiled, params),
+        },
+        Task::Crosstalk { params, crosstalk } => Outcome::Crosstalk {
+            depth: compiled.metrics().depth,
+            exposures: crosstalk_exposures(compiled, crosstalk),
+            p_crosstalk: crosstalk_success(compiled, crosstalk),
+            p_standard: success_probability(compiled, params).probability(),
+            p_combined: success_with_crosstalk(compiled, params, crosstalk),
+        },
+        Task::Tolerance {
+            strategy,
+            trials,
+            seed,
+        } => {
+            let (mean, std) = na_loss::mean_loss_tolerance(&loss_state(*strategy), *trials, *seed);
+            Outcome::Tolerance {
+                mean,
+                std,
+                trials: *trials,
+            }
         }
-        let victim = usable[rng.gen_range(0..usable.len())];
-        match state.apply_loss(victim) {
-            LossOutcome::NeedsReload => break,
-            LossOutcome::Recompiled { .. } => {
-                success.push(success_probability(state.compiled(), params).probability());
-            }
-            LossOutcome::Spare | LossOutcome::Tolerated { .. } => {
-                let p = success_probability(state.compiled(), params).probability()
-                    * state.swap_penalty(params.p2);
-                success.push(p);
-            }
+        // The Fig. 11 measurement: predicted shot success before the
+        // first loss and after every loss the strategy absorbs, with
+        // the fixup SWAPs' penalty (1 for a recompiled schedule).
+        Task::LossTrace {
+            strategy,
+            max_holes,
+            params,
+            seed,
+        } => {
+            let mut state = loss_state(*strategy);
+            let mut success = vec![success_probability(compiled, params).probability()];
+            na_loss::loss_walk(&mut state, *seed, *max_holes as usize, |state| {
+                let p = success_probability(state.compiled(), params).probability();
+                success.push(p * state.swap_penalty(params.p2));
+            });
+            Outcome::LossTrace { success }
+        }
+        // Campaigns are expanded into per-shard work items by
+        // `Engine::run` and never reach the whole-job path.
+        Task::Campaign { .. } | Task::ShardedCampaign { .. } => {
+            unreachable!("campaigns expand into shard work items")
         }
     }
-    Outcome::LossTrace { success }
 }
 
 #[cfg(test)]
@@ -722,11 +685,11 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
-    /// `Task::uses_compile_cache` must agree with what `execute_job`
-    /// actually routes through the cache: run one job per task kind on
-    /// a fresh engine and compare the flag against observed lookups.
+    /// Every task reads its compiled point from the cache exactly once
+    /// per job (once per fan for a campaign, at any shard count): run
+    /// one job per task kind on a fresh engine and count the lookups.
     #[test]
-    fn uses_compile_cache_matches_execute_job_dispatch() {
+    fn every_task_does_one_cache_lookup_per_job() {
         let params = na_noise::NoiseParams::neutral_atom(1e-3);
         let tasks = vec![
             Task::Compile,
@@ -737,12 +700,12 @@ mod tests {
             },
             Task::Tolerance {
                 strategy: Strategy::VirtualRemap,
-                trials: 1,
+                trials: 3,
                 seed: 0,
             },
             Task::LossTrace {
                 strategy: Strategy::VirtualRemap,
-                max_holes: 1,
+                max_holes: 3,
                 params,
                 seed: 0,
             },
@@ -753,24 +716,43 @@ mod tests {
             },
             Task::ShardedCampaign {
                 config: na_loss::CampaignConfig::new(4.0, Strategy::VirtualRemap)
-                    .with_target(na_loss::ShotTarget::Attempts(2)),
+                    .with_target(na_loss::ShotTarget::Attempts(3)),
                 loss: LossSpec::new(0),
-                shards: 2,
+                shards: 3,
             },
         ];
         for task in tasks {
-            let expected = task.uses_compile_cache();
             let engine = Engine::with_workers(1);
             let mut spec = ExperimentSpec::new("t", Grid::new(6, 6));
             spec.push(Benchmark::Bv, 8, 0, CompilerConfig::new(4.0), task.clone());
-            engine.run(&spec);
-            let touched_cache = engine.cache_stats().lookups() > 0;
+            let records = engine.run(&spec);
+            assert!(!records[0].outcome.is_failed(), "{:?}", records[0].outcome);
             assert_eq!(
-                touched_cache,
-                expected,
-                "Task::{} disagrees with execute_job's cache dispatch",
-                Task::name(&task)
+                engine.cache_stats().lookups(),
+                1,
+                "Task::{} cache lookups",
+                task.name()
             );
+        }
+    }
+
+    #[test]
+    fn a_walk_past_its_budget_fails_the_row() {
+        // Warm the cache, so the budgeted run spends its millisecond in
+        // the walk's recompiles, not in the initial compile.
+        let engine = Engine::with_workers(1);
+        let mut spec = ExperimentSpec::new("t", Grid::new(10, 10));
+        let task = Task::Tolerance {
+            strategy: Strategy::FullRecompile,
+            trials: 10,
+            seed: 0,
+        };
+        spec.push(Benchmark::Cuccaro, 30, 0, CompilerConfig::new(4.0), task);
+        assert!(!engine.run(&spec)[0].outcome.is_failed());
+        let engine = engine.with_job_timeout(Duration::from_millis(1));
+        match &engine.run(&spec)[0].outcome {
+            Outcome::Failed { deadline, .. } => assert!(deadline),
+            other => panic!("expected a deadline row, got {other:?}"),
         }
     }
 
@@ -850,7 +832,7 @@ mod tests {
         };
         let circuit = Benchmark::Bv.generate(12, 0);
         let grid = Grid::new(8, 8);
-        let compile_cfg = task.compile_config(&CompilerConfig::new(4.0)).unwrap();
+        let compile_cfg = task.compile_config(&CompilerConfig::new(4.0));
         let point = CompileCache::new()
             .lookup(&circuit, &grid, &compile_cfg)
             .unwrap();
@@ -976,7 +958,8 @@ mod tests {
         );
         // Distinct compile key: a miss.
         spec.push(Benchmark::Bv, 9, 0, cfg, Task::Compile);
-        // Bypasses the compile cache entirely.
+        // A loss task reads the cache at its strategy's compile MID:
+        // MID 4 is a key no earlier job compiled.
         spec.push(
             Benchmark::Bv,
             8,
@@ -990,7 +973,10 @@ mod tests {
         );
         let records = engine.run(&spec);
         let flags: Vec<Option<bool>> = records.iter().map(|r| r.cache_hit).collect();
-        assert_eq!(flags, vec![Some(false), Some(true), Some(false), None]);
+        assert_eq!(
+            flags,
+            vec![Some(false), Some(true), Some(false), Some(false)]
+        );
 
         // A re-run of the same spec is served entirely from the cache.
         let again = engine.run(&spec);

@@ -67,7 +67,10 @@ pub enum Task {
         /// Crosstalk range and per-exposure error.
         crosstalk: CrosstalkParams,
     },
-    /// Mean maximum-loss-before-reload over `trials` seeds (Fig. 10).
+    /// Mean maximum-loss-before-reload over `trials` seeds (Fig. 10):
+    /// each trial is a [`na_loss::loss_walk`] on a clone of one
+    /// strategy state built from the cached compile at the strategy's
+    /// compile MID (the job's MID is the hardware MID).
     Tolerance {
         /// Coping strategy under test.
         strategy: Strategy,
@@ -77,8 +80,9 @@ pub enum Task {
         seed: u64,
     },
     /// Shot-success trace as atoms are lost one by one until the
-    /// strategy demands a reload (Fig. 11). `success[k]` is the
-    /// predicted success at `k` holes.
+    /// strategy demands a reload (Fig. 11): one [`na_loss::loss_walk`]
+    /// from the cached compile at the strategy's compile MID.
+    /// `success[k]` is the predicted success at `k` holes.
     LossTrace {
         /// Coping strategy under test.
         strategy: Strategy,
@@ -114,31 +118,27 @@ pub enum Task {
 }
 
 impl Task {
-    /// `true` for tasks served through the engine's memoized
-    /// [`CompileCache`](crate::CompileCache): the compile family plus
-    /// campaigns (whose initial compilation and interaction summary
-    /// are shared between equal points).
-    pub fn uses_compile_cache(&self) -> bool {
-        self.compile_config(&CompilerConfig::new(1.0)).is_some()
-    }
-
     /// The compiler configuration whose artifact this task reads from
-    /// the compile cache, or `None` for tasks that bypass it.
+    /// the compile cache. Every task reads one.
     ///
-    /// Compile-family tasks compile at the job's own config; a
-    /// campaign compiles at the strategy's compile MID (compile-small
-    /// strategies compile one unit tighter than the hardware MID),
-    /// matching [`na_loss::StrategyState`] exactly so the cached
-    /// artifact is byte-identical to what the campaign would have
-    /// compiled itself.
-    pub fn compile_config(&self, job_config: &CompilerConfig) -> Option<CompilerConfig> {
-        match self {
-            Task::Compile | Task::Success { .. } | Task::Crosstalk { .. } => Some(*job_config),
-            Task::Campaign { config, .. } | Task::ShardedCampaign { config, .. } => Some(
-                CompilerConfig::new(config.strategy.compile_mid(config.hardware_mid)),
-            ),
-            Task::Tolerance { .. } | Task::LossTrace { .. } => None,
-        }
+    /// Compile-family tasks compile at the job's own config. A loss
+    /// task compiles at its strategy's compile MID (compile-small
+    /// strategies compile one unit tighter than the hardware MID: the
+    /// job's MID for tolerance and traces, the campaign's own for
+    /// campaigns), matching [`na_loss::StrategyState::new`] exactly, so
+    /// the cached artifact is byte-identical to what the task would
+    /// have compiled itself.
+    pub fn compile_config(&self, job_config: &CompilerConfig) -> CompilerConfig {
+        let (strategy, hardware_mid) = match self {
+            Task::Compile | Task::Success { .. } | Task::Crosstalk { .. } => return *job_config,
+            Task::Tolerance { strategy, .. } | Task::LossTrace { strategy, .. } => {
+                (*strategy, job_config.mid)
+            }
+            Task::Campaign { config, .. } | Task::ShardedCampaign { config, .. } => {
+                (config.strategy, config.hardware_mid)
+            }
+        };
+        CompilerConfig::new(strategy.compile_mid(hardware_mid))
     }
 
     /// A campaign task's config, loss model and shard count (an

@@ -1,12 +1,12 @@
-//! Work counters of sharded engine campaigns, read from the
-//! process-global telemetry recorder. The tests live in their own test
-//! binary (their own process) and serialize on one lock, so no other
-//! work lands in the counts they read.
+//! Work counters of sharded engine campaigns and loss-tolerance jobs,
+//! read from the process-global telemetry recorder. The tests live in
+//! their own test binary (their own process) and serialize on one
+//! lock, so no other work lands in the counts they read.
 
 use na_arch::Grid;
 use na_benchmarks::Benchmark;
 use na_core::CompilerConfig;
-use na_engine::{Engine, ExperimentSpec, LossSpec, Outcome, RunRecord, Task};
+use na_engine::{paper, Engine, ExperimentSpec, LossSpec, RunRecord, Task};
 use na_loss::{CampaignConfig, ShotTarget, Strategy};
 use na_telemetry::MetricsSnapshot;
 use std::sync::{Mutex, PoisonError};
@@ -32,8 +32,8 @@ fn sharded_campaign(strategy: Strategy) -> ExperimentSpec {
     spec
 }
 
-/// Runs `spec` (one campaign) on `engine` with metrics on, checks that
-/// its row is a campaign, and returns the metrics the run recorded.
+/// Runs `spec` (one job) on `engine` with metrics on, checks that its
+/// row did not fail, and returns the metrics the run recorded.
 fn counted(engine: &Engine, spec: &ExperimentSpec) -> MetricsSnapshot {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     na_telemetry::reset();
@@ -41,11 +41,7 @@ fn counted(engine: &Engine, spec: &ExperimentSpec) -> MetricsSnapshot {
     let records: Vec<RunRecord> = engine.run(spec);
     let snapshot = na_telemetry::snapshot();
     na_telemetry::set_enabled(false);
-    assert!(
-        matches!(records[0].outcome, Outcome::Campaign(_)),
-        "{:?}",
-        records[0].outcome
-    );
+    assert!(!records[0].outcome.is_failed(), "{:?}", records[0].outcome);
     snapshot
 }
 
@@ -85,4 +81,29 @@ fn a_sharded_recompile_campaign_builds_one_program() {
         1,
         "every shard recompiles the cached schedule's program"
     );
+}
+
+#[test]
+fn a_tolerance_job_compiles_its_point_once() {
+    // `natoms tolerance --benchmark cuccaro --size 30 --mid 4
+    // --strategy recompile`'s job: ten trials walk clones of one state
+    // built from the cached compile.
+    let mut spec = ExperimentSpec::new("counts", paper::paper_grid());
+    let task = Task::Tolerance {
+        strategy: Strategy::FullRecompile,
+        trials: 10,
+        seed: 0,
+    };
+    spec.push(Benchmark::Cuccaro, 30, 0, CompilerConfig::new(4.0), task);
+    let metrics = counted(&Engine::with_workers(2).verified(), &spec);
+    assert_eq!(metrics.counter("compile_cache_misses"), 1);
+    assert_eq!(metrics.counter("compile_cache_hits"), 0);
+    assert_eq!(
+        metrics.counter("program_builds"),
+        1,
+        "every trial recompiles the cached schedule's program"
+    );
+    // The losses the ten walks absorb by recompiling.
+    assert_eq!(metrics.counter("recompiles"), 339);
+    assert_eq!(metrics.counter("compiles"), 340);
 }

@@ -138,20 +138,16 @@ fn engine_rows_match_pre_engine_computation() {
     }
 }
 
-/// Loss-tolerance rows agree with calling the loss crate directly.
+/// Loss-tolerance rows, walked from the engine's cached compile, agree
+/// with the walk on a directly compiled strategy state.
 #[test]
 fn tolerance_rows_match_direct_call() {
     let grid = paper::paper_grid();
     let program = Benchmark::Cuccaro.generate(20, 0);
-    let (direct_mean, direct_std) = na_loss::mean_loss_tolerance(
-        &program,
-        &grid,
-        4.0,
-        na_loss::Strategy::VirtualRemap,
-        3,
-        500,
-    )
-    .expect("direct tolerance");
+    let state =
+        na_loss::StrategyState::new(&program, &grid, 4.0, na_loss::Strategy::VirtualRemap, None)
+            .expect("direct compile");
+    let (direct_mean, direct_std) = na_loss::mean_loss_tolerance(&state, 3, 500);
 
     let mut spec = ExperimentSpec::new("tolerance", grid);
     spec.push(

@@ -22,9 +22,14 @@
 //! plus the supporting machinery: the Bernoulli [`LossModel`], the
 //! overhead ledger with the paper's timing constants
 //! ([`OverheadTimes`]: 0.3 s reload, 6 ms fluorescence, 40 ns remap),
-//! loss-tolerance analysis ([`tolerance`], Fig. 10), the multi-shot
-//! campaign simulator ([`executor`], Figs. 12–13) and its event
-//! [`timeline`] (Fig. 14).
+//! the seeded [`loss_walk`] behind loss tolerance and success-vs-holes
+//! (Figs. 10–11), the multi-shot campaign simulator ([`executor`],
+//! Figs. 12–13) and its event [`timeline`] (Fig. 14).
+//!
+//! Every loss study starts from a [`StrategyState`] the experiment
+//! engine builds from its compile cache ([`StrategyState::with_compiled`]),
+//! so it compiles its program once; only `FullRecompile`'s per-loss
+//! recompiles run the compiler again.
 
 pub mod executor;
 pub mod model;
@@ -52,4 +57,4 @@ pub use state::{LossOutcome, StrategyState};
 pub use stats::{derive_seed, shard_seed, RunningMoments, StreakHistogram, StreakStats};
 pub use strategy::{ParseStrategyError, Strategy};
 pub use timeline::{render_timeline, EventKind, TimelineEvent};
-pub use tolerance::{max_loss_tolerance, mean_loss_tolerance, ToleranceOutcome};
+pub use tolerance::{loss_walk, mean_loss_tolerance};

@@ -120,7 +120,7 @@ impl StrategyState {
     /// precomputed [`InteractionSummary`] — the entry point for
     /// callers that memoize compilations (the experiment engine's
     /// fingerprint-keyed compile cache shares one artifact and one
-    /// summary across every campaign job describing the same point).
+    /// summary across every loss job describing the same point).
     ///
     /// `compiled` must be the compilation of `program` on
     /// `grid_template` at the strategy's compile MID (what
@@ -173,11 +173,6 @@ impl StrategyState {
             summary,
             full_graph,
         }
-    }
-
-    /// The strategy being simulated.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// The current grid (with holes).

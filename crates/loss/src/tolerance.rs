@@ -1,108 +1,62 @@
-//! Maximum atom-loss tolerance before a reload (paper Fig. 10).
+//! The seeded loss walk behind Figs. 10–11: lose uniformly random
+//! atoms one at a time and let the strategy absorb each loss until it
+//! forces a reload.
 
 use crate::state::{LossOutcome, StrategyState};
-use crate::Strategy;
-use na_arch::{Grid, Site};
-use na_circuit::Circuit;
-use na_core::CompileError;
+use na_arch::Site;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Result of one tolerance run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ToleranceOutcome {
-    /// Atoms lost (including spares) before the strategy demanded a
-    /// reload.
-    pub holes_sustained: usize,
-    /// `holes_sustained` as a fraction of total device sites — the
-    /// y-axis of Fig. 10.
-    pub device_fraction: f64,
-}
-
-/// Counts how many uniformly random atom losses `strategy` survives
-/// before a reload becomes necessary — the architectural-limit
-/// experiment of Fig. 10 (no SWAP-budget cutoff; only size, dimension,
-/// and interaction-distance constraints end the run).
+/// Loses uniformly random atoms of `state`'s grid one at a time and
+/// lets the strategy absorb each loss. The walk stops at the first
+/// [`LossOutcome::NeedsReload`], on an empty grid, or after
+/// `max_losses` absorbed losses; `absorbed` sees the state after
+/// every absorbed loss. Returns the losses absorbed.
 ///
-/// Deterministic in `seed`.
-///
-/// # Errors
-///
-/// Propagates the initial compilation error (e.g. program larger than
-/// the device).
-pub fn max_loss_tolerance(
-    program: &Circuit,
-    grid_template: &Grid,
-    hardware_mid: f64,
-    strategy: Strategy,
+/// Deterministic in `seed`. The usable-site list is maintained
+/// incrementally: an absorbed loss removes exactly the victim, so
+/// deleting it by its drawn index keeps the row-major order, and with
+/// it the victim sequence, of re-collecting
+/// [`na_arch::Grid::usable_sites`] before every draw.
+pub fn loss_walk(
+    state: &mut StrategyState,
     seed: u64,
-) -> Result<ToleranceOutcome, CompileError> {
-    let mut state = StrategyState::new(program, grid_template, hardware_mid, strategy, None)?;
+    max_losses: usize,
+    mut absorbed: impl FnMut(&StrategyState),
+) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
-    let total_sites = grid_template.num_sites();
-    let mut holes = 0usize;
-
-    // The usable-site list is maintained incrementally: `apply_loss`
-    // removes exactly the victim (reload never happens inside this
-    // loop), so deleting it by its drawn index reproduces the
-    // row-major order — and therefore the RNG victim sequence — of
-    // re-collecting `usable_sites()` per loss, without the O(sites)
-    // re-collection and allocation each time.
     let mut usable: Vec<Site> = state.grid().usable_sites().collect();
-    loop {
-        if usable.is_empty() {
+    let mut losses = 0;
+    while losses < max_losses && !usable.is_empty() {
+        let victim = usable.remove(rng.gen_range(0..usable.len()));
+        if state.apply_loss(victim) == LossOutcome::NeedsReload {
             break;
         }
-        let picked = rng.gen_range(0..usable.len());
-        let victim = usable[picked];
-        match state.apply_loss(victim) {
-            LossOutcome::NeedsReload => break,
-            LossOutcome::Spare | LossOutcome::Tolerated { .. } | LossOutcome::Recompiled { .. } => {
-                holes += 1
-            }
-        }
-        usable.remove(picked);
+        losses += 1;
+        absorbed(state);
     }
-
-    Ok(ToleranceOutcome {
-        holes_sustained: holes,
-        device_fraction: holes as f64 / total_sites as f64,
-    })
+    losses
 }
 
-/// Averages [`max_loss_tolerance`] over `trials` seeds, returning
-/// `(mean, standard deviation)` of the sustained device fraction.
+/// Fig. 10's measurement: the mean and population standard deviation
+/// of the device fraction `trials` loss walks absorb before a reload.
+/// Trial `t` walks a clone of `state` under seed `base_seed + t` with
+/// no loss limit, so only the architecture ends it when `state` has no
+/// SWAP budget (build it with `max_fixup_swaps: None`).
 ///
 /// `trials == 0` returns `(0.0, 0.0)`: zero requested trials mean
-/// zero observed tolerance, not a `0.0 / 0.0 = NaN` (the same
-/// degenerate-input family as `mean_shots_before_reload` on an empty
-/// interval list).
-///
-/// # Errors
-///
-/// Propagates the first compilation error.
-pub fn mean_loss_tolerance(
-    program: &Circuit,
-    grid_template: &Grid,
-    hardware_mid: f64,
-    strategy: Strategy,
-    trials: u32,
-    base_seed: u64,
-) -> Result<(f64, f64), CompileError> {
+/// zero observed tolerance, not a `0.0 / 0.0 = NaN`.
+pub fn mean_loss_tolerance(state: &StrategyState, trials: u32, base_seed: u64) -> (f64, f64) {
     if trials == 0 {
-        return Ok((0.0, 0.0));
+        return (0.0, 0.0);
     }
-    let mut fractions = Vec::with_capacity(trials as usize);
+    let sites = state.grid().num_sites() as f64;
+    // Grown per finished trial, never sized by `trials` up front.
+    let mut fractions = Vec::new();
     for t in 0..trials {
-        let out = max_loss_tolerance(
-            program,
-            grid_template,
-            hardware_mid,
-            strategy,
-            base_seed.wrapping_add(u64::from(t)),
-        )?;
-        fractions.push(out.device_fraction);
+        let seed = base_seed.wrapping_add(u64::from(t));
+        let holes = loss_walk(&mut state.clone(), seed, usize::MAX, |_| {});
+        fractions.push(holes as f64 / sites);
     }
     let mean = fractions.iter().sum::<f64>() / fractions.len() as f64;
     let var = fractions
@@ -110,125 +64,122 @@ pub fn mean_loss_tolerance(
         .map(|f| (f - mean) * (f - mean))
         .sum::<f64>()
         / fractions.len() as f64;
-    Ok((mean, var.sqrt()))
+    (mean, var.sqrt())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Strategy;
+    use na_arch::Grid;
     use na_benchmarks::Benchmark;
 
-    fn program_30q() -> Circuit {
-        Benchmark::Cuccaro.generate(30, 0)
+    fn state(benchmark: Benchmark, size: u32, mid: f64, strategy: Strategy) -> StrategyState {
+        let grid = Grid::new(10, 10);
+        StrategyState::new(&benchmark.generate(size, 0), &grid, mid, strategy, None).unwrap()
+    }
+
+    /// Losses a 30-qubit Cuccaro adder absorbs in one unlimited walk.
+    fn holes(mid: f64, strategy: Strategy, seed: u64) -> usize {
+        let mut s = state(Benchmark::Cuccaro, 30, mid, strategy);
+        loss_walk(&mut s, seed, usize::MAX, |_| {})
     }
 
     #[test]
     fn always_reload_tolerates_only_spares() {
-        let grid = Grid::new(10, 10);
-        let out =
-            max_loss_tolerance(&program_30q(), &grid, 3.0, Strategy::AlwaysReload, 1).unwrap();
         // 30 in-use atoms out of 100: the first interfering hit ends
         // the run, so sustained losses are the spare-only prefix.
-        assert!(
-            out.device_fraction < 0.71,
-            "fraction {}",
-            out.device_fraction
-        );
+        assert!(holes(3.0, Strategy::AlwaysReload, 1) < 71);
     }
 
     #[test]
     fn recompile_tolerates_the_most() {
-        let grid = Grid::new(10, 10);
-        let program = program_30q();
-        let rec = max_loss_tolerance(&program, &grid, 4.0, Strategy::FullRecompile, 2).unwrap();
-        let vr = max_loss_tolerance(&program, &grid, 4.0, Strategy::VirtualRemap, 2).unwrap();
-        assert!(
-            rec.holes_sustained >= vr.holes_sustained,
-            "recompile {} vs virtual remap {}",
-            rec.holes_sustained,
-            vr.holes_sustained
-        );
+        let rec = holes(4.0, Strategy::FullRecompile, 2);
+        let vr = holes(4.0, Strategy::VirtualRemap, 2);
+        assert!(rec >= vr, "recompile {rec} vs virtual remap {vr}");
         // The paper's ideal: with a 30%-utilization program, recompile
         // approaches 70% device loss at sufficient MID.
-        assert!(
-            rec.device_fraction > 0.3,
-            "fraction {}",
-            rec.device_fraction
-        );
+        assert!(rec > 30, "holes {rec}");
     }
 
     #[test]
     fn tolerance_grows_with_mid_for_remapping() {
-        let grid = Grid::new(10, 10);
-        let program = program_30q();
-        let lo: f64 = (0..4)
-            .map(|s| {
-                max_loss_tolerance(&program, &grid, 2.0, Strategy::VirtualRemap, s)
-                    .unwrap()
-                    .device_fraction
-            })
-            .sum::<f64>()
-            / 4.0;
-        let hi: f64 = (0..4)
-            .map(|s| {
-                max_loss_tolerance(&program, &grid, 6.0, Strategy::VirtualRemap, s)
-                    .unwrap()
-                    .device_fraction
-            })
-            .sum::<f64>()
-            / 4.0;
-        assert!(hi > lo, "MID 6 ({hi:.3}) must beat MID 2 ({lo:.3})");
+        let total = |mid| {
+            (0..4)
+                .map(|s| holes(mid, Strategy::VirtualRemap, s))
+                .sum::<usize>()
+        };
+        let (lo, hi) = (total(2.0), total(6.0));
+        assert!(hi > lo, "MID 6 ({hi}) must beat MID 2 ({lo})");
     }
 
     #[test]
     fn reroute_beats_plain_remap() {
-        let grid = Grid::new(10, 10);
-        let program = program_30q();
-        let mut remap_total = 0usize;
-        let mut reroute_total = 0usize;
-        for s in 0..4 {
-            remap_total += max_loss_tolerance(&program, &grid, 3.0, Strategy::VirtualRemap, s)
-                .unwrap()
-                .holes_sustained;
-            reroute_total += max_loss_tolerance(&program, &grid, 3.0, Strategy::MinorReroute, s)
-                .unwrap()
-                .holes_sustained;
+        let total = |strategy| (0..4).map(|s| holes(3.0, strategy, s)).sum::<usize>();
+        let (remap, reroute) = (total(Strategy::VirtualRemap), total(Strategy::MinorReroute));
+        assert!(reroute >= remap, "reroute {reroute} vs remap {remap}");
+    }
+
+    #[test]
+    fn walk_draws_the_victims_of_a_per_loss_recollect() {
+        // The reference re-collects the usable sites before every draw;
+        // the walk must leave the same grid after every absorbed loss.
+        for strategy in [Strategy::CompileSmallReroute, Strategy::FullRecompile] {
+            let fresh = state(Benchmark::Cuccaro, 30, 3.0, strategy);
+            let mut walked = Vec::new();
+            let mut s = fresh.clone();
+            let n = loss_walk(&mut s, 9, usize::MAX, |s| {
+                walked.push(s.grid().fingerprint());
+            });
+            assert_eq!(n, walked.len());
+
+            let (mut s, mut rng) = (fresh, StdRng::seed_from_u64(9));
+            let mut reference = Vec::new();
+            loop {
+                let usable: Vec<Site> = s.grid().usable_sites().collect();
+                if usable.is_empty() {
+                    break;
+                }
+                if s.apply_loss(usable[rng.gen_range(0..usable.len())]) == LossOutcome::NeedsReload
+                {
+                    break;
+                }
+                reference.push(s.grid().fingerprint());
+            }
+            assert_eq!(walked, reference, "{strategy}");
         }
-        assert!(
-            reroute_total >= remap_total,
-            "reroute {reroute_total} vs remap {remap_total}"
-        );
+    }
+
+    #[test]
+    fn walk_stops_after_max_losses() {
+        let fresh = state(Benchmark::Cuccaro, 30, 4.0, Strategy::FullRecompile);
+        let unlimited = loss_walk(&mut fresh.clone(), 3, usize::MAX, |_| {});
+        assert!(unlimited > 5, "{unlimited}");
+        let mut s = fresh;
+        let mut seen = 0;
+        assert_eq!(loss_walk(&mut s, 3, 5, |_| seen += 1), 5);
+        assert_eq!((seen, s.grid().num_holes()), (5, 5));
     }
 
     #[test]
     fn deterministic_in_seed() {
-        let grid = Grid::new(10, 10);
-        let program = program_30q();
-        let a = max_loss_tolerance(&program, &grid, 3.0, Strategy::CompileSmallReroute, 9).unwrap();
-        let b = max_loss_tolerance(&program, &grid, 3.0, Strategy::CompileSmallReroute, 9).unwrap();
-        assert_eq!(a, b);
+        let a = holes(3.0, Strategy::CompileSmallReroute, 9);
+        assert_eq!(a, holes(3.0, Strategy::CompileSmallReroute, 9));
     }
 
     #[test]
     fn mean_tolerance_reports_std() {
-        let grid = Grid::new(8, 8);
-        let program = Benchmark::Bv.generate(16, 0);
-        let (mean, std) =
-            mean_loss_tolerance(&program, &grid, 3.0, Strategy::VirtualRemap, 5, 0).unwrap();
+        let s = state(Benchmark::Bv, 16, 3.0, Strategy::VirtualRemap);
+        let (mean, std) = mean_loss_tolerance(&s, 5, 0);
         assert!((0.0..=1.0).contains(&mean));
         assert!(std >= 0.0);
+        // Every trial walks a clone: the state stays hole-free.
+        assert_eq!(s.grid().num_holes(), 0);
     }
 
     #[test]
     fn mean_tolerance_with_zero_trials_is_zero_not_nan() {
-        // Regression: `trials == 0` summed an empty fraction list and
-        // divided 0.0 / 0.0, silently reporting `(NaN, NaN)` — the
-        // same degenerate-input family as the
-        // `mean_shots_before_reload` underflow fixed in PR 3.
-        let grid = Grid::new(8, 8);
-        let program = Benchmark::Bv.generate(16, 0);
-        let (mean, std) =
-            mean_loss_tolerance(&program, &grid, 3.0, Strategy::VirtualRemap, 0, 0).unwrap();
-        assert_eq!((mean, std), (0.0, 0.0));
+        let s = state(Benchmark::Bv, 16, 3.0, Strategy::VirtualRemap);
+        assert_eq!(mean_loss_tolerance(&s, 0, 0), (0.0, 0.0));
     }
 }

@@ -7,7 +7,8 @@
 use natoms::arch::Grid;
 use natoms::benchmarks::Benchmark;
 use natoms::loss::{
-    max_loss_tolerance, run_campaign, CampaignConfig, LossModel, ShotTarget, Strategy,
+    mean_loss_tolerance, run_campaign, CampaignConfig, LossModel, ShotTarget, Strategy,
+    StrategyState,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if !strategy.supports_mid(mid) {
             continue;
         }
-        let tol = max_loss_tolerance(&program, &grid, mid, strategy, 3)?;
+        // One loss walk (seed 3) on the strategy's compiled state.
+        let state = StrategyState::new(&program, &grid, mid, strategy, None)?;
+        let (tolerance, _) = mean_loss_tolerance(&state, 1, 3);
         let cfg = CampaignConfig::new(mid, strategy)
             .with_target(ShotTarget::Attempts(500))
             .with_two_qubit_error(5e-3)
@@ -33,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:<18} {:>8.0}% {:>8} {:>10.2} {:>11} {:>12.1}",
             strategy.name(),
-            tol.device_fraction * 100.0,
+            tolerance * 100.0,
             result.ledger.reloads,
             result.ledger.overhead_time(),
             result.shots_successful,

@@ -5,8 +5,8 @@
 use natoms::arch::Grid;
 use natoms::benchmarks::Benchmark;
 use natoms::loss::{
-    max_loss_tolerance, run_campaign, CampaignConfig, LossModel, LossOutcome, ShotTarget, Strategy,
-    StrategyState,
+    mean_loss_tolerance, run_campaign, CampaignConfig, LossModel, LossOutcome, ShotTarget,
+    Strategy, StrategyState,
 };
 
 fn grid() -> Grid {
@@ -20,14 +20,8 @@ fn strategy_tolerance_ordering_matches_paper() {
     // over seeds).
     let program = Benchmark::Cnu.generate(30, 0);
     let mean = |strategy: Strategy| -> f64 {
-        (0..6)
-            .map(|s| {
-                max_loss_tolerance(&program, &grid(), 4.0, strategy, s)
-                    .unwrap()
-                    .device_fraction
-            })
-            .sum::<f64>()
-            / 6.0
+        let state = StrategyState::new(&program, &grid(), 4.0, strategy, None).unwrap();
+        mean_loss_tolerance(&state, 6, 0).0
     };
     let recompile = mean(Strategy::FullRecompile);
     let reroute = mean(Strategy::MinorReroute);

@@ -7,7 +7,7 @@ use na_arch::RestrictionPolicy;
 use na_benchmarks::Benchmark;
 use na_core::{CompiledMetrics, CompilerConfig};
 use na_engine::paper::{paper_mids, paper_sizes, two_qubit_cfg, two_qubit_cfg_no_zones};
-use na_engine::{ExperimentSpec, Outcome, RunRecord, Task};
+use na_engine::{Engine, ExperimentSpec, Outcome, RunRecord, Task};
 use std::collections::HashMap;
 
 /// §III-A validation — MID-1 sanity check against a standard compiler.
@@ -25,7 +25,7 @@ use std::collections::HashMap;
 /// and the schedule metrics, so one sweep yields every column.
 pub(crate) const VALIDATION_MID1: Figure = Figure {
     id: "validation_mid1",
-    build: |spec| {
+    build: |spec, _| {
         let (benchmarks, sizes) = ([Benchmark::Bv, Benchmark::Cnu], [10, 30, 50]);
         spec.sweep(&benchmarks, &sizes, &[1.0], |_, _, mid| {
             Some((two_qubit_cfg_no_zones(mid), Task::Compile))
@@ -163,7 +163,7 @@ const DEPTH_SAVINGS: Savings = Savings {
     value: |m| f64::from(m.depth),
 };
 
-fn mid_sweep(spec: &mut ExperimentSpec) {
+fn mid_sweep(spec: &mut ExperimentSpec, _: &Engine) {
     spec.sweep(
         &Benchmark::ALL,
         &paper_sizes(),
@@ -261,7 +261,7 @@ fn mids_from_2() -> Vec<f64> {
 /// with/without pairs compile concurrently.
 pub(crate) const FIG05: Figure = Figure {
     id: "fig05",
-    build: |spec| {
+    build: |spec, _| {
         let (sizes, mids) = (paper_sizes(), mids_from_2());
         spec.sweep(&Benchmark::ALL, &sizes, &mids, |_, _, mid| {
             Some((two_qubit_cfg(mid), Task::Compile))
@@ -332,7 +332,7 @@ const NATIVE_SIZES: [u32; 7] = [5, 10, 20, 40, 60, 80, 100];
 /// native column starts at MID 2.
 pub(crate) const FIG06: Figure = Figure {
     id: "fig06",
-    build: |spec| {
+    build: |spec, _| {
         let (benchmarks, mids) = ([Benchmark::Cnu, Benchmark::Cuccaro], paper_mids());
         spec.sweep(&benchmarks, &NATIVE_SIZES, &mids, |_, _, mid| {
             (mid >= 2.0).then(|| (CompilerConfig::new(mid), Task::Compile))
@@ -395,7 +395,7 @@ fn render_fig06(records: &[RunRecord]) {
 /// gate count and depth, showing where the quality saturates.
 pub(crate) const ABLATION_LOOKAHEAD: Figure = Figure {
     id: "ablation_lookahead",
-    build: |spec| {
+    build: |spec, _| {
         for b in Benchmark::ALL {
             for w in LOOKAHEAD_WINDOWS {
                 let cfg = CompilerConfig::new(3.0).with_lookahead_depth(w);
@@ -446,7 +446,7 @@ const RESTRICTION_POLICIES: [(&str, RestrictionPolicy); 5] = [
 /// zone model trades depth for crosstalk safety.
 pub(crate) const ABLATION_RESTRICTION: Figure = Figure {
     id: "ablation_restriction",
-    build: |spec| {
+    build: |spec, _| {
         for (b, mid, (_, policy)) in restriction_points() {
             let cfg = CompilerConfig::new(mid)
                 .with_native_multiqubit(false)

@@ -16,7 +16,9 @@ use std::process::ExitCode;
 struct Figure {
     /// The figure's id: its `figures` argument and its spec's name.
     id: &'static str,
-    build: fn(&mut ExperimentSpec),
+    /// Pushes the figure's jobs; a figure that needs a compiled point
+    /// to set up its jobs reads it from the engine's cache.
+    build: fn(&mut ExperimentSpec, &Engine),
     /// Prints the figure's tables to stdout.
     render: fn(&[RunRecord]),
     claims: &'static [Claim],
@@ -67,7 +69,8 @@ pub fn run(args: impl IntoIterator<Item = String>) -> ExitCode {
         // A fresh engine per figure keeps each row's `cache_hit` flag
         // independent of which other figures ran; every compiled
         // schedule is replayed through `na_core::verify`.
-        let records = Engine::new().verified().run(&figure.spec());
+        let engine = Engine::new().verified();
+        let records = engine.run(&figure.spec(&engine));
         if !jsonl {
             (figure.render)(&records);
         } else if let Err(e) = write_records(&records, &mut JsonlSink::stdout()) {
@@ -120,10 +123,11 @@ fn parse_args(
 }
 
 impl Figure {
-    /// The figure's experiment on the paper's device, named by its id.
-    fn spec(&self) -> ExperimentSpec {
+    /// The figure's experiment on the paper's device, named by its id,
+    /// built for `engine` to run.
+    fn spec(&self, engine: &Engine) -> ExperimentSpec {
         let mut spec = ExperimentSpec::new(self.id, paper_grid());
-        (self.build)(&mut spec);
+        (self.build)(&mut spec, engine);
         spec
     }
 
@@ -264,6 +268,11 @@ pub(crate) fn pct(frac: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Telemetry counters are process-global: a counted figure run and
+    /// any other compile work in this test binary take turns.
+    pub(crate) static COUNTED: Mutex<()> = Mutex::new(());
 
     /// The parsed ids and `--jsonl` flag of an argument list.
     fn args(list: &[&str]) -> Result<(Vec<&'static str>, bool), String> {
@@ -273,10 +282,12 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique_and_name_their_specs() {
+        // Building Fig. 11's spec compiles the points that tune it.
+        let _serial = COUNTED.lock().unwrap_or_else(PoisonError::into_inner);
         let mut seen = std::collections::HashSet::new();
         for figure in &FIGURES {
             assert!(seen.insert(figure.id), "duplicate id {}", figure.id);
-            assert_eq!(figure.spec().name, figure.id);
+            assert_eq!(figure.spec(&Engine::new()).name, figure.id);
         }
     }
 

@@ -4,9 +4,9 @@
 
 use crate::{every, mean_std, mid_headers, Claim, Figure, Table};
 use na_benchmarks::Benchmark;
-use na_core::{compile, CompilerConfig};
+use na_core::CompilerConfig;
 use na_engine::paper::paper_grid;
-use na_engine::{LossSpec, Outcome, RunRecord, Task};
+use na_engine::{Engine, LossSpec, Outcome, RunRecord, Task};
 use na_loss::{
     render_timeline, CampaignConfig, CampaignResult, EventKind, RecompileCost, ShotTarget, Strategy,
 };
@@ -73,7 +73,7 @@ const TOLERANCE_STRATEGIES: [Strategy; 5] = [
 /// job; the cells Monte-Carlo in parallel across cores.
 pub(crate) const FIG10: Figure = Figure {
     id: "fig10",
-    build: |spec| {
+    build: |spec, _| {
         for b in LOSS_BENCHMARKS {
             for strategy in TOLERANCE_STRATEGIES {
                 for mid in LOSS_MIDS.into_iter().filter(|&m| strategy.supports_mid(m)) {
@@ -152,10 +152,13 @@ const TRACE_CASES: [(Strategy, f64); 8] = [
 const MAX_HOLES: usize = 20;
 
 /// Binary-search the two-qubit error rate giving ~0.6 success for the
-/// MID-3 native compilation of `b` at 30 qubits.
-fn tune_error(b: Benchmark) -> f64 {
-    let grid = paper_grid();
-    let compiled = compile(&b.generate(30, 0), &grid, &CompilerConfig::new(3.0))
+/// MID-3 native compilation of `b` at 30 qubits. The point is read from
+/// `engine`'s cache: it is the compile key of the figure's MID-3
+/// reroute and recompile traces, so they reuse (and verify) it.
+fn tune_error(b: Benchmark, engine: &Engine) -> f64 {
+    let compiled = engine
+        .cache()
+        .get_or_compile(&b.generate(30, 0), &paper_grid(), &CompilerConfig::new(3.0))
         .expect("the 30-qubit benchmark compiles at MID 3");
     let (mut lo, mut hi) = (1e-6f64, 0.2f64);
     for _ in 0..60 {
@@ -184,9 +187,9 @@ fn tune_error(b: Benchmark) -> f64 {
 /// seeded from its job so the table is identical at any worker count.
 pub(crate) const FIG11: Figure = Figure {
     id: "fig11",
-    build: |spec| {
+    build: |spec, engine| {
         for b in LOSS_BENCHMARKS {
-            let params = NoiseParams::neutral_atom(tune_error(b));
+            let params = NoiseParams::neutral_atom(tune_error(b, engine));
             for (strategy, mid) in TRACE_CASES {
                 for seed in 0..5 {
                     let task = Task::LossTrace {
@@ -324,7 +327,7 @@ const OVERHEAD_ROWS: [(Strategy, Option<f64>); 7] = [
 /// Each (strategy, cost model, MID) cell is one engine `Campaign` job.
 pub(crate) const FIG12: Figure = Figure {
     id: "fig12",
-    build: |spec| {
+    build: |spec, _| {
         for (strategy, fixed_recompile) in OVERHEAD_ROWS {
             for mid in LOSS_MIDS.into_iter().filter(|&m| strategy.supports_mid(m)) {
                 let mut config = CampaignConfig::new(mid, strategy)
@@ -382,7 +385,7 @@ const SENSITIVITY_SEEDS: u64 = 3;
 /// Every (factor, MID, seed) campaign is one engine job.
 pub(crate) const FIG13: Figure = Figure {
     id: "fig13",
-    build: |spec| {
+    build: |spec, _| {
         for factor in IMPROVEMENT_FACTORS {
             for mid in SENSITIVITY_MIDS {
                 for seed in 0..SENSITIVITY_SEEDS {
@@ -457,7 +460,7 @@ fn shots_per_reload(records: &[RunRecord]) -> Vec<Vec<(f64, f64)>> {
 /// One engine `Campaign` job with timeline recording enabled.
 pub(crate) const FIG14: Figure = Figure {
     id: "fig14",
-    build: |spec| {
+    build: |spec, _| {
         let config = CampaignConfig::new(4.0, Strategy::CompileSmallReroute)
             .with_target(ShotTarget::Successes(20))
             .with_two_qubit_error(5e-3)
@@ -514,25 +517,21 @@ fn render_fig14(records: &[RunRecord]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::COUNTED;
     use na_circuit::fingerprint::fnv1a_extend;
-    use na_engine::Engine;
     use na_telemetry::MetricsSnapshot;
-    use std::sync::{Mutex, PoisonError};
+    use std::sync::PoisonError;
 
-    /// Telemetry counters are process-global: one counted run at a time.
-    static COUNTED: Mutex<()> = Mutex::new(());
-
-    /// Runs `figure` as `figures` does (a fresh verified engine) with
-    /// metrics on; returns its rows, the engine's compile-cache misses
-    /// and the metrics. Every job must run and verify, and every claim
-    /// must hold.
+    /// Builds and runs `figure` as `figures` does (a fresh verified
+    /// engine) with metrics on; returns its rows, the engine's
+    /// compile-cache misses and the metrics. Every job must run and
+    /// verify, and every claim must hold.
     fn counted(figure: &Figure) -> (Vec<RunRecord>, u64, MetricsSnapshot) {
-        let spec = figure.spec();
         let _serial = COUNTED.lock().unwrap_or_else(PoisonError::into_inner);
         let engine = Engine::new().verified();
         na_telemetry::reset();
         na_telemetry::set_enabled(true);
-        let records = engine.run(&spec);
+        let records = engine.run(&figure.spec(&engine));
         let metrics = na_telemetry::snapshot();
         na_telemetry::set_enabled(false);
         assert_eq!(figure.failed_claims(&records), Vec::<String>::new());
@@ -716,9 +715,11 @@ mod tests {
     fn fig11_walks_eight_compiled_points() {
         let (records, misses, metrics) = counted(&FIG11);
         assert_digests(&records, &FIG11_DIGESTS);
-        // Four compile MIDs per benchmark for the 80 traces, plus the
-        // two MID-3 compiles that tune each benchmark's error rate.
+        // Four compile MIDs per benchmark for the 80 traces; the MID-3
+        // point that tunes each benchmark's error rate is one of them.
         assert_eq!(misses, 8);
         assert_eq!(metrics.counter("recompiles"), 174);
+        // Every compile is a cache miss or a loss-driven recompile.
+        assert_eq!(metrics.counter("compiles"), misses + 174);
     }
 }

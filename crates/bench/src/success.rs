@@ -108,7 +108,7 @@ fn compilations(records: &[RunRecord]) -> usize {
 /// exactly once and re-prices the shared schedule.
 pub(crate) const FIG07: Figure = Figure {
     id: "fig07",
-    build: |spec| {
+    build: |spec, _| {
         for b in Benchmark::ALL {
             for (params, na) in swept_errors().into_iter().flat_map(architectures) {
                 push_success(spec, b, 50, params, na);
@@ -175,7 +175,7 @@ fn largest_runnable(records: &[RunRecord]) -> impl Fn(Benchmark, NoiseParams, bo
 /// evaluations, compiled once each by the engine.
 pub(crate) const FIG08: Figure = Figure {
     id: "fig08",
-    build: |spec| {
+    build: |spec, _| {
         for b in Benchmark::ALL {
             for size in fig08_sizes() {
                 for (params, na) in swept_errors().into_iter().flat_map(architectures) {
@@ -231,7 +231,7 @@ fn crosstalk_points() -> impl Iterator<Item = (Benchmark, (&'static str, Restric
 /// One engine `Crosstalk` job per (benchmark, policy).
 pub(crate) const ABLATION_CROSSTALK: Figure = Figure {
     id: "ablation_crosstalk",
-    build: |spec| {
+    build: |spec, _| {
         for (b, (_, policy)) in crosstalk_points() {
             let cfg = CompilerConfig::new(3.0)
                 .with_native_multiqubit(false)
@@ -319,7 +319,7 @@ fn raw_cnu(controls: u32) -> Circuit {
 /// rows, rendered "-".
 pub(crate) const EXT_NATIVE_ARITY: Figure = Figure {
     id: "ext_native_arity",
-    build: |spec| {
+    build: |spec, _| {
         for controls in CONTROL_COUNTS {
             let workload = Workload::custom(format!("CNU-{controls}c"), raw_cnu(controls));
             for (_, arity) in ARITIES {

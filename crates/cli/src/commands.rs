@@ -16,7 +16,7 @@ use na_engine::{
     Outcome, RunRecord, Task,
 };
 use na_loss::{render_timeline, CampaignConfig, ShotTarget, Strategy};
-use na_noise::{success_probability, NoiseParams};
+use na_noise::NoiseParams;
 use std::error::Error;
 use std::time::Duration;
 
@@ -388,37 +388,40 @@ pub fn sweep_cmd(args: &Args) -> CmdResult {
     Ok(finish_rows(&records))
 }
 
-/// `natoms success`
+/// `natoms success` — the neutral-atom point against the
+/// superconducting baseline (MID 1, no native multi-qubit gates, no
+/// zones), two engine `Success` jobs on a verified engine.
 pub fn success_cmd(args: &Args) -> CmdResult {
     let c = common(args)?;
     let error = two_qubit_error(args, 1e-3)?;
-    // One cache for both architecture points of the comparison.
-    let cache = CompileCache::new();
-    let program = c.circuit();
-    let compiled = cache.get_or_compile(&program, &c.grid, &c.config)?;
-    verify(&compiled, &c.grid)?;
-    let na = success_probability(&compiled, &NoiseParams::neutral_atom(error));
-    println!(
-        "NA  MID {}: success {:.4} (gates {:.4}, coherence {:.6}, {:.1} us/shot)",
-        c.config.mid,
-        na.probability(),
-        na.gate_success,
-        na.coherence,
-        na.duration * 1e6
-    );
-
     let sc_cfg = CompilerConfig::new(1.0)
         .with_native_multiqubit(false)
         .with_restriction(RestrictionPolicy::None);
-    let sc_compiled = cache.get_or_compile(&program, &c.grid, &sc_cfg)?;
-    let sc = success_probability(&sc_compiled, &NoiseParams::superconducting(error));
-    println!(
-        "SC  MID 1: success {:.4} (gates {:.4}, coherence {:.6}, {:.1} us/shot)",
-        sc.probability(),
-        sc.gate_success,
-        sc.coherence,
-        sc.duration * 1e6
-    );
+    let mut spec = ExperimentSpec::new("success", c.grid.clone());
+    let na = Task::Success {
+        params: NoiseParams::neutral_atom(error),
+    };
+    spec.push(c.workload.clone(), c.size, c.seed, c.config, na);
+    let sc = Task::Success {
+        params: NoiseParams::superconducting(error),
+    };
+    spec.push(c.workload.clone(), c.size, c.seed, sc_cfg, sc);
+    let records = Engine::with_workers(1).verified().run(&spec);
+    let labels = [format!("NA  MID {}", c.config.mid), "SC  MID 1".into()];
+    for (label, record) in labels.iter().zip(&records) {
+        let breakdown = match &record.outcome {
+            Outcome::Success { breakdown, .. } => breakdown,
+            Outcome::Failed { error, .. } => return Err(error.clone().into()),
+            other => unreachable!("a success job measured {other:?}"),
+        };
+        println!(
+            "{label}: success {:.4} (gates {:.4}, coherence {:.6}, {:.1} us/shot)",
+            breakdown.probability(),
+            breakdown.gate_success,
+            breakdown.coherence,
+            breakdown.duration * 1e6
+        );
+    }
     report_cache_stats();
     Ok(CmdStatus::Ok)
 }
@@ -849,6 +852,16 @@ mod tests {
             "4",
         ]);
         sweep_cmd(&args).unwrap();
+    }
+
+    #[test]
+    fn success_command_fails_typed_on_a_device_too_small() {
+        let args = parse(&["success", "--size", "30", "--grid", "5x5"]);
+        let err = success_cmd(&args).expect_err("30 qubits do not fit 25 atoms");
+        assert_eq!(
+            err.to_string(),
+            "program needs 30 qubits but only 25 atoms are usable"
+        );
     }
 
     #[test]

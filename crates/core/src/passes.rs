@@ -50,9 +50,9 @@ use na_arch::{Grid, InteractionGraph};
 use na_circuit::{Circuit, Gate};
 use na_telemetry::Span;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Which front-end work a compile may skip. Every compile uses exactly
 /// one [`Program`]: built once here, served from a store, or the
@@ -102,11 +102,15 @@ pub fn run(
     report: Option<&mut PassReport>,
 ) -> Result<CompiledCircuit, CompileError> {
     let mut passes = Passes { report };
-    let store = match reuse {
-        Reuse::FrontEnd(store) => Some((store, ArtifactKey::of(circuit, grid, config))),
-        Reuse::Nothing | Reuse::Lowered(_) => None,
+    let (cached, claim) = match reuse {
+        Reuse::FrontEnd(store) => {
+            match store.get_or_claim(ArtifactKey::of(circuit, grid, config)) {
+                Ok(cached) => (Some(cached), None),
+                Err(claim) => (None, Some(claim)),
+            }
+        }
+        Reuse::Nothing | Reuse::Lowered(_) => (None, None),
     };
-    let cached = store.and_then(|(store, key)| store.get(&key));
 
     let program = passes.run(Span::Lower, |stats| {
         Ok(lower(circuit, config, reuse, cached.as_deref(), stats))
@@ -120,7 +124,7 @@ pub fn run(
         validate_arity(program.circuit(), config, stats)
     })?;
     let placement = passes.run(Span::Place, |stats| {
-        place(&program, grid, scratch, store, cached.as_deref(), stats)
+        place(&program, grid, scratch, claim, cached.as_deref(), stats)
     })?;
     let initial = placement.to_table();
     let schedule = passes.run(Span::RouteSchedule, |stats| {
@@ -215,13 +219,13 @@ fn validate_arity(
 
 /// `place`: the cached placement on a front-end hit, else the initial
 /// placement from the program's time-zero weights, deposited with the
-/// program into the [`Reuse::FrontEnd`] store when given. Stats:
-/// `qubits`, and `reused` on a hit.
+/// program under this compile's [`Reuse::FrontEnd`] claim when given.
+/// Stats: `qubits`, and `reused` on a hit.
 fn place(
     program: &Arc<Program>,
     grid: &Grid,
     scratch: &mut PlacementScratch,
-    deposit: Option<(&ArtifactStore, ArtifactKey)>,
+    claim: Option<ArtifactClaim<'_>>,
     cached: Option<&PassArtifacts>,
     stats: &mut Stats,
 ) -> Result<QubitMap, CompileError> {
@@ -231,14 +235,11 @@ fn place(
         return Ok(art.placement.clone());
     }
     let placement = initial_placement_with(program.circuit(), grid, program.weights(), scratch)?;
-    if let Some((store, key)) = deposit {
-        store.insert(
-            key,
-            PassArtifacts {
-                program: Arc::clone(program),
-                placement: placement.clone(),
-            },
-        );
+    if let Some(claim) = claim {
+        claim.deposit(PassArtifacts {
+            program: Arc::clone(program),
+            placement: placement.clone(),
+        });
     }
     Ok(placement)
 }
@@ -410,11 +411,44 @@ pub struct PassArtifacts {
 /// holds one per process).
 ///
 /// Only successful placements are stored; a first-insert-wins policy
-/// keeps concurrent writers deterministic.
+/// keeps concurrent writers deterministic. Concurrent compilations of
+/// one key build its artifacts once: the first claims the key, and
+/// the others wait for its deposit.
 #[derive(Debug, Default)]
 pub struct ArtifactStore {
-    map: Mutex<HashMap<ArtifactKey, Arc<PassArtifacts>>>,
+    entries: Mutex<Entries>,
+    /// Signalled whenever a claim ends, deposited or released.
+    claim_ended: Condvar,
     hits: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct Entries {
+    stored: HashMap<ArtifactKey, Arc<PassArtifacts>>,
+    /// Keys a compilation has claimed and is building artifacts for.
+    claimed: HashSet<ArtifactKey>,
+}
+
+/// A compilation's claim on building the artifacts of one key. It
+/// ends with [`ArtifactClaim::deposit`] or, dropped without one (the
+/// compile failed or unwound), releases the key to a waiter.
+pub(crate) struct ArtifactClaim<'a> {
+    store: &'a ArtifactStore,
+    key: ArtifactKey,
+}
+
+impl ArtifactClaim<'_> {
+    /// Deposits the claimed key's artifacts, ending the claim.
+    fn deposit(self, artifacts: PassArtifacts) {
+        self.store.insert(self.key, artifacts);
+    }
+}
+
+impl Drop for ArtifactClaim<'_> {
+    fn drop(&mut self) {
+        lock_recover(&self.store.entries).claimed.remove(&self.key);
+        self.store.claim_ended.notify_all();
+    }
 }
 
 impl ArtifactStore {
@@ -425,25 +459,52 @@ impl ArtifactStore {
 
     /// Looks up `key`, counting a hit when present.
     pub fn get(&self, key: &ArtifactKey) -> Option<Arc<PassArtifacts>> {
-        let got = lock_recover(&self.map).get(key).cloned();
+        let got = lock_recover(&self.entries).stored.get(key).cloned();
         if got.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            na_telemetry::add(na_telemetry::Counter::ArtifactHits, 1);
-            na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new);
+            self.count_hit();
         }
         got
     }
 
+    /// The artifacts stored under `key` (a hit), or the claim to build
+    /// them. While another compilation holds the claim, waits for it to
+    /// end rather than build the same artifacts twice.
+    fn get_or_claim(&self, key: ArtifactKey) -> Result<Arc<PassArtifacts>, ArtifactClaim<'_>> {
+        let mut entries = lock_recover(&self.entries);
+        loop {
+            if let Some(stored) = entries.stored.get(&key) {
+                let stored = Arc::clone(stored);
+                drop(entries);
+                self.count_hit();
+                return Ok(stored);
+            }
+            if entries.claimed.insert(key) {
+                return Err(ArtifactClaim { store: self, key });
+            }
+            entries = self
+                .claim_ended
+                .wait(entries)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        na_telemetry::add(na_telemetry::Counter::ArtifactHits, 1);
+        na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new);
+    }
+
     /// Deposits `artifacts` under `key` (first insert wins).
     pub fn insert(&self, key: ArtifactKey, artifacts: PassArtifacts) {
-        lock_recover(&self.map)
+        lock_recover(&self.entries)
+            .stored
             .entry(key)
             .or_insert_with(|| Arc::new(artifacts));
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        lock_recover(&self.map).len()
+        lock_recover(&self.entries).stored.len()
     }
 
     /// `true` when nothing is cached.
@@ -458,7 +519,7 @@ impl ArtifactStore {
 
     /// Drops every entry and zeroes the hit counter.
     pub fn clear(&self) {
-        lock_recover(&self.map).clear();
+        lock_recover(&self.entries).stored.clear();
         self.hits.store(0, Ordering::Relaxed);
     }
 }
@@ -466,7 +527,7 @@ impl ArtifactStore {
 /// Mutex poisoning recovery: artifacts are immutable once inserted, so
 /// a panicking holder cannot leave them half-written.
 fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -578,6 +639,31 @@ mod tests {
         store.clear();
         assert!(store.is_empty());
         assert_eq!(store.hits(), 0);
+    }
+
+    #[test]
+    fn concurrent_mid_variants_build_their_front_end_once() {
+        // Two threads compile MID variants of one circuit at once: one
+        // builds the shared front end, the other waits for it and hits.
+        let (c, grid, _) = inputs();
+        let store = ArtifactStore::new();
+        let start = std::sync::Barrier::new(2);
+        let compiled: Vec<CompiledCircuit> = std::thread::scope(|scope| {
+            let threads: Vec<_> = [2.0, 5.0]
+                .map(|mid| {
+                    let (c, grid, store, start) = (&c, &grid, &store, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let cfg = CompilerConfig::new(mid);
+                        compile_reusing(c, grid, &cfg, Reuse::FrontEnd(store))
+                    })
+                })
+                .into_iter()
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!((store.len(), store.hits()), (1, 1));
+        assert!(Arc::ptr_eq(compiled[0].program(), compiled[1].program()));
     }
 
     #[test]

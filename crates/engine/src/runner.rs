@@ -1,11 +1,18 @@
 //! The execution engine: a worker pool that fans jobs out across
 //! cores and reassembles results in job-id order.
 //!
+//! Every job is a fan of work units over one compiled point: a
+//! campaign is a fan of one unit per shard of its shot plan, and every
+//! other job a fan of one unit. The pool runs all units as peers. The
+//! first unit of a fan to run resolves the job's point (circuit, cache
+//! lookup, verification), and the last to finish builds the job's row.
+//!
 //! Determinism contract: a job's result depends only on the job's own
 //! fields (every RNG it touches is seeded from values stored in the
-//! job), and results are collected into a slot array indexed by job
-//! id. Running the same spec with 1 worker or N workers therefore
-//! produces identical — byte-identical once serialized — result rows.
+//! job), a campaign's shards merge in shard-index order, and each row
+//! lands in its job's fan, indexed by job id. Running the same spec
+//! with 1 worker or N workers therefore produces identical —
+//! byte-identical once serialized — result rows.
 
 use crate::cache::{CacheKey, CacheStats, CompileCache, CompiledPoint};
 use crate::record::{Outcome, RunRecord};
@@ -18,7 +25,7 @@ use na_noise::{
     crosstalk_exposures, crosstalk_success, success_probability, success_with_crosstalk,
 };
 use na_telemetry::Span;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -107,90 +114,25 @@ impl Engine {
         // *before* any job executes (see `RunRecord::cache_hit`):
         // execution order must not leak into the rows.
         let cache_flags = self.cache_hit_flags(jobs);
-        let slots: Vec<OnceLock<RunRecord>> = jobs.iter().map(|_| OnceLock::new()).collect();
-
-        // Expand the spec into pool work items: one item per job, but
-        // one item per shard of a campaign (an unsharded campaign is a
-        // fan of one shard). A campaign's shards share a `ShardFan`;
-        // the last shard to finish merges the per-shard results in
-        // shard-index order, so the row is independent of completion
-        // order. Jobs whose shard plan is invalid fail typed before any
-        // work starts.
-        let mut fans: Vec<ShardFan> = Vec::new();
-        let mut items: Vec<WorkItem> = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            let Some((config, _, shards)) = job.task.campaign() else {
-                items.push(WorkItem::Whole(i));
-                continue;
-            };
-            match na_loss::shard_ranges(config, shards) {
-                Ok(ranges) => {
-                    let fan = fans.len();
-                    let results = ranges.iter().map(|_| OnceLock::new()).collect();
-                    let remaining = AtomicUsize::new(ranges.len());
-                    items.extend((0..ranges.len()).map(|shard| WorkItem::Shard { fan, shard }));
-                    // The job span of a campaign outlives any single
-                    // worker: it opens here, detached, and the merging
-                    // worker ends it onto the job's virtual track.
-                    let job_span = na_telemetry::span_detached(Span::CampaignJob);
-                    fans.push(ShardFan {
-                        job_index: i,
-                        ranges,
-                        results,
-                        remaining,
-                        point: OnceLock::new(),
-                        job_span_id: job_span.id(),
-                        job_span: Mutex::new(Some(job_span)),
-                    });
-                }
-                Err(plan) => {
-                    slots[i]
-                        .set(RunRecord::new(
-                            job,
-                            Outcome::Failed {
-                                unroutable: false,
-                                panicked: false,
-                                deadline: false,
-                                error: plan.to_string(),
-                            },
-                        ))
-                        .expect("slot written once");
-                }
-            }
-        }
+        // One fan per job; the pool's work items are its units, in job
+        // order and, within a campaign, shard order.
+        let fans: Vec<Fan> = jobs.iter().map(Fan::new).collect();
+        let items: Vec<(usize, usize)> = fans
+            .iter()
+            .enumerate()
+            .flat_map(|(i, fan)| (0..fan.units.len()).map(move |unit| (i, unit)))
+            .collect();
 
         let cursor = AtomicUsize::new(0);
         let threads = self.workers.min(items.len()).max(1);
         na_telemetry::gauge_max(na_telemetry::Gauge::EngineWorkers, threads as u64);
-
-        let run_item = |item: &WorkItem| match *item {
-            WorkItem::Whole(i) => slots[i]
-                .set(self.run_job(&jobs[i]))
-                .expect("slot written once"),
-            WorkItem::Shard { fan, shard } => {
-                let fan = &fans[fan];
-                let job = &jobs[fan.job_index];
-                fan.results[shard]
-                    .set(self.run_shard(job, fan, shard))
-                    .expect("shard slot written once");
-                // `AcqRel` so the last finisher observes every other
-                // shard's completed write before merging.
-                if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    slots[fan.job_index]
-                        .set(merge_fan(job, fan))
-                        .expect("slot written once");
-                }
-            }
-        };
         if threads == 1 {
-            for item in &items {
-                run_item(item);
+            for &(fan, unit) in &items {
+                self.run_unit(&fans[fan], unit);
             }
         } else {
             std::thread::scope(|scope| {
-                let run_item = &run_item;
-                let cursor = &cursor;
-                let items = &items;
+                let (cursor, items, fans) = (&cursor, &items, &fans);
                 for worker in 0..threads {
                     scope.spawn(move || {
                         // Workers trace onto track ids 1..=N so the
@@ -198,10 +140,10 @@ impl Engine {
                         na_telemetry::trace::set_thread_tid(worker as u64 + 1);
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
+                            let Some(&(fan, unit)) = items.get(i) else {
                                 break;
-                            }
-                            run_item(&items[i]);
+                            };
+                            self.run_unit(&fans[fan], unit);
                         }
                         // Merge this worker's recorder and trace buffer
                         // into the global state before the scope joins
@@ -212,11 +154,11 @@ impl Engine {
             });
         }
 
-        let records: Vec<RunRecord> = slots
+        let records: Vec<RunRecord> = fans
             .into_iter()
             .zip(cache_flags)
-            .map(|(slot, cache_hit)| {
-                let mut record = slot.into_inner().expect("every job ran");
+            .map(|(fan, cache_hit)| {
+                let mut record = fan.row.into_inner().expect("every job ran");
                 record.cache_hit = Some(cache_hit);
                 record
             })
@@ -239,47 +181,75 @@ impl Engine {
         records
     }
 
-    /// Runs one whole job inside its failure domain
-    /// ([`Engine::isolated`], fault scope `job{id}`); a panic, injected
-    /// fault or spent deadline at entry becomes the job's row.
-    fn run_job(&self, job: &Job) -> RunRecord {
-        let _job_span = na_telemetry::span_with(Span::Job, 0, || {
-            vec![("job", job.id.into()), ("task", job.task.name().into())]
-        });
-        self.isolated(format!("job{}", job.id), || {
-            execute_job(job, &self.cache, self.verify)
-        })
-        .unwrap_or_else(|panicked| RunRecord::new(job, panicked))
-    }
-
-    /// Runs one campaign shard inside its own failure domain
-    /// ([`Engine::isolated`]). Shards of one job are peers of whole
-    /// jobs on the pool, so a panicking or expired shard fails only its
-    /// own campaign's row. Shard `k` of a sharded campaign runs in the
-    /// fault scope `job{id}.shard{k}`, so chaos plans can target a
-    /// single shard; the one shard of an unsharded campaign keeps the
-    /// job's own scope `job{id}`.
-    #[allow(clippy::result_large_err)]
-    fn run_shard(&self, job: &Job, fan: &ShardFan, shard: usize) -> ShardDone {
-        let _shard_span = na_telemetry::span_with(Span::Shard, fan.job_span_id, || {
-            vec![("job", job.id.into()), ("shard", shard.into())]
-        });
+    /// Runs unit `unit` of `fan` inside its own failure domain
+    /// ([`Engine::isolated`]), and builds the job's row if it is the
+    /// fan's last unit to finish. Units of one job are peers of every
+    /// other job's units on the pool, so a panicking or expired unit
+    /// fails only its own job's row.
+    ///
+    /// A whole job runs under a `job` span in the fault scope
+    /// `job{id}`. A campaign's unit runs under a `shard` span parented
+    /// to the campaign's job span; shard `k` of a sharded campaign runs
+    /// in the fault scope `job{id}.shard{k}`, so chaos plans can target
+    /// a single shard, while the one shard of an unsharded campaign
+    /// keeps the job's own scope `job{id}`.
+    fn run_unit(&self, fan: &Fan, unit: usize) {
+        let job = fan.job;
+        let campaign = fan.is_campaign();
         let scope = match job.task {
-            Task::ShardedCampaign { .. } => format!("job{}.shard{}", job.id, shard),
+            Task::ShardedCampaign { .. } => format!("job{}.shard{unit}", job.id),
             _ => format!("job{}", job.id),
         };
-        // Span totals are thread-local, so the window since the mark
-        // is exactly this shard's work on this worker thread.
-        let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
-        let result = self
-            .isolated(scope, || {
-                execute_shard(job, fan, shard, &self.cache, self.verify)
-            })
-            .and_then(std::convert::identity);
-        na_telemetry::add(na_telemetry::Counter::CampaignShards, 1);
-        ShardDone {
-            result,
-            timings: mark.map(|mark| mark.deltas()),
+        let done = {
+            let _span = if campaign {
+                na_telemetry::span_with(Span::Shard, fan.job_span_id, || {
+                    vec![("job", job.id.into()), ("shard", unit.into())]
+                })
+            } else {
+                na_telemetry::span_with(Span::Job, 0, || {
+                    vec![("job", job.id.into()), ("task", job.task.name().into())]
+                })
+            };
+            // Span totals are thread-local, so the window since the
+            // mark is exactly this unit's work on this worker thread.
+            let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
+            let result = self.isolated(scope, || self.execute_unit(fan, unit));
+            if campaign {
+                na_telemetry::add(na_telemetry::Counter::CampaignShards, 1);
+            }
+            UnitDone {
+                result,
+                timings: mark.map(|mark| mark.deltas()),
+            }
+        };
+        fan.units[unit].set(done).expect("unit slot written once");
+        // `AcqRel` so the last finisher observes every other unit's
+        // completed write before building the row.
+        if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            fan.row.set(fan.build_row()).expect("row written once");
+        }
+    }
+
+    /// One unit's work: the fan's compiled point (resolved by the
+    /// job's first unit to run), then the job's task on it — for a
+    /// campaign, just this unit's shard. A whole task whose budget ran
+    /// out while it ran fails its row; campaigns check their deadline
+    /// at shot boundaries instead.
+    fn execute_unit(&self, fan: &Fan, unit: usize) -> Outcome {
+        let (circuit, point) = match fan.point(&self.cache, self.verify) {
+            Ok(point) => point,
+            Err(failed) => return failed,
+        };
+        let outcome = run_task(fan.job, &circuit, &point, unit, &fan.ranges);
+        if fan.is_campaign() {
+            return outcome;
+        }
+        // A loss walk's recompile that runs out of the job's budget
+        // reads as a forced reload and ends the walk early: fail the
+        // row rather than report the truncated measurement.
+        match na_faults::check_deadline() {
+            Err(e) if !outcome.is_failed() => Outcome::from_error(&e.into()),
+            _ => outcome,
         }
     }
 
@@ -347,170 +317,213 @@ impl Engine {
     }
 }
 
-/// One unit of pool work: a whole job, or one shard of a campaign
-/// (both indices into the expansion-time arrays).
-enum WorkItem {
-    /// `jobs[i]` runs as a single item (every task but a campaign).
-    Whole(usize),
-    /// Shard `shard` of `fans[fan]`.
-    Shard { fan: usize, shard: usize },
-}
-
-/// Shared merge state of one campaign job.
-struct ShardFan {
-    /// Index of the owning job in the spec.
-    job_index: usize,
-    /// The shard plan, from [`na_loss::shard_ranges`].
+/// One job's work on the pool and the shared state of its units.
+struct Fan<'a> {
+    job: &'a Job,
+    /// A campaign's shard plan, from [`na_loss::shard_ranges`]; empty
+    /// for every other task.
     ranges: Vec<ShotRange>,
-    /// Per-shard results, indexed by shard.
-    results: Vec<OnceLock<ShardDone>>,
-    /// Shards still running; the worker that decrements this to zero
-    /// merges and writes the job's row.
+    /// Per-unit results, indexed by unit (= shard): one per shard of a
+    /// campaign, one for a whole job, none for a campaign whose shard
+    /// plan is invalid (its row is written when the fan is built).
+    units: Vec<OnceLock<UnitDone>>,
+    /// Units still running; the worker that decrements this to zero
+    /// builds the job's row.
     remaining: AtomicUsize,
-    /// Resolved once, by the first shard to run, so a campaign costs
-    /// one cache lookup at any shard count. The merged row carries the
-    /// point's pass report.
-    point: OnceLock<FanPoint>,
-    /// Trace id of the whole-job span (0 = untraced); shard and merge
-    /// spans parent under it.
+    /// Resolved once, by the first unit to run, so a job costs one
+    /// cache lookup at any shard count. The row builder releases it, so
+    /// a long spec does not hold every finished job's circuit.
+    point: Mutex<Option<FanPoint>>,
+    /// Trace id of a campaign's job span (0 = untraced, and for every
+    /// other task); shard and merge spans parent under it.
     job_span_id: u64,
-    /// The whole-job span, opened at fan creation; the merging worker
-    /// takes and ends it on the job's virtual track.
+    /// A campaign's job span, opened at fan creation; the merging
+    /// worker takes and ends it on the job's virtual track.
     job_span: Mutex<Option<na_telemetry::OpenSpan>>,
+    /// The job's row.
+    row: OnceLock<RunRecord>,
 }
 
-/// A campaign's circuit and compiled point, or the typed failure of
-/// its cache lookup.
+/// A job's circuit and compiled point, or the typed failure of its
+/// cache lookup.
 type FanPoint = Result<(Arc<Circuit>, Arc<CompiledPoint>), Outcome>;
 
-/// What one shard produced: its partial campaign, or the typed
-/// failure outcome that will become the whole job's row.
+/// What one unit produced: its outcome, or the typed failure of its
+/// failure domain (caught panic, injected fault, deadline spent at
+/// entry).
 #[derive(Debug)]
-struct ShardDone {
-    result: Result<CampaignResult, Outcome>,
-    /// Span nanoseconds this shard accrued on its worker thread
-    /// (`None` while telemetry is disabled).
-    timings: Option<std::collections::BTreeMap<String, u64>>,
+struct UnitDone {
+    result: Result<Outcome, Outcome>,
+    /// Span nanoseconds this unit accrued on its worker thread (`None`
+    /// while telemetry is disabled).
+    timings: Option<BTreeMap<String, u64>>,
 }
 
-/// Runs one shard of a campaign: take the fan's compiled point (the
-/// first shard generates the circuit and looks it up in the shared
-/// cache, at the strategy's compile MID), verify its schedule when
-/// `verify` is on, reuse the point's interaction summary, then execute
-/// just this shard's shot range with its deterministically derived RNG
-/// streams. Shard 0 of a one-shard plan draws exactly the unsharded
-/// campaign's streams, so it reproduces `na_loss::run_campaign` bit for
-/// bit.
-#[allow(clippy::result_large_err)]
-fn execute_shard(
-    job: &Job,
-    fan: &ShardFan,
-    shard: usize,
-    cache: &CompileCache,
-    verify: bool,
-) -> Result<CampaignResult, Outcome> {
-    let (config, loss, _) = job
-        .task
-        .campaign()
-        .expect("only campaigns expand into shard work items");
-    let (circuit, point) = fan
-        .point
-        .get_or_init(|| {
-            let circuit = job.workload.circuit(job.size, job.circuit_seed);
-            let point = cache
-                .lookup(&circuit, &job.grid, &job.task.compile_config(&job.config))
-                .map_err(|e| Outcome::from_error(&e))?;
-            Ok((circuit, point))
-        })
-        .as_ref()
-        .map_err(Outcome::clone)?;
-    if verify {
-        point
-            .verify(&job.grid)
-            .map_err(|e| Outcome::from_error(&e))?;
+impl<'a> Fan<'a> {
+    /// The fan of `job`: one unit per shard of a campaign's plan (the
+    /// campaign's job span opens here, detached, since it outlives any
+    /// single worker), one unit for any other task. A campaign whose
+    /// shard plan is invalid fails typed before any work starts.
+    fn new(job: &'a Job) -> Self {
+        let (ranges, units, row) = match job.task.campaign() {
+            None => (Vec::new(), 1, OnceLock::new()),
+            Some((config, _, shards)) => match na_loss::shard_ranges(config, shards) {
+                Ok(ranges) => {
+                    let units = ranges.len();
+                    (ranges, units, OnceLock::new())
+                }
+                Err(plan) => {
+                    let failed = Outcome::Failed {
+                        unroutable: false,
+                        panicked: false,
+                        deadline: false,
+                        error: plan.to_string(),
+                    };
+                    (Vec::new(), 0, OnceLock::from(RunRecord::new(job, failed)))
+                }
+            },
+        };
+        let job_span = (!ranges.is_empty()).then(|| na_telemetry::span_detached(Span::CampaignJob));
+        Fan {
+            job,
+            ranges,
+            units: (0..units).map(|_| OnceLock::new()).collect(),
+            remaining: AtomicUsize::new(units),
+            point: Mutex::new(None),
+            job_span_id: job_span.as_ref().map_or(0, na_telemetry::OpenSpan::id),
+            job_span: Mutex::new(job_span),
+            row,
+        }
     }
-    let shard_index = u32::try_from(shard).expect("shard counts are u32");
-    na_loss::run_campaign_shard(
-        circuit,
-        &job.grid,
-        Arc::clone(&point.compiled),
-        point.summary(),
-        &loss.build(),
-        config,
-        shard_index,
-        fan.ranges[shard],
-    )
-    .map_err(|e| Outcome::from_error(&e))
-}
 
-/// Assembles a campaign's row once every shard has finished:
-/// the shard results merge in shard-index order (so the row does not
-/// depend on completion order), and a failed shard — typed error,
-/// caught panic, expired deadline — fails the whole row with the
-/// lowest-indexed failure. Telemetry-tagged rows carry the per-span
-/// sums in `timings` and the per-shard breakdown in `shard_timings`.
-fn merge_fan(job: &Job, fan: &ShardFan) -> RunRecord {
-    let merge_span = na_telemetry::span_with(Span::Merge, fan.job_span_id, || {
-        vec![("job", job.id.into()), ("shards", fan.ranges.len().into())]
-    });
-    let done: Vec<&ShardDone> = fan
-        .results
-        .iter()
-        .map(|slot| slot.get().expect("every shard ran"))
-        .collect();
-    let outcome = 'merge: {
-        let mut merged: Option<CampaignResult> = None;
-        for shard in &done {
-            match &shard.result {
-                Ok(result) => match &mut merged {
-                    None => merged = Some(result.clone()),
-                    Some(m) => m.merge(result),
-                },
-                Err(failed) => break 'merge failed.clone(),
-            }
-        }
-        Outcome::Campaign(merged.expect("shard plans are never empty"))
-    };
-    let mut record = RunRecord::new(job, outcome);
-    if na_telemetry::is_enabled() {
-        let mut sums = std::collections::BTreeMap::new();
-        for shard in &done {
-            for (stage, ns) in shard.timings.iter().flatten() {
-                *sums.entry(stage.clone()).or_insert(0) += ns;
-            }
-        }
-        if !sums.is_empty() {
-            record.timings = Some(sums);
-        }
-        record.shard_timings = Some(
-            done.iter()
-                .map(|shard| shard.timings.clone().unwrap_or_default())
-                .collect(),
-        );
-        record.pass_report = fan
+    fn is_campaign(&self) -> bool {
+        !self.ranges.is_empty()
+    }
+
+    /// The job's circuit and compiled point: the first unit to run
+    /// generates the circuit and looks it up in the shared cache (at
+    /// [`Task::compile_config`]). On a verified engine the schedule is
+    /// replayed through the constraint verifier before any unit uses
+    /// it (once per compilation point, see [`CompiledPoint::verify`]).
+    #[allow(clippy::result_large_err)]
+    fn point(&self, cache: &CompileCache, verify: bool) -> FanPoint {
+        let job = self.job;
+        let (circuit, point) = self
             .point
-            .get()
-            .and_then(|point| point.as_ref().ok())
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert_with(|| {
+                let circuit = job.workload.circuit(job.size, job.circuit_seed);
+                let point = cache
+                    .lookup(&circuit, &job.grid, &job.task.compile_config(&job.config))
+                    .map_err(|e| Outcome::from_error(&e))?;
+                Ok((circuit, point))
+            })
+            .clone()?;
+        if verify {
+            point
+                .verify(&job.grid)
+                .map_err(|e| Outcome::from_error(&e))?;
+        }
+        Ok((circuit, point))
+    }
+
+    /// The job's row, once every unit has finished.
+    ///
+    /// A whole job's row is its unit's outcome. A unit that ran to an
+    /// outcome tags it, while telemetry is on, with the unit's span
+    /// nanoseconds (wall-clock, hence deliberately absent in the
+    /// deterministic default configuration) and the point's pass
+    /// report (rows sharing a compile key share the compiling thread's
+    /// report: it describes the artifact, not the lookup); a
+    /// failure-domain verdict is the bare row.
+    ///
+    /// A campaign's shard results merge in shard-index order (so the
+    /// row does not depend on completion order), and a failed shard —
+    /// typed error, caught panic, expired deadline — fails the whole
+    /// row with the lowest-indexed failure. Telemetry-tagged rows carry
+    /// the per-span sums in `timings` and the per-shard breakdown in
+    /// `shard_timings`.
+    fn build_row(&self) -> RunRecord {
+        let job = self.job;
+        let report = self
+            .point
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .and_then(Result::ok)
             .and_then(|(_, point)| point.report.clone());
-    }
-    // The whole-job span, opened at fan creation, ends on the job's
-    // own virtual track (it spans multiple workers).
-    drop(merge_span);
-    let job_span = fan
-        .job_span
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take();
-    if let Some(job_span) = job_span {
-        job_span.end_on_track(na_telemetry::trace::JOB_TRACK_BASE + job.id, || {
-            vec![
-                ("job", job.id.into()),
-                ("task", job.task.name().into()),
-                ("shards", fan.ranges.len().into()),
-            ]
+        let done: Vec<&UnitDone> = self
+            .units
+            .iter()
+            .map(|slot| slot.get().expect("every unit ran"))
+            .collect();
+        if !self.is_campaign() {
+            return match &done[0].result {
+                Err(failed) => RunRecord::new(job, failed.clone()),
+                Ok(outcome) => {
+                    let mut record = RunRecord::new(job, outcome.clone());
+                    if let Some(timings) = &done[0].timings {
+                        record.timings = (!timings.is_empty()).then(|| timings.clone());
+                        record.pass_report = report;
+                    }
+                    record
+                }
+            };
+        }
+        let merge_span = na_telemetry::span_with(Span::Merge, self.job_span_id, || {
+            vec![("job", job.id.into()), ("shards", self.ranges.len().into())]
         });
+        let outcome = 'merge: {
+            let mut merged: Option<CampaignResult> = None;
+            for shard in &done {
+                match &shard.result {
+                    Ok(Outcome::Campaign(result)) => match &mut merged {
+                        None => merged = Some(result.clone()),
+                        Some(m) => m.merge(result),
+                    },
+                    Ok(failed) | Err(failed) => break 'merge failed.clone(),
+                }
+            }
+            Outcome::Campaign(merged.expect("shard plans are never empty"))
+        };
+        let mut record = RunRecord::new(job, outcome);
+        if na_telemetry::is_enabled() {
+            let mut sums = BTreeMap::new();
+            for shard in &done {
+                for (stage, ns) in shard.timings.iter().flatten() {
+                    *sums.entry(stage.clone()).or_insert(0) += ns;
+                }
+            }
+            if !sums.is_empty() {
+                record.timings = Some(sums);
+            }
+            record.shard_timings = Some(
+                done.iter()
+                    .map(|shard| shard.timings.clone().unwrap_or_default())
+                    .collect(),
+            );
+            record.pass_report = report;
+        }
+        // The campaign's job span, opened at fan creation, ends on the
+        // job's own virtual track (it spans multiple workers).
+        drop(merge_span);
+        let job_span = self
+            .job_span
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(job_span) = job_span {
+            job_span.end_on_track(na_telemetry::trace::JOB_TRACK_BASE + job.id, || {
+                vec![
+                    ("job", job.id.into()),
+                    ("task", job.task.name().into()),
+                    ("shards", self.ranges.len().into()),
+                ]
+            });
+        }
+        record
     }
-    record
 }
 
 /// Renders a caught panic payload: the `&str`/`String` message panics
@@ -528,52 +541,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one job to completion. Infallible by construction: errors
-/// become [`Outcome::Failed`] rows.
-///
-/// Every task reads its compiled point from the cache (at
-/// [`Task::compile_config`]); the schedule is optionally replayed
-/// through the constraint verifier ([`Engine::verified`]) before the
-/// task uses it.
-///
-/// When telemetry is enabled the row is tagged with the span
-/// nanoseconds this job accrued on the executing thread (wall-clock,
-/// hence deliberately absent — `None` — in the deterministic default
-/// configuration).
-fn execute_job(job: &Job, cache: &CompileCache, verify: bool) -> RunRecord {
-    let mark = na_telemetry::is_enabled().then(na_telemetry::mark);
-    let circuit = job.workload.circuit(job.size, job.circuit_seed);
-    let lookup = cache.lookup(&circuit, &job.grid, &job.task.compile_config(&job.config));
-    let outcome = match &lookup {
-        Ok(point) => match verify.then(|| point.verify(&job.grid)) {
-            Some(Err(e)) => Outcome::from_error(&e),
-            _ => run_task(job, &circuit, point),
-        },
-        Err(e) => Outcome::from_error(e),
-    };
-    // A loss walk's recompile that runs out of the job's budget reads
-    // as a forced reload and ends the walk early: fail the row rather
-    // than report the truncated measurement.
-    let outcome = match na_faults::check_deadline() {
-        Err(e) if !outcome.is_failed() => Outcome::from_error(&e.into()),
-        _ => outcome,
-    };
-    let mut record = RunRecord::new(job, outcome);
-    if let Some(mark) = mark {
-        let deltas = mark.deltas();
-        if !deltas.is_empty() {
-            record.timings = Some(deltas);
-        }
-        // Attach the pipeline's per-pass report next to the span
-        // deltas: rows sharing a compile key share the compiling
-        // thread's report (it describes the artifact, not the lookup).
-        record.pass_report = lookup.ok().and_then(|point| point.report.clone());
-    }
-    record
-}
-
-/// Measures a whole job's task on its compiled point.
-fn run_task(job: &Job, circuit: &Circuit, point: &CompiledPoint) -> Outcome {
+/// Measures unit `unit` of a job's task on its compiled point:
+/// the whole task, or shard `unit` of a campaign's shard plan
+/// `ranges`. Infallible by construction: errors become
+/// [`Outcome::Failed`] rows.
+fn run_task(
+    job: &Job,
+    circuit: &Circuit,
+    point: &CompiledPoint,
+    unit: usize,
+    ranges: &[ShotRange],
+) -> Outcome {
     let compiled = &point.compiled;
     // The loss tasks start from one strategy state around the cached
     // point (the job's MID is the hardware MID).
@@ -633,10 +611,22 @@ fn run_task(job: &Job, circuit: &Circuit, point: &CompiledPoint) -> Outcome {
             });
             Outcome::LossTrace { success }
         }
-        // Campaigns are expanded into per-shard work items by
-        // `Engine::run` and never reach the whole-job path.
-        Task::Campaign { .. } | Task::ShardedCampaign { .. } => {
-            unreachable!("campaigns expand into shard work items")
+        // One shard's shot range with its deterministically derived RNG
+        // streams, reusing the point's interaction summary. Shard 0 of
+        // a one-shard plan draws exactly the unsharded campaign's
+        // streams, so it reproduces `na_loss::run_campaign` bit for bit.
+        Task::Campaign { config, loss } | Task::ShardedCampaign { config, loss, .. } => {
+            na_loss::run_campaign_shard(
+                circuit,
+                &job.grid,
+                Arc::clone(compiled),
+                point.summary(),
+                &loss.build(),
+                config,
+                u32::try_from(unit).expect("shard counts are u32"),
+                ranges[unit],
+            )
+            .map_or_else(|e| Outcome::from_error(&e), Outcome::Campaign)
         }
     }
 }

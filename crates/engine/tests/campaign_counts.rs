@@ -32,8 +32,8 @@ fn sharded_campaign(strategy: Strategy) -> ExperimentSpec {
     spec
 }
 
-/// Runs `spec` (one job) on `engine` with metrics on, checks that its
-/// row did not fail, and returns the metrics the run recorded.
+/// Runs `spec` on `engine` with metrics on, checks that none of its
+/// rows failed, and returns the metrics the run recorded.
 fn counted(engine: &Engine, spec: &ExperimentSpec) -> MetricsSnapshot {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     na_telemetry::reset();
@@ -41,7 +41,9 @@ fn counted(engine: &Engine, spec: &ExperimentSpec) -> MetricsSnapshot {
     let records: Vec<RunRecord> = engine.run(spec);
     let snapshot = na_telemetry::snapshot();
     na_telemetry::set_enabled(false);
-    assert!(!records[0].outcome.is_failed(), "{:?}", records[0].outcome);
+    for record in &records {
+        assert!(!record.outcome.is_failed(), "{:?}", record.outcome);
+    }
     snapshot
 }
 
@@ -106,4 +108,45 @@ fn a_tolerance_job_compiles_its_point_once() {
     // The losses the ten walks absorb by recompiling.
     assert_eq!(metrics.counter("recompiles"), 339);
     assert_eq!(metrics.counter("compiles"), 340);
+}
+
+#[test]
+fn a_compile_job_and_a_campaign_share_one_verified_point() {
+    // VirtualRemap compiles at the hardware MID, so both jobs read the
+    // BV-16 MID-3 point: one compiles it, the other hits the cache.
+    let mut spec = ExperimentSpec::new("counts", Grid::new(8, 8));
+    spec.push(
+        Benchmark::Bv,
+        16,
+        0,
+        CompilerConfig::new(3.0),
+        Task::Compile,
+    );
+    spec.push(
+        Benchmark::Bv,
+        16,
+        0,
+        CompilerConfig::new(3.0),
+        Task::Campaign {
+            config: CampaignConfig::new(3.0, Strategy::VirtualRemap)
+                .with_target(ShotTarget::Attempts(20))
+                .with_seed(4),
+            loss: LossSpec::new(4),
+        },
+    );
+    let verify_samples = |engine: Engine| {
+        let metrics = counted(&engine, &spec);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(metrics.counter("compile_cache_misses"), 1);
+        assert_eq!(metrics.counter("compile_cache_hits"), 1);
+        metrics.stage("verify").map_or(0, |s| s.count)
+    };
+    // The compile opens its (skipped) `verify` pass span; a verified
+    // engine replays the shared schedule once more, for both jobs.
+    let unverified = verify_samples(Engine::with_workers(2));
+    assert_eq!(
+        verify_samples(Engine::with_workers(2).verified()),
+        unverified + 1
+    );
 }

@@ -27,7 +27,7 @@ use std::sync::Mutex;
 static GUARD: Mutex<()> = Mutex::new(());
 
 /// One single-job compile experiment through the engine, returning its
-/// row — the job-span path through `Engine::run_job`.
+/// row — the whole-job span path.
 fn engine_compile_row() -> natoms::engine::RunRecord {
     let mut spec = ExperimentSpec::new("guard", Grid::new(10, 10));
     spec.push(
@@ -127,6 +127,40 @@ fn tracing_on_and_off_produce_bit_identical_results() {
         events.iter().any(|e| e.name == "job"),
         "no engine job span recorded"
     );
+}
+
+/// A compile-only sweep is a fan of one unit per job: each job traces
+/// one `job` span, and no campaign span (`campaign_job`, `shard`,
+/// `merge`) leaks into ordinary jobs.
+#[test]
+fn traced_compile_sweep_emits_only_job_spans() {
+    let _guard = GUARD.lock().unwrap();
+    trace::set_enabled(true);
+    trace::reset();
+    let mut spec = ExperimentSpec::new("trace-jobs", Grid::new(10, 10));
+    for mid in [1.0, 3.0] {
+        let cfg = CompilerConfig::new(mid).with_native_multiqubit(mid > 1.0);
+        spec.push(Benchmark::Bv, 16, 0, cfg, Task::Compile);
+    }
+    let rows = Engine::with_workers(2).run(&spec);
+    let events = trace::take_events();
+    trace::set_enabled(false);
+    trace::reset();
+
+    assert!(rows.iter().all(|r| !r.outcome.is_failed()));
+    let begins = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.name == name && e.phase == trace::Phase::Begin)
+            .count()
+    };
+    assert_eq!(begins("job"), 2, "one job span per job");
+    for campaign_span in ["campaign_job", "shard", "merge"] {
+        assert!(
+            events.iter().all(|e| e.name != campaign_span),
+            "a compile sweep traced a {campaign_span} span"
+        );
+    }
 }
 
 /// Runs a 2-shard campaign through the engine under tracing and

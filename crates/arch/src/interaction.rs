@@ -49,9 +49,12 @@ const NONE: u32 = u32::MAX;
 /// // A hole is a masked site, not a different graph.
 /// let mut scratch = BfsScratch::new();
 /// let (a, b) = (Site::new(0, 0), Site::new(2, 0));
-/// assert_eq!(graph.hop_distance(a, b, grid.usable_mask(), &mut scratch), Some(1));
+/// let hops = |grid: &Grid, scratch: &mut BfsScratch| {
+///     graph.hop_distance(a, b, grid.usable_mask(), scratch).map(|d| d.hops)
+/// };
+/// assert_eq!(hops(&grid, &mut scratch), Some(1));
 /// grid.remove_atom(b);
-/// assert_eq!(graph.hop_distance(a, b, grid.usable_mask(), &mut scratch), None);
+/// assert_eq!(hops(&grid, &mut scratch), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct InteractionGraph {
@@ -221,36 +224,47 @@ impl InteractionGraph {
     /// neighbors that stops at the first hit and never runs when
     /// `|ab| > 2·MID`); anything else falls through to the BFS kernel.
     /// Every range test is the `d² ≤ MID²` criterion of the CSR stencil,
-    /// so the shortcut answers exactly as the BFS would.
+    /// so the shortcut answers exactly as the BFS would. A distance of
+    /// 2 comes with the lens site that proves it
+    /// ([`HopDistance::witness`]).
     pub fn hop_distance(
         &self,
         a: Site,
         b: Site,
         usable: &[bool],
         scratch: &mut BfsScratch,
-    ) -> Option<u32> {
+    ) -> Option<HopDistance> {
         debug_assert_eq!(usable.len(), self.num_sites(), "mask sized to the grid");
         let ai = self.index_of(a)?;
         let bi = self.index_of(b)?;
         if !usable[ai] || !usable[bi] {
             return None;
         }
+        let hops = |hops| HopDistance {
+            hops,
+            witness: None,
+        };
         if ai == bi {
-            return Some(0);
+            return Some(hops(0));
         }
         if a.within(b, self.mid) {
-            return Some(1);
+            return Some(hops(1));
         }
-        if a.within(b, 2.0 * self.mid) && self.lens_hit(a, b, usable, scratch) {
-            return Some(2);
+        if a.within(b, 2.0 * self.mid) {
+            if let Some(witness) = self.lens_hit(a, b, usable, scratch) {
+                return Some(HopDistance {
+                    hops: 2,
+                    witness: Some(witness),
+                });
+            }
         }
-        self.bfs_hop_distance(ai, bi, usable, scratch)
+        self.bfs_hop_distance(ai, bi, usable, scratch).map(hops)
     }
 
-    /// Whether some usable site lies within the MID of both `a` and
-    /// `b`: the neighbors of `a`, walked through the stencil in
+    /// The first usable site within the MID of both `a` and `b`, as a
+    /// flat index: the neighbors of `a`, walked through the stencil in
     /// ascending `Site` order, each tested against `b`.
-    fn lens_hit(&self, a: Site, b: Site, usable: &[bool], scratch: &mut BfsScratch) -> bool {
+    fn lens_hit(&self, a: Site, b: Site, usable: &[bool], scratch: &mut BfsScratch) -> Option<u32> {
         for &(dx, dy) in &self.stencil {
             let c = Site::new(a.x + dx, a.y + dy);
             let Some(ci) = self.index_of(c) else {
@@ -258,10 +272,10 @@ impl InteractionGraph {
             };
             scratch.lens_probes += 1;
             if usable[ci] && c.within(b, self.mid) {
-                return true;
+                return Some(ci as u32);
             }
         }
-        false
+        None
     }
 
     /// The BFS kernel of [`InteractionGraph::hop_distance`]: shortest
@@ -365,6 +379,18 @@ impl InteractionGraph {
         }
         Some(hop)
     }
+}
+
+/// The answer of [`InteractionGraph::hop_distance`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HopDistance {
+    /// MID-range hops between the two sites over usable atoms.
+    pub hops: u32,
+    /// For `hops == 2`, the flat index of the usable site the lens test
+    /// found within the MID of both ends; `None` at every other
+    /// distance. While that site stays usable, the pair stays at most
+    /// 2 hops apart whatever else is lost.
+    pub witness: Option<u32>,
 }
 
 /// Reusable BFS working memory: epoch-stamped visited marks, a
@@ -554,7 +580,9 @@ mod tests {
             for _ in 0..24 {
                 let (a, b) = (random_site(rng), random_site(rng));
                 assert_eq!(
-                    graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
+                    graph
+                        .hop_distance(a, b, g.usable_mask(), &mut scratch)
+                        .map(|d| d.hops),
                     naive_bfs(g, a, b, mid, &[]).map(|(d, _)| d),
                     "{a}->{b} at MID {mid}"
                 );
@@ -571,7 +599,9 @@ mod tests {
             for _ in 0..24 {
                 let (a, b) = (random_site(rng), random_site(rng));
                 assert_eq!(
-                    graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
+                    graph
+                        .hop_distance(a, b, g.usable_mask(), &mut scratch)
+                        .map(|d| d.hops),
                     naive_bfs(g, a, b, mid, &[]).map(|(d, _)| d),
                     "{a}->{b} at MID {mid}\n{g}"
                 );
@@ -609,7 +639,8 @@ mod tests {
         // Every ordered pair of sites, hole endpoints included, on
         // random holey grids: the lens shortcut (distance 2) and the
         // BFS kernel (distance ≥ 3, disconnected) answer as the naive
-        // reference does.
+        // reference does, and exactly the distance-2 answers carry a
+        // witness: a usable site within the MID of both ends.
         let mut rng = StdRng::seed_from_u64(25);
         let mut seen = [0usize; 5]; // 1, 2, 3, ≥4, None
         for round in 0..6 {
@@ -620,11 +651,14 @@ mod tests {
                 for a in g.sites() {
                     for b in g.sites() {
                         let expect = naive_bfs(&g, a, b, mid, &[]).map(|(d, _)| d);
-                        assert_eq!(
-                            graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
-                            expect,
-                            "{a}->{b} at MID {mid}\n{g}"
-                        );
+                        let got = graph.hop_distance(a, b, g.usable_mask(), &mut scratch);
+                        assert_eq!(got.map(|d| d.hops), expect, "{a}->{b} at MID {mid}\n{g}");
+                        let witness = got.and_then(|d| d.witness);
+                        assert_eq!(witness.is_some(), expect == Some(2), "{a}->{b}");
+                        if let Some(w) = witness {
+                            let c = graph.site_at(w as usize);
+                            assert!(g.is_usable(c) && c.within(a, mid) && c.within(b, mid));
+                        }
                         match expect {
                             Some(0) => {}
                             Some(d) => seen[d.min(4) as usize - 1] += 1,
@@ -649,7 +683,10 @@ mod tests {
         // Around through the second row: 4 hops.
         assert_eq!(
             graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
-            Some(4)
+            Some(HopDistance {
+                hops: 4,
+                witness: None
+            })
         );
         assert!(scratch.lens_probes() > 0);
         // Without the second row there is no way around at all.
@@ -666,7 +703,11 @@ mod tests {
         let g = Grid::new(5, 5);
         let graph = InteractionGraph::build(&g, 1.0);
         let mut scratch = BfsScratch::new();
-        let mut hops = |b| graph.hop_distance(Site::new(0, 0), b, g.usable_mask(), &mut scratch);
+        let mut hops = |b| {
+            graph
+                .hop_distance(Site::new(0, 0), b, g.usable_mask(), &mut scratch)
+                .map(|d| d.hops)
+        };
         assert_eq!(hops(Site::new(1, 1)), Some(2));
         // Out of the lens's reach (|ab| > 2·MID): straight to the BFS.
         assert_eq!(hops(Site::new(4, 4)), Some(8));
@@ -709,7 +750,9 @@ mod tests {
         let (a, b) = (Site::new(0, 2), Site::new(2, 2));
         // Up the left column, over the top, down the right: 6 hops.
         assert_eq!(
-            graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
+            graph
+                .hop_distance(a, b, g.usable_mask(), &mut scratch)
+                .map(|d| d.hops),
             Some(6)
         );
         assert_eq!(
@@ -820,7 +863,10 @@ mod tests {
                     g.usable_mask(),
                     &mut scratch
                 ),
-                Some(5)
+                Some(HopDistance {
+                    hops: 5,
+                    witness: None
+                })
             );
         }
     }

@@ -457,15 +457,6 @@ impl ArtifactStore {
         ArtifactStore::default()
     }
 
-    /// Looks up `key`, counting a hit when present.
-    pub fn get(&self, key: &ArtifactKey) -> Option<Arc<PassArtifacts>> {
-        let got = lock_recover(&self.entries).stored.get(key).cloned();
-        if got.is_some() {
-            self.count_hit();
-        }
-        got
-    }
-
     /// The artifacts stored under `key` (a hit), or the claim to build
     /// them. While another compilation holds the claim, waits for it to
     /// end rather than build the same artifacts twice.
@@ -475,7 +466,9 @@ impl ArtifactStore {
             if let Some(stored) = entries.stored.get(&key) {
                 let stored = Arc::clone(stored);
                 drop(entries);
-                self.count_hit();
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                na_telemetry::add(na_telemetry::Counter::ArtifactHits, 1);
+                na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new);
                 return Ok(stored);
             }
             if entries.claimed.insert(key) {
@@ -486,12 +479,6 @@ impl ArtifactStore {
                 .wait(entries)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        na_telemetry::add(na_telemetry::Counter::ArtifactHits, 1);
-        na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new);
     }
 
     /// Deposits `artifacts` under `key` (first insert wins).

@@ -7,7 +7,7 @@ use na_arch::Grid;
 use na_benchmarks::Benchmark;
 use na_core::CompilerConfig;
 use na_engine::{paper, Engine, ExperimentSpec, LossSpec, RunRecord, Task};
-use na_loss::{CampaignConfig, ShotTarget, Strategy};
+use na_loss::{CampaignConfig, InteractionSummary, ShotTarget, Strategy};
 use na_telemetry::MetricsSnapshot;
 use std::sync::{Mutex, PoisonError};
 
@@ -148,5 +148,56 @@ fn a_compile_job_and_a_campaign_share_one_verified_point() {
     assert_eq!(
         verify_samples(Engine::with_workers(2).verified()),
         unverified + 1
+    );
+}
+
+#[test]
+fn a_reroute_campaign_costs_its_fixups_by_delta() {
+    // The loss benchmark's point at 1/25 of its shots: Cuccaro-40 on
+    // the paper grid at hardware MID 4 under c-small-reroute, in two
+    // shards. Every interfering loss remaps and costs a fixup, as
+    // when every fixup re-costed all pairs; only the pairs costed
+    // shrink to the ones a remap moved or whose witness it lost, plus
+    // one full costing per shard start and per reload.
+    let strategy = Strategy::CompileSmallReroute;
+    let mut spec = ExperimentSpec::new("counts", paper::paper_grid());
+    spec.push(
+        Benchmark::Cuccaro,
+        40,
+        0,
+        CompilerConfig::new(strategy.compile_mid(4.0)),
+        Task::ShardedCampaign {
+            config: CampaignConfig::new(4.0, strategy)
+                .with_target(ShotTarget::Attempts(2_000))
+                .with_two_qubit_error(1e-3)
+                .with_seed(1),
+            loss: LossSpec::new(1),
+            shards: 2,
+        },
+    );
+    let metrics = counted(&Engine::with_workers(2), &spec);
+    let compiled = na_core::compile(
+        &Benchmark::Cuccaro.generate(40, 0),
+        &paper::paper_grid(),
+        &CompilerConfig::new(strategy.compile_mid(4.0)),
+    )
+    .expect("compiles");
+    let pairs = InteractionSummary::of(&compiled).pairs().len() as u64;
+    let (fixups, costed) = (
+        metrics.counter("fixups"),
+        metrics.counter("fixup_pairs_costed"),
+    );
+    // Recorded when every fixup re-costed all 89 pairs.
+    assert_eq!(pairs, 89);
+    assert_eq!(fixups, 1_644);
+    assert_eq!(metrics.counter("remaps"), 1_644);
+    // Each shard start and each of the 35 reloads leads to a full
+    // costing of 89 pairs; the other fixups re-cost about 11.7 each.
+    assert_eq!(metrics.counter("reloads"), 35);
+    assert_eq!(costed, 22_100);
+    assert!(
+        costed < fixups * pairs / 6,
+        "{costed} of {}",
+        fixups * pairs
     );
 }

@@ -52,7 +52,7 @@ pub use executor::{
 };
 pub use model::LossModel;
 pub use overhead::{OverheadLedger, OverheadTimes, RecompileCost};
-pub use reroute::{fixup_swaps_summary, resolved_ok_summary, InteractionSummary};
+pub use reroute::{resolved_ok_summary, InteractionSummary};
 pub use state::{LossOutcome, StrategyState};
 pub use stats::{derive_seed, shard_seed, RunningMoments, StreakHistogram, StreakStats};
 pub use strategy::{ParseStrategyError, Strategy};

@@ -6,22 +6,50 @@
 //!
 //! * [`resolved_ok_summary`] — does every interaction still fit within
 //!   the hardware MID (the virtual-remap go/no-go)?
-//! * [`fixup_swaps_summary`] — if not, how many SWAPs does the
-//!   swap-out/execute/swap-back fixup of Fig. 9c cost per shot?
+//! * if not, how many SWAPs does the swap-out/execute/swap-back fixup
+//!   of Fig. 9c cost per shot? Each reroute
+//!   [`StrategyState`](crate::StrategyState) answers that from its own
+//!   fixup cache.
 //!
 //! Both questions depend on the schedule only through its *distinct*
 //! operand pairs: a pair scheduled twenty times costs twenty fixups
 //! but needs one hop-distance query. [`InteractionSummary`] precomputes
-//! that deduped pair multiset once per compiled schedule, and both
-//! functions answer from it — per distinct pair instead of per
-//! scheduled op — over the device's one [`InteractionGraph`] with the
-//! current holes as a mask. Most out-of-range pairs are exactly two
-//! hops apart, which [`InteractionGraph::hop_distance`] settles with a
-//! local lens test; only the rest pay for a BFS. The per-op seed
-//! costing lives on in `tests/common` as the oracle randomized
-//! differential tests hold this path bit-for-bit equal to.
+//! that deduped pair multiset once per compiled schedule, with an index
+//! from each operand address to its pairs, and both answers come from
+//! it over the device's one [`InteractionGraph`] with the current holes
+//! as a mask. Most out-of-range pairs are exactly two hops apart, which
+//! [`InteractionGraph::hop_distance`] settles with a local lens test
+//! that also names its *witness*, a usable site within MID of both
+//! ends; only the rest pay for a BFS.
+//!
+//! # Costing by delta
+//!
+//! A reroute strategy costs its fixup after every remap, but a remap
+//! moves only the addresses on one ray. So each strategy state keeps
+//! its last costing — every pair's hop distance, and the witness of
+//! each distance 2 — and the next costing re-costs only
+//!
+//! * the pairs with an endpoint among the addresses the shift moved
+//!   ([`na_arch::ShiftScratch::changes`]),
+//! * the distance-2 pairs whose witness is now a hole (spare losses
+//!   included), and
+//! * every pair 3 or more hops apart.
+//!
+//! The rest keep their distance exactly. Between reloads holes only
+//! accumulate, so over a pair whose endpoints did not move a hop
+//! distance can only grow: a pair in range stays in range (range is
+//! geometry), and a pair whose witness is still usable is still within
+//! 2 hops, hence at exactly 2. A disconnected pair or a lost operand
+//! ends the costing with `None`, which the state answers with a reload
+//! request, and the state drops its costing then, on `reload`, and
+//! before its first costing: each of those costs every pair. Pairs are
+//! visited in ascending order either way, and the SWAP total is an
+//! exact integer sum, so the answer equals a full costing's bit for
+//! bit. The per-op seed costing lives on in `tests/common` as the
+//! oracle a randomized differential test drives the live state machine
+//! against.
 
-use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
+use na_arch::{BfsScratch, Grid, HopDistance, InteractionGraph, Site, VirtualMap};
 use na_core::CompiledCircuit;
 
 /// The deduped interaction-pair summary of one compiled schedule.
@@ -32,10 +60,18 @@ use na_core::CompiledCircuit;
 /// operand address. Both are sorted ascending. Addresses resolve
 /// through the [`VirtualMap`] at query time, so one summary serves a
 /// whole campaign until the schedule itself changes (FullRecompile).
+/// The summary also indexes, per operand, the pairs it is an endpoint
+/// of, so a remap finds the pairs it moved without a scan; built once
+/// here, the index is shared by every state holding the summary.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InteractionSummary {
     pairs: Vec<(Site, Site, u32)>,
     operands: Vec<Site>,
+    /// Operand `k`'s pairs are
+    /// `operand_pairs[pair_offsets[k]..pair_offsets[k + 1]]`, as
+    /// ascending indices into `pairs`.
+    pair_offsets: Vec<u32>,
+    operand_pairs: Vec<u32>,
 }
 
 impl InteractionSummary {
@@ -62,7 +98,33 @@ impl InteractionSummary {
                 _ => pairs.push((a, b, 1)),
             }
         }
-        InteractionSummary { pairs, operands }
+        let slot = |a: Site| {
+            operands
+                .binary_search(&a)
+                .expect("pair endpoints are operands")
+        };
+        let mut pair_offsets = vec![0u32; operands.len() + 1];
+        for &(a, b, _) in &pairs {
+            pair_offsets[slot(a) + 1] += 1;
+            pair_offsets[slot(b) + 1] += 1;
+        }
+        for k in 0..operands.len() {
+            pair_offsets[k + 1] += pair_offsets[k];
+        }
+        let mut fill = pair_offsets.clone();
+        let mut operand_pairs = vec![0u32; 2 * pairs.len()];
+        for (p, &(a, b, _)) in pairs.iter().enumerate() {
+            for k in [slot(a), slot(b)] {
+                operand_pairs[fill[k] as usize] = p as u32;
+                fill[k] += 1;
+            }
+        }
+        InteractionSummary {
+            pairs,
+            operands,
+            pair_offsets,
+            operand_pairs,
+        }
     }
 
     /// The distinct unordered address pairs with multiplicities,
@@ -74,6 +136,18 @@ impl InteractionSummary {
     /// The distinct operand addresses, ascending.
     pub fn operands(&self) -> &[Site] {
         &self.operands
+    }
+
+    /// Ascending indices into [`InteractionSummary::pairs`] of the
+    /// pairs `address` is an endpoint of; empty for a non-operand.
+    pub(crate) fn pairs_of(&self, address: Site) -> &[u32] {
+        match self.operands.binary_search(&address) {
+            Ok(k) => {
+                let (lo, hi) = (self.pair_offsets[k], self.pair_offsets[k + 1]);
+                &self.operand_pairs[lo as usize..hi as usize]
+            }
+            Err(_) => &[],
+        }
     }
 }
 
@@ -99,45 +173,125 @@ pub fn resolved_ok_summary(
             .all(|&(a, b, _)| vmap.resolve(a).within(vmap.resolve(b), hardware_mid))
 }
 
-/// SWAP count of the minor-reroute fixup (Fig. 9c) for the current
-/// topology: for every scheduled interaction whose resolved operands
-/// exceed `hardware_mid`, one operand is swapped along a shortest
-/// MID-hop path to within range, the gate executes, and the SWAPs are
-/// reversed. Answered from a precomputed [`InteractionSummary`] and a
-/// hole-masked full-grid graph: one [`InteractionGraph::hop_distance`]
-/// per distinct out-of-range pair (a lens test for distance 2, a BFS
-/// beyond), its `2 · (hops − 1)` SWAP cost multiplied by the pair's
-/// scheduled multiplicity. `usable` is the current hole pattern as a flat-index
-/// mask ([`Grid::usable_mask`]), so `graph` never needs rebuilding as
-/// losses accrue. These SWAPs recur every shot until the topology
-/// changes again.
-///
-/// Returns `None` when some operand resolves to a lost atom or some
-/// required pair is disconnected — the strategy must reload.
-pub fn fixup_swaps_summary(
-    summary: &InteractionSummary,
-    vmap: &VirtualMap,
-    graph: &InteractionGraph,
-    usable: &[bool],
-    hardware_mid: f64,
-    scratch: &mut BfsScratch,
-) -> Option<u32> {
-    for &a in summary.operands() {
-        let i = graph.index_of(vmap.resolve(a))?;
-        if !usable[i] {
-            return None;
+/// The entry of a pair a remap moved, to be costed afresh. Distinct
+/// addresses never resolve to one site, so no costed pair is 0 hops
+/// apart.
+const STALE: HopDistance = HopDistance {
+    hops: 0,
+    witness: None,
+};
+
+/// The entry of a pair within the MID: one hop, no SWAP.
+const IN_RANGE: HopDistance = HopDistance {
+    hops: 1,
+    witness: None,
+};
+
+/// One strategy state's fixup costing, kept between remaps so each
+/// costing re-costs only what the last one cannot vouch for (see the
+/// module docs): the last hop distance of every pair of the state's
+/// [`InteractionSummary`], with its witness at distance 2.
+#[derive(Debug, Clone)]
+pub(crate) struct FixupCache {
+    pairs: Vec<HopDistance>,
+    /// Whether `pairs` is the costing of the state's topology before
+    /// the remap now being costed. Cleared by
+    /// [`FixupCache::invalidate`] and by a costing that ends in `None`.
+    valid: bool,
+    /// Pairs whose hop distance a costing computed, cumulative.
+    costed: u64,
+}
+
+impl FixupCache {
+    /// An empty cache for `summary`'s pairs; its first costing costs
+    /// every pair.
+    pub(crate) fn new(summary: &InteractionSummary) -> Self {
+        FixupCache {
+            pairs: vec![STALE; summary.pairs().len()],
+            valid: false,
+            costed: 0,
         }
     }
-    let mut total = 0u32;
-    for &(a, b, mult) in summary.pairs() {
-        let (ra, rb) = (vmap.resolve(a), vmap.resolve(b));
-        if ra.within(rb, hardware_mid) {
-            continue;
-        }
-        let dist = graph.hop_distance(ra, rb, usable, scratch)?;
-        total += mult * 2 * (dist - 1);
+
+    /// Drops the last costing: the next one costs every pair. Needed
+    /// whenever holes may have been refilled or an operand lost
+    /// without a remap (reload, and every reload request).
+    pub(crate) fn invalidate(&mut self) {
+        self.valid = false;
     }
-    Some(total)
+
+    /// Cumulative count of pairs whose hop distance this cache has
+    /// computed, read before and after a costing for the delta.
+    pub(crate) fn pairs_costed(&self) -> u64 {
+        self.costed
+    }
+
+    /// SWAP count of the minor-reroute fixup (Fig. 9c) for the current
+    /// topology over `graph`, the device's graph at the hardware MID:
+    /// for every scheduled interaction whose resolved operands are out
+    /// of range, one operand is swapped along a shortest MID-hop path
+    /// to within range, the gate executes, and the SWAPs are reversed —
+    /// `2 · (hops − 1)` SWAPs per distinct pair, multiplied by its
+    /// scheduled multiplicity. These SWAPs recur every shot until the
+    /// topology changes again.
+    ///
+    /// `moved` lists the addresses the remap since the last costing
+    /// moved, and `grid` carries every hole since then; the pairs the
+    /// last costing still proves keep their distance (module docs).
+    ///
+    /// Returns `None` when some operand resolves to a lost atom or some
+    /// required pair is disconnected — the strategy must reload.
+    pub(crate) fn cost(
+        &mut self,
+        summary: &InteractionSummary,
+        vmap: &VirtualMap,
+        moved: &[(Site, Site)],
+        graph: &InteractionGraph,
+        grid: &Grid,
+        scratch: &mut BfsScratch,
+    ) -> Option<u32> {
+        let usable = grid.usable_mask();
+        // By delta from the last costing, or (none valid) every pair.
+        let delta = self.valid;
+        if delta {
+            // A moved operand lands on a usable shift target, and an
+            // unmoved one kept its atom (losing it would have moved
+            // it), so every operand is still usable.
+            debug_assert!(moved.iter().all(|&(_, site)| grid.is_usable(site)));
+            for &(address, _) in moved {
+                for &p in summary.pairs_of(address) {
+                    self.pairs[p as usize] = STALE;
+                }
+            }
+        } else {
+            for &a in summary.operands() {
+                let i = graph.index_of(vmap.resolve(a))?;
+                if !usable[i] {
+                    return None;
+                }
+            }
+        }
+        self.valid = false;
+        let mut total = 0u32;
+        for (&(a, b, mult), pair) in summary.pairs().iter().zip(&mut self.pairs) {
+            let proven =
+                delta && (pair.hops == 1 || pair.witness.is_some_and(|w| usable[w as usize]));
+            if !proven {
+                self.costed += 1;
+                // Settle in-range pairs, most of a full costing, by
+                // geometry alone, without the graph query.
+                let (ra, rb) = (vmap.resolve(a), vmap.resolve(b));
+                *pair = if ra.within(rb, graph.mid()) {
+                    IN_RANGE
+                } else {
+                    graph.hop_distance(ra, rb, usable, scratch)?
+                };
+            }
+            total += mult * 2 * (pair.hops - 1);
+        }
+        self.valid = true;
+        Some(total)
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +407,25 @@ mod tests {
                     assert_eq!(n % 2, 0, "odd fixup cost {n}");
                 }
                 None => break, // disconnected: strategy reloads
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_of_indexes_every_pair_at_both_endpoints() {
+        let grid = Grid::new(10, 10);
+        for benchmark in na_benchmarks::Benchmark::ALL {
+            let compiled = compile(&benchmark.generate(20, 0), &grid, &CompilerConfig::new(3.0))
+                .expect("compiles");
+            let summary = InteractionSummary::of(&compiled);
+            for site in grid.sites() {
+                let expect: Vec<u32> = (0..summary.pairs().len() as u32)
+                    .filter(|&p| {
+                        let (a, b, _) = summary.pairs()[p as usize];
+                        site == a || site == b
+                    })
+                    .collect();
+                assert_eq!(summary.pairs_of(site), expect, "{benchmark} at {site}");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! [`StrategyState`] owns that loop body so every harness agrees on
 //! the semantics.
 
-use crate::reroute::{fixup_swaps_summary, resolved_ok_summary, InteractionSummary};
+use crate::reroute::{resolved_ok_summary, FixupCache, InteractionSummary};
 use crate::Strategy;
 use na_arch::{BfsScratch, Grid, InteractionGraph, ShiftScratch, Site, VirtualMap};
 use na_circuit::Circuit;
@@ -53,6 +53,10 @@ pub struct StrategyState {
     /// Reroute SWAP budget; `None` disables the success-floor check
     /// (architectural tolerance analysis).
     max_fixup_swaps: Option<u32>,
+    /// The last fixup costing, which the next one re-costs by delta
+    /// (see [`crate::reroute`]). Sized in the constructor, so a fresh
+    /// state's first loss allocates nothing.
+    fixup: FixupCache,
     /// BFS working memory reused by every fixup costing this state
     /// performs (one per interfering loss, every shot) instead of a
     /// fresh allocation per call.
@@ -167,6 +171,7 @@ impl StrategyState {
             used_addresses: used,
             extra_swaps: 0,
             max_fixup_swaps,
+            fixup: FixupCache::new(&summary),
             fixup_scratch: BfsScratch::new(),
             shift_scratch: ShiftScratch::new(),
             placement_scratch: PlacementScratch::new(),
@@ -183,6 +188,12 @@ impl StrategyState {
     /// The schedule currently being executed.
     pub fn compiled(&self) -> &CompiledCircuit {
         &self.compiled
+    }
+
+    /// The live virtual map: where each program address currently
+    /// resolves.
+    pub fn vmap(&self) -> &VirtualMap {
+        &self.vmap
     }
 
     /// SWAPs the reroute fixup currently adds to every shot.
@@ -280,7 +291,15 @@ impl StrategyState {
                     Err(_) => LossOutcome::NeedsReload,
                 }
             }
-            _ => self.apply_remap_loss(site),
+            _ => {
+                let outcome = self.apply_remap_loss(site);
+                if outcome == LossOutcome::NeedsReload {
+                    // The hole may sit under an operand the remap never
+                    // moved: the next costing must see every pair.
+                    self.fixup.invalidate();
+                }
+                outcome
+            }
         }
     }
 
@@ -307,12 +326,13 @@ impl StrategyState {
             let fixup_span = na_telemetry::span(Span::LossFixup);
             let expansions_before = self.fixup_scratch.expansions();
             let probes_before = self.fixup_scratch.lens_probes();
-            let fixup = fixup_swaps_summary(
+            let costed_before = self.fixup.pairs_costed();
+            let fixup = self.fixup.cost(
                 &self.summary,
                 &self.vmap,
+                self.shift_scratch.changes(),
                 &self.full_graph,
-                self.grid.usable_mask(),
-                self.hardware_mid,
+                &self.grid,
                 &mut self.fixup_scratch,
             );
             drop(fixup_span);
@@ -324,6 +344,10 @@ impl StrategyState {
             na_telemetry::add(
                 na_telemetry::Counter::FixupLensProbes,
                 self.fixup_scratch.lens_probes() - probes_before,
+            );
+            na_telemetry::add(
+                na_telemetry::Counter::FixupPairsCosted,
+                self.fixup.pairs_costed() - costed_before,
             );
             match fixup {
                 Some(n) => {
@@ -359,6 +383,7 @@ impl StrategyState {
         self.grid = self.grid_template.clone();
         self.vmap.reset();
         self.extra_swaps = 0;
+        self.fixup.invalidate();
         if self.strategy == Strategy::FullRecompile {
             self.compiled = Arc::clone(&self.original);
             self.used_addresses = self.compiled.used_sites().to_vec();

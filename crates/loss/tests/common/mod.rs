@@ -1,7 +1,8 @@
 //! The per-op reference costing: the seed implementation of the
 //! post-loss checks, kept as the differential oracle for the
-//! summary-based fast path (`na_loss::{resolved_ok_summary,
-//! fixup_swaps_summary}`). Shared by the crate's unit tests and its
+//! summary-based fast paths (`na_loss::resolved_ok_summary` and the
+//! reroute strategies' delta fixup costing inside
+//! `na_loss::StrategyState`). Shared by the crate's unit tests and its
 //! integration tests; not part of the public API.
 
 #![allow(dead_code)]
@@ -95,7 +96,7 @@ pub fn fixup_swaps_with(
                 // within MID — of the other), and walk it back
                 // afterwards: 2 · (hop distance − 1) SWAPs.
                 let dist = graph.hop_distance(sites[i], sites[j], grid.usable_mask(), scratch)?;
-                total += 2 * (dist - 1);
+                total += 2 * (dist.hops - 1);
             }
         }
     }

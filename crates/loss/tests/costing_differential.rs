@@ -1,28 +1,28 @@
-//! Randomized differential tests: the summary-based fast costing path
-//! against the retained per-op reference path.
+//! Randomized differential tests: the fast costing paths against the
+//! retained per-op reference path.
 //!
-//! The fast path answers `resolved_ok`/`fixup_swaps` from a
-//! precomputed [`InteractionSummary`] and a hole-masked full-grid
-//! [`InteractionGraph`]; the reference path walks every scheduled op
-//! and runs one BFS per out-of-range pair. On random loss sequences
-//! over random programs the two must agree exactly — same go/no-go
-//! verdicts, same SWAP totals, same `None`s on disconnection.
+//! The fast paths answer from a precomputed [`InteractionSummary`]:
+//! `resolved_ok_summary` directly, and the reroute strategies' fixup
+//! SWAP count inside [`StrategyState`], which re-costs only the pairs
+//! a remap moved or whose distance-2 witness it lost. The reference
+//! path walks every scheduled op of the state's schedule on its live
+//! grid and virtual map. On random loss sequences over random programs
+//! the two must agree exactly — same go/no-go verdicts, same SWAP
+//! totals, same reload requests on disconnection or an exceeded budget.
 
 mod common;
 
 use common::{fixup_swaps_with, resolved_ok};
-use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
+use na_arch::{BfsScratch, Direction, Grid, Site, VirtualMap};
 use na_benchmarks::Benchmark;
 use na_core::{compile, CompilerConfig};
-use na_loss::{fixup_swaps_summary, resolved_ok_summary, InteractionSummary};
+use na_loss::{resolved_ok_summary, InteractionSummary, LossOutcome, Strategy, StrategyState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 #[test]
 fn summary_costing_matches_reference_under_random_loss() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
-    let mut scratch = BfsScratch::new();
-    let mut ref_scratch = BfsScratch::new();
     for case in 0..24u64 {
         let benchmark =
             [Benchmark::Bv, Benchmark::Cuccaro, Benchmark::Qaoa][rng.gen_range(0..3usize)];
@@ -36,7 +36,6 @@ fn summary_costing_matches_reference_under_random_loss() {
         )
         .expect("compiles");
         let summary = InteractionSummary::of(&compiled);
-        let full_graph = InteractionGraph::build(&grid, mid);
         let used = compiled.used_sites().to_vec();
 
         let mut g = grid.clone();
@@ -66,20 +65,209 @@ fn summary_costing_matches_reference_under_random_loss() {
                 resolved_ok(&compiled, &vmap, &g, mid),
                 "case {case}: resolved_ok diverged ({benchmark} size {size}, MID {mid})\n{g}"
             );
-            assert_eq!(
-                fixup_swaps_summary(
-                    &summary,
-                    &vmap,
-                    &full_graph,
-                    g.usable_mask(),
-                    mid,
-                    &mut scratch
-                ),
-                fixup_swaps_with(&compiled, &vmap, &g, mid, &mut ref_scratch),
-                "case {case}: fixup cost diverged ({benchmark} size {size}, MID {mid})\n{g}"
-            );
         }
     }
+}
+
+/// What one differential walk saw, so the test can insist that every
+/// path of the delta costing was exercised.
+#[derive(Debug, Default)]
+struct Seen {
+    uncompiled: usize,
+    spares: usize,
+    tolerated: usize,
+    nonzero_fixups: usize,
+    costed_reloads: usize,
+    ignored_reloads: usize,
+    reloads: usize,
+}
+
+/// Drives `state` through `steps` random losses — interfering or spare
+/// by a coin flip — and checks every reaction against the per-op
+/// oracle on the state's live grid and virtual map. A `Tolerated` loss
+/// must carry the oracle's SWAP count. A reload request after a remap
+/// (the map moved, so a fixup was costed) must match an oracle answer
+/// of `None` or one over `budget`. Most reload requests are followed
+/// by `reload()`; after the rest the walk goes on over the broken
+/// topology, whose next costing must see the unmoved lost operand. The
+/// walk also reloads unasked now and then, since `reload()` alone must
+/// drop the state's costing.
+fn walk(
+    state: &mut StrategyState,
+    mid: f64,
+    budget: Option<u32>,
+    steps: usize,
+    rng: &mut StdRng,
+    seen: &mut Seen,
+    what: &str,
+) {
+    let mut scratch = BfsScratch::new();
+    for step in 0..steps {
+        if rng.gen_range(0..12u32) == 0 {
+            state.reload();
+            seen.reloads += 1;
+        }
+        let (used, spare): (Vec<Site>, Vec<Site>) = state
+            .grid()
+            .usable_sites()
+            .partition(|&site| state.is_interfering(site));
+        let pool = if spare.is_empty() || (!used.is_empty() && rng.gen_bool(0.5)) {
+            used
+        } else {
+            spare
+        };
+        let victim = pool[rng.gen_range(0..pool.len())];
+        let before: VirtualMap = state.vmap().clone();
+        let outcome = state.apply_loss(victim);
+        let mut oracle = || {
+            fixup_swaps_with(
+                state.compiled(),
+                state.vmap(),
+                state.grid(),
+                mid,
+                &mut scratch,
+            )
+        };
+        match outcome {
+            LossOutcome::Spare => seen.spares += 1,
+            LossOutcome::Tolerated { .. } => {
+                assert_eq!(
+                    Some(state.extra_swaps()),
+                    oracle(),
+                    "{what}, step {step}: fixup cost diverged at {victim}\n{}",
+                    state.grid()
+                );
+                seen.tolerated += 1;
+                seen.nonzero_fixups += usize::from(state.extra_swaps() > 0);
+            }
+            LossOutcome::NeedsReload => {
+                if *state.vmap() != before {
+                    let cost = oracle();
+                    assert!(
+                        cost.is_none() || cost > budget,
+                        "{what}, step {step}: reload requested at {victim}, \
+                         but the reference costs {cost:?} (budget {budget:?})"
+                    );
+                    seen.costed_reloads += 1;
+                }
+                if rng.gen_range(0..4u32) == 0 {
+                    seen.ignored_reloads += 1;
+                } else {
+                    state.reload();
+                    seen.reloads += 1;
+                }
+            }
+            other => panic!("{what}: unexpected {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn an_unheeded_reload_request_drops_the_costing() {
+    // Losing a program atom whose every cardinal ray holds only program
+    // atoms and holes cannot be remapped: a reload request that leaves
+    // the address on its hole. A caller that goes on anyway must see
+    // every later interfering loss refused, since the schedule still
+    // needs that atom, even when the later loss's own remap succeeds.
+    let program = Benchmark::Bv.generate(12, 0);
+    let grid = Grid::new(8, 8);
+    let mid = 3.0;
+    let mut state =
+        StrategyState::new(&program, &grid, mid, Strategy::MinorReroute, None).expect("compiles");
+    let used = |s: &StrategyState| -> Vec<Site> {
+        s.grid()
+            .usable_sites()
+            .filter(|&site| s.is_interfering(site))
+            .collect()
+    };
+    // A first tolerated loss, so the state holds a costing.
+    let first = used(&state)[0];
+    assert!(matches!(
+        state.apply_loss(first),
+        LossOutcome::Tolerated { .. }
+    ));
+    let victim = used(&state)[0];
+    for dir in Direction::ALL {
+        let mut site = victim.step(dir);
+        while state.grid().contains(site) {
+            if state.grid().is_usable(site) && !state.is_interfering(site) {
+                assert_eq!(state.apply_loss(site), LossOutcome::Spare);
+            }
+            site = site.step(dir);
+        }
+    }
+    let before = state.vmap().clone();
+    assert_eq!(state.apply_loss(victim), LossOutcome::NeedsReload);
+    assert_eq!(*state.vmap(), before, "the loss was not remapped");
+    let mut scratch = BfsScratch::new();
+    let mut remapped = 0;
+    for site in used(&state) {
+        let before = state.vmap().clone();
+        assert_eq!(state.apply_loss(site), LossOutcome::NeedsReload, "{site}");
+        assert_eq!(
+            fixup_swaps_with(
+                state.compiled(),
+                state.vmap(),
+                state.grid(),
+                mid,
+                &mut scratch
+            ),
+            None
+        );
+        remapped += usize::from(*state.vmap() != before);
+    }
+    assert!(remapped > 0, "no later loss was remapped");
+}
+
+#[test]
+fn state_fixup_costing_matches_reference_through_live_losses() {
+    let mut rng = StdRng::seed_from_u64(0xDE17A);
+    let mut seen = Seen::default();
+    for case in 0..40u64 {
+        let side = [8u32, 10][rng.gen_range(0..2usize)];
+        let mut grid = Grid::new(side, side);
+        for _ in 0..rng.gen_range(1..=side as usize) {
+            let site = Site::new(rng.gen_range(0..side as i32), rng.gen_range(0..side as i32));
+            if grid.is_usable(site) {
+                grid.remove_atom(site);
+            }
+        }
+        let benchmark =
+            [Benchmark::Bv, Benchmark::Cuccaro, Benchmark::Qaoa][rng.gen_range(0..3usize)];
+        let size = rng.gen_range(10..=(side * side / 4));
+        let mid = f64::from(rng.gen_range(2u32..=4));
+        let strategy = if mid >= 3.0 && rng.gen_bool(0.5) {
+            Strategy::CompileSmallReroute
+        } else {
+            Strategy::MinorReroute
+        };
+        let budget = rng.gen_bool(0.5).then(|| rng.gen_range(0..24u32));
+        let program = benchmark.generate(size, 0);
+        let what =
+            format!("case {case}: {benchmark}-{size} {strategy} MID {mid} budget {budget:?}");
+        // A tight MID on a holey grid can leave the router stuck: a
+        // typed compile error, not a costing case.
+        let Ok(mut state) = StrategyState::new(&program, &grid, mid, strategy, budget) else {
+            seen.uncompiled += 1;
+            continue;
+        };
+        walk(&mut state, mid, budget, 30, &mut rng, &mut seen, &what);
+        // A clone carries the live costing: both copies go on with
+        // their own losses and must each stay exact.
+        let mut twin = state.clone();
+        walk(&mut state, mid, budget, 20, &mut rng, &mut seen, &what);
+        walk(&mut twin, mid, budget, 20, &mut rng, &mut seen, &what);
+    }
+    assert!(
+        seen.uncompiled < 5
+            && seen.spares > 500
+            && seen.tolerated > 500
+            && seen.nonzero_fixups > 200
+            && seen.costed_reloads > 20
+            && seen.ignored_reloads > 20
+            && seen.reloads > 50,
+        "too little exercised: {seen:?}"
+    );
 }
 
 #[test]

@@ -178,6 +178,9 @@ keys! {
         /// Neighbor sites tested by the distance-2 lens shortcut of
         /// fixup searches (not BFS visits).
         FixupLensProbes => "fixup_lens_probes",
+        /// Summary pairs whose hop distance a fixup computed (the
+        /// rest kept their last costing's distance).
+        FixupPairsCosted => "fixup_pairs_costed",
         /// Full recompilations triggered by losses.
         Recompiles => "recompiles",
         /// Array reloads (campaign strategy gave up on the shot state).

@@ -287,9 +287,7 @@ mod tests {
     }
 
     fn hops(g: &Grid, a: Site, b: Site, mid: f64) -> Option<u32> {
-        InteractionGraph::build(g, mid)
-            .hop_distance(a, b, g.usable_mask(), &mut BfsScratch::new())
-            .map(|d| d.hops)
+        InteractionGraph::build(g, mid).hop_distance(a, b, g.usable_mask(), &mut BfsScratch::new())
     }
 
     #[test]
@@ -418,10 +416,7 @@ mod tests {
             let b = Site::new(rng.gen_range(0i32..6), rng.gen_range(0i32..6));
             let m = f64::from(rng.gen_range(1u32..4));
             let graph = InteractionGraph::build(&g, m);
-            let Some(hops) = graph
-                .hop_distance(a, b, g.usable_mask(), &mut scratch)
-                .map(|d| d.hops)
-            else {
+            let Some(hops) = graph.hop_distance(a, b, g.usable_mask(), &mut scratch) else {
                 assert!(!g.is_usable(b), "{a}->{b} disconnected at MID {m}");
                 continue;
             };

@@ -49,12 +49,9 @@ const NONE: u32 = u32::MAX;
 /// // A hole is a masked site, not a different graph.
 /// let mut scratch = BfsScratch::new();
 /// let (a, b) = (Site::new(0, 0), Site::new(2, 0));
-/// let hops = |grid: &Grid, scratch: &mut BfsScratch| {
-///     graph.hop_distance(a, b, grid.usable_mask(), scratch).map(|d| d.hops)
-/// };
-/// assert_eq!(hops(&grid, &mut scratch), Some(1));
+/// assert_eq!(graph.hop_distance(a, b, grid.usable_mask(), &mut scratch), Some(1));
 /// grid.remove_atom(b);
-/// assert_eq!(hops(&grid, &mut scratch), None);
+/// assert_eq!(graph.hop_distance(a, b, grid.usable_mask(), &mut scratch), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct InteractionGraph {
@@ -65,6 +62,9 @@ pub struct InteractionGraph {
     /// with `dx² + dy² ≤ mid²`, in ascending `(dx, dy)` order (which
     /// makes per-site neighbor lists ascend in `Site` order).
     stencil: Vec<(i32, i32)>,
+    /// `sites[i]` is the site of flat index `i`, so
+    /// [`InteractionGraph::site_at`] is a load rather than a division.
+    sites: Vec<Site>,
     /// CSR offsets: site `i`'s neighbors live at
     /// `neighbors[offsets[i] .. offsets[i + 1]]`.
     offsets: Vec<u32>,
@@ -96,20 +96,22 @@ impl InteractionGraph {
             }
         }
 
+        let mut sites = Vec::with_capacity(num_sites);
         let mut offsets = Vec::with_capacity(num_sites + 1);
         let mut neighbors = Vec::new();
         offsets.push(0u32);
-        for i in 0..num_sites {
-            let x = (i % width as usize) as i32;
-            let y = (i / width as usize) as i32;
-            for &(dx, dy) in &stencil {
-                let (nx, ny) = (x + dx, y + dy);
-                if nx < 0 || ny < 0 || nx >= width as i32 || ny >= height as i32 {
-                    continue;
+        for y in 0..height as i32 {
+            for x in 0..width as i32 {
+                sites.push(Site::new(x, y));
+                for &(dx, dy) in &stencil {
+                    let (nx, ny) = (x + dx, y + dy);
+                    if nx < 0 || ny < 0 || nx >= width as i32 || ny >= height as i32 {
+                        continue;
+                    }
+                    neighbors.push((ny as usize * width as usize + nx as usize) as u32);
                 }
-                neighbors.push((ny as usize * width as usize + nx as usize) as u32);
+                offsets.push(neighbors.len() as u32);
             }
-            offsets.push(neighbors.len() as u32);
         }
 
         InteractionGraph {
@@ -117,6 +119,7 @@ impl InteractionGraph {
             height,
             mid,
             stencil,
+            sites,
             offsets,
             neighbors,
         }
@@ -198,11 +201,7 @@ impl InteractionGraph {
     /// The site of a flat index.
     #[inline]
     pub fn site_at(&self, index: usize) -> Site {
-        debug_assert!(index < self.num_sites());
-        Site::new(
-            (index % self.width as usize) as i32,
-            (index / self.width as usize) as i32,
-        )
+        self.sites[index]
     }
 
     /// Neighbor indices of site `index` (every site within the MID,
@@ -224,41 +223,39 @@ impl InteractionGraph {
     /// neighbors that stops at the first hit and never runs when
     /// `|ab| > 2·MID`); anything else falls through to the BFS kernel.
     /// Every range test is the `d² ≤ MID²` criterion of the CSR stencil,
-    /// so the shortcut answers exactly as the BFS would. A distance of
-    /// 2 comes with the lens site that proves it
-    /// ([`HopDistance::witness`]).
+    /// so the shortcut answers exactly as the BFS would.
+    ///
+    /// A distance `k ≥ 2` comes with its *path witness* in
+    /// [`BfsScratch::path`]: the `k − 1` interior sites of one shortest
+    /// path, the lens site when `k == 2`. While those sites stay usable
+    /// the pair stays at most `k` hops apart, whatever else is lost.
     pub fn hop_distance(
         &self,
         a: Site,
         b: Site,
         usable: &[bool],
         scratch: &mut BfsScratch,
-    ) -> Option<HopDistance> {
+    ) -> Option<u32> {
         debug_assert_eq!(usable.len(), self.num_sites(), "mask sized to the grid");
+        scratch.path.clear();
         let ai = self.index_of(a)?;
         let bi = self.index_of(b)?;
         if !usable[ai] || !usable[bi] {
             return None;
         }
-        let hops = |hops| HopDistance {
-            hops,
-            witness: None,
-        };
         if ai == bi {
-            return Some(hops(0));
+            return Some(0);
         }
         if a.within(b, self.mid) {
-            return Some(hops(1));
+            return Some(1);
         }
         if a.within(b, 2.0 * self.mid) {
-            if let Some(witness) = self.lens_hit(a, b, usable, scratch) {
-                return Some(HopDistance {
-                    hops: 2,
-                    witness: Some(witness),
-                });
+            if let Some(lens) = self.lens_hit(a, b, usable, scratch) {
+                scratch.path.push(lens);
+                return Some(2);
             }
         }
-        self.bfs_hop_distance(ai, bi, usable, scratch).map(hops)
+        self.bfs_hop_distance(ai, bi, usable, scratch)
     }
 
     /// The first usable site within the MID of both `a` and `b`, as a
@@ -283,9 +280,10 @@ impl InteractionGraph {
     /// range, over CSR neighbors `usable` admits. It stops at the first
     /// discovered site within the MID of `bi` rather than at `bi`
     /// itself: BFS discovers sites level by level, so that site lies on
-    /// a shortest path, one hop short of the goal. Kept out of line as
-    /// the symbol CI checks the function-alignment pin (the repo's
-    /// `.cargo/config.toml`) on.
+    /// a shortest path, one hop short of the goal. Walking its parents
+    /// back to `ai` gives the path witness, whose length is the answer
+    /// less one. Kept out of line as the symbol CI checks the
+    /// function-alignment pin (the repo's `.cargo/config.toml`) on.
     #[inline(never)]
     fn bfs_hop_distance(
         &self,
@@ -294,20 +292,28 @@ impl InteractionGraph {
         usable: &[bool],
         scratch: &mut BfsScratch,
     ) -> Option<u32> {
-        let goal = self.site_at(bi);
+        let goal = self.sites[bi];
         scratch.begin(self.num_sites());
-        scratch.visit(ai, 0);
+        scratch.visit(ai);
         scratch.queue.push_back(ai as u32);
         while let Some(s) = scratch.queue.pop_front() {
-            let d = scratch.dist[s as usize];
             for &n in self.neighbors(s as usize) {
                 if scratch.is_visited(n as usize) || !usable[n as usize] {
                     continue;
                 }
-                if self.site_at(n as usize).within(goal, self.mid) {
-                    return Some(d + 2);
+                if self.sites[n as usize].within(goal, self.mid) {
+                    let path = &mut scratch.path;
+                    path.push(n);
+                    let mut at = s;
+                    while at as usize != ai {
+                        path.push(at);
+                        at = scratch.prev[at as usize];
+                    }
+                    path.reverse();
+                    return Some(path.len() as u32 + 1);
                 }
-                scratch.visit(n as usize, d + 1);
+                scratch.visit(n as usize);
+                scratch.prev[n as usize] = s;
                 scratch.queue.push_back(n);
             }
         }
@@ -342,8 +348,7 @@ impl InteractionGraph {
             return None;
         }
         scratch.begin(self.num_sites());
-        scratch.prev.resize(self.num_sites(), NONE);
-        scratch.visit(fi, 0);
+        scratch.visit(fi);
         scratch.prev[fi] = fi as u32;
         scratch.queue.push_back(fi as u32);
         let mut found = false;
@@ -360,7 +365,7 @@ impl InteractionGraph {
                 if n as usize != gi && blocked.contains(&site) {
                     continue;
                 }
-                scratch.visit(n as usize, 0);
+                scratch.visit(n as usize);
                 scratch.prev[n as usize] = s;
                 scratch.queue.push_back(n);
             }
@@ -381,29 +386,18 @@ impl InteractionGraph {
     }
 }
 
-/// The answer of [`InteractionGraph::hop_distance`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HopDistance {
-    /// MID-range hops between the two sites over usable atoms.
-    pub hops: u32,
-    /// For `hops == 2`, the flat index of the usable site the lens test
-    /// found within the MID of both ends; `None` at every other
-    /// distance. While that site stays usable, the pair stays at most
-    /// 2 hops apart whatever else is lost.
-    pub witness: Option<u32>,
-}
-
 /// Reusable BFS working memory: epoch-stamped visited marks, a
-/// distance array, a predecessor array, and the frontier queue.
-/// `begin` resets in O(1) by bumping the epoch instead of clearing.
-/// It also keeps the work counters of every query run through it.
+/// predecessor array, the frontier queue, and the path witness of the
+/// last [`InteractionGraph::hop_distance`] answer. `begin` resets in
+/// O(1) by bumping the epoch instead of clearing. It also keeps the
+/// work counters of every query run through it.
 #[derive(Debug, Clone, Default)]
 pub struct BfsScratch {
     mark: Vec<u32>,
     epoch: u32,
-    dist: Vec<u32>,
     prev: Vec<u32>,
     queue: VecDeque<u32>,
+    path: Vec<u32>,
     visits: u64,
     lens_probes: u64,
 }
@@ -430,10 +424,20 @@ impl BfsScratch {
         self.lens_probes
     }
 
+    /// The path witness of the last [`InteractionGraph::hop_distance`]
+    /// query: for a distance `k ≥ 2`, the flat indices of the `k − 1`
+    /// interior sites of one shortest path, in order from `a`'s side
+    /// to `b`'s. Each is usable, each lies within the MID of the next,
+    /// the first within the MID of `a` and the last within the MID of
+    /// `b`. Empty after any other answer.
+    #[inline]
+    pub fn path(&self) -> &[u32] {
+        &self.path
+    }
+
     fn begin(&mut self, num_sites: usize) {
         if self.mark.len() < num_sites {
             self.mark.resize(num_sites, 0);
-            self.dist.resize(num_sites, 0);
             self.prev.resize(num_sites, NONE);
         }
         self.queue.clear();
@@ -447,9 +451,8 @@ impl BfsScratch {
     }
 
     #[inline]
-    fn visit(&mut self, index: usize, dist: u32) {
+    fn visit(&mut self, index: usize) {
         self.mark[index] = self.epoch;
-        self.dist[index] = dist;
         self.visits += 1;
     }
 
@@ -580,9 +583,7 @@ mod tests {
             for _ in 0..24 {
                 let (a, b) = (random_site(rng), random_site(rng));
                 assert_eq!(
-                    graph
-                        .hop_distance(a, b, g.usable_mask(), &mut scratch)
-                        .map(|d| d.hops),
+                    graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
                     naive_bfs(g, a, b, mid, &[]).map(|(d, _)| d),
                     "{a}->{b} at MID {mid}"
                 );
@@ -599,9 +600,7 @@ mod tests {
             for _ in 0..24 {
                 let (a, b) = (random_site(rng), random_site(rng));
                 assert_eq!(
-                    graph
-                        .hop_distance(a, b, g.usable_mask(), &mut scratch)
-                        .map(|d| d.hops),
+                    graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
                     naive_bfs(g, a, b, mid, &[]).map(|(d, _)| d),
                     "{a}->{b} at MID {mid}\n{g}"
                 );
@@ -639,8 +638,9 @@ mod tests {
         // Every ordered pair of sites, hole endpoints included, on
         // random holey grids: the lens shortcut (distance 2) and the
         // BFS kernel (distance ≥ 3, disconnected) answer as the naive
-        // reference does, and exactly the distance-2 answers carry a
-        // witness: a usable site within the MID of both ends.
+        // reference does, and every answer of k ≥ 2 hops carries a path
+        // witness: k − 1 usable interior sites, each within the MID of
+        // the next, the first within the MID of a, the last of b.
         let mut rng = StdRng::seed_from_u64(25);
         let mut seen = [0usize; 5]; // 1, 2, 3, ≥4, None
         for round in 0..6 {
@@ -652,12 +652,21 @@ mod tests {
                     for b in g.sites() {
                         let expect = naive_bfs(&g, a, b, mid, &[]).map(|(d, _)| d);
                         let got = graph.hop_distance(a, b, g.usable_mask(), &mut scratch);
-                        assert_eq!(got.map(|d| d.hops), expect, "{a}->{b} at MID {mid}\n{g}");
-                        let witness = got.and_then(|d| d.witness);
-                        assert_eq!(witness.is_some(), expect == Some(2), "{a}->{b}");
-                        if let Some(w) = witness {
-                            let c = graph.site_at(w as usize);
-                            assert!(g.is_usable(c) && c.within(a, mid) && c.within(b, mid));
+                        assert_eq!(got, expect, "{a}->{b} at MID {mid}\n{g}");
+                        let path: Vec<Site> = scratch
+                            .path()
+                            .iter()
+                            .map(|&i| graph.site_at(i as usize))
+                            .collect();
+                        let interior = got.map_or(0, |k| k.max(1) as usize - 1);
+                        assert_eq!(path.len(), interior, "{a}->{b} at MID {mid}: {path:?}");
+                        let walk: Vec<Site> = [a].into_iter().chain(path).chain([b]).collect();
+                        if interior > 0 {
+                            assert!(walk[1..=interior].iter().all(|&c| g.is_usable(c)));
+                            assert!(
+                                walk.windows(2).all(|w| w[0].within(w[1], mid)),
+                                "{a}->{b} at MID {mid}: {walk:?}\n{g}"
+                            );
                         }
                         match expect {
                             Some(0) => {}
@@ -683,11 +692,14 @@ mod tests {
         // Around through the second row: 4 hops.
         assert_eq!(
             graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
-            Some(HopDistance {
-                hops: 4,
-                witness: None
-            })
+            Some(4)
         );
+        let path: Vec<Site> = scratch
+            .path()
+            .iter()
+            .map(|&i| graph.site_at(i as usize))
+            .collect();
+        assert_eq!(path, [Site::new(0, 1), Site::new(1, 1), Site::new(2, 1)]);
         assert!(scratch.lens_probes() > 0);
         // Without the second row there is no way around at all.
         let mut g = Grid::new(3, 1);
@@ -703,11 +715,7 @@ mod tests {
         let g = Grid::new(5, 5);
         let graph = InteractionGraph::build(&g, 1.0);
         let mut scratch = BfsScratch::new();
-        let mut hops = |b| {
-            graph
-                .hop_distance(Site::new(0, 0), b, g.usable_mask(), &mut scratch)
-                .map(|d| d.hops)
-        };
+        let mut hops = |b| graph.hop_distance(Site::new(0, 0), b, g.usable_mask(), &mut scratch);
         assert_eq!(hops(Site::new(1, 1)), Some(2));
         // Out of the lens's reach (|ab| > 2·MID): straight to the BFS.
         assert_eq!(hops(Site::new(4, 4)), Some(8));
@@ -750,9 +758,7 @@ mod tests {
         let (a, b) = (Site::new(0, 2), Site::new(2, 2));
         // Up the left column, over the top, down the right: 6 hops.
         assert_eq!(
-            graph
-                .hop_distance(a, b, g.usable_mask(), &mut scratch)
-                .map(|d| d.hops),
+            graph.hop_distance(a, b, g.usable_mask(), &mut scratch),
             Some(6)
         );
         assert_eq!(
@@ -863,10 +869,7 @@ mod tests {
                     g.usable_mask(),
                     &mut scratch
                 ),
-                Some(HopDistance {
-                    hops: 5,
-                    witness: None
-                })
+                Some(5)
             );
         }
     }

@@ -37,6 +37,6 @@ pub mod vmap;
 pub use assembly::{AssemblyParams, AssemblyReport, AssemblySimulator};
 pub use geometry::{BBox, Direction, Site};
 pub use grid::Grid;
-pub use interaction::{BfsScratch, HopDistance, InteractionGraph};
+pub use interaction::{BfsScratch, InteractionGraph};
 pub use restriction::{RestrictionPolicy, RestrictionZone};
 pub use vmap::{NoSpareError, ShiftScratch, VirtualMap};

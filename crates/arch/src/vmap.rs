@@ -9,12 +9,8 @@
 //! outward, absorbing a spare.
 
 use crate::{Direction, Grid, Site};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-
-/// Sentinel in the flat tables for "identity at this index".
-const NONE: u32 = u32::MAX;
 
 /// Error returned by [`VirtualMap::shift_from_with`] when no spare capacity
 /// exists in the requested direction.
@@ -76,13 +72,13 @@ impl ShiftScratch {
 /// to the trap that actually holds the atom. A fresh map is the
 /// identity.
 ///
-/// Both directions are dense flat `Vec`s indexed by the grid's
+/// Both directions are dense flat tables of sites indexed by the grid's
 /// row-major flat site index (the `QubitMap` layout), sized lazily on
-/// the first [`VirtualMap::shift_from_with`]: `resolve`/`address_of` are
-/// O(1) loads on the loss executor's hottest paths (per-shot measured
-/// sets, interference checks, fixup costing) instead of `HashMap`
-/// probes. Sites outside the adopted grid always resolve to
-/// themselves, matching the old sparse-map behavior.
+/// the first [`VirtualMap::shift_from_with`]: `resolve`/`address_of`
+/// are a multiply-add and a load on the loss executor's hottest paths
+/// (per-shot measured sets, interference checks, fixup costing), with
+/// no `HashMap` probe and no division back from an index. Sites
+/// outside the adopted grid always resolve to themselves.
 ///
 /// # Example
 ///
@@ -100,28 +96,30 @@ impl ShiftScratch {
 /// assert_eq!(vmap.resolve(Site::new(1, 0)), Site::new(2, 0));
 /// assert_eq!(vmap.resolve(Site::new(0, 0)), Site::new(0, 0));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VirtualMap {
     width: u32,
     height: u32,
-    /// `fwd[flat(addr)]` is the flat index of the physical trap, or
-    /// [`NONE`] for identity.
-    fwd: Vec<u32>,
-    /// `inv[flat(phys)]` is the flat index of the address, or [`NONE`].
-    inv: Vec<u32>,
+    /// `fwd[flat(addr)]` is the physical trap `addr` resolves to.
+    fwd: Vec<Site>,
+    /// `inv[flat(phys)]` is the address resolving to `phys`.
+    inv: Vec<Site>,
 }
 
 impl PartialEq for VirtualMap {
     /// Two maps are equal iff they represent the same indirection:
-    /// the same ordered non-identity `address → physical` pairs,
-    /// compared as sites so the adopted dimensions don't matter. An
-    /// unsized fresh map equals a sized map that was reset.
+    /// the same ordered non-identity `address → physical` pairs, so the
+    /// adopted dimensions don't matter. An unsized fresh map equals a
+    /// sized map that was reset.
     fn eq(&self, other: &Self) -> bool {
-        let as_sites = |v: &Self, (a, p): (usize, u32)| (v.site_of(a), v.site_of(p as usize));
-        self.non_identity_entries()
-            .map(|e| as_sites(self, e))
-            .eq(other.non_identity_entries().map(|e| as_sites(other, e)))
+        self.non_identity_entries().eq(other.non_identity_entries())
     }
+}
+
+/// The sites of a `width × height` grid in row-major flat-index order:
+/// the identity table.
+fn row_major(width: u32, height: u32) -> impl Iterator<Item = Site> {
+    (0..height as i32).flat_map(move |y| (0..width as i32).map(move |x| Site::new(x, y)))
 }
 
 impl VirtualMap {
@@ -144,23 +142,12 @@ impl VirtualMap {
         }
     }
 
-    /// The site of a flat index within the adopted grid.
-    #[inline]
-    fn site_of(&self, index: usize) -> Site {
-        Site::new(
-            (index % self.width as usize) as i32,
-            (index / self.width as usize) as i32,
-        )
-    }
-
-    /// Non-identity `(address index, physical index)` pairs, ascending
-    /// in address index.
-    fn non_identity_entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.fwd
-            .iter()
-            .enumerate()
-            .filter(|&(i, &p)| p != NONE && p as usize != i)
-            .map(|(i, &p)| (i, p))
+    /// Non-identity `(address, physical)` pairs, ascending in address
+    /// flat index.
+    fn non_identity_entries(&self) -> impl Iterator<Item = (Site, Site)> + '_ {
+        row_major(self.width, self.height)
+            .zip(self.fwd.iter().copied())
+            .filter(|(a, p)| a != p)
     }
 
     /// Adopts `grid`'s dimensions on first use.
@@ -172,8 +159,7 @@ impl VirtualMap {
         if self.width == 0 {
             self.width = grid.width();
             self.height = grid.height();
-            self.fwd = vec![NONE; grid.num_sites()];
-            self.inv = vec![NONE; grid.num_sites()];
+            self.reset();
             return;
         }
         assert!(
@@ -189,25 +175,13 @@ impl VirtualMap {
     /// The physical trap an address currently resolves to.
     #[inline]
     pub fn resolve(&self, addr: Site) -> Site {
-        match self.index_of(addr) {
-            Some(i) => match self.fwd[i] {
-                NONE => addr,
-                p => self.site_of(p as usize),
-            },
-            None => addr,
-        }
+        self.index_of(addr).map_or(addr, |i| self.fwd[i])
     }
 
     /// The address currently resolving to a physical trap.
     #[inline]
     pub fn address_of(&self, phys: Site) -> Site {
-        match self.index_of(phys) {
-            Some(i) => match self.inv[i] {
-                NONE => phys,
-                a => self.site_of(a as usize),
-            },
-            None => phys,
-        }
+        self.index_of(phys).map_or(phys, |i| self.inv[i])
     }
 
     /// `true` if no address has been remapped.
@@ -218,15 +192,16 @@ impl VirtualMap {
     /// Resets to the identity (used after an array reload), keeping
     /// the flat tables allocated.
     pub fn reset(&mut self) {
-        self.fwd.fill(NONE);
-        self.inv.fill(NONE);
+        self.fwd.clear();
+        self.fwd.extend(row_major(self.width, self.height));
+        self.inv.clone_from(&self.fwd);
     }
 
     fn set(&mut self, addr: Site, phys: Site) {
         let ai = self.index_of(addr).expect("address on the adopted grid");
         let pi = self.index_of(phys).expect("trap on the adopted grid");
-        self.fwd[ai] = pi as u32;
-        self.inv[pi] = ai as u32;
+        self.fwd[ai] = phys;
+        self.inv[pi] = addr;
     }
 
     /// Shifts addresses away from a lost atom, absorbing one spare.
@@ -251,12 +226,12 @@ impl VirtualMap {
     /// Returns [`NoSpareError`] if the usable atoms toward the edge
     /// cannot absorb the shifted addresses; the caller must then fall
     /// back to an array reload.
-    pub fn shift_from_with(
+    pub fn shift_from_with<F: Fn(Site) -> bool + ?Sized>(
         &mut self,
         grid: &Grid,
         lost_phys: Site,
         dir: Direction,
-        in_use_addr: &dyn Fn(Site) -> bool,
+        in_use_addr: &F,
         scratch: &mut ShiftScratch,
     ) -> Result<usize, NoSpareError> {
         self.ensure_sized(grid);
@@ -333,11 +308,11 @@ impl VirtualMap {
     /// unused) atoms between `lost_phys` and the device edge, the
     /// paper's shift-direction heuristic. Returns `None` if no direction
     /// has a spare.
-    pub fn best_shift_direction(
+    pub fn best_shift_direction<F: Fn(Site) -> bool + ?Sized>(
         &self,
         grid: &Grid,
         lost_phys: Site,
-        in_use_addr: &dyn Fn(Site) -> bool,
+        in_use_addr: &F,
     ) -> Option<Direction> {
         let mut best: Option<(usize, Direction)> = None;
         for dir in Direction::ALL {

@@ -149,10 +149,12 @@ impl LossModel {
     ///
     /// The campaign executor calls this every shot; the mask turns the
     /// per-site `measured.contains` scan into an O(1) load and the
-    /// `out` buffer stops a `Vec` allocation per shot. The RNG draw
-    /// sequence is identical to `draw_losses`: one `gen_bool` per
-    /// usable site, in ascending site order, with the same per-site
-    /// probability.
+    /// `out` buffer stops a `Vec` allocation per shot. The walk runs
+    /// over [`Grid::usable_mask`] by flat index and builds a [`Site`]
+    /// only for a drawn loss. The RNG contract: one `gen_bool` per
+    /// usable site with a nonzero loss probability, in ascending
+    /// flat-index (row-major) order, with the same per-site
+    /// probability as `draw_losses`.
     ///
     /// # Panics
     ///
@@ -166,20 +168,23 @@ impl LossModel {
         out.clear();
         // Loss processes are independent; either suffices.
         let p_measured = 1.0 - (1.0 - self.vacuum_loss) * (1.0 - self.measurement_loss);
-        for s in grid.usable_sites() {
-            let p = if measured_mask[grid.flat_index(s)] {
+        for (i, (&usable, &measured)) in grid.usable_mask().iter().zip(measured_mask).enumerate() {
+            if !usable {
+                continue;
+            }
+            let p = if measured {
                 p_measured
             } else {
                 self.vacuum_loss
             };
             if p > 0.0 && self.rng.gen_bool(p) {
-                out.push(s);
+                out.push(grid.site_at(i));
             }
         }
-        // `usable_sites` walks flat indices upward, so the drawn
-        // losses are strictly ascending in row-major order — hence
-        // unique. The executor's absorb loop relies on this (each
-        // drawn site is lost at most once per shot).
+        // The walk goes up the flat indices, so the drawn losses are
+        // strictly ascending in row-major order — hence unique. The
+        // executor's absorb loop relies on this (each drawn site is
+        // lost at most once per shot).
         debug_assert!(out.windows(2).all(|w| (w[0].y, w[0].x) < (w[1].y, w[1].x)));
     }
 }
@@ -307,6 +312,62 @@ mod tests {
         for _ in 0..20 {
             b.draw_losses_with(&grid, &mask, &mut out);
             assert_eq!(a.draw_losses(&grid, &measured), out);
+        }
+    }
+
+    #[test]
+    fn draw_order_matches_a_row_major_reference_loop() {
+        // An independent reference for the RNG contract: a second RNG
+        // on the same seed, one `gen_bool` per usable site, rows outer
+        // and columns inner. Holey grids with random measured sets; the
+        // losses must agree, and so must the next draw after them.
+        let mut setup = StdRng::seed_from_u64(31);
+        for round in 0..40u64 {
+            let (w, h) = (setup.gen_range(1..9u32), setup.gen_range(1..9u32));
+            let mut grid = Grid::new(w, h);
+            let mut measured = vec![false; grid.num_sites()];
+            for y in 0..h as i32 {
+                for x in 0..w as i32 {
+                    let site = Site::new(x, y);
+                    if setup.gen_bool(0.25) {
+                        grid.remove_atom(site);
+                    }
+                    measured[grid.flat_index(site)] = setup.gen_bool(0.5);
+                }
+            }
+            let (vacuum, readout) = (setup.gen_range(0.0..0.5), setup.gen_range(0.0..0.9));
+            let mut model = LossModel::new(round)
+                .with_vacuum_loss(vacuum)
+                .with_measurement_loss(readout);
+            let mut reference = StdRng::seed_from_u64(round);
+            let p_measured = 1.0 - (1.0 - vacuum) * (1.0 - readout);
+            let mut out = Vec::new();
+            for shot in 0..3 {
+                model.draw_losses_with(&grid, &measured, &mut out);
+                let mut expect = Vec::new();
+                for y in 0..h as i32 {
+                    for x in 0..w as i32 {
+                        let site = Site::new(x, y);
+                        if !grid.is_usable(site) {
+                            continue;
+                        }
+                        let p = if measured[grid.flat_index(site)] {
+                            p_measured
+                        } else {
+                            vacuum
+                        };
+                        if p > 0.0 && reference.gen_bool(p) {
+                            expect.push(site);
+                        }
+                    }
+                }
+                assert_eq!(out, expect, "round {round} shot {shot}\n{grid}");
+            }
+            assert_eq!(
+                model.rng.gen::<u64>(),
+                reference.gen::<u64>(),
+                "round {round}"
+            );
         }
     }
 

@@ -18,38 +18,38 @@
 //! from each operand address to its pairs, and both answers come from
 //! it over the device's one [`InteractionGraph`] with the current holes
 //! as a mask. Most out-of-range pairs are exactly two hops apart, which
-//! [`InteractionGraph::hop_distance`] settles with a local lens test
-//! that also names its *witness*, a usable site within MID of both
-//! ends; only the rest pay for a BFS.
+//! [`InteractionGraph::hop_distance`] settles with a local lens test;
+//! only the rest pay for a BFS. Either way the answer comes with its
+//! *path witness* ([`na_arch::BfsScratch::path`]): the interior sites
+//! of one shortest path, the lens site alone at distance 2.
 //!
-//! # Costing by delta
+//! # Costing by delta: one path-witness rule
 //!
 //! A reroute strategy costs its fixup after every remap, but a remap
 //! moves only the addresses on one ray. So each strategy state keeps
-//! its last costing — every pair's hop distance, and the witness of
-//! each distance 2 — and the next costing re-costs only
+//! its last costing — every pair's hop distance and path witness — and
+//! the next costing keeps a pair's distance when
 //!
-//! * the pairs with an endpoint among the addresses the shift moved
-//!   ([`na_arch::ShiftScratch::changes`]),
-//! * the distance-2 pairs whose witness is now a hole (spare losses
-//!   included), and
-//! * every pair 3 or more hops apart.
+//! * neither endpoint is among the addresses the shift moved
+//!   ([`na_arch::ShiftScratch::changes`]), and
+//! * every interior site of its path is still usable (spare losses
+//!   included).
 //!
-//! The rest keep their distance exactly. Between reloads holes only
-//! accumulate, so over a pair whose endpoints did not move a hop
-//! distance can only grow: a pair in range stays in range (range is
-//! geometry), and a pair whose witness is still usable is still within
-//! 2 hops, hence at exactly 2. A disconnected pair or a lost operand
-//! ends the costing with `None`, which the state answers with a reload
-//! request, and the state drops its costing then, on `reload`, and
-//! before its first costing: each of those costs every pair. Pairs are
-//! visited in ascending order either way, and the SWAP total is an
-//! exact integer sum, so the answer equals a full costing's bit for
-//! bit. The per-op seed costing lives on in `tests/common` as the
-//! oracle a randomized differential test drives the live state machine
-//! against.
+//! Every other pair is re-costed. The rule is exact. Between reloads
+//! holes only accumulate, so over a pair whose endpoints did not move a
+//! hop distance can only grow, while an intact `k`-hop path proves it
+//! is still at most `k`: hence exactly `k`. A pair in range has an
+//! empty path and stays in range (range is geometry). A disconnected
+//! pair or a lost operand ends the costing with `None`, which the state
+//! answers with a reload request, and the state drops its costing then,
+//! on `reload`, and before its first costing: each of those costs every
+//! pair. Pairs are visited in ascending order either way, and the SWAP
+//! total is an exact integer sum, so the answer equals a full costing's
+//! bit for bit. The per-op seed costing lives on in `tests/common` as
+//! the oracle a randomized differential test drives the live state
+//! machine against.
 
-use na_arch::{BfsScratch, Grid, HopDistance, InteractionGraph, Site, VirtualMap};
+use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
 use na_core::CompiledCircuit;
 
 /// The deduped interaction-pair summary of one compiled schedule.
@@ -173,27 +173,26 @@ pub fn resolved_ok_summary(
             .all(|&(a, b, _)| vmap.resolve(a).within(vmap.resolve(b), hardware_mid))
 }
 
-/// The entry of a pair a remap moved, to be costed afresh. Distinct
-/// addresses never resolve to one site, so no costed pair is 0 hops
-/// apart.
-const STALE: HopDistance = HopDistance {
-    hops: 0,
-    witness: None,
-};
-
-/// The entry of a pair within the MID: one hop, no SWAP.
-const IN_RANGE: HopDistance = HopDistance {
-    hops: 1,
-    witness: None,
-};
+/// One pair's entry in a [`FixupCache`].
+#[derive(Debug, Clone, Default)]
+struct PairCost {
+    /// Hop distance at the last costing; 0 marks a pair a remap moved,
+    /// to be costed afresh (distinct addresses never resolve to one
+    /// site, so no costed pair is 0 hops apart).
+    hops: u32,
+    /// The path witness of `hops`: the flat indices of its interior
+    /// sites, empty within range. Cleared and refilled in place, so a
+    /// costing in steady state allocates nothing.
+    path: Vec<u32>,
+}
 
 /// One strategy state's fixup costing, kept between remaps so each
 /// costing re-costs only what the last one cannot vouch for (see the
-/// module docs): the last hop distance of every pair of the state's
-/// [`InteractionSummary`], with its witness at distance 2.
+/// module docs): the last hop distance and path witness of every pair
+/// of the state's [`InteractionSummary`].
 #[derive(Debug, Clone)]
 pub(crate) struct FixupCache {
-    pairs: Vec<HopDistance>,
+    pairs: Vec<PairCost>,
     /// Whether `pairs` is the costing of the state's topology before
     /// the remap now being costed. Cleared by
     /// [`FixupCache::invalidate`] and by a costing that ends in `None`.
@@ -207,7 +206,7 @@ impl FixupCache {
     /// every pair.
     pub(crate) fn new(summary: &InteractionSummary) -> Self {
         FixupCache {
-            pairs: vec![STALE; summary.pairs().len()],
+            pairs: vec![PairCost::default(); summary.pairs().len()],
             valid: false,
             costed: 0,
         }
@@ -236,8 +235,9 @@ impl FixupCache {
     /// topology changes again.
     ///
     /// `moved` lists the addresses the remap since the last costing
-    /// moved, and `grid` carries every hole since then; the pairs the
-    /// last costing still proves keep their distance (module docs).
+    /// moved, and `grid` carries every hole since then; the pairs whose
+    /// path witness the last costing still vouches for keep their
+    /// distance (module docs).
     ///
     /// Returns `None` when some operand resolves to a lost atom or some
     /// required pair is disconnected — the strategy must reload.
@@ -260,7 +260,7 @@ impl FixupCache {
             debug_assert!(moved.iter().all(|&(_, site)| grid.is_usable(site)));
             for &(address, _) in moved {
                 for &p in summary.pairs_of(address) {
-                    self.pairs[p as usize] = STALE;
+                    self.pairs[p as usize].hops = 0;
                 }
             }
         } else {
@@ -274,17 +274,19 @@ impl FixupCache {
         self.valid = false;
         let mut total = 0u32;
         for (&(a, b, mult), pair) in summary.pairs().iter().zip(&mut self.pairs) {
-            let proven =
-                delta && (pair.hops == 1 || pair.witness.is_some_and(|w| usable[w as usize]));
+            let proven = delta && pair.hops > 0 && pair.path.iter().all(|&s| usable[s as usize]);
             if !proven {
                 self.costed += 1;
+                pair.path.clear();
                 // Settle in-range pairs, most of a full costing, by
                 // geometry alone, without the graph query.
                 let (ra, rb) = (vmap.resolve(a), vmap.resolve(b));
-                *pair = if ra.within(rb, graph.mid()) {
-                    IN_RANGE
+                pair.hops = if ra.within(rb, graph.mid()) {
+                    1
                 } else {
-                    graph.hop_distance(ra, rb, usable, scratch)?
+                    let hops = graph.hop_distance(ra, rb, usable, scratch)?;
+                    pair.path.extend_from_slice(scratch.path());
+                    hops
                 };
             }
             total += mult * 2 * (pair.hops - 1);
@@ -297,7 +299,6 @@ impl FixupCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracles::{fixup_swaps_with, max_resolved_span, resolved_ok};
     use na_arch::ShiftScratch;
     use na_circuit::{Circuit, Qubit};
     use na_core::{compile, CompilerConfig};
@@ -311,17 +312,40 @@ mod tests {
         compile(&c, grid, &CompilerConfig::new(mid)).unwrap()
     }
 
+    /// A full production costing: a fresh cache costs every pair.
+    fn fixup_cost(
+        summary: &InteractionSummary,
+        vmap: &VirtualMap,
+        grid: &Grid,
+        mid: f64,
+    ) -> Option<u32> {
+        FixupCache::new(summary).cost(
+            summary,
+            vmap,
+            &[],
+            &InteractionGraph::cached(grid, mid),
+            grid,
+            &mut BfsScratch::new(),
+        )
+    }
+
+    /// The largest resolved distance of any scheduled pair.
+    fn max_resolved_span(summary: &InteractionSummary, vmap: &VirtualMap) -> f64 {
+        summary
+            .pairs()
+            .iter()
+            .map(|&(a, b, _)| vmap.resolve(a).distance(vmap.resolve(b)))
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn identity_map_is_ok() {
         let grid = Grid::new(6, 6);
-        let compiled = compiled_pair(&grid, 2.0);
+        let summary = InteractionSummary::of(&compiled_pair(&grid, 2.0));
         let vmap = VirtualMap::new();
-        assert!(resolved_ok(&compiled, &vmap, &grid, 2.0));
-        assert_eq!(
-            fixup_swaps_with(&compiled, &vmap, &grid, 2.0, &mut BfsScratch::new()),
-            Some(0)
-        );
-        assert!(max_resolved_span(&compiled, &vmap) <= 2.0);
+        assert!(resolved_ok_summary(&summary, &vmap, &grid, 2.0));
+        assert_eq!(fixup_cost(&summary, &vmap, &grid, 2.0), Some(0));
+        assert!(max_resolved_span(&summary, &vmap) <= 2.0);
     }
 
     #[test]
@@ -334,6 +358,7 @@ mod tests {
         c.cnot(Qubit(0), Qubit(1));
         c.cnot(Qubit(0), Qubit(1));
         let compiled = compile(&c, &grid, &CompilerConfig::new(1.0)).unwrap();
+        let summary = InteractionSummary::of(&compiled);
         let s0 = compiled.ops()[0].sites[0];
         let s1 = compiled.ops()[0].sites[1];
         assert_eq!((s0, s1), (Site::new(3, 0), Site::new(2, 0)));
@@ -350,27 +375,24 @@ mod tests {
             .unwrap();
         assert_eq!(vmap.resolve(s0), Site::new(4, 0));
 
-        let span = max_resolved_span(&compiled, &vmap);
+        let span = max_resolved_span(&summary, &vmap);
         assert_eq!(span, 2.0);
-        assert!(!resolved_ok(&compiled, &vmap, &g, 1.0));
+        assert!(!resolved_ok_summary(&summary, &vmap, &g, 1.0));
         // At MID 1 the fixup path must detour around the hole through
         // the second row: 4 hops, so 2*(5-2)=6 SWAPs per execution,
         // and the gate executes twice.
-        let swaps = fixup_swaps_with(&compiled, &vmap, &g, 1.0, &mut BfsScratch::new()).unwrap();
-        assert_eq!(swaps, 12);
+        assert_eq!(fixup_cost(&summary, &vmap, &g, 1.0), Some(12));
         // At MID 2 the stretched pair is back in range: no fixup.
-        assert!(resolved_ok(&compiled, &vmap, &g, 2.0));
-        assert_eq!(
-            fixup_swaps_with(&compiled, &vmap, &g, 2.0, &mut BfsScratch::new()),
-            Some(0)
-        );
+        assert!(resolved_ok_summary(&summary, &vmap, &g, 2.0));
+        assert_eq!(fixup_cost(&summary, &vmap, &g, 2.0), Some(0));
     }
 
     #[test]
     fn fixup_zero_iff_resolved_ok_under_random_loss() {
-        // Invariant check across a random loss sequence: the reroute
-        // cost is zero exactly when the plain remap check passes, and
-        // any nonzero cost is even (out-and-back symmetry).
+        // Invariant check across a random loss sequence, costed by
+        // delta through one cache: the reroute cost is zero exactly
+        // when the plain remap check passes, and any nonzero cost is
+        // even (out-and-back symmetry).
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let grid = Grid::new(8, 8);
@@ -379,7 +401,12 @@ mod tests {
             c.cnot(Qubit(i), Qubit(i + 1));
         }
         let compiled = compile(&c, &grid, &CompilerConfig::new(2.0)).unwrap();
+        let summary = InteractionSummary::of(&compiled);
+        let graph = InteractionGraph::cached(&grid, 2.0);
+        let mut cache = FixupCache::new(&summary);
+        let (mut scratch, mut shift) = (BfsScratch::new(), ShiftScratch::new());
         let used = compiled.used_sites();
+        let in_use = |a: Site| used.contains(&a);
         let mut g = grid.clone();
         let mut vmap = VirtualMap::new();
         let mut rng = StdRng::seed_from_u64(17);
@@ -387,24 +414,25 @@ mod tests {
             let usable: Vec<Site> = g.usable_sites().collect();
             let victim = usable[rng.gen_range(0..usable.len())];
             g.remove_atom(victim);
-            let used2 = used.to_vec();
-            let in_use = move |a: Site| used2.contains(&a);
+            let mut moved: &[(Site, Site)] = &[];
             if in_use(vmap.address_of(victim)) {
                 let Some(dir) = vmap.best_shift_direction(&g, victim, &in_use) else {
                     break;
                 };
                 if vmap
-                    .shift_from_with(&g, victim, dir, &in_use, &mut ShiftScratch::new())
+                    .shift_from_with(&g, victim, dir, &in_use, &mut shift)
                     .is_err()
                 {
                     break;
                 }
+                moved = shift.changes();
             }
-            match fixup_swaps_with(&compiled, &vmap, &g, 2.0, &mut BfsScratch::new()) {
-                Some(0) => assert!(resolved_ok(&compiled, &vmap, &g, 2.0)),
+            match cache.cost(&summary, &vmap, moved, &graph, &g, &mut scratch) {
+                Some(0) => assert!(resolved_ok_summary(&summary, &vmap, &g, 2.0)),
                 Some(n) => {
-                    assert!(!resolved_ok(&compiled, &vmap, &g, 2.0));
+                    assert!(!resolved_ok_summary(&summary, &vmap, &g, 2.0));
                     assert_eq!(n % 2, 0, "odd fixup cost {n}");
+                    assert_eq!(fixup_cost(&summary, &vmap, &g, 2.0), Some(n));
                 }
                 None => break, // disconnected: strategy reloads
             }
@@ -434,6 +462,7 @@ mod tests {
     fn disconnected_pair_returns_none() {
         let grid = Grid::new(5, 1);
         let compiled = compiled_pair(&grid, 1.0);
+        let summary = InteractionSummary::of(&compiled);
         let mut g = grid.clone();
         // Knock out everything except the two operand sites, leaving
         // them disconnected at MID 1.
@@ -447,10 +476,7 @@ mod tests {
         // far end — simpler: remove an operand's atom entirely.
         let vmap = VirtualMap::new();
         g.remove_atom(used[0]);
-        assert!(!resolved_ok(&compiled, &vmap, &g, 1.0));
-        assert_eq!(
-            fixup_swaps_with(&compiled, &vmap, &g, 1.0, &mut BfsScratch::new()),
-            None
-        );
+        assert!(!resolved_ok_summary(&summary, &vmap, &g, 1.0));
+        assert_eq!(fixup_cost(&summary, &vmap, &g, 1.0), None);
     }
 }

@@ -48,7 +48,13 @@ pub struct StrategyState {
     /// grid, so the holes cannot change it.
     original: Arc<CompiledCircuit>,
     compiled: Arc<CompiledCircuit>,
+    /// The addresses the schedule uses, ascending.
     used_addresses: Vec<Site>,
+    /// `used_mask[i]` ⇔ the address with flat index `i` is in
+    /// `used_addresses`: the membership test of every remap and
+    /// interference check, rebuilt by [`StrategyState::use_addresses`]
+    /// whenever the schedule changes.
+    used_mask: Vec<bool>,
     extra_swaps: u32,
     /// Reroute SWAP budget; `None` disables the success-floor check
     /// (architectural tolerance analysis).
@@ -156,19 +162,19 @@ impl StrategyState {
             na_core::lower_for(program, &cfg),
             "precompiled schedule is not a compilation of `program`"
         );
-        let used = compiled.used_sites().to_vec();
         // Every state on the same device and MID shares one cached
         // graph; holes are threaded through `usable_mask`.
         let full_graph = InteractionGraph::cached(grid_template, hardware_mid);
-        StrategyState {
+        let mut state = StrategyState {
             strategy,
             hardware_mid,
             grid_template: grid_template.clone(),
             grid: grid_template.clone(),
             vmap: VirtualMap::new(),
             original: Arc::clone(&compiled),
-            compiled,
-            used_addresses: used,
+            compiled: Arc::clone(&compiled),
+            used_addresses: Vec::new(),
+            used_mask: Vec::new(),
             extra_swaps: 0,
             max_fixup_swaps,
             fixup: FixupCache::new(&summary),
@@ -177,6 +183,20 @@ impl StrategyState {
             placement_scratch: PlacementScratch::new(),
             summary,
             full_graph,
+        };
+        state.use_addresses(compiled.used_sites());
+        state
+    }
+
+    /// Makes `used` (ascending, as [`CompiledCircuit::used_sites`]
+    /// lists it) the schedule's address set and its mask.
+    fn use_addresses(&mut self, used: &[Site]) {
+        self.used_addresses.clear();
+        self.used_addresses.extend_from_slice(used);
+        self.used_mask.clear();
+        self.used_mask.resize(self.grid.num_sites(), false);
+        for &a in used {
+            self.used_mask[self.grid.flat_index(a)] = true;
         }
     }
 
@@ -231,18 +251,15 @@ impl StrategyState {
     }
 
     /// `true` if losing the atom at `site` would interfere with the
-    /// program as currently mapped.
-    ///
-    /// `used_addresses` stays in the sorted order
-    /// [`CompiledCircuit::used_sites`] produces, so membership is a
-    /// binary search (this runs once per drawn loss, every shot).
+    /// program as currently mapped: one load of the used-address mask
+    /// (this runs once per drawn loss, every shot).
     pub fn is_interfering(&self, site: Site) -> bool {
         let address = if self.strategy.remaps() {
             self.vmap.address_of(site)
         } else {
             site
         };
-        self.used_addresses.binary_search(&address).is_ok()
+        self.grid.contains(address) && self.used_mask[self.grid.flat_index(address)]
     }
 
     /// Removes the atom at `site` and lets the strategy react.
@@ -280,7 +297,7 @@ impl StrategyState {
                     None,
                 ) {
                     Ok(c) => {
-                        self.used_addresses = c.used_sites().to_vec();
+                        self.use_addresses(c.used_sites());
                         self.compiled = Arc::new(c);
                         let ns = span.end();
                         na_telemetry::add(na_telemetry::Counter::Recompiles, 1);
@@ -304,12 +321,11 @@ impl StrategyState {
     }
 
     fn apply_remap_loss(&mut self, site: Site) -> LossOutcome {
-        // `used_addresses` stays sorted (the `used_sites` contract), so
-        // membership is a binary search over a borrow — no clone of the
-        // list per interfering loss.
         let remap_span = na_telemetry::span(Span::Remap);
-        let used = &self.used_addresses;
-        let in_use = |addr: Site| used.binary_search(&addr).is_ok();
+        // Every address the shift asks about is on the grid: it resolves
+        // to a trap on one of the lost site's rays.
+        let (grid, used) = (&self.grid, &self.used_mask);
+        let in_use = |addr: Site| used[grid.flat_index(addr)];
         let Some(dir) = self.vmap.best_shift_direction(&self.grid, site, &in_use) else {
             return LossOutcome::NeedsReload;
         };
@@ -385,8 +401,9 @@ impl StrategyState {
         self.extra_swaps = 0;
         self.fixup.invalidate();
         if self.strategy == Strategy::FullRecompile {
-            self.compiled = Arc::clone(&self.original);
-            self.used_addresses = self.compiled.used_sites().to_vec();
+            let original = Arc::clone(&self.original);
+            self.use_addresses(original.used_sites());
+            self.compiled = original;
         }
     }
 }
@@ -555,26 +572,33 @@ mod tests {
     }
 
     #[test]
-    fn remap_membership_binary_search_matches_linear_contains() {
-        // `apply_remap_loss` switched from cloning `used_addresses`
-        // and scanning it linearly to borrowing it and binary
-        // searching; sound because `used_sites` is sorted and deduped.
-        // Check the precondition and the predicate equivalence over
-        // the whole device.
-        let s = state(Strategy::CompileSmallReroute, 4.0);
-        let used = &s.used_addresses;
-        assert!(
-            used.windows(2).all(|w| w[0] < w[1]),
-            "used_addresses must be sorted and unique"
-        );
-        for site in s.grid().sites() {
-            let addr = s.vmap.address_of(site);
-            assert_eq!(
-                used.contains(&addr),
-                used.binary_search(&addr).is_ok(),
-                "membership predicates diverge at {site}"
+    fn used_mask_matches_used_addresses_through_recompiles() {
+        // The mask and the list it indexes agree on every address of
+        // the device, initially, after each recompile (a new schedule,
+        // new addresses) and after a reload back to the original.
+        let mut s = state(Strategy::FullRecompile, 3.0);
+        let check = |s: &StrategyState, when: &str| {
+            assert!(
+                s.used_addresses.windows(2).all(|w| w[0] < w[1]),
+                "{when}: used_addresses must be sorted and unique"
             );
+            assert_eq!(s.used_addresses, s.compiled().used_sites(), "{when}");
+            for site in s.grid().sites() {
+                assert_eq!(
+                    s.used_mask[s.grid().flat_index(site)],
+                    s.used_addresses.contains(&site),
+                    "{when}: membership diverges at {site}"
+                );
+            }
+        };
+        check(&s, "initial");
+        for n in 0..3 {
+            let used = first_used(&s);
+            assert!(matches!(s.apply_loss(used), LossOutcome::Recompiled { .. }));
+            check(&s, &format!("recompile {n}"));
         }
+        s.reload();
+        check(&s, "reload");
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub fn fixup_swaps_with(
                 // shortest hop path (then it is within one hop — hence
                 // within MID — of the other), and walk it back
                 // afterwards: 2 · (hop distance − 1) SWAPs.
-                let dist = graph.hop_distance(sites[i], sites[j], grid.usable_mask(), scratch)?;
-                total += 2 * (dist.hops - 1);
+                let hops = graph.hop_distance(sites[i], sites[j], grid.usable_mask(), scratch)?;
+                total += 2 * (hops - 1);
             }
         }
     }

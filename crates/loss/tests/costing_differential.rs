@@ -4,7 +4,7 @@
 //! The fast paths answer from a precomputed [`InteractionSummary`]:
 //! `resolved_ok_summary` directly, and the reroute strategies' fixup
 //! SWAP count inside [`StrategyState`], which re-costs only the pairs
-//! a remap moved or whose distance-2 witness it lost. The reference
+//! a remap moved or whose path witness lost a site. The reference
 //! path walks every scheduled op of the state's schedule on its live
 //! grid and virtual map. On random loss sequences over random programs
 //! the two must agree exactly — same go/no-go verdicts, same SWAP
@@ -13,7 +13,7 @@
 mod common;
 
 use common::{fixup_swaps_with, resolved_ok};
-use na_arch::{BfsScratch, Direction, Grid, Site, VirtualMap};
+use na_arch::{BfsScratch, Direction, Grid, InteractionGraph, Site, VirtualMap};
 use na_benchmarks::Benchmark;
 use na_core::{compile, CompilerConfig};
 use na_loss::{resolved_ok_summary, InteractionSummary, LossOutcome, Strategy, StrategyState};
@@ -80,10 +80,60 @@ struct Seen {
     costed_reloads: usize,
     ignored_reloads: usize,
     reloads: usize,
+    /// Pairs 3 or more hops apart whose last path witness stayed
+    /// intact over unmoved endpoints, so the state kept their distance
+    /// without a BFS.
+    far_pairs_proven: usize,
 }
 
-/// Drives `state` through `steps` random losses — interfering or spare
-/// by a coin flip — and checks every reaction against the per-op
+/// A pair's resolved endpoints, hop distance and path witness, as the
+/// state's fixup cache keeps them.
+type Witness = (Site, Site, u32, Vec<u32>);
+
+/// A live state with the test's model of its kept path witnesses
+/// (`None` while the state holds no costing); a clone carries both.
+#[derive(Clone)]
+struct Live {
+    state: StrategyState,
+    witnesses: Option<Vec<Witness>>,
+}
+
+/// The path-witness rule, modelled outside the state: after a costed
+/// fixup, each pair of `summary` keeps its `last` witness when its
+/// endpoints still resolve to the same sites and the path's interior
+/// is all usable, and is costed afresh otherwise. Every kept distance
+/// must equal a fresh BFS's; the far ones are counted in `seen`.
+fn follow_witnesses(
+    last: &mut Option<Vec<Witness>>,
+    summary: &InteractionSummary,
+    state: &StrategyState,
+    graph: &InteractionGraph,
+    seen: &mut Seen,
+    scratch: &mut BfsScratch,
+) {
+    let usable = state.grid().usable_mask();
+    let mut kept = last.take().map(Vec::into_iter);
+    let mut next = Vec::with_capacity(summary.pairs().len());
+    for &(a, b, _) in summary.pairs() {
+        let (ra, rb) = (state.vmap().resolve(a), state.vmap().resolve(b));
+        let hops = graph
+            .hop_distance(ra, rb, usable, scratch)
+            .expect("a whole costing connects every pair");
+        let fresh = (ra, rb, hops, scratch.path().to_vec());
+        next.push(match kept.as_mut().and_then(Iterator::next) {
+            Some(w) if (w.0, w.1) == (ra, rb) && w.3.iter().all(|&i| usable[i as usize]) => {
+                assert_eq!(w.2, hops, "a kept distance went stale");
+                seen.far_pairs_proven += usize::from(hops >= 3);
+                w
+            }
+            _ => fresh,
+        });
+    }
+    *last = Some(next);
+}
+
+/// Drives `live.state` through `steps` random losses — interfering or
+/// spare by a coin flip — and checks every reaction against the per-op
 /// oracle on the state's live grid and virtual map. A `Tolerated` loss
 /// must carry the oracle's SWAP count. A reload request after a remap
 /// (the map moved, so a fixup was costed) must match an oracle answer
@@ -91,9 +141,10 @@ struct Seen {
 /// by `reload()`; after the rest the walk goes on over the broken
 /// topology, whose next costing must see the unmoved lost operand. The
 /// walk also reloads unasked now and then, since `reload()` alone must
-/// drop the state's costing.
+/// drop the state's costing. Every whole costing also steps the model
+/// of its kept path witnesses ([`follow_witnesses`]).
 fn walk(
-    state: &mut StrategyState,
+    live: &mut Live,
     mid: f64,
     budget: Option<u32>,
     steps: usize,
@@ -101,11 +152,15 @@ fn walk(
     seen: &mut Seen,
     what: &str,
 ) {
+    let Live { state, witnesses } = live;
     let mut scratch = BfsScratch::new();
+    let summary = InteractionSummary::of(state.compiled());
+    let graph = InteractionGraph::cached(state.grid(), mid);
     for step in 0..steps {
         if rng.gen_range(0..12u32) == 0 {
             state.reload();
             seen.reloads += 1;
+            *witnesses = None;
         }
         let (used, spare): (Vec<Site>, Vec<Site>) = state
             .grid()
@@ -139,6 +194,7 @@ fn walk(
                 );
                 seen.tolerated += 1;
                 seen.nonzero_fixups += usize::from(state.extra_swaps() > 0);
+                follow_witnesses(witnesses, &summary, state, &graph, seen, &mut scratch);
             }
             LossOutcome::NeedsReload => {
                 if *state.vmap() != before {
@@ -149,7 +205,12 @@ fn walk(
                          but the reference costs {cost:?} (budget {budget:?})"
                     );
                     seen.costed_reloads += 1;
+                    if cost.is_some() {
+                        // Over budget: a whole costing ran on the rule.
+                        follow_witnesses(witnesses, &summary, state, &graph, seen, &mut scratch);
+                    }
                 }
+                *witnesses = None;
                 if rng.gen_range(0..4u32) == 0 {
                     seen.ignored_reloads += 1;
                 } else {
@@ -223,7 +284,7 @@ fn an_unheeded_reload_request_drops_the_costing() {
 fn state_fixup_costing_matches_reference_through_live_losses() {
     let mut rng = StdRng::seed_from_u64(0xDE17A);
     let mut seen = Seen::default();
-    for case in 0..40u64 {
+    for case in 0..120u64 {
         let side = [8u32, 10][rng.gen_range(0..2usize)];
         let mut grid = Grid::new(side, side);
         for _ in 0..rng.gen_range(1..=side as usize) {
@@ -247,15 +308,19 @@ fn state_fixup_costing_matches_reference_through_live_losses() {
             format!("case {case}: {benchmark}-{size} {strategy} MID {mid} budget {budget:?}");
         // A tight MID on a holey grid can leave the router stuck: a
         // typed compile error, not a costing case.
-        let Ok(mut state) = StrategyState::new(&program, &grid, mid, strategy, budget) else {
+        let Ok(state) = StrategyState::new(&program, &grid, mid, strategy, budget) else {
             seen.uncompiled += 1;
             continue;
         };
-        walk(&mut state, mid, budget, 30, &mut rng, &mut seen, &what);
+        let mut live = Live {
+            state,
+            witnesses: None,
+        };
+        walk(&mut live, mid, budget, 30, &mut rng, &mut seen, &what);
         // A clone carries the live costing: both copies go on with
         // their own losses and must each stay exact.
-        let mut twin = state.clone();
-        walk(&mut state, mid, budget, 20, &mut rng, &mut seen, &what);
+        let mut twin = live.clone();
+        walk(&mut live, mid, budget, 20, &mut rng, &mut seen, &what);
         walk(&mut twin, mid, budget, 20, &mut rng, &mut seen, &what);
     }
     assert!(
@@ -265,7 +330,8 @@ fn state_fixup_costing_matches_reference_through_live_losses() {
             && seen.nonzero_fixups > 200
             && seen.costed_reloads > 20
             && seen.ignored_reloads > 20
-            && seen.reloads > 50,
+            && seen.reloads > 50
+            && seen.far_pairs_proven > 200,
         "too little exercised: {seen:?}"
     );
 }

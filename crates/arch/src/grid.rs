@@ -1,6 +1,6 @@
 //! The 2D atom array.
 
-use crate::{Direction, Site};
+use crate::Site;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -200,21 +200,6 @@ impl Grid {
     pub fn in_range(&self, a: Site, b: Site, mid: f64) -> bool {
         self.is_usable(a) && self.is_usable(b) && a.within(b, mid)
     }
-
-    /// Number of usable sites strictly beyond `from` in direction `dir`,
-    /// up to the device edge (the "room to shift" of the virtual-remap
-    /// strategy).
-    pub fn usable_toward_edge(&self, from: Site, dir: Direction) -> usize {
-        let mut count = 0;
-        let mut cur = from.step(dir);
-        while self.contains(cur) {
-            if self.is_usable(cur) {
-                count += 1;
-            }
-            cur = cur.step(dir);
-        }
-        count
-    }
 }
 
 impl fmt::Display for Grid {
@@ -238,7 +223,7 @@ impl fmt::Display for Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BfsScratch, InteractionGraph};
+    use crate::{BfsScratch, Direction, InteractionGraph};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -363,15 +348,29 @@ mod tests {
         assert_eq!(hops(&g, a, b, 2.0), Some(1));
     }
 
+    /// Number of usable sites strictly beyond `from` in direction
+    /// `dir`, up to the device edge.
+    fn usable_toward_edge(g: &Grid, from: Site, dir: Direction) -> usize {
+        let mut count = 0;
+        let mut cur = from.step(dir);
+        while g.contains(cur) {
+            if g.is_usable(cur) {
+                count += 1;
+            }
+            cur = cur.step(dir);
+        }
+        count
+    }
+
     #[test]
     fn usable_toward_edge_counts_spares() {
         let mut g = Grid::new(5, 5);
         let s = Site::new(2, 2);
-        assert_eq!(g.usable_toward_edge(s, Direction::East), 2);
-        assert_eq!(g.usable_toward_edge(s, Direction::West), 2);
+        assert_eq!(usable_toward_edge(&g, s, Direction::East), 2);
+        assert_eq!(usable_toward_edge(&g, s, Direction::West), 2);
         g.remove_atom(Site::new(3, 2));
-        assert_eq!(g.usable_toward_edge(s, Direction::East), 1);
-        assert_eq!(g.usable_toward_edge(Site::new(4, 2), Direction::East), 0);
+        assert_eq!(usable_toward_edge(&g, s, Direction::East), 1);
+        assert_eq!(usable_toward_edge(&g, Site::new(4, 2), Direction::East), 0);
     }
 
     #[test]

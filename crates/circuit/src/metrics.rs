@@ -74,11 +74,6 @@ impl CircuitMetrics {
     pub fn total_gates(&self) -> usize {
         self.one_qubit + self.two_qubit + self.three_qubit + self.many_qubit
     }
-
-    /// Total count of gates acting on two or more qubits.
-    pub fn multiqubit_gates(&self) -> usize {
-        self.two_qubit + self.three_qubit + self.many_qubit
-    }
 }
 
 impl fmt::Display for CircuitMetrics {
@@ -122,7 +117,7 @@ mod tests {
         assert_eq!(m.many_qubit, 1);
         assert_eq!(m.measurements, 1);
         assert_eq!(m.total_gates(), 6);
-        assert_eq!(m.multiqubit_gates(), 4);
+        assert_eq!(m.two_qubit + m.three_qubit + m.many_qubit, 4);
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod compiler;
 pub mod config;
 pub mod lookahead;
 pub mod mapping;
+pub mod memo;
 pub mod passes;
 pub mod placement;
 pub mod program;
@@ -68,9 +69,8 @@ pub use compiler::{
 pub use config::{CompileError, CompilerConfig};
 pub use lookahead::{InteractionWeights, WeightScratch};
 pub use mapping::QubitMap;
-pub use passes::{
-    run as run_passes, ArtifactKey, ArtifactStore, PassArtifacts, PassReport, PassTiming, Reuse,
-};
+pub use memo::Memo;
+pub use passes::{run as run_passes, ArtifactStore, PassReport, PassTiming, Reuse};
 pub use placement::{
     circuit_weights, initial_layout, initial_placement, initial_placement_with, placement_digest,
     PlacementScratch,

@@ -80,7 +80,8 @@ impl QubitMap {
     }
 
     /// Number of qubits currently placed.
-    pub fn mapped_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn mapped_count(&self) -> usize {
         self.q2s.iter().filter(|s| s.is_some()).count()
     }
 

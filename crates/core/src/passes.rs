@@ -36,12 +36,17 @@
 //! fingerprint × grid fingerprint × front-end config fingerprint, it
 //! lets a sweep over MID variants of one circuit reuse the program and
 //! the placement instead of recomputing them, bit-for-bit identical to
-//! a fresh compile (pinned by `tests/pipeline_differential.rs`).
+//! a fresh compile (pinned by `tests/pipeline_differential.rs`). It is
+//! a [`Memo`]: a compile claims its key before lowering, so concurrent
+//! MID variants build one front end, and deposits the pair after
+//! placing; a compile that fails or unwinds before then releases the
+//! key to the next.
 //! [`Reuse`] selects how a compile uses a store, or whether it skips
 //! lowering because the caller holds the program already (a loss-driven
 //! recompile).
 
 use crate::compiler::{lower_for, verify_parts, CompiledCircuit};
+use crate::memo::{Claim, Memo};
 use crate::placement::{initial_placement_with, PlacementScratch};
 use crate::program::Program;
 use crate::scheduler::{self, ScheduleResult};
@@ -50,9 +55,9 @@ use na_arch::{Grid, InteractionGraph};
 use na_circuit::{Circuit, Gate};
 use na_telemetry::Span;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Which front-end work a compile may skip. Every compile uses exactly
 /// one [`Program`]: built once here, served from a store, or the
@@ -225,7 +230,7 @@ fn place(
     program: &Arc<Program>,
     grid: &Grid,
     scratch: &mut PlacementScratch,
-    claim: Option<ArtifactClaim<'_>>,
+    claim: Option<Claim<'_, ArtifactKey, Arc<PassArtifacts>>>,
     cached: Option<&PassArtifacts>,
     stats: &mut Stats,
 ) -> Result<QubitMap, CompileError> {
@@ -236,10 +241,10 @@ fn place(
     }
     let placement = initial_placement_with(program.circuit(), grid, program.weights(), scratch)?;
     if let Some(claim) = claim {
-        claim.deposit(PassArtifacts {
+        claim.deposit(Arc::new(PassArtifacts {
             program: Arc::clone(program),
             placement: placement.clone(),
-        });
+        }));
     }
     Ok(placement)
 }
@@ -376,7 +381,7 @@ impl PassReport {
 /// `lookahead_depth`). The MID is deliberately absent — that is the
 /// whole point of the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ArtifactKey {
+struct ArtifactKey {
     circuit: u64,
     grid: u64,
     front: u64,
@@ -384,7 +389,7 @@ pub struct ArtifactKey {
 
 impl ArtifactKey {
     /// The key for compiling `circuit` on `grid` under `config`.
-    pub fn of(circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> Self {
+    fn of(circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> Self {
         use na_circuit::fingerprint::fnv1a_extend;
         let mut front = fnv1a_extend(0xcbf2_9ce4_8422_2325, u64::from(config.native_multiqubit));
         front = fnv1a_extend(front, config.max_native_arity as u64);
@@ -399,56 +404,25 @@ impl ArtifactKey {
 
 /// The MID-independent front-end artifacts of one compilation.
 #[derive(Debug)]
-pub struct PassArtifacts {
+struct PassArtifacts {
     /// The lowered program (`lower` output).
-    pub program: Arc<Program>,
+    program: Arc<Program>,
     /// The lookahead-weighted initial placement (`place` output).
-    pub placement: QubitMap,
+    placement: QubitMap,
 }
 
-/// Concurrent cache of [`PassArtifacts`], shared across compilations
-/// of MID variants of the same circuit (the engine's compile cache
+/// Concurrent cache of the front-end artifacts of compilations, shared
+/// across MID variants of the same circuit (the engine's compile cache
 /// holds one per process).
 ///
-/// Only successful placements are stored; a first-insert-wins policy
-/// keeps concurrent writers deterministic. Concurrent compilations of
-/// one key build its artifacts once: the first claims the key, and
-/// the others wait for its deposit.
+/// A [`Memo`]: concurrent compilations of one key build its artifacts
+/// once, the first claiming the key and the others waiting for its
+/// deposit. Only successful placements are deposited; a failed or
+/// unwound compile releases the key to a waiter.
 #[derive(Debug, Default)]
 pub struct ArtifactStore {
-    entries: Mutex<Entries>,
-    /// Signalled whenever a claim ends, deposited or released.
-    claim_ended: Condvar,
+    memo: Memo<ArtifactKey, Arc<PassArtifacts>>,
     hits: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct Entries {
-    stored: HashMap<ArtifactKey, Arc<PassArtifacts>>,
-    /// Keys a compilation has claimed and is building artifacts for.
-    claimed: HashSet<ArtifactKey>,
-}
-
-/// A compilation's claim on building the artifacts of one key. It
-/// ends with [`ArtifactClaim::deposit`] or, dropped without one (the
-/// compile failed or unwound), releases the key to a waiter.
-pub(crate) struct ArtifactClaim<'a> {
-    store: &'a ArtifactStore,
-    key: ArtifactKey,
-}
-
-impl ArtifactClaim<'_> {
-    /// Deposits the claimed key's artifacts, ending the claim.
-    fn deposit(self, artifacts: PassArtifacts) {
-        self.store.insert(self.key, artifacts);
-    }
-}
-
-impl Drop for ArtifactClaim<'_> {
-    fn drop(&mut self) {
-        lock_recover(&self.store.entries).claimed.remove(&self.key);
-        self.store.claim_ended.notify_all();
-    }
 }
 
 impl ArtifactStore {
@@ -458,45 +432,26 @@ impl ArtifactStore {
     }
 
     /// The artifacts stored under `key` (a hit), or the claim to build
-    /// them. While another compilation holds the claim, waits for it to
-    /// end rather than build the same artifacts twice.
-    fn get_or_claim(&self, key: ArtifactKey) -> Result<Arc<PassArtifacts>, ArtifactClaim<'_>> {
-        let mut entries = lock_recover(&self.entries);
-        loop {
-            if let Some(stored) = entries.stored.get(&key) {
-                let stored = Arc::clone(stored);
-                drop(entries);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                na_telemetry::add(na_telemetry::Counter::ArtifactHits, 1);
-                na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new);
-                return Ok(stored);
-            }
-            if entries.claimed.insert(key) {
-                return Err(ArtifactClaim { store: self, key });
-            }
-            entries = self
-                .claim_ended
-                .wait(entries)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+    /// them.
+    fn get_or_claim(
+        &self,
+        key: ArtifactKey,
+    ) -> Result<Arc<PassArtifacts>, Claim<'_, ArtifactKey, Arc<PassArtifacts>>> {
+        self.memo.get_or_claim(key).inspect(|_| {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            na_telemetry::add(na_telemetry::Counter::ArtifactHits, 1);
+            na_telemetry::trace::instant("artifact", "artifact_hit", Vec::new);
+        })
     }
 
-    /// Deposits `artifacts` under `key` (first insert wins).
-    pub fn insert(&self, key: ArtifactKey, artifacts: PassArtifacts) {
-        lock_recover(&self.entries)
-            .stored
-            .entry(key)
-            .or_insert_with(|| Arc::new(artifacts));
-    }
-
-    /// Number of cached entries.
+    /// Number of cached entries (and of front ends being built).
     pub fn len(&self) -> usize {
-        lock_recover(&self.entries).stored.len()
+        self.memo.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memo.is_empty()
     }
 
     /// Number of compilations that reused a cached entry.
@@ -506,15 +461,9 @@ impl ArtifactStore {
 
     /// Drops every entry and zeroes the hit counter.
     pub fn clear(&self) {
-        lock_recover(&self.entries).stored.clear();
+        self.memo.clear();
         self.hits.store(0, Ordering::Relaxed);
     }
-}
-
-/// Mutex poisoning recovery: artifacts are immutable once inserted, so
-/// a panicking holder cannot leave them half-written.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -651,6 +600,40 @@ mod tests {
         });
         assert_eq!((store.len(), store.hits()), (1, 1));
         assert!(Arc::ptr_eq(compiled[0].program(), compiled[1].program()));
+    }
+
+    #[test]
+    fn failed_front_end_claims_release_their_key() {
+        // Two threads meet, then each claims or waits on one front end
+        // that cannot be placed: 12 qubits on 9 sites. A failed claim
+        // must release the key to the waiter, which fails in turn, and
+        // leave nothing behind. Detached threads and a timed receive
+        // make a wedged waiter fail the test instead of hanging it.
+        let (c, _, _) = inputs();
+        let (c, grid) = (Arc::new(c), Arc::new(Grid::new(3, 3)));
+        let store = Arc::new(ArtifactStore::new());
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        for mid in [2.0, 5.0] {
+            let (c, grid, store) = (Arc::clone(&c), Arc::clone(&grid), Arc::clone(&store));
+            let (start, tx) = (Arc::clone(&start), tx.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let cfg = CompilerConfig::new(mid);
+                let mut scratch = PlacementScratch::new();
+                let reuse = Reuse::FrontEnd(&store);
+                tx.send(run(&c, &grid, &cfg, &mut scratch, reuse, false, None))
+                    .unwrap();
+            });
+        }
+        for _ in 0..2 {
+            let outcome = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a failed claim must not wedge its waiter");
+            let err = outcome.unwrap_err();
+            assert!(matches!(err, CompileError::ProgramTooLarge { .. }), "{err}");
+        }
+        assert_eq!((store.len(), store.hits()), (0, 0));
     }
 
     #[test]

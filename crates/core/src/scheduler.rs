@@ -155,11 +155,6 @@ impl SiteList {
             Repr::Spilled(v) => v,
         }
     }
-
-    /// `true` when the list spilled to the heap (arity > 3).
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.0, Repr::Spilled(_))
-    }
 }
 
 impl From<Vec<Site>> for SiteList {
@@ -820,6 +815,11 @@ mod tests {
     use crate::placement::initial_placement;
     use na_circuit::Circuit;
 
+    /// `true` when the list spilled to the heap (arity > 3).
+    fn is_spilled(list: &SiteList) -> bool {
+        matches!(list.0, Repr::Spilled(_))
+    }
+
     fn schedule_circuit(circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> ScheduleResult {
         let program = Program::new(circuit.clone(), config.lookahead_depth);
         let map = initial_placement(circuit, grid, program.weights()).unwrap();
@@ -975,18 +975,18 @@ mod tests {
     fn site_list_inlines_up_to_three_sites_and_spills_beyond() {
         let three = vec![Site::new(0, 0), Site::new(1, 0), Site::new(2, 2)];
         let inline = SiteList::from_slice(&three);
-        assert!(!inline.is_spilled());
+        assert!(!is_spilled(&inline));
         assert_eq!(inline, three);
         assert_eq!(inline.len(), 3);
 
         let five: Vec<Site> = (0..5).map(|i| Site::new(i, 1)).collect();
         let spilled = SiteList::from_vec(five.clone());
-        assert!(spilled.is_spilled());
+        assert!(is_spilled(&spilled));
         assert_eq!(spilled, five);
 
         let pair = SiteList::pair(Site::new(4, 4), Site::new(5, 4));
         assert_eq!(pair.as_slice(), &[Site::new(4, 4), Site::new(5, 4)]);
-        assert!(!pair.is_spilled());
+        assert!(!is_spilled(&pair));
     }
 
     #[test]

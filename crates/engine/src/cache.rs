@@ -19,33 +19,32 @@
 //! compile result and, on success, the compiling thread's pass report
 //! and the interaction summary campaigns share (built on first use).
 //!
-//! Concurrency: one state cell per key (`Vacant` → `InFlight` →
-//! `Done`). The first thread to claim a key runs the compiler; any
-//! thread arriving while compilation is in flight waits on that entry
-//! only (never on other keys) and then shares the result. Failed
-//! compilations are cached too — a sweep with many unroutable points
-//! pays for the failure once.
+//! Concurrency: the entries live in a [`Memo`]. The first thread to
+//! ask for a key claims it and runs the compiler; any thread arriving
+//! while that compile is in flight waits on that key only (never on
+//! other keys), inside a `cache_wait` span, and then shares the
+//! result. Failed compilations are memoized too — a sweep with many
+//! unroutable points pays for the failure once.
 //!
-//! Failure domain: the claiming thread holds an unwind guard, so a
-//! compiler panic releases the claim (back to `Vacant`, waiters woken)
+//! Failure domain: a compiler panic unwinds through the claim, which
+//! releases the key and wakes its waiters, one of which re-claims it,
 //! instead of wedging every later requester of that key — the
-//! poisoned-`OnceLock` deadlock this design replaces. Transient
-//! errors ([`CompileError::is_transient`]: injected faults, expired
+//! poisoned-`OnceLock` deadlock this design replaces. Transient errors
+//! ([`CompileError::is_transient`]: injected faults, expired
 //! deadlines) likewise release the claim rather than being memoized,
 //! so one job's fault or budget can never contaminate another job
-//! sharing its compile key. All internal locks recover from poison.
+//! sharing its compile key. The memo's lock recovers from poison.
 
 use na_arch::Grid;
 use na_circuit::Circuit;
 use na_core::{
-    ArtifactStore, CompileError, CompiledCircuit, CompilerConfig, PassReport, PlacementScratch,
-    Reuse, VerifyError,
+    ArtifactStore, CompileError, CompiledCircuit, CompilerConfig, Memo, PassReport,
+    PlacementScratch, Reuse, VerifyError,
 };
 use na_loss::InteractionSummary;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     /// One placement scratch per worker thread: every cache miss this
@@ -128,62 +127,6 @@ impl CompiledPoint {
 /// What a lookup yields: the compiled point, or its compile error.
 pub(crate) type Lookup = Result<Arc<CompiledPoint>, CompileError>;
 
-/// Lifecycle of one cache entry.
-#[derive(Debug)]
-enum EntryState {
-    /// Nobody owns the compile: initial, or the previous claimant
-    /// abandoned it (panicked, was injected with a fault, or ran out
-    /// of deadline). The next requester claims and retries.
-    Vacant,
-    /// A thread is compiling; requesters wait on the entry's condvar.
-    InFlight,
-    /// Terminal memoized result shared by every requester.
-    Done(Lookup),
-}
-
-/// One keyed entry: a state cell plus the condvar in-flight waiters
-/// block on. Waiting is per-entry — never across keys.
-#[derive(Debug)]
-struct EntryCell {
-    state: Mutex<EntryState>,
-    ready: Condvar,
-}
-
-impl Default for EntryCell {
-    fn default() -> Self {
-        EntryCell {
-            state: Mutex::new(EntryState::Vacant),
-            ready: Condvar::new(),
-        }
-    }
-}
-
-type Entry = Arc<EntryCell>;
-
-/// Locks `mutex`, recovering the data from a poisoned lock: cache
-/// state transitions never happen while panicking (the unwind guard
-/// only resets a claim), so the underlying state is always coherent.
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Releases an `InFlight` claim back to `Vacant` if the claimant
-/// unwinds, and wakes every waiter so one of them re-claims. Defused
-/// on the normal path.
-struct ClaimGuard<'a> {
-    cell: &'a EntryCell,
-    armed: bool,
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            *lock_recover(&self.cell.state) = EntryState::Vacant;
-            self.cell.ready.notify_all();
-        }
-    }
-}
-
 /// Hit/miss counters and current size of a [`CompileCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -203,9 +146,9 @@ impl CacheStats {
 }
 
 /// A thread-safe memoized compilation cache. See the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CompileCache {
-    entries: Mutex<HashMap<CacheKey, Entry>>,
+    points: Memo<CacheKey, Lookup>,
     /// The compile passes' MID-independent front-end artifacts
     /// (lowered circuit + initial placement), shared across cache
     /// entries that differ only in MID/zone policy — a finer-grained
@@ -213,6 +156,17 @@ pub struct CompileCache {
     artifacts: ArtifactStore,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+impl Default for CompileCache {
+    fn default() -> Self {
+        CompileCache {
+            points: Memo::new(Some(na_telemetry::Span::CacheWait)),
+            artifacts: ArtifactStore::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
 }
 
 impl CompileCache {
@@ -240,50 +194,26 @@ impl CompileCache {
     /// The entry of one compilation point: served from memory (a hit),
     /// or compiled by this thread (a miss).
     pub(crate) fn lookup(&self, circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> Lookup {
-        let key = CacheKey::for_point(circuit, grid, config);
-        let (entry, occupancy): (Entry, u64) = {
-            let mut map = lock_recover(&self.entries);
-            let entry = Arc::clone(map.entry(key).or_default());
-            (entry, map.len() as u64)
-        };
-        na_telemetry::gauge_max(na_telemetry::Gauge::CompileCacheEntries, occupancy);
-
-        // Claim loop: serve a Done result, wait out another thread's
-        // InFlight claim, or take a Vacant entry and compile.
-        {
-            let mut state = lock_recover(&entry.state);
-            loop {
-                match &*state {
-                    EntryState::Done(result) => {
-                        let result = result.clone();
-                        drop(state);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        na_telemetry::add(na_telemetry::Counter::CompileCacheHits, 1);
-                        na_telemetry::trace::instant("cache", "cache_hit", Vec::new);
-                        return result;
-                    }
-                    EntryState::InFlight => {
-                        let _wait_span = na_telemetry::span(na_telemetry::Span::CacheWait);
-                        state = entry
-                            .ready
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    EntryState::Vacant => {
-                        *state = EntryState::InFlight;
-                        break;
-                    }
-                }
+        let served = self
+            .points
+            .get_or_claim(CacheKey::for_point(circuit, grid, config));
+        na_telemetry::gauge_max(
+            na_telemetry::Gauge::CompileCacheEntries,
+            self.points.len() as u64,
+        );
+        let claim = match served {
+            Ok(result) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                na_telemetry::add(na_telemetry::Counter::CompileCacheHits, 1);
+                na_telemetry::trace::instant("cache", "cache_hit", Vec::new);
+                return result;
             }
-        }
-
-        // This thread owns the claim; the guard releases it if the
-        // compiler (or an injected failpoint) panics, so later
-        // requesters retry instead of deadlocking on the entry.
-        let mut claim = ClaimGuard {
-            cell: &entry,
-            armed: true,
+            Err(claim) => claim,
         };
+
+        // This thread owns the claim; if the compiler (or an injected
+        // failpoint) panics, the unwind drops it, releasing the key, so
+        // later requesters retry instead of deadlocking on it.
         let result: Lookup = na_faults::point("engine.compile")
             .map_err(CompileError::from)
             .and_then(|()| {
@@ -306,19 +236,14 @@ impl CompileCache {
                     }))
                 })
             });
-        claim.armed = false;
-        {
-            let mut state = lock_recover(&entry.state);
-            if result.as_ref().is_err_and(CompileError::is_transient) {
-                // A deadline expiry or injected fault describes this
-                // request, not the compilation point: release the
-                // claim so the next requester compiles for real.
-                *state = EntryState::Vacant;
-            } else {
-                *state = EntryState::Done(result.clone());
-            }
+        if result.as_ref().is_err_and(CompileError::is_transient) {
+            // A deadline expiry or injected fault describes this
+            // request, not the compilation point: release the claim so
+            // the next requester compiles for real.
+            drop(claim);
+        } else {
+            claim.deposit(result.clone());
         }
-        entry.ready.notify_all();
         self.misses.fetch_add(1, Ordering::Relaxed);
         na_telemetry::add(na_telemetry::Counter::CompileCacheMisses, 1);
         na_telemetry::trace::instant("cache", "cache_miss", Vec::new);
@@ -327,7 +252,8 @@ impl CompileCache {
 
     /// The front-end artifact store (placement reuse across MID
     /// variants) — exposed for occupancy/hit introspection.
-    pub fn artifacts(&self) -> &ArtifactStore {
+    #[cfg(test)]
+    pub(crate) fn artifacts(&self) -> &ArtifactStore {
         &self.artifacts
     }
 
@@ -336,9 +262,7 @@ impl CompileCache {
     /// hit flag: an entry claimed but still compiling on another
     /// thread does not count.
     pub fn contains(&self, key: &CacheKey) -> bool {
-        lock_recover(&self.entries)
-            .get(key)
-            .is_some_and(|entry| matches!(&*lock_recover(&entry.state), EntryState::Done(_)))
+        self.points.contains(key)
     }
 
     /// Current counters and size.
@@ -346,14 +270,14 @@ impl CompileCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: lock_recover(&self.entries).len(),
+            entries: self.points.len(),
         }
     }
 
     /// Drops all entries (with their summaries and reports) and the
     /// front-end artifacts, and zeroes the counters.
     pub fn clear(&self) {
-        lock_recover(&self.entries).clear();
+        self.points.clear();
         self.artifacts.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -495,9 +419,9 @@ mod tests {
         }));
         assert!(unwound.is_err(), "the armed failpoint must panic");
         na_faults::reset();
-        // The unwind guard reset the entry to Vacant: this retry
+        // The unwind dropped the claim, releasing the key: this retry
         // claims it and compiles for real instead of deadlocking on a
-        // permanently-InFlight entry.
+        // key claimed forever.
         let retried = cache.get_or_compile(&c, &grid, &cfg);
         assert!(retried.is_ok());
         let stats = cache.stats();

@@ -196,12 +196,6 @@ pub fn reset() {
     lock_plans().clear();
 }
 
-/// `true` while any plan is armed.
-#[inline]
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
 /// Parses a spec string into plans without arming them.
 ///
 /// # Errors
@@ -416,11 +410,6 @@ impl Deadline {
         Deadline(Some(instant))
     }
 
-    /// `true` for [`Deadline::UNBOUNDED`].
-    pub fn is_unbounded(&self) -> bool {
-        self.0.is_none()
-    }
-
     /// `true` once the budget has elapsed (never for unbounded).
     pub fn expired(&self) -> bool {
         self.0.is_some_and(|t| Instant::now() >= t)
@@ -507,6 +496,11 @@ fn check_deadline_slow() -> Result<(), DeadlineExceeded> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `true` while any plan is armed.
+    fn is_armed() -> bool {
+        ARMED.load(Ordering::Relaxed)
+    }
 
     #[test]
     fn disabled_points_are_ok_and_free() {
@@ -644,7 +638,7 @@ mod tests {
 
     #[test]
     fn unbounded_deadline_is_free_and_never_expires() {
-        assert!(Deadline::UNBOUNDED.is_unbounded());
+        assert!(Deadline::UNBOUNDED.0.is_none());
         assert!(!Deadline::UNBOUNDED.expired());
         let _guard = push_deadline(Deadline::UNBOUNDED);
         assert!(check_deadline().is_ok());

@@ -193,9 +193,9 @@ fn sink_write_failpoint_surfaces_as_typed_sink_error() {
 }
 
 /// The anti-deadlock watchdog: after a claimant panics mid-compile,
-/// re-requesting the same key must complete in bounded time (the claim
-/// was released to Vacant and the waiters were woken) — the scenario
-/// that wedged a bare `OnceLock` design forever.
+/// re-requesting the same key must complete in bounded time (the unwind
+/// dropped the claim, which released the key and woke its waiters) —
+/// the scenario that wedged a bare `OnceLock` design forever.
 #[test]
 fn panicked_claimant_does_not_deadlock_the_cache() {
     let (tx, rx) = std::sync::mpsc::channel();

@@ -62,6 +62,11 @@ pub struct InteractionGraph {
     /// with `dx² + dy² ≤ mid²`, in ascending `(dx, dy)` order (which
     /// makes per-site neighbor lists ascend in `Site` order).
     stencil: Vec<(i32, i32)>,
+    /// `half_heights[dx + r]` is the half-height of the stencil's
+    /// column `dx` for `|dx| ≤ r`, the stencil's reach: the largest
+    /// `dy ≥ 0` with `(dx, dy)` in the stencil, or 0 when the column
+    /// holds only the origin. A column is the whole run `−h..=h`.
+    half_heights: Vec<i32>,
     /// `sites[i]` is the site of flat index `i`, so
     /// [`InteractionGraph::site_at`] is a load rather than a division.
     sites: Vec<Site>,
@@ -96,6 +101,12 @@ impl InteractionGraph {
             }
         }
 
+        let mut half_heights = vec![0; 2 * r.max(0) as usize + 1];
+        for &(dx, dy) in &stencil {
+            let h = &mut half_heights[(dx + r) as usize];
+            *h = (*h).max(dy);
+        }
+
         let mut sites = Vec::with_capacity(num_sites);
         let mut offsets = Vec::with_capacity(num_sites + 1);
         let mut neighbors = Vec::new();
@@ -119,6 +130,7 @@ impl InteractionGraph {
             height,
             mid,
             stencil,
+            half_heights,
             sites,
             offsets,
             neighbors,
@@ -219,8 +231,8 @@ impl InteractionGraph {
     ///
     /// The checks run in order: `a == b` is 0 hops; `b` within the MID
     /// of `a` is 1; an out-of-range pair is 2 iff some usable site lies
-    /// within the MID of both (the *lens* test, a scan of `a`'s
-    /// neighbors that stops at the first hit and never runs when
+    /// within the MID of both (the *lens* test, a scan of the two MID
+    /// discs' overlap that stops at the first hit and never runs when
     /// `|ab| > 2·MID`); anything else falls through to the BFS kernel.
     /// Every range test is the `d² ≤ MID²` criterion of the CSR stencil,
     /// so the shortcut answers exactly as the BFS would.
@@ -258,18 +270,35 @@ impl InteractionGraph {
         self.bfs_hop_distance(ai, bi, usable, scratch)
     }
 
-    /// The first usable site within the MID of both `a` and `b`, as a
-    /// flat index: the neighbors of `a`, walked through the stencil in
-    /// ascending `Site` order, each tested against `b`.
+    /// The first usable site within the MID of both `a` and `b` (on the
+    /// grid, and out of each other's range), as a flat index.
+    ///
+    /// It scans only the overlap of the two MID discs, clipped to the
+    /// grid: with `(dx, dy) = b − a` and `h` the stencil's column
+    /// half-heights, column `cx` of `a`'s stencil meets `b`'s disc in
+    /// `max(−h(cx), dy − h(cx − dx)) ..= min(h(cx), dy + h(cx − dx))`.
+    /// Columns ascend and rows ascend within each, which is the
+    /// stencil's own `(dx, dy)` order, so the first hit is the site a
+    /// walk of `a`'s whole stencil, tested against `b`, would find.
+    /// The origin is never in the overlap, since `b` is out of range.
     fn lens_hit(&self, a: Site, b: Site, usable: &[bool], scratch: &mut BfsScratch) -> Option<u32> {
-        for &(dx, dy) in &self.stencil {
-            let c = Site::new(a.x + dx, a.y + dy);
-            let Some(ci) = self.index_of(c) else {
-                continue;
-            };
-            scratch.lens_probes += 1;
-            if usable[ci] && c.within(b, self.mid) {
-                return Some(ci as u32);
+        let r = (self.half_heights.len() / 2) as i32;
+        let h = |cx: i32| self.half_heights[(cx + r) as usize];
+        let (dx, dy) = (b.x - a.x, b.y - a.y);
+        let (w, ht) = (self.width as i32, self.height as i32);
+        let x_lo = (-r).max(dx - r).max(-a.x);
+        let x_hi = r.min(dx + r).min(w - 1 - a.x);
+        for cx in x_lo..=x_hi {
+            let (ha, hb) = (h(cx), h(cx - dx));
+            let y_lo = (-ha).max(dy - hb).max(-a.y);
+            let y_hi = ha.min(dy + hb).min(ht - 1 - a.y);
+            let column = (a.x + cx) as usize;
+            for cy in y_lo..=y_hi {
+                let ci = (a.y + cy) as usize * w as usize + column;
+                scratch.lens_probes += 1;
+                if usable[ci] {
+                    return Some(ci as u32);
+                }
             }
         }
         None
@@ -416,9 +445,10 @@ impl BfsScratch {
         self.visits
     }
 
-    /// Cumulative count of neighbor sites the distance-2 lens test of
-    /// [`InteractionGraph::hop_distance`] has tested, read the same way
-    /// as [`BfsScratch::expansions`] (which counts BFS visits only).
+    /// Cumulative count of sites the distance-2 lens test of
+    /// [`InteractionGraph::hop_distance`] has tested inside the overlap
+    /// of its two MID discs, read the same way as
+    /// [`BfsScratch::expansions`] (which counts BFS visits only).
     #[inline]
     pub fn lens_probes(&self) -> u64 {
         self.lens_probes
@@ -678,6 +708,81 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n > 0), "distance classes {seen:?}");
+    }
+
+    /// The full-stencil lens scan the overlap scan replaced: the first
+    /// usable neighbor of `a`, in stencil order, within the MID of `b`,
+    /// counting every neighbor it tests as one probe.
+    fn lens_hit_reference(
+        graph: &InteractionGraph,
+        a: Site,
+        b: Site,
+        usable: &[bool],
+        probes: &mut u64,
+    ) -> Option<u32> {
+        for &(dx, dy) in graph.stencil() {
+            let c = Site::new(a.x + dx, a.y + dy);
+            let Some(ci) = graph.index_of(c) else {
+                continue;
+            };
+            *probes += 1;
+            if usable[ci] && c.within(b, graph.mid()) {
+                return Some(ci as u32);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn lens_overlap_scan_finds_the_reference_witness() {
+        // Every ordered out-of-range pair of random holey grids, at
+        // MIDs whose discs have flat, pointed and clamped rims (the
+        // last MID exceeds the grid's larger side by 1.5, so its
+        // stencil clamps to the grid, yet corners stay out of range):
+        // the overlap scan returns the full-stencil scan's site (or
+        // none), never probing more sites than it.
+        let mut rng = StdRng::seed_from_u64(26);
+        let (mut hits, mut misses, mut clamped_pairs) = (0usize, 0usize, 0usize);
+        for (round, (w, h)) in [(10, 10), (9, 8), (8, 8), (10, 9), (6, 5), (7, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            let g = random_grid(&mut rng, w, h, round * (w * h) as usize / 8);
+            let clamped = w.max(h) as f64 + 1.5;
+            for mid in [1.0, 1.5, 2f64.sqrt(), 2.0, 2.3, 3.0, 4.0, clamped] {
+                let graph = InteractionGraph::build(&g, mid);
+                let mut scratch = BfsScratch::new();
+                for a in g.sites() {
+                    for b in g.sites().filter(|&b| !a.within(b, mid)) {
+                        let mut reference_probes = 0;
+                        let expect = lens_hit_reference(
+                            &graph,
+                            a,
+                            b,
+                            g.usable_mask(),
+                            &mut reference_probes,
+                        );
+                        let before = scratch.lens_probes();
+                        let got = graph.lens_hit(a, b, g.usable_mask(), &mut scratch);
+                        assert_eq!(got, expect, "{a}->{b} at MID {mid}\n{g}");
+                        let probes = scratch.lens_probes() - before;
+                        assert!(
+                            probes <= reference_probes,
+                            "{a}->{b} at MID {mid}: {probes} > {reference_probes} probes"
+                        );
+                        match got {
+                            Some(_) => hits += 1,
+                            None => misses += 1,
+                        }
+                        clamped_pairs += usize::from(mid == clamped);
+                    }
+                }
+            }
+        }
+        assert!(
+            hits > 1000 && misses > 1000 && clamped_pairs > 20,
+            "{hits} hits, {misses} misses, {clamped_pairs} clamped-MID pairs"
+        );
     }
 
     #[test]

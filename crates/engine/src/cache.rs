@@ -288,6 +288,18 @@ impl CompileCache {
 mod tests {
     use super::*;
     use na_benchmarks::Benchmark;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `retry` on a detached thread and returns its answer, or
+    /// fails after 30 s: a retry waiting on a claim nobody released
+    /// would otherwise hang the test instead of failing it.
+    fn retry_detached<T: Send + 'static>(retry: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(retry()));
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("the retry waits on a claim that was never released")
+    }
 
     #[test]
     fn repeated_points_hit() {
@@ -422,9 +434,11 @@ mod tests {
         // The unwind dropped the claim, releasing the key: this retry
         // claims it and compiles for real instead of deadlocking on a
         // key claimed forever.
-        let retried = cache.get_or_compile(&c, &grid, &cfg);
+        let (retried, stats) = retry_detached(move || {
+            let retried = cache.get_or_compile(&c, &grid, &cfg);
+            (retried, cache.stats())
+        });
         assert!(retried.is_ok());
-        let stats = cache.stats();
         assert_eq!(
             (stats.hits, stats.misses),
             (0, 1),
@@ -477,7 +491,7 @@ mod tests {
             !cache.contains(&key),
             "one job's expired budget must not be memoized for others"
         );
-        assert!(cache.get_or_compile(&c, &grid, &cfg).is_ok());
+        assert!(retry_detached(move || cache.get_or_compile(&c, &grid, &cfg)).is_ok());
     }
 
     #[test]

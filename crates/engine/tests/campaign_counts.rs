@@ -196,6 +196,10 @@ fn a_reroute_campaign_costs_its_fixups_by_delta() {
     // (11.7 when every pair 3 or more hops apart was re-costed).
     assert_eq!(metrics.counter("reloads"), 35);
     assert_eq!(costed, 21_263);
+    // The lens scans only the overlap of the two MID discs: 8,621
+    // sites tested, where a walk of one end's whole stencil tested
+    // 69,370.
+    assert_eq!(metrics.counter("fixup_lens_probes"), 8_621);
     assert!(
         costed < fixups * pairs / 6,
         "{costed} of {}",

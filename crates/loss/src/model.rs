@@ -2,7 +2,7 @@
 
 use na_arch::{Grid, Site};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// Per-shot Bernoulli loss processes (paper §VI).
 ///
@@ -154,7 +154,9 @@ impl LossModel {
     /// only for a drawn loss. The RNG contract: one `gen_bool` per
     /// usable site with a nonzero loss probability, in ascending
     /// flat-index (row-major) order, with the same per-site
-    /// probability as `draw_losses`.
+    /// probability as `draw_losses`. Each `gen_bool(p)` is drawn as
+    /// the integer test it is exactly equal to (see `loss_threshold`),
+    /// with both thresholds computed once per call.
     ///
     /// # Panics
     ///
@@ -168,16 +170,13 @@ impl LossModel {
         out.clear();
         // Loss processes are independent; either suffices.
         let p_measured = 1.0 - (1.0 - self.vacuum_loss) * (1.0 - self.measurement_loss);
+        let (t_measured, t_vacuum) = (loss_threshold(p_measured), loss_threshold(self.vacuum_loss));
         for (i, (&usable, &measured)) in grid.usable_mask().iter().zip(measured_mask).enumerate() {
             if !usable {
                 continue;
             }
-            let p = if measured {
-                p_measured
-            } else {
-                self.vacuum_loss
-            };
-            if p > 0.0 && self.rng.gen_bool(p) {
+            let t = if measured { t_measured } else { t_vacuum };
+            if t > 0 && (self.rng.next_u64() >> 11) < t {
                 out.push(grid.site_at(i));
             }
         }
@@ -189,9 +188,24 @@ impl LossModel {
     }
 }
 
+/// The integer form of `gen_bool(p)`: `gen_bool` draws `u = k·2⁻⁵³`
+/// from the top 53 bits `k` of one `next_u64` and answers `u < p`. As
+/// `p·2⁵³` is exact for every `p ≤ 1` and `k` is an integer, that is
+/// `k < ⌈p·2⁵³⌉`, the threshold returned here. It is 0 only for
+/// `p = 0`, which draws nothing.
+///
+/// # Panics
+///
+/// Panics unless `0 ≤ p ≤ 1`, as `gen_bool` does.
+fn loss_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "gen_bool: p = {p} out of range");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn defaults_match_paper() {
@@ -369,6 +383,84 @@ mod tests {
                 "round {round}"
             );
         }
+    }
+
+    #[test]
+    fn integer_draw_matches_gen_bool_at_boundary_rates() {
+        // Rates the random ranges above never land on: zero, one, the
+        // paper's, one ulp below one, a subnormal, and rates whose
+        // `p·2⁵³` is an integer (the threshold's exact edge). Twin RNGs,
+        // `gen_bool` as the reference: the same losses and the same
+        // next draw.
+        let edge = (1u64 << 53) as f64;
+        let rates = [
+            0.0,
+            1.0,
+            6.8e-5,
+            0.02,
+            0.5,
+            1.0 - 1.0 / edge,
+            f64::MIN_POSITIVE / 4.0,
+            3.0 / edge,
+            0.25,
+            0.75,
+            1.0 - 2.0 / edge,
+        ];
+        let mut grid = Grid::new(7, 6);
+        grid.remove_atom(Site::new(2, 3));
+        let mut measured = vec![false; grid.num_sites()];
+        for i in (0..measured.len()).step_by(3) {
+            measured[i] = true;
+        }
+        let mut out = Vec::new();
+        for (k, &vacuum) in rates.iter().enumerate() {
+            for &readout in &rates {
+                let seed = k as u64;
+                let mut model = LossModel::new(seed)
+                    .with_vacuum_loss(vacuum)
+                    .with_measurement_loss(readout);
+                let mut reference = StdRng::seed_from_u64(seed);
+                let p_measured = 1.0 - (1.0 - vacuum) * (1.0 - readout);
+                for shot in 0..4 {
+                    model.draw_losses_with(&grid, &measured, &mut out);
+                    let expect: Vec<Site> = grid
+                        .usable_sites()
+                        .filter(|&s| {
+                            let p = if measured[grid.flat_index(s)] {
+                                p_measured
+                            } else {
+                                vacuum
+                            };
+                            p > 0.0 && reference.gen_bool(p)
+                        })
+                        .collect();
+                    assert_eq!(
+                        out, expect,
+                        "vacuum {vacuum:e} readout {readout:e} shot {shot}"
+                    );
+                }
+                assert_eq!(
+                    model.rng.gen::<u64>(),
+                    reference.gen::<u64>(),
+                    "vacuum {vacuum:e} readout {readout:e}"
+                );
+            }
+        }
+        // At the threshold's edge the integer test and `gen_bool`'s
+        // float compare agree on either side, whatever the stream.
+        for &p in &rates {
+            let t = loss_threshold(p);
+            for k in [t.saturating_sub(1), t, t + 1] {
+                let k = k.min((1 << 53) - 1);
+                assert_eq!(k < t, (k as f64) / edge < p, "p {p:e}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn loss_threshold_rejects_rates_gen_bool_rejects() {
+        loss_threshold(1.0 + 1e-12);
     }
 
     #[test]

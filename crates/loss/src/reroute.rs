@@ -43,11 +43,25 @@
 //! pair or a lost operand ends the costing with `None`, which the state
 //! answers with a reload request, and the state drops its costing then,
 //! on `reload`, and before its first costing: each of those costs every
-//! pair. Pairs are visited in ascending order either way, and the SWAP
-//! total is an exact integer sum, so the answer equals a full costing's
-//! bit for bit. The per-op seed costing lives on in `tests/common` as
-//! the oracle a randomized differential test drives the live state
-//! machine against.
+//! pair.
+//!
+//! The costing finds the pairs to re-cost without visiting the others.
+//! The state reports every site it loses, spare or not, and the cache
+//! indexes each site to the pairs whose witness holds it. The dirty
+//! pairs are the moved addresses' pairs plus the pairs indexed under a
+//! site lost since the last costing. That is exactly the set the rule
+//! re-costs: every witness was usable when the last costing ended (a
+//! kept one lost no site since the costing before it, or it would have
+//! been dirty; a new one was just found over usable sites), and nothing
+//! refills a hole without dropping the costing, so a witness site is a
+//! hole now iff it was lost since. The dirty pairs
+//! are re-costed in ascending order, as a full costing visits them, so
+//! the pairs costed, the BFS work and an early `None` are the same as
+//! a walk over every pair. The SWAP total is kept as an exact integer
+//! (a re-costed pair's old SWAPs leave it, its new ones enter), so the
+//! answer equals a full costing's bit for bit. The per-op seed costing
+//! lives on in `tests/common` as the oracle a randomized differential
+//! test drives the live state machine against.
 
 use na_arch::{BfsScratch, Grid, InteractionGraph, Site, VirtualMap};
 use na_core::CompiledCircuit;
@@ -173,28 +187,32 @@ pub fn resolved_ok_summary(
             .all(|&(a, b, _)| vmap.resolve(a).within(vmap.resolve(b), hardware_mid))
 }
 
-/// One pair's entry in a [`FixupCache`].
-#[derive(Debug, Clone, Default)]
-struct PairCost {
-    /// Hop distance at the last costing; 0 marks a pair a remap moved,
-    /// to be costed afresh (distinct addresses never resolve to one
-    /// site, so no costed pair is 0 hops apart).
-    hops: u32,
-    /// The path witness of `hops`: the flat indices of its interior
-    /// sites, empty within range. Cleared and refilled in place, so a
-    /// costing in steady state allocates nothing.
-    path: Vec<u32>,
-}
-
 /// One strategy state's fixup costing, kept between remaps so each
-/// costing re-costs only what the last one cannot vouch for (see the
-/// module docs): the last hop distance and path witness of every pair
-/// of the state's [`InteractionSummary`].
+/// costing re-costs only the pairs the last one cannot vouch for (see
+/// the module docs): every pair's last hop distance and path witness,
+/// the SWAP total they sum to, and a reverse index from each site to
+/// the pairs whose witness holds it.
 #[derive(Debug, Clone)]
 pub(crate) struct FixupCache {
-    pairs: Vec<PairCost>,
-    /// Whether `pairs` is the costing of the state's topology before
-    /// the remap now being costed. Cleared by
+    /// `hops[p]`: pair `p`'s hop distance at the last costing.
+    hops: Vec<u32>,
+    /// `paths[p]`: the path witness of `hops[p]`, the flat indices of
+    /// its interior sites, empty within range.
+    paths: Vec<Vec<u32>>,
+    /// `on_path[s]`: the pairs whose witness holds the site with flat
+    /// index `s`, in no particular order. Exactly the inverse of
+    /// `paths` at all times.
+    on_path: Vec<Vec<u32>>,
+    /// Flat indices of the sites lost since the last costing, kept
+    /// while `valid` (a full costing reads the mask instead).
+    lost: Vec<u32>,
+    /// Bitset over pair indices: the pairs the costing in progress
+    /// re-costs.
+    dirty: Vec<u64>,
+    /// `Σ mult · 2 · (hops − 1)` over the pairs, exact.
+    total: u32,
+    /// Whether `hops`, `paths` and `total` are the costing of the
+    /// state's topology before the remap now being costed. Cleared by
     /// [`FixupCache::invalidate`] and by a costing that ends in `None`.
     valid: bool,
     /// Pairs whose hop distance a costing computed, cumulative.
@@ -202,11 +220,19 @@ pub(crate) struct FixupCache {
 }
 
 impl FixupCache {
-    /// An empty cache for `summary`'s pairs; its first costing costs
-    /// every pair.
-    pub(crate) fn new(summary: &InteractionSummary) -> Self {
+    /// An empty cache for `summary`'s pairs on a grid of `num_sites`
+    /// sites; its first costing costs every pair. Every list keeps its
+    /// capacity from then on, so a costing in steady state allocates
+    /// nothing.
+    pub(crate) fn new(summary: &InteractionSummary, num_sites: usize) -> Self {
+        let pairs = summary.pairs().len();
         FixupCache {
-            pairs: vec![PairCost::default(); summary.pairs().len()],
+            hops: vec![0; pairs],
+            paths: vec![Vec::new(); pairs],
+            on_path: vec![Vec::new(); num_sites],
+            lost: Vec::new(),
+            dirty: vec![0; pairs.div_ceil(64)],
+            total: 0,
             valid: false,
             costed: 0,
         }
@@ -217,6 +243,15 @@ impl FixupCache {
     /// without a remap (reload, and every reload request).
     pub(crate) fn invalidate(&mut self) {
         self.valid = false;
+        self.lost.clear();
+    }
+
+    /// Records that the atom at flat index `site` is gone, spare or
+    /// not: the next costing re-costs the pairs whose witness held it.
+    pub(crate) fn note_loss(&mut self, site: usize) {
+        if self.valid {
+            self.lost.push(site as u32);
+        }
     }
 
     /// Cumulative count of pairs whose hop distance this cache has
@@ -235,9 +270,10 @@ impl FixupCache {
     /// topology changes again.
     ///
     /// `moved` lists the addresses the remap since the last costing
-    /// moved, and `grid` carries every hole since then; the pairs whose
-    /// path witness the last costing still vouches for keep their
-    /// distance (module docs).
+    /// moved; every loss since then was reported to
+    /// [`FixupCache::note_loss`], and `grid` carries it. The pairs the
+    /// last costing still vouches for keep their distance (module
+    /// docs).
     ///
     /// Returns `None` when some operand resolves to a lost atom or some
     /// required pair is disconnected — the strategy must reload.
@@ -251,18 +287,21 @@ impl FixupCache {
         scratch: &mut BfsScratch,
     ) -> Option<u32> {
         let usable = grid.usable_mask();
-        // By delta from the last costing, or (none valid) every pair.
         let delta = self.valid;
         if delta {
             // A moved operand lands on a usable shift target, and an
             // unmoved one kept its atom (losing it would have moved
             // it), so every operand is still usable.
             debug_assert!(moved.iter().all(|&(_, site)| grid.is_usable(site)));
+            let dirty = &mut self.dirty;
+            let mut mark = |p: u32| dirty[p as usize / 64] |= 1 << (p % 64);
             for &(address, _) in moved {
-                for &p in summary.pairs_of(address) {
-                    self.pairs[p as usize].hops = 0;
-                }
+                summary.pairs_of(address).iter().for_each(|&p| mark(p));
             }
+            for &s in &self.lost {
+                self.on_path[s as usize].iter().for_each(|&p| mark(p));
+            }
+            self.lost.clear();
         } else {
             for &a in summary.operands() {
                 let i = graph.index_of(vmap.resolve(a))?;
@@ -270,29 +309,77 @@ impl FixupCache {
                     return None;
                 }
             }
+            // Start from nothing: every pair in range, no witnesses.
+            for path in &mut self.paths {
+                for &s in path.iter() {
+                    self.on_path[s as usize].clear();
+                }
+                path.clear();
+            }
+            self.hops.fill(1);
+            self.total = 0;
         }
         self.valid = false;
-        let mut total = 0u32;
-        for (&(a, b, mult), pair) in summary.pairs().iter().zip(&mut self.pairs) {
-            let proven = delta && pair.hops > 0 && pair.path.iter().all(|&s| usable[s as usize]);
-            if !proven {
-                self.costed += 1;
-                pair.path.clear();
-                // Settle in-range pairs, most of a full costing, by
-                // geometry alone, without the graph query.
-                let (ra, rb) = (vmap.resolve(a), vmap.resolve(b));
-                pair.hops = if ra.within(rb, graph.mid()) {
-                    1
-                } else {
-                    let hops = graph.hop_distance(ra, rb, usable, scratch)?;
-                    pair.path.extend_from_slice(scratch.path());
-                    hops
-                };
+        if delta {
+            for w in 0..self.dirty.len() {
+                while self.dirty[w] != 0 {
+                    let p = w * 64 + self.dirty[w].trailing_zeros() as usize;
+                    self.dirty[w] &= self.dirty[w] - 1;
+                    if self
+                        .recost(p, summary, vmap, graph, usable, scratch)
+                        .is_none()
+                    {
+                        self.dirty.fill(0);
+                        return None;
+                    }
+                }
             }
-            total += mult * 2 * (pair.hops - 1);
+        } else {
+            for p in 0..self.hops.len() {
+                self.recost(p, summary, vmap, graph, usable, scratch)?;
+            }
         }
         self.valid = true;
-        Some(total)
+        Some(self.total)
+    }
+
+    /// Costs pair `p` afresh: its old witness leaves the index and its
+    /// old SWAPs leave the total, then the new ones enter both. `None`
+    /// when the pair is disconnected, leaving the cache for a full
+    /// costing.
+    fn recost(
+        &mut self,
+        p: usize,
+        summary: &InteractionSummary,
+        vmap: &VirtualMap,
+        graph: &InteractionGraph,
+        usable: &[bool],
+        scratch: &mut BfsScratch,
+    ) -> Option<()> {
+        self.costed += 1;
+        for &s in &self.paths[p] {
+            let holders = &mut self.on_path[s as usize];
+            let at = holders.iter().position(|&q| q as usize == p);
+            holders.swap_remove(at.expect("a witness site indexes its pair"));
+        }
+        self.paths[p].clear();
+        let (a, b, mult) = summary.pairs()[p];
+        self.total -= mult * 2 * (self.hops[p] - 1);
+        // Settle in-range pairs, most of a full costing, by geometry
+        // alone, without the graph query.
+        let (ra, rb) = (vmap.resolve(a), vmap.resolve(b));
+        self.hops[p] = if ra.within(rb, graph.mid()) {
+            1
+        } else {
+            let hops = graph.hop_distance(ra, rb, usable, scratch)?;
+            self.paths[p].extend_from_slice(scratch.path());
+            for &s in scratch.path() {
+                self.on_path[s as usize].push(p as u32);
+            }
+            hops
+        };
+        self.total += mult * 2 * (self.hops[p] - 1);
+        Some(())
     }
 }
 
@@ -319,7 +406,7 @@ mod tests {
         grid: &Grid,
         mid: f64,
     ) -> Option<u32> {
-        FixupCache::new(summary).cost(
+        FixupCache::new(summary, grid.num_sites()).cost(
             summary,
             vmap,
             &[],
@@ -403,7 +490,7 @@ mod tests {
         let compiled = compile(&c, &grid, &CompilerConfig::new(2.0)).unwrap();
         let summary = InteractionSummary::of(&compiled);
         let graph = InteractionGraph::cached(&grid, 2.0);
-        let mut cache = FixupCache::new(&summary);
+        let mut cache = FixupCache::new(&summary, grid.num_sites());
         let (mut scratch, mut shift) = (BfsScratch::new(), ShiftScratch::new());
         let used = compiled.used_sites();
         let in_use = |a: Site| used.contains(&a);
@@ -414,6 +501,7 @@ mod tests {
             let usable: Vec<Site> = g.usable_sites().collect();
             let victim = usable[rng.gen_range(0..usable.len())];
             g.remove_atom(victim);
+            cache.note_loss(g.flat_index(victim));
             let mut moved: &[(Site, Site)] = &[];
             if in_use(vmap.address_of(victim)) {
                 let Some(dir) = vmap.best_shift_direction(&g, victim, &in_use) else {
@@ -437,6 +525,98 @@ mod tests {
                 None => break, // disconnected: strategy reloads
             }
         }
+    }
+
+    #[test]
+    fn delta_costing_recosts_exactly_the_pairs_it_cannot_vouch_for() {
+        // Random loss walks, spare losses included, with a reload on
+        // every `None`: each delta costing re-costs exactly the pairs
+        // with a moved endpoint or a lost witness site, read off the
+        // cache before it runs; the answer equals a full costing's; and
+        // the witness index stays the exact inverse of the paths.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let grid = Grid::new(10, 10);
+        let mut rng = StdRng::seed_from_u64(33);
+        let (mut deltas, mut witness_losses) = (0usize, 0usize);
+        for benchmark in na_benchmarks::Benchmark::ALL {
+            for mid in [2.0, 3.0] {
+                let compiled =
+                    compile(&benchmark.generate(20, 0), &grid, &CompilerConfig::new(mid))
+                        .expect("compiles");
+                let summary = InteractionSummary::of(&compiled);
+                let graph = InteractionGraph::cached(&grid, mid);
+                let mut cache = FixupCache::new(&summary, grid.num_sites());
+                let (mut scratch, mut shift) = (BfsScratch::new(), ShiftScratch::new());
+                let used = compiled.used_sites();
+                let in_use = |a: Site| used.contains(&a);
+                let (mut g, mut vmap) = (grid.clone(), VirtualMap::new());
+                for _ in 0..80 {
+                    let usable: Vec<Site> = g.usable_sites().collect();
+                    let victim = usable[rng.gen_range(0..usable.len())];
+                    g.remove_atom(victim);
+                    cache.note_loss(g.flat_index(victim));
+                    if !in_use(vmap.address_of(victim)) {
+                        continue;
+                    }
+                    let shifted =
+                        vmap.best_shift_direction(&g, victim, &in_use)
+                            .is_some_and(|dir| {
+                                vmap.shift_from_with(&g, victim, dir, &in_use, &mut shift)
+                                    .is_ok()
+                            });
+                    if !shifted {
+                        (g, vmap) = (grid.clone(), VirtualMap::new());
+                        cache.invalidate();
+                        continue;
+                    }
+                    let moved = shift.changes();
+                    let unvouched = (0..summary.pairs().len())
+                        .filter(|&p| {
+                            let (a, b, _) = summary.pairs()[p];
+                            moved.iter().any(|&(m, _)| m == a || m == b)
+                                || cache.paths[p].iter().any(|&s| !g.usable_mask()[s as usize])
+                        })
+                        .count();
+                    let (delta, before) = (cache.valid, cache.pairs_costed());
+                    witness_losses += cache
+                        .lost
+                        .iter()
+                        .filter(|&&s| !cache.on_path[s as usize].is_empty())
+                        .count();
+                    let got = cache.cost(&summary, &vmap, moved, &graph, &g, &mut scratch);
+                    if got.is_none() {
+                        (g, vmap) = (grid.clone(), VirtualMap::new());
+                        cache.invalidate();
+                        continue;
+                    }
+                    assert_eq!(
+                        got,
+                        fixup_cost(&summary, &vmap, &g, mid),
+                        "{benchmark} MID {mid}"
+                    );
+                    if delta {
+                        deltas += 1;
+                        assert_eq!(
+                            cache.pairs_costed() - before,
+                            unvouched as u64,
+                            "{benchmark} MID {mid}"
+                        );
+                    }
+                    for (s, holders) in cache.on_path.iter().enumerate() {
+                        for p in 0..summary.pairs().len() {
+                            let on = cache.paths[p].iter().filter(|&&t| t as usize == s).count();
+                            let held = holders.iter().filter(|&&q| q as usize == p).count();
+                            assert_eq!(on, held, "{benchmark} MID {mid}: site {s}, pair {p}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            deltas > 100 && witness_losses > 20,
+            "{deltas} delta costings, {witness_losses} witness losses"
+        );
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl StrategyState {
             used_mask: Vec::new(),
             extra_swaps: 0,
             max_fixup_swaps,
-            fixup: FixupCache::new(&summary),
+            fixup: FixupCache::new(&summary, grid_template.num_sites()),
             fixup_scratch: BfsScratch::new(),
             shift_scratch: ShiftScratch::new(),
             placement_scratch: PlacementScratch::new(),
@@ -274,6 +274,10 @@ impl StrategyState {
         assert!(self.grid.is_usable(site), "no atom at {site}");
         let interfering = self.is_interfering(site);
         self.grid.remove_atom(site);
+        if self.strategy.reroutes() {
+            // Spare or not, the hole may break a kept path witness.
+            self.fixup.note_loss(self.grid.flat_index(site));
+        }
         if !interfering {
             return LossOutcome::Spare;
         }

@@ -175,8 +175,8 @@ keys! {
         Fixups => "fixups",
         /// BFS node expansions spent inside fixup searches.
         FixupBfsExpansions => "fixup_bfs_expansions",
-        /// Neighbor sites tested by the distance-2 lens shortcut of
-        /// fixup searches (not BFS visits).
+        /// Sites the distance-2 lens shortcut of fixup searches tested
+        /// inside the overlap of the two MID discs (not BFS visits).
         FixupLensProbes => "fixup_lens_probes",
         /// Summary pairs whose hop distance a fixup computed (the
         /// rest kept their last costing's distance).

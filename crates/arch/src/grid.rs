@@ -179,10 +179,19 @@ impl Grid {
     }
 
     /// Iterates over sites currently holding an atom, row-major.
+    ///
+    /// Walks the mask row by row, so no site costs a division (placement
+    /// refills its free list from this on every compile).
     pub fn usable_sites(&self) -> impl Iterator<Item = Site> + '_ {
-        (0..self.num_sites())
-            .filter(|&i| self.usable[i])
-            .map(|i| self.site_at(i))
+        self.usable
+            .chunks_exact(self.width as usize)
+            .zip(0i32..)
+            .flat_map(|(row, y)| {
+                row.iter()
+                    .zip(0i32..)
+                    .filter(|&(&usable, _)| usable)
+                    .map(move |(_, x)| Site::new(x, y))
+            })
     }
 
     /// The site closest to the geometric center of the device.
@@ -249,6 +258,26 @@ mod tests {
         assert!(!g.remove_atom(Site::new(1, 1)), "already a hole");
         assert_eq!(g.holes(), vec![Site::new(1, 1)]);
         assert_eq!((g.num_holes(), g.num_usable()), (1, 8));
+    }
+
+    #[test]
+    fn usable_sites_match_the_flat_index_walk_on_holey_grids() {
+        let mut rng = StdRng::seed_from_u64(182);
+        for _ in 0..64 {
+            let (w, h) = (rng.gen_range(1u32..12), rng.gen_range(1u32..12));
+            let mut g = Grid::new(w, h);
+            for _ in 0..rng.gen_range(0..=w * h) {
+                g.remove_atom(Site::new(
+                    rng.gen_range(0..w as i32),
+                    rng.gen_range(0..h as i32),
+                ));
+            }
+            let reference: Vec<Site> = (0..g.num_sites())
+                .filter(|&i| g.usable_mask()[i])
+                .map(|i| g.site_at(i))
+                .collect();
+            assert_eq!(g.usable_sites().collect::<Vec<_>>(), reference, "{w}x{h}");
+        }
     }
 
     #[test]

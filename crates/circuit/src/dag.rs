@@ -130,21 +130,48 @@ impl CircuitDag {
 
     /// Creates a fresh scheduling cursor over this DAG.
     pub fn frontier(&self) -> Frontier<'_> {
-        let indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
-        let ready: Vec<GateId> = indegree
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| GateId(i))
-            .collect();
+        self.frontier_in(FrontierBuffers::default())
+    }
+
+    /// [`CircuitDag::frontier`] in the storage of an earlier cursor
+    /// ([`Frontier::into_buffers`]): every buffer is refilled, so what
+    /// the earlier cursor left in it never matters, and a scheduler
+    /// that walks many frontiers allocates their state once.
+    pub fn frontier_in(&self, buffers: FrontierBuffers) -> Frontier<'_> {
+        let FrontierBuffers {
+            mut indegree,
+            mut ready,
+            mut executed,
+        } = buffers;
+        indegree.clear();
+        indegree.extend(self.preds.iter().map(Vec::len));
+        ready.clear();
+        ready.extend(
+            indegree
+                .iter()
+                .enumerate()
+                .filter(|(_, &d)| d == 0)
+                .map(|(i, _)| GateId(i)),
+        );
+        executed.clear();
+        executed.resize(self.len(), false);
         Frontier {
             dag: self,
             indegree,
             ready,
-            executed: vec![false; self.len()],
+            executed,
             executed_count: 0,
         }
     }
+}
+
+/// The per-gate storage of a [`Frontier`], detached from its DAG so it
+/// can serve the next cursor ([`CircuitDag::frontier_in`]).
+#[derive(Debug, Clone, Default)]
+pub struct FrontierBuffers {
+    indegree: Vec<usize>,
+    ready: Vec<GateId>,
+    executed: Vec<bool>,
 }
 
 /// A mutable cursor over a [`CircuitDag`] tracking which gates are ready.
@@ -182,6 +209,16 @@ impl<'a> Frontier<'a> {
     /// `true` if the gate has already been completed.
     pub fn is_executed(&self, id: GateId) -> bool {
         self.executed[id.0]
+    }
+
+    /// Ends the cursor, handing back its storage for
+    /// [`CircuitDag::frontier_in`].
+    pub fn into_buffers(self) -> FrontierBuffers {
+        FrontierBuffers {
+            indegree: self.indegree,
+            ready: self.ready,
+            executed: self.executed,
+        }
     }
 
     /// Marks `id` as executed and moves the successors it unlocks into
@@ -353,6 +390,32 @@ mod tests {
         assert_eq!(f.ready(), &[GateId(2)]);
         f.complete(GateId(2));
         assert!(f.is_done());
+    }
+
+    #[test]
+    fn frontier_in_reused_buffers_starts_fresh() {
+        // Leave a half-walked cursor over a wider circuit behind.
+        let mut wide = Circuit::new(4);
+        wide.cnot(Qubit(0), Qubit(1));
+        wide.cnot(Qubit(2), Qubit(3));
+        wide.cnot(Qubit(1), Qubit(2));
+        let wide_dag = wide.dag();
+        let mut f = wide_dag.frontier();
+        f.complete(GateId(1));
+        let buffers = f.into_buffers();
+
+        let c = chain_circuit();
+        let dag = c.dag();
+        let mut reused = dag.frontier_in(buffers);
+        let mut fresh = dag.frontier();
+        for g in 0..dag.len() {
+            assert_eq!(reused.ready(), fresh.ready());
+            assert_eq!(reused.executed_count(), fresh.executed_count());
+            assert!(!reused.is_executed(GateId(g)));
+            reused.complete(GateId(g));
+            fresh.complete(GateId(g));
+        }
+        assert!(reused.is_done());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod qubit;
 pub mod sim;
 
 pub use circuit::{Circuit, CircuitError};
-pub use dag::{CircuitDag, Frontier, GateId, WindowScratch};
+pub use dag::{CircuitDag, Frontier, FrontierBuffers, GateId, WindowScratch};
 pub use decompose::{decompose_circuit, DecomposeLevel};
 pub use gate::Gate;
 pub use metrics::CircuitMetrics;

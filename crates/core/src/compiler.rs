@@ -11,9 +11,8 @@ use crate::program::Program;
 use crate::scheduler::ScheduleResult;
 use crate::{CompileError, CompilerConfig, QubitMap};
 use na_arch::{BBox, Grid, RestrictionZone, Site};
-use na_circuit::{decompose_circuit, Circuit, DecomposeLevel, Qubit};
+use na_circuit::{decompose_circuit, Circuit, DecomposeLevel};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -29,8 +28,8 @@ pub use crate::scheduler::{ScheduledOp, SiteList};
 pub struct CompiledCircuit {
     program: Arc<Program>,
     ops: Vec<ScheduledOp>,
-    initial_map: HashMap<Qubit, Site>,
-    final_map: HashMap<Qubit, Site>,
+    initial_map: QubitMap,
+    final_map: QubitMap,
     num_timesteps: u32,
     config: CompilerConfig,
     /// Every site the program touches, ascending and unique, computed
@@ -57,12 +56,12 @@ impl CompiledCircuit {
     }
 
     /// Placement at time 0.
-    pub fn initial_map(&self) -> &HashMap<Qubit, Site> {
+    pub fn initial_map(&self) -> &QubitMap {
         &self.initial_map
     }
 
     /// Placement after the last timestep.
-    pub fn final_map(&self) -> &HashMap<Qubit, Site> {
+    pub fn final_map(&self) -> &QubitMap {
         &self.final_map
     }
 
@@ -116,25 +115,30 @@ impl CompiledCircuit {
     /// Every site of `initial_map` and `ops`, ascending and unique,
     /// without a sort: each site is marked in an occupancy mask over
     /// their bounding box, laid out x-major like [`Site`]'s order, and
-    /// the mask is read back in index order.
-    fn compute_used_sites(initial_map: &HashMap<Qubit, Site>, ops: &[ScheduledOp]) -> Vec<Site> {
+    /// the mask is read back column by column into a list sized to the
+    /// sites marked.
+    fn compute_used_sites(initial_map: &QubitMap, ops: &[ScheduledOp]) -> Vec<Site> {
         let sites = || {
-            let op_sites = ops.iter().flat_map(|o| o.sites.iter());
-            initial_map.values().chain(op_sites).copied()
+            let op_sites = ops.iter().flat_map(|o| o.sites.iter().copied());
+            initial_map.iter().map(|(_, s)| s).chain(op_sites)
         };
         let Some(b) = BBox::containing(sites()) else {
             return Vec::new();
         };
         let height = (b.max_y - b.min_y + 1) as usize;
         let mut occupied = vec![false; (b.max_x - b.min_x + 1) as usize * height];
+        let mut count = 0;
         for s in sites() {
-            occupied[(s.x - b.min_x) as usize * height + (s.y - b.min_y) as usize] = true;
+            let cell = &mut occupied[(s.x - b.min_x) as usize * height + (s.y - b.min_y) as usize];
+            count += usize::from(!*cell);
+            *cell = true;
         }
-        let at = |i: usize| Site::new(b.min_x + (i / height) as i32, b.min_y + (i % height) as i32);
-        (0..occupied.len())
-            .filter(|&i| occupied[i])
-            .map(at)
-            .collect()
+        let mut used = Vec::with_capacity(count);
+        for (column, x) in occupied.chunks_exact(height).zip(b.min_x..) {
+            let column = column.iter().zip(b.min_y..);
+            used.extend(column.filter(|&(&o, _)| o).map(|(_, y)| Site::new(x, y)));
+        }
+        used
     }
 
     /// Assembles the container from the compile's intermediates (the
@@ -142,13 +146,13 @@ impl CompiledCircuit {
     pub(crate) fn from_parts(
         program: Arc<Program>,
         result: ScheduleResult,
-        initial_map: HashMap<Qubit, Site>,
+        initial_map: QubitMap,
         config: CompilerConfig,
     ) -> Self {
         let used_sites = Self::compute_used_sites(&initial_map, &result.ops);
         CompiledCircuit {
             program,
-            final_map: result.final_map.to_table(),
+            final_map: result.final_map,
             num_timesteps: result.num_timesteps,
             ops: result.ops,
             initial_map,
@@ -227,13 +231,13 @@ pub fn compile(
     compile_with(circuit, grid, config, &mut PlacementScratch::new())
 }
 
-/// [`compile`] reusing caller-held placement working memory.
+/// [`compile`] reusing caller-held compile working memory.
 ///
 /// Repeated compilations — the experiment engine's workers, the loss
 /// executor's recompile strategy — hand the same
-/// [`PlacementScratch`] back in so the placement fast path's free-site
-/// list and ordering caches are reused instead of reallocated per
-/// program. The result is identical to [`compile`].
+/// [`PlacementScratch`] back in so placement's and the scheduler's
+/// buffers are re-armed instead of reallocated per compile. The result
+/// is identical to [`compile`].
 ///
 /// # Errors
 ///
@@ -302,13 +306,7 @@ pub fn schedule_digest(compiled: &CompiledCircuit) -> u64 {
         fnv1a_extend(fnv1a_extend(h, s.x as i64 as u64), s.y as i64 as u64)
     }
     let mut h = fnv1a_extend(0xcbf2_9ce4_8422_2325, u64::from(compiled.num_timesteps()));
-    let mut init: Vec<_> = compiled
-        .initial_map()
-        .iter()
-        .map(|(&q, &s)| (q, s))
-        .collect();
-    init.sort();
-    for (q, s) in init {
+    for (q, s) in compiled.initial_map().iter() {
         h = fnv1a_extend(h, u64::from(q.0));
         h = fold_site(h, s);
     }
@@ -320,9 +318,7 @@ pub fn schedule_digest(compiled: &CompiledCircuit) -> u64 {
             h = fold_site(h, s);
         }
     }
-    let mut fin: Vec<_> = compiled.final_map().iter().map(|(&q, &s)| (q, s)).collect();
-    fin.sort();
-    for (q, s) in fin {
+    for (q, s) in compiled.final_map().iter() {
         h = fnv1a_extend(h, u64::from(q.0));
         h = fold_site(h, s);
     }
@@ -411,8 +407,8 @@ pub(crate) fn verify_parts(
     program: &Program,
     config: &CompilerConfig,
     ops: &[ScheduledOp],
-    initial_map: &HashMap<Qubit, Site>,
-    final_map: &HashMap<Qubit, Site>,
+    initial_map: &QubitMap,
+    final_map: &QubitMap,
     grid: &Grid,
 ) -> Result<(), VerifyError> {
     let (circuit, dag) = (program.circuit(), program.dag());
@@ -440,7 +436,7 @@ pub(crate) fn verify_parts(
     }
 
     // Replay the mapping through the schedule.
-    let mut map = QubitMap::from_table(circuit.num_qubits(), initial_map);
+    let mut map = initial_map.clone();
     let mut i = 0usize;
     while i < ops.len() {
         let t = ops[i].time;
@@ -491,7 +487,7 @@ pub(crate) fn verify_parts(
         i = j;
     }
 
-    if &map.to_table() != final_map {
+    if map != *final_map {
         return Err(VerifyError::FinalMapMismatch);
     }
     Ok(())
@@ -502,6 +498,7 @@ mod tests {
     use super::*;
     use na_arch::RestrictionPolicy;
     use na_benchmarks::Benchmark;
+    use na_circuit::Qubit;
 
     fn compile_ok(circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> CompiledCircuit {
         let compiled = compile(circuit, grid, config).expect("compiles");
@@ -680,8 +677,8 @@ mod tests {
         let c = Benchmark::Qaoa.generate(10, 3);
         let compiled = compile_ok(&c, &grid, &CompilerConfig::new(2.0));
         let used = compiled.used_sites();
-        for s in compiled.initial_map().values() {
-            assert!(used.contains(s));
+        for (_, s) in compiled.initial_map().iter() {
+            assert!(used.contains(&s));
         }
     }
 

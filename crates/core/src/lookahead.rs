@@ -52,7 +52,7 @@ impl WeightScratch {
 /// Built either from a whole circuit (initial mapping, `ℓc = 0`) or
 /// from the gates in the scheduler's lookahead window
 /// (`Frontier::window_into`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InteractionWeights {
     /// Symmetric adjacency: `adj[q]` lists `(partner, weight)` pairs.
     adj: Vec<Vec<(Qubit, f64)>>,
@@ -68,6 +68,13 @@ impl InteractionWeights {
             adj: vec![Vec::new(); num_qubits as usize],
             totals: vec![0.0; num_qubits as usize],
         }
+    }
+
+    /// Resizes the graph to `num_qubits` qubits, keeping the adjacency
+    /// buffers it has; [`InteractionWeights::rebuild`] then refills it.
+    pub(crate) fn reset(&mut self, num_qubits: u32) {
+        self.adj.resize_with(num_qubits as usize, Vec::new);
+        self.totals.resize(num_qubits as usize, 0.0);
     }
 
     /// Builds weights from per-gate relative layers.

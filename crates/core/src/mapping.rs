@@ -2,7 +2,6 @@
 
 use na_arch::Site;
 use na_circuit::Qubit;
-use std::collections::HashMap;
 
 /// Sentinel for "no qubit" in the flat site table.
 const EMPTY: u32 = u32::MAX;
@@ -186,30 +185,12 @@ impl QubitMap {
         }
     }
 
-    /// The full placement as a `Qubit → Site` table (placed qubits
-    /// only).
-    pub fn to_table(&self) -> HashMap<Qubit, Site> {
+    /// Every placed qubit with its site, in ascending qubit order.
+    pub fn iter(&self) -> impl Iterator<Item = (Qubit, Site)> + '_ {
         self.q2s
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.map(|site| (Qubit(i as u32), site)))
-            .collect()
-    }
-
-    /// Rebuilds a map from a placement table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two qubits share a site or a qubit index is out of
-    /// range.
-    pub fn from_table(num_qubits: u32, table: &HashMap<Qubit, Site>) -> Self {
-        let mut map = QubitMap::new(num_qubits);
-        let mut entries: Vec<_> = table.iter().collect();
-        entries.sort();
-        for (&q, &s) in entries {
-            map.assign(q, s);
-        }
-        map
     }
 }
 
@@ -272,13 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn table_round_trip() {
+    fn iter_yields_placed_qubits_ascending() {
         let mut m = QubitMap::new(4);
-        m.assign(Qubit(0), Site::new(0, 0));
         m.assign(Qubit(2), Site::new(3, 1));
-        let t = m.to_table();
-        let rebuilt = QubitMap::from_table(4, &t);
-        assert_eq!(m, rebuilt);
+        m.assign(Qubit(0), Site::new(0, 0));
+        let placed: Vec<_> = m.iter().collect();
+        assert_eq!(
+            placed,
+            vec![(Qubit(0), Site::new(0, 0)), (Qubit(2), Site::new(3, 1))]
+        );
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! ```
 //!
 //! `lower` lowers the circuit to the configured gate set and builds
-//! its [`Program`]: the lowered circuit with its DAG, operand table and
-//! time-zero lookahead weights. Every later pass borrows that one
-//! artifact — placement reads its weights, the scheduler its DAG,
-//! operands and weights, `verify` its DAG — so no compile builds any of
-//! them twice — and `finalize` hands it to the [`CompiledCircuit`],
-//! which keeps it.
+//! its [`Program`]: the lowered circuit with its DAG, operand table,
+//! time-zero lookahead weights and placement order. Every later pass
+//! borrows that one artifact — placement walks its order over its
+//! weights, the scheduler reads its DAG, operands and weights, `verify`
+//! its DAG — so no compile builds any of them twice — and `finalize`
+//! hands it to the [`CompiledCircuit`], which keeps it. `place` and
+//! `route_schedule` work in the caller's [`PlacementScratch`], which
+//! holds the whole compile's working memory.
 //!
 //! Before each pass it checks the job's cooperative deadline
 //! ([`na_faults::check_deadline`]), so an expired budget stops at the
@@ -47,7 +49,7 @@
 
 use crate::compiler::{lower_for, verify_parts, CompiledCircuit};
 use crate::memo::{Claim, Memo};
-use crate::placement::{initial_placement_with, PlacementScratch};
+use crate::placement::{place_in_order, PlacementScratch};
 use crate::program::Program;
 use crate::scheduler::{self, ScheduleResult};
 use crate::{CompileError, CompilerConfig, QubitMap};
@@ -131,22 +133,21 @@ pub fn run(
     let placement = passes.run(Span::Place, |stats| {
         place(&program, grid, scratch, claim, cached.as_deref(), stats)
     })?;
-    let initial = placement.to_table();
+    let initial = placement.clone();
     let schedule = passes.run(Span::RouteSchedule, |stats| {
-        route_schedule(&program, grid, config, placement, stats)
+        route_schedule(&program, grid, config, placement, scratch, stats)
     })?;
     passes.run(Span::Verify, |stats| {
         if !verify {
             stats.set("skipped", 1);
             return Ok(());
         }
-        let final_table = schedule.final_map.to_table();
         verify_parts(
             &program,
             config,
             &schedule.ops,
             &initial,
-            &final_table,
+            &schedule.final_map,
             grid,
         )
         .map_err(|e| CompileError::VerifyFailed {
@@ -223,9 +224,10 @@ fn validate_arity(
 }
 
 /// `place`: the cached placement on a front-end hit, else the initial
-/// placement from the program's time-zero weights, deposited with the
-/// program under this compile's [`Reuse::FrontEnd`] claim when given.
-/// Stats: `qubits`, and `reused` on a hit.
+/// placement walking the program's placement order over its time-zero
+/// weights, deposited with the program under this compile's
+/// [`Reuse::FrontEnd`] claim when given. Stats: `qubits`, and `reused`
+/// on a hit.
 fn place(
     program: &Arc<Program>,
     grid: &Grid,
@@ -239,7 +241,13 @@ fn place(
         stats.set("reused", 1);
         return Ok(art.placement.clone());
     }
-    let placement = initial_placement_with(program.circuit(), grid, program.weights(), scratch)?;
+    let placement = place_in_order(
+        program.circuit().num_qubits(),
+        grid,
+        program.weights(),
+        program.placement_order(),
+        scratch,
+    )?;
     if let Some(claim) = claim {
         claim.deposit(Arc::new(PassArtifacts {
             program: Arc::clone(program),
@@ -257,6 +265,7 @@ fn route_schedule(
     grid: &Grid,
     config: &CompilerConfig,
     placement: QubitMap,
+    scratch: &mut PlacementScratch,
     stats: &mut Stats,
 ) -> Result<ScheduleResult, CompileError> {
     // The precomputed flat-index interaction graph every hot loop
@@ -264,7 +273,14 @@ fn route_schedule(
     // mask; memoized per (grid size, MID), so a recompile on a holey
     // grid reuses the full device's graph.
     let graph = InteractionGraph::cached(grid, config.mid);
-    let result = scheduler::run(program, grid, &graph, config, placement)?;
+    let result = scheduler::run(
+        program,
+        grid,
+        &graph,
+        config,
+        placement,
+        &mut scratch.schedule,
+    )?;
     stats.set("ops", result.ops.len() as u64);
     stats.set(
         "swaps",

@@ -20,31 +20,36 @@
 //! digests in `tests/placement_digests.rs` pin the benchmark suite)
 //! while skipping most of that work:
 //!
+//! * the placement order never reads the grid, so it is computed once
+//!   per program ([`order`]): [`Program`](crate::Program) builds it
+//!   next to its time-zero weights, with each step's anchor (the
+//!   device center, the previous step's site, or its placed partners),
+//!   and a compile — a loss-driven recompile on a new hole pattern
+//!   included — only walks it. Its weight-to-mapped totals are cached
+//!   per qubit and re-summed only when a partner was placed, by the
+//!   same summation the seed placer ran, so ordering ties break
+//!   identically;
 //! * a maintained free-site list ([`candidates`]) replaces the
 //!   full-grid `usable_sites`/`is_free` rescans;
 //! * the site scan prunes candidates through an admissible
 //!   Chebyshev-bounding-box lower bound ([`score`],
 //!   [`na_arch::BBox`]) and only evaluates the exact score — in the
 //!   seed placer's exact summation order — where the bound cannot
-//!   rule the site out;
-//! * placement order caches `weight_to_mapped` per qubit
-//!   ([`PlacementScratch`]) and recomputes it only for qubits whose
-//!   partner set gained a mapped member, instead of re-summing every
-//!   unmapped qubit every round. Cached values are produced by the
-//!   same summation the seed placer ran, so ordering ties break
-//!   identically.
+//!   rule the site out.
 //!
 //! `tests/common` preserves the seed placer verbatim as a
 //! differential oracle; the property tests below hold the fast path to
 //! map-for-map equality against it.
 
 pub mod candidates;
+pub mod order;
 pub mod score;
 pub mod scratch;
 
 pub use scratch::PlacementScratch;
 
 use self::candidates::FreeSites;
+use self::order::{Anchor, PlacementOrder};
 use self::score::{accepts, exact_score};
 use crate::{CompileError, CompilerConfig, InteractionWeights, QubitMap};
 use na_arch::{BBox, Grid, Site};
@@ -68,7 +73,9 @@ pub fn initial_placement(
     initial_placement_with(circuit, grid, weights, &mut PlacementScratch::new())
 }
 
-/// [`initial_placement`] reusing caller-held working memory.
+/// [`initial_placement`] reusing caller-held working memory. The
+/// placement order is derived from `weights` on every call; a compile
+/// reads its [`Program`](crate::Program)'s instead.
 ///
 /// # Errors
 ///
@@ -80,119 +87,51 @@ pub fn initial_placement_with(
     weights: &InteractionWeights,
     scratch: &mut PlacementScratch,
 ) -> Result<QubitMap, CompileError> {
-    let n = circuit.num_qubits();
-    if (n as usize) > grid.num_usable() {
+    let order = PlacementOrder::of(circuit.num_qubits(), weights);
+    place_in_order(circuit.num_qubits(), grid, weights, &order, scratch)
+}
+
+/// Maps `num_qubits` qubits onto `grid` by walking `order` (built from
+/// `weights`): each step takes the free site its anchor selects.
+///
+/// # Errors
+///
+/// Returns [`CompileError::ProgramTooLarge`] if the program has more
+/// qubits than the grid has usable atoms.
+pub(crate) fn place_in_order(
+    num_qubits: u32,
+    grid: &Grid,
+    weights: &InteractionWeights,
+    order: &PlacementOrder,
+    scratch: &mut PlacementScratch,
+) -> Result<QubitMap, CompileError> {
+    if (num_qubits as usize) > grid.num_usable() {
         return Err(CompileError::ProgramTooLarge {
-            program: n,
+            program: num_qubits,
             usable: grid.num_usable(),
         });
     }
-
     // Pre-size the flat site table to the device so placement and the
     // downstream router never regrow it.
-    let mut map = QubitMap::with_extent(n, grid.width(), grid.height());
-    scratch.reset(n, grid);
+    let mut map = QubitMap::with_extent(num_qubits, grid.width(), grid.height());
+    scratch.free.rebuild(grid);
     let center = grid.center();
-
-    // Seed: heaviest pair adjacent at the device center.
-    if let Some((u0, v0)) = weights.heaviest_pair() {
-        let s0 = nearest_free_site(&scratch.free, center).expect("usable capacity checked above");
-        place(&mut map, scratch, weights, u0, s0);
-        let s1 = nearest_free_site(&scratch.free, s0).expect("capacity");
-        place(&mut map, scratch, weights, v0, s1);
-    }
-
-    // Greedy placement by descending weight to the mapped set.
-    loop {
-        let candidate = next_qubit_to_place(weights, &map, scratch);
-        let Some(u) = candidate else { break };
-        let h = best_site_for(grid, &map, weights, u, scratch);
-        place(&mut map, scratch, weights, u, h);
-    }
-
-    // Qubits with no interactions at all: pack them near the center,
-    // in ascending qubit order (the unmapped list stays sorted).
-    while let Some(&i) = scratch.unmapped.first() {
-        let s = nearest_free_site(&scratch.free, center).expect("capacity");
-        place(&mut map, scratch, weights, Qubit(i), s);
+    let mut previous = center;
+    for &(q, anchor) in order.steps() {
+        let site = match anchor {
+            Anchor::Center => nearest_free_site(&scratch.free, center),
+            Anchor::Previous => nearest_free_site(&scratch.free, previous),
+            Anchor::Partners => best_site_for(&map, weights, q, scratch),
+        };
+        map.assign(q, site);
+        scratch.free.claim(site);
+        previous = site;
     }
     Ok(map)
 }
 
-/// Assigns `q` to `site` and maintains the scratch invariants: the
-/// site leaves the free list, and every unmapped partner of `q` gets a
-/// stale weight-to-mapped cache entry (its mapped set just grew).
-fn place(
-    map: &mut QubitMap,
-    scratch: &mut PlacementScratch,
-    weights: &InteractionWeights,
-    q: Qubit,
-    site: Site,
-) {
-    map.assign(q, site);
-    scratch.free.claim(site);
-    scratch.mark_placed(q.0);
-    for &(p, _) in weights.partners(q) {
-        if map.site_of(p).is_none() {
-            scratch.dirty[p.index()] = true;
-        }
-    }
-}
-
-/// The unmapped qubit with the greatest interaction weight. Prefers
-/// qubits connected to the mapped set; falls back to the heaviest
-/// unmapped-to-unmapped endpoint so disconnected interaction
-/// components are still seeded by weight.
-///
-/// Weight-to-mapped totals come from the scratch cache; an entry is
-/// recomputed — by the exact summation the seed placer ran — only when
-/// one of the qubit's partners was mapped since it was last computed,
-/// so every round after the first touches just the neighborhood of the
-/// last placement.
-fn next_qubit_to_place(
-    weights: &InteractionWeights,
-    map: &QubitMap,
-    scratch: &mut PlacementScratch,
-) -> Option<Qubit> {
-    let PlacementScratch {
-        unmapped,
-        w2m,
-        dirty,
-        ..
-    } = scratch;
-    let mut best: Option<(f64, Qubit)> = None;
-    for &i in unmapped.iter() {
-        let q = Qubit(i);
-        if dirty[i as usize] {
-            w2m[i as usize] = weights.weight_to_mapped(q, |v| map.site_of(v).is_some());
-            dirty[i as usize] = false;
-        }
-        let w = w2m[i as usize];
-        if w > 0.0 && best.is_none_or(|(bw, _)| w > bw + 1e-15) {
-            best = Some((w, q));
-        }
-    }
-    if best.is_none() {
-        // No unmapped qubit touches the mapped set; seed the heaviest
-        // remaining component instead. Rare (once per extra component),
-        // so the full re-sum is kept as-is.
-        for &i in unmapped.iter() {
-            let q = Qubit(i);
-            let w: f64 = weights
-                .partners(q)
-                .iter()
-                .filter(|(v, _)| map.site_of(*v).is_none())
-                .map(|(_, w)| w)
-                .sum();
-            if w > 0.0 && best.is_none_or(|(bw, _)| w > bw + 1e-15) {
-                best = Some((w, q));
-            }
-        }
-    }
-    best.map(|(_, q)| q)
-}
-
-/// The free usable site minimizing the placement score for `u`.
+/// The free usable site minimizing the placement score for `u`, which
+/// has at least one placed partner.
 ///
 /// Walks the free list in the seed placer's row-major order, but skips
 /// any candidate a lower bound proves unable to displace the incumbent
@@ -200,7 +139,6 @@ fn next_qubit_to_place(
 /// seed placer's summation order, so the fold's outcome is
 /// bit-identical.
 fn best_site_for(
-    grid: &Grid,
     map: &QubitMap,
     weights: &InteractionWeights,
     u: Qubit,
@@ -215,22 +153,6 @@ fn best_site_for(
             .filter_map(|&(v, w)| map.site_of(v).map(|s| (s, w))),
     );
     let mut best: Option<(f64, Site)> = None;
-    if partners.is_empty() {
-        // Component seed with no mapped partners: the score is the
-        // distance to the device center, which keeps each new
-        // component packed compactly around the existing central
-        // block (ties broken by deterministic site order).
-        //
-        // That fold is exactly [`nearest_free_site`]: distances here
-        // are square roots of integers bounded by the device diagonal,
-        // so two candidates either tie bitwise (equal squared
-        // distances) or differ by far more than the fold's 1e-12
-        // epsilon (adjacent integer square roots are ≥ 1/(2·diag)
-        // apart) — the float fold degenerates to the integer
-        // `(d², site)` minimum, which needs no square roots at all.
-        return nearest_free_site(free, grid.center())
-            .expect("capacity checked: a free usable site exists");
-    }
     let bbox = BBox::containing(partners.iter().map(|&(s, _)| s)).expect("partners non-empty");
     let total_weight: f64 = partners.iter().map(|&(_, w)| w).sum();
     for h in free.iter() {
@@ -280,7 +202,16 @@ fn best_site_for(
 /// The minimum is over exact integer squared distances with a total
 /// `(d², site)` order, so scanning the free list gives the same result
 /// as the seed placer's full-grid scan.
-fn nearest_free_site(free: &FreeSites, anchor: Site) -> Option<Site> {
+///
+/// The seed placer scored a component seed — a qubit with no placed
+/// partner — by its distance to the device center. That float fold is
+/// exactly this one at the center: distances there are square roots of
+/// integers bounded by the device diagonal, so two candidates either
+/// tie bitwise (equal squared distances) or differ by far more than the
+/// fold's 1e-12 epsilon (adjacent integer square roots are ≥ 1/(2·diag)
+/// apart) — the float fold degenerates to the integer `(d², site)`
+/// minimum, which needs no square roots at all.
+fn nearest_free_site(free: &FreeSites, anchor: Site) -> Site {
     let mut best: Option<(i64, Site)> = None;
     for s in free.iter() {
         let d = s.distance_sq(anchor);
@@ -288,7 +219,7 @@ fn nearest_free_site(free: &FreeSites, anchor: Site) -> Option<Site> {
             best = Some((d, s));
         }
     }
-    best.map(|(_, s)| s)
+    best.expect("capacity checked: a free usable site exists").1
 }
 
 /// Builds the lookahead interaction weights [`initial_placement`]

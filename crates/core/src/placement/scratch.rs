@@ -1,16 +1,22 @@
-//! Reusable working memory for the placement fast path.
+//! Reusable working memory for a whole compile.
 
 use super::candidates::FreeSites;
-use na_arch::{Grid, Site};
+use crate::scheduler::ScheduleScratch;
+use na_arch::Site;
 
-/// Working memory carried through [`crate::compile`] (and reusable
-/// across compilations): the maintained free-site list, the lazily
-/// cached weight-to-mapped totals that drive placement order, and the
-/// mapped-partner buffer of the site scan.
+/// The working memory of a compile, carried through [`crate::compile`]
+/// and reusable across compilations: placement's free-site list and
+/// mapped-partner buffer, and every buffer of the scheduler
+/// ([`crate::scheduler`]'s "Hot-path layout": its lookahead weights and
+/// rebuild buffers, the frontier's per-gate state, the per-step
+/// buffers, the zone and BFS scratch and the cycle check's anchor).
 ///
-/// All buffers grow to the device/program size on first use and are
-/// reused afterwards; a fresh scratch per call reproduces the seed
-/// placer's behavior exactly, it just allocates more.
+/// Every compile re-arms each buffer it reads before reading it, so
+/// what an earlier compile left behind — finished, failed or unwound —
+/// never reaches its output: a reused scratch compiles exactly what a
+/// fresh one does, it just allocates less. Held by the experiment
+/// engine's workers (one per thread) and by each loss state for its
+/// recompiles.
 ///
 /// # Example
 ///
@@ -33,45 +39,15 @@ use na_arch::{Grid, Site};
 pub struct PlacementScratch {
     /// Free usable sites, shrinking as placement claims them.
     pub(super) free: FreeSites,
-    /// Unplaced qubit indices, ascending, shrinking as qubits are
-    /// placed — so the per-round ordering scan walks exactly the
-    /// remaining qubits instead of re-filtering all of them.
-    pub(super) unmapped: Vec<u32>,
-    /// Cached `weight_to_mapped` per qubit; valid where `!dirty`.
-    pub(super) w2m: Vec<f64>,
-    /// Qubits whose cached weight is stale (a partner was mapped since
-    /// it was computed).
-    pub(super) dirty: Vec<bool>,
     /// Mapped-partner `(site, weight)` buffer of the site scan.
     pub(super) partners: Vec<(Site, f64)>,
+    /// The scheduler's buffers.
+    pub(crate) schedule: ScheduleScratch,
 }
 
 impl PlacementScratch {
-    /// Fresh scratch; buffers grow on first placement.
+    /// Fresh scratch; buffers grow on first use.
     pub fn new() -> Self {
         PlacementScratch::default()
-    }
-
-    /// Rearms the scratch for one placement of `num_qubits` qubits on
-    /// `grid`: free list refilled, every cached weight marked stale.
-    pub(super) fn reset(&mut self, num_qubits: u32, grid: &Grid) {
-        self.free.rebuild(grid);
-        let n = num_qubits as usize;
-        self.unmapped.clear();
-        self.unmapped.extend(0..num_qubits);
-        self.w2m.clear();
-        self.w2m.resize(n, 0.0);
-        self.dirty.clear();
-        self.dirty.resize(n, true);
-        self.partners.clear();
-    }
-
-    /// Drops `q` from the unmapped list (it was just placed).
-    pub(super) fn mark_placed(&mut self, q: u32) {
-        let i = self
-            .unmapped
-            .binary_search(&q)
-            .expect("placed qubit must be unmapped");
-        self.unmapped.remove(i);
     }
 }

@@ -3,27 +3,31 @@
 //! Everything the compiler derives from a lowered [`Circuit`] before it
 //! looks at a grid is built once into a [`Program`]: the
 //! data-dependency DAG, the flattened operand table the scheduler's
-//! inner loop reads, and the time-zero lookahead weights that drive
-//! placement and seed the router. Placement and the scheduler borrow
+//! inner loop reads, the time-zero lookahead weights that drive
+//! placement and seed the router, and the placement order those weights
+//! fix (see [`crate::placement::order`]). Placement and the scheduler borrow
 //! it, and the [`crate::CompiledCircuit`] a compile produces holds it,
 //! so a loss-driven recompile (same program, new holes) redoes only the
 //! grid-dependent work. A `Program` is MID-independent: its only
 //! configuration input is `lookahead_depth`.
 
+use crate::placement::order::PlacementOrder;
 use crate::scheduler::RebuildScratch;
 use crate::InteractionWeights;
 use na_circuit::{Circuit, CircuitDag, Qubit};
 use na_telemetry::{Counter, Span};
 
-/// A lowered circuit with its DAG, operand table and time-zero
-/// lookahead weights, built once and shared by every compile of it and
-/// every schedule those compiles produce (see the module docs).
+/// A lowered circuit with its DAG, operand table, time-zero lookahead
+/// weights and placement order, built once and shared by every compile
+/// of it and every schedule those compiles produce (see the module
+/// docs).
 #[derive(Debug)]
 pub struct Program {
     circuit: Circuit,
     dag: CircuitDag,
     operands: GateOperands,
     weights: InteractionWeights,
+    placement_order: PlacementOrder,
     lookahead_depth: usize,
 }
 
@@ -38,11 +42,13 @@ impl Program {
         let dag = lowered.dag();
         let operands = GateOperands::of(&lowered);
         let weights = time_zero_weights(&lowered, &dag, &operands, lookahead_depth);
+        let placement_order = PlacementOrder::of(lowered.num_qubits(), &weights);
         Program {
             circuit: lowered,
             dag,
             operands,
             weights,
+            placement_order,
             lookahead_depth,
         }
     }
@@ -68,6 +74,11 @@ impl Program {
         &self.weights
     }
 
+    /// The order placement maps the qubits in, fixed by the weights.
+    pub(crate) fn placement_order(&self) -> &PlacementOrder {
+        &self.placement_order
+    }
+
     /// The lookahead depth the weights were built with.
     pub fn lookahead_depth(&self) -> usize {
         self.lookahead_depth
@@ -75,7 +86,8 @@ impl Program {
 }
 
 /// Programs are equal when their lowered circuits and lookahead depths
-/// are: the DAG, operand table and weights are functions of those.
+/// are: the DAG, operand table, weights and placement order are
+/// functions of those.
 impl PartialEq for Program {
     fn eq(&self, other: &Self) -> bool {
         self.circuit == other.circuit && self.lookahead_depth == other.lookahead_depth

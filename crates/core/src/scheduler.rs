@@ -24,22 +24,33 @@
 //! The inner loop runs over the precomputed [`InteractionGraph`] and
 //! borrows everything grid-independent from the [`Program`]: the DAG
 //! the frontier walks, the flattened CSR operand table, and the
-//! time-zero lookahead weights, which the scheduler clones instead of
-//! rebuilding. None of these is rebuilt per compile, so a loss-driven
-//! recompile of one program pays only for the grid-dependent work. It
-//! allocates nothing per timestep in steady state: the per-step
-//! `ready`/`in_range`/zone collections are reusable buffers, completion
-//! is a bit mask, zone conflicts go through a bounding-box prefilter,
-//! and lookahead weights are rebuilt lazily (only when a completed gate
-//! has shifted the frontier *and* a long-distance gate actually needs a
-//! SWAP scored) into reused adjacency buffers. A rebuild walks only the
-//! `lookahead_depth` layers ahead of the frontier
-//! ([`Frontier::window_into`]), so its work scales with that window,
-//! not with the circuit. Emitted ops store their operand sites in an
-//! inline [`SiteList`] (up to three sites — SWAPs, 1q/2q gates, native
-//! Toffolis — with a heap spill only for larger CNX decompositions),
-//! so in steady state the loop allocates nothing per op beyond the
-//! `ops` vector's amortized growth.
+//! time-zero lookahead weights, which it reads in place until its first
+//! rebuild. None of these is rebuilt per compile, so a loss-driven
+//! recompile of one program pays only for the grid-dependent work.
+//!
+//! Its working memory persists across compiles too: every buffer lives
+//! in the compile's [`PlacementScratch`](crate::PlacementScratch)
+//! (`ScheduleScratch`) — the rebuilt weights' adjacency lists, the
+//! rebuild's window and decay tables, the frontier's per-gate state
+//! ([`FrontierBuffers`]), the per-step `ready`/`in_range`/`completed`
+//! lists, the completion bit mask, the zone buffer, the BFS scratch and
+//! the cycle check's anchor — and `run` re-arms each one when it
+//! starts. A compile that returns an error may leave them in any
+//! state; the next one never reads what it has not re-armed. So once
+//! the scratch has grown, a compile allocates only what its schedule
+//! keeps: the `ops` list, sized up front from the program's gate count
+//! plus the previous schedule's SWAPs, and the final map.
+//!
+//! Per timestep it allocates nothing: completion is a bit mask, zone
+//! conflicts go through a bounding-box prefilter, and lookahead weights
+//! are rebuilt lazily (only when a completed gate has shifted the
+//! frontier *and* a long-distance gate actually needs a SWAP scored).
+//! A rebuild walks only the `lookahead_depth` layers ahead of the
+//! frontier ([`Frontier::window_into`]), so its work scales with that
+//! window, not with the circuit. Emitted ops store their operand sites
+//! in an inline [`SiteList`] (up to three sites — SWAPs, 1q/2q gates,
+//! native Toffolis — with a heap spill only for larger CNX
+//! decompositions).
 //!
 //! # Stuck routings
 //!
@@ -78,7 +89,7 @@ use crate::program::{GateOperands, Program};
 use crate::routing::{all_within_mid, best_swap_for_gate, meeting_point_of_sites, CandidateCounts};
 use crate::{CompileError, CompilerConfig, InteractionWeights, QubitMap, WeightScratch};
 use na_arch::{BfsScratch, Grid, InteractionGraph, RestrictionPolicy, Site};
-use na_circuit::{Frontier, GateId, Qubit, WindowScratch};
+use na_circuit::{Frontier, FrontierBuffers, GateId, Qubit, WindowScratch};
 use na_telemetry::{Counter, Span};
 use std::fmt;
 
@@ -265,15 +276,16 @@ pub(crate) struct ScheduleResult {
 
 /// Completed-gate bit mask: `contains` is one word probe instead of a
 /// linear scan over the step's completion list.
+#[derive(Debug, Clone, Default)]
 struct GateMask {
     words: Vec<u64>,
 }
 
 impl GateMask {
-    fn new(num_gates: usize) -> Self {
-        GateMask {
-            words: vec![0; num_gates.div_ceil(64)],
-        }
+    /// Clears the mask and sizes it to `num_gates` gates.
+    fn reset(&mut self, num_gates: usize) {
+        self.words.clear();
+        self.words.resize(num_gates.div_ceil(64), 0);
     }
 
     #[inline]
@@ -294,6 +306,7 @@ impl GateMask {
 /// Semantics match chaining [`na_arch::RestrictionZone::for_gate`] +
 /// `intersects` over every already-claimed zone: gates conflict when
 /// they share an operand site or any two discs overlap strictly.
+#[derive(Debug, Clone)]
 struct ZoneBuffer {
     policy: RestrictionPolicy,
     /// All claimed operand sites this step, flat.
@@ -302,6 +315,7 @@ struct ZoneBuffer {
     zones: Vec<ZoneEntry>,
 }
 
+#[derive(Debug, Clone)]
 struct ZoneEntry {
     start: u32,
     end: u32,
@@ -312,13 +326,22 @@ struct ZoneEntry {
     max_y: f64,
 }
 
-impl ZoneBuffer {
-    fn new(policy: RestrictionPolicy) -> Self {
+impl Default for ZoneBuffer {
+    /// An empty buffer; [`ZoneBuffer::reset`] sets each compile's policy.
+    fn default() -> Self {
         ZoneBuffer {
-            policy,
+            policy: RestrictionPolicy::None,
             centers: Vec::new(),
             zones: Vec::new(),
         }
+    }
+}
+
+impl ZoneBuffer {
+    /// Empties the buffer and sets the policy its zones are drawn by.
+    fn reset(&mut self, policy: RestrictionPolicy) {
+        self.policy = policy;
+        self.clear();
     }
 
     fn clear(&mut self) {
@@ -395,19 +418,84 @@ impl ZoneBuffer {
     }
 }
 
-/// Schedules `program` starting from `initial` placement.
+/// The scheduler's working memory, kept in the compile's
+/// [`PlacementScratch`](crate::PlacementScratch) so a run of compiles
+/// (a loss campaign's recompiles, an engine worker's cache misses)
+/// allocates it once. [`run`] re-arms every buffer before it reads it;
+/// a compile that fails or unwinds may leave any of them in any state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScheduleScratch {
+    /// The lookahead weights after the first rebuild (before it, the
+    /// scheduler reads the program's time-zero weights).
+    weights: InteractionWeights,
+    rebuild: RebuildScratch,
+    frontier: FrontierBuffers,
+    ready: Vec<GateId>,
+    in_range: Vec<(GateId, f64)>,
+    completed: Vec<GateId>,
+    completed_mask: GateMask,
+    zones: ZoneBuffer,
+    sites: Vec<Site>,
+    bfs: BfsScratch,
+    cycle: CycleCheck,
+    /// SWAPs the last schedule inserted: with the program's gate count,
+    /// the capacity the next schedule's `ops` starts at.
+    swaps_hint: usize,
+}
+
+/// Schedules `program` starting from `initial` placement, in the
+/// working memory of `scratch`.
 pub(crate) fn run(
     program: &Program,
     grid: &Grid,
     graph: &InteractionGraph,
     config: &CompilerConfig,
     initial: QubitMap,
+    scratch: &mut ScheduleScratch,
 ) -> Result<ScheduleResult, CompileError> {
+    let mut frontier = program
+        .dag()
+        .frontier_in(std::mem::take(&mut scratch.frontier));
+    let result = schedule(
+        program,
+        grid,
+        graph,
+        config,
+        initial,
+        &mut frontier,
+        scratch,
+    );
+    scratch.frontier = frontier.into_buffers();
+    result
+}
+
+fn schedule(
+    program: &Program,
+    grid: &Grid,
+    graph: &InteractionGraph,
+    config: &CompilerConfig,
+    initial: QubitMap,
+    frontier: &mut Frontier<'_>,
+    scratch: &mut ScheduleScratch,
+) -> Result<ScheduleResult, CompileError> {
+    let ScheduleScratch {
+        weights: rebuilt_weights,
+        rebuild,
+        frontier: _,
+        ready,
+        in_range,
+        completed,
+        completed_mask,
+        zones,
+        sites: site_scratch,
+        bfs: bfs_scratch,
+        cycle,
+        swaps_hint,
+    } = scratch;
     let circuit = program.circuit();
     let operands = program.operands();
-    let mut frontier = program.dag().frontier();
     let mut map = initial;
-    let mut ops: Vec<ScheduledOp> = Vec::new();
+    let mut ops: Vec<ScheduledOp> = Vec::with_capacity(circuit.len() + *swaps_hint);
     let mut time: u32 = 0;
     let step_budget = config
         .max_steps_per_gate
@@ -416,23 +504,17 @@ pub(crate) fn run(
 
     // Lookahead weights change only when gates complete, and are only
     // read when a long-distance gate needs a SWAP scored — rebuild
-    // lazily at first use after a completion. The time-zero weights
-    // are the program's.
-    let mut weights = program.weights().clone();
-    let mut lookahead = Lookahead::new();
+    // lazily at first use after a completion. Until the first rebuild
+    // the weights are the program's time-zero ones.
+    rebuilt_weights.reset(circuit.num_qubits());
+    let mut rebuilt = false;
+    let mut lookahead = Lookahead::new(rebuild);
     let mut weights_dirty = false;
-    let mut cycle = CycleCheck::new();
+    cycle.reset();
     let mut searches = SwapSearches::default();
     let blocked_radius = config.restriction.radius(1.0);
-
-    // Reusable per-step buffers (see module docs).
-    let mut ready: Vec<GateId> = Vec::new();
-    let mut in_range: Vec<(GateId, f64)> = Vec::new();
-    let mut completed: Vec<GateId> = Vec::new();
-    let mut completed_mask = GateMask::new(circuit.len());
-    let mut zones = ZoneBuffer::new(config.restriction);
-    let mut site_scratch: Vec<Site> = Vec::new();
-    let mut bfs_scratch = BfsScratch::new();
+    completed_mask.reset(circuit.len());
+    zones.reset(config.restriction);
 
     // The routing phases accumulate into one `route` sample (see
     // module docs). No clock reads when metrics are off.
@@ -455,7 +537,7 @@ pub(crate) fn run(
         // long-range gate claims a large zone that can forbid many
         // small ones, but never the other way around.
         in_range.clear();
-        for &id in &ready {
+        for &id in ready.iter() {
             let ops_of_gate = operands.get(id.0);
             if ops_of_gate.len() >= 2 && !all_within_mid(ops_of_gate, &map, config.mid) {
                 continue;
@@ -477,7 +559,7 @@ pub(crate) fn run(
                 .expect("finite spans")
                 .then(a.0.cmp(&b.0))
         });
-        for &(id, _) in &in_range {
+        for &(id, _) in in_range.iter() {
             site_scratch.clear();
             site_scratch.extend(
                 operands
@@ -485,13 +567,13 @@ pub(crate) fn run(
                     .iter()
                     .map(|&q| map.site_of(q).expect("all program qubits placed")),
             );
-            if !zones.try_claim(&site_scratch) {
+            if !zones.try_claim(site_scratch) {
                 continue;
             }
             ops.push(ScheduledOp {
                 time,
                 source: Some(id.0),
-                sites: SiteList::from_slice(&site_scratch),
+                sites: SiteList::from_slice(site_scratch),
             });
             completed_mask.set(id.0);
             completed.push(id);
@@ -500,7 +582,7 @@ pub(crate) fn run(
 
         // Phase B: one routing SWAP per remaining long-distance gate.
         route.resume();
-        for &id in &ready {
+        for &id in ready.iter() {
             if completed_mask.contains(id.0) {
                 continue;
             }
@@ -511,10 +593,16 @@ pub(crate) fn run(
             }
             if weights_dirty {
                 route.pause();
-                lookahead.rebuild(operands, &frontier, config.lookahead_depth, &mut weights);
+                lookahead.rebuild(operands, frontier, config.lookahead_depth, rebuilt_weights);
                 route.resume();
                 weights_dirty = false;
+                rebuilt = true;
             }
+            let weights: &InteractionWeights = if rebuilt {
+                rebuilt_weights
+            } else {
+                program.weights()
+            };
             searches.searches += 1;
             // No move out of a blocked operand site could be claimed
             // (see step 2 in the module docs).
@@ -530,7 +618,7 @@ pub(crate) fn run(
                 &map,
                 graph,
                 grid.usable_mask(),
-                &weights,
+                weights,
                 config.mid,
                 &mut searches.candidates,
             ) else {
@@ -557,8 +645,8 @@ pub(crate) fn run(
                 &map,
                 grid,
                 graph,
-                &mut bfs_scratch,
-                &mut site_scratch,
+                bfs_scratch,
+                site_scratch,
             )?;
             ops.push(ScheduledOp {
                 time,
@@ -589,6 +677,7 @@ pub(crate) fn run(
     }
 
     route.end();
+    *swaps_hint = ops.len() - circuit.len();
 
     Ok(ScheduleResult {
         ops,
@@ -598,7 +687,7 @@ pub(crate) fn run(
 }
 
 /// The reusable buffers of one lookahead rebuild.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RebuildScratch {
     walk: WindowScratch,
     window: Vec<(GateId, usize)>,
@@ -631,17 +720,17 @@ impl RebuildScratch {
 /// The scheduler's lookahead rebuilds: their buffers, their paused
 /// [`Span::Lookahead`], and their work counts, added to the counters
 /// once per compile when dropped.
-struct Lookahead {
-    scratch: RebuildScratch,
+struct Lookahead<'s> {
+    scratch: &'s mut RebuildScratch,
     span: na_telemetry::OpenSpan,
     rebuilds: u64,
     gates_visited: u64,
 }
 
-impl Lookahead {
-    fn new() -> Self {
+impl<'s> Lookahead<'s> {
+    fn new(scratch: &'s mut RebuildScratch) -> Self {
         Lookahead {
-            scratch: RebuildScratch::default(),
+            scratch,
             span: na_telemetry::span_paused(Span::Lookahead),
             rebuilds: 0,
             gates_visited: 0,
@@ -665,7 +754,7 @@ impl Lookahead {
     }
 }
 
-impl Drop for Lookahead {
+impl Drop for Lookahead<'_> {
     /// Adds the counts even when the compile fails, as the span records.
     fn drop(&mut self) {
         na_telemetry::add(Counter::WeightRebuilds, self.rebuilds);
@@ -702,6 +791,7 @@ impl Drop for SwapSearches {
 /// an anchor copy that moves to the current mapping after 1, 2, 4, …
 /// observations, so a cycle of period λ entered after μ steps is found
 /// within 2·max(μ, λ) + λ steps, at one map compare per step.
+#[derive(Debug, Clone)]
 struct CycleCheck {
     /// [`QubitMap::sites`] at the anchor.
     anchor: Vec<Option<Site>>,
@@ -713,8 +803,8 @@ struct CycleCheck {
     power: u32,
 }
 
-impl CycleCheck {
-    fn new() -> Self {
+impl Default for CycleCheck {
+    fn default() -> Self {
         CycleCheck {
             anchor: Vec::new(),
             armed: false,
@@ -722,7 +812,9 @@ impl CycleCheck {
             power: 1,
         }
     }
+}
 
+impl CycleCheck {
     /// Forgets the anchor: the frontier moved, so earlier mappings no
     /// longer describe the same state.
     fn reset(&mut self) {
@@ -824,7 +916,15 @@ mod tests {
         let program = Program::new(circuit.clone(), config.lookahead_depth);
         let map = initial_placement(circuit, grid, program.weights()).unwrap();
         let graph = InteractionGraph::cached(grid, config.mid);
-        run(&program, grid, &graph, config, map).unwrap()
+        run(
+            &program,
+            grid,
+            &graph,
+            config,
+            map,
+            &mut ScheduleScratch::default(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1027,7 +1127,8 @@ mod tests {
                     }
                     sites
                 };
-                let mut buffer = ZoneBuffer::new(policy);
+                let mut buffer = ZoneBuffer::default();
+                buffer.reset(policy);
                 let mut reference: Vec<RestrictionZone> = Vec::new();
                 for _ in 0..5 {
                     let sites = gate(&mut rng);

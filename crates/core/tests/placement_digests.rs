@@ -214,7 +214,7 @@ fn layout_matches_the_compiled_initial_map() {
         let map = initial_layout(&circuit, &grid, &cfg).unwrap();
         let compiled = na_core::compile(&circuit, &grid, &cfg).unwrap();
         assert_eq!(
-            &map.to_table(),
+            &map,
             compiled.initial_map(),
             "{benchmark} size {size} at MID {mid}: layout != compile's initial map"
         );

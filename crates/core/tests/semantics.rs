@@ -61,7 +61,7 @@ fn assert_schedule_semantics(program: &Circuit, grid: &Grid, config: &CompilerCo
         let mut site_basis = 0u64;
         for q in 0..n_prog {
             if basis >> q & 1 == 1 {
-                let s = compiled.initial_map()[&Qubit(q)];
+                let s = compiled.initial_map().site_of(Qubit(q)).expect("placed");
                 site_basis |= 1 << site_index[&s];
             }
         }
@@ -76,7 +76,7 @@ fn assert_schedule_semantics(program: &Circuit, grid: &Grid, config: &CompilerCo
             let mut final_sites = 0u64;
             for q in 0..n_prog {
                 if pb >> q & 1 == 1 {
-                    let s = compiled.final_map()[&Qubit(q)];
+                    let s = compiled.final_map().site_of(Qubit(q)).expect("placed");
                     final_sites |= 1 << site_index[&s];
                 }
             }

@@ -47,16 +47,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 thread_local! {
-    /// One placement scratch per worker thread: every cache miss this
-    /// thread compiles reuses the placement fast path's free-site list
-    /// and ordering caches instead of reallocating them per program.
+    /// One compile scratch per worker thread: every cache miss this
+    /// thread compiles reuses placement's and the scheduler's working
+    /// memory instead of reallocating it per program.
     static PLACEMENT_SCRATCH: RefCell<PlacementScratch> = RefCell::new(PlacementScratch::new());
 }
 
-/// Replaces this thread's placement scratch with a fresh one. Called
-/// by the engine after isolating a job panic: an unwind mid-placement
-/// may leave the scratch's reusable caches half-updated, and the next
-/// compile on this worker must not inherit that state.
+/// Replaces this thread's compile scratch with a fresh one. Called by
+/// the engine after isolating a job panic: an unwind mid-compile may
+/// leave the scratch's buffers half-updated, and although every compile
+/// re-arms what it reads, a worker that survived a panic starts over
+/// from fresh memory.
 pub(crate) fn reset_thread_scratch() {
     PLACEMENT_SCRATCH.with(|s| *s.borrow_mut() = PlacementScratch::new());
 }

@@ -70,9 +70,10 @@ pub struct StrategyState {
     /// Virtual-map shift working memory reused by every remap this
     /// state performs (one per interfering loss, every shot).
     shift_scratch: ShiftScratch,
-    /// Placement working memory reused by the FullRecompile strategy's
-    /// per-loss recompilations.
-    placement_scratch: PlacementScratch,
+    /// Compile working memory (placement's and the scheduler's) reused
+    /// by the FullRecompile strategy's per-loss recompilations, failed
+    /// ones included: each compile re-arms what it reads.
+    compile_scratch: PlacementScratch,
     /// Distinct operand pairs (with multiplicities) of `original`,
     /// precomputed once so fixup costing iterates distinct pairs
     /// instead of scheduled ops. Shared (`Arc`) between states built
@@ -103,12 +104,12 @@ impl StrategyState {
         max_fixup_swaps: Option<u32>,
     ) -> Result<Self, CompileError> {
         let cfg = CompilerConfig::new(strategy.compile_mid(hardware_mid));
-        let mut placement_scratch = PlacementScratch::new();
+        let mut compile_scratch = PlacementScratch::new();
         let compiled = Arc::new(compile_with(
             program,
             grid_template,
             &cfg,
-            &mut placement_scratch,
+            &mut compile_scratch,
         )?);
         let summary = Arc::new(InteractionSummary::of(&compiled));
         let mut state = Self::with_compiled(
@@ -120,9 +121,9 @@ impl StrategyState {
             compiled,
             summary,
         );
-        // Keep the placement caches warmed by the initial compilation
-        // for FullRecompile's per-loss recompilations.
-        state.placement_scratch = placement_scratch;
+        // Keep the buffers the initial compilation grew for
+        // FullRecompile's per-loss recompilations.
+        state.compile_scratch = compile_scratch;
         Ok(state)
     }
 
@@ -180,7 +181,7 @@ impl StrategyState {
             fixup: FixupCache::new(&summary, grid_template.num_sites()),
             fixup_scratch: BfsScratch::new(),
             shift_scratch: ShiftScratch::new(),
-            placement_scratch: PlacementScratch::new(),
+            compile_scratch: PlacementScratch::new(),
             summary,
             full_graph,
         };
@@ -295,7 +296,7 @@ impl StrategyState {
                     original.circuit(),
                     &self.grid,
                     original.config(),
-                    &mut self.placement_scratch,
+                    &mut self.compile_scratch,
                     Reuse::Lowered(original.program()),
                     false,
                     None,

@@ -61,12 +61,6 @@ impl Benchmark {
         }
     }
 
-    /// `true` for benchmarks natively expressed in Toffoli gates
-    /// (the Fig. 6 native-vs-decomposed comparison applies to these).
-    pub fn uses_toffoli(self) -> bool {
-        matches!(self, Benchmark::Cnu | Benchmark::Cuccaro)
-    }
-
     /// Generates the family member that fits within `size` qubits.
     ///
     /// Every family rounds down to its structural parameter:
@@ -235,6 +229,12 @@ impl std::str::FromStr for Benchmark {
 mod tests {
     use super::*;
 
+    /// `true` for benchmarks natively expressed in Toffoli gates
+    /// (the Fig. 6 native-vs-decomposed comparison applies to these).
+    fn uses_toffoli(b: Benchmark) -> bool {
+        matches!(b, Benchmark::Cnu | Benchmark::Cuccaro)
+    }
+
     #[test]
     fn generate_fits_budget_for_all_families() {
         for b in Benchmark::ALL {
@@ -254,11 +254,11 @@ mod tests {
 
     #[test]
     fn toffoli_families_flagged() {
-        assert!(Benchmark::Cnu.uses_toffoli());
-        assert!(Benchmark::Cuccaro.uses_toffoli());
-        assert!(!Benchmark::Bv.uses_toffoli());
-        assert!(!Benchmark::QftAdder.uses_toffoli());
-        assert!(!Benchmark::Qaoa.uses_toffoli());
+        assert!(uses_toffoli(Benchmark::Cnu));
+        assert!(uses_toffoli(Benchmark::Cuccaro));
+        assert!(!uses_toffoli(Benchmark::Bv));
+        assert!(!uses_toffoli(Benchmark::QftAdder));
+        assert!(!uses_toffoli(Benchmark::Qaoa));
     }
 
     #[test]
@@ -266,7 +266,7 @@ mod tests {
         for b in Benchmark::ALL {
             let c = b.generate(20, 0);
             let has3q = c.metrics().three_qubit > 0;
-            assert_eq!(has3q, b.uses_toffoli(), "{b}");
+            assert_eq!(has3q, uses_toffoli(b), "{b}");
         }
     }
 

@@ -73,7 +73,8 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns the first [`CircuitError`] found while validating `gates`.
-    pub fn from_gates(
+    #[cfg(test)]
+    pub(crate) fn from_gates(
         num_qubits: u32,
         gates: impl IntoIterator<Item = Gate>,
     ) -> Result<Self, CircuitError> {

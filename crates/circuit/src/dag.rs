@@ -201,11 +201,6 @@ impl<'a> Frontier<'a> {
         self.executed_count == self.dag.len()
     }
 
-    /// Number of gates completed so far.
-    pub fn executed_count(&self) -> usize {
-        self.executed_count
-    }
-
     /// `true` if the gate has already been completed.
     pub fn is_executed(&self, id: GateId) -> bool {
         self.executed[id.0]
@@ -327,6 +322,11 @@ impl WindowScratch {
 mod tests {
     use super::*;
 
+    /// Number of gates `frontier` has completed so far.
+    fn executed_count(frontier: &Frontier<'_>) -> usize {
+        frontier.executed_count
+    }
+
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -410,7 +410,7 @@ mod tests {
         let mut fresh = dag.frontier();
         for g in 0..dag.len() {
             assert_eq!(reused.ready(), fresh.ready());
-            assert_eq!(reused.executed_count(), fresh.executed_count());
+            assert_eq!(executed_count(&reused), executed_count(&fresh));
             assert!(!reused.is_executed(GateId(g)));
             reused.complete(GateId(g));
             fresh.complete(GateId(g));

@@ -22,7 +22,6 @@ use std::fmt;
 ///     target: Qubit(2),
 /// };
 /// assert_eq!(g.arity(), 3);
-/// assert!(g.is_multiqubit());
 /// assert_eq!(g.qubits(), vec![Qubit(0), Qubit(1), Qubit(2)]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -158,12 +157,6 @@ impl Gate {
         }
     }
 
-    /// `true` for gates on two or more qubits.
-    #[inline]
-    pub fn is_multiqubit(&self) -> bool {
-        self.arity() >= 2
-    }
-
     /// `true` if this is a router-inserted SWAP.
     #[inline]
     pub fn is_swap(&self) -> bool {
@@ -286,8 +279,8 @@ mod tests {
 
     #[test]
     fn multiqubit_flags() {
-        assert!(!Gate::H(Qubit(0)).is_multiqubit());
-        assert!(Gate::Cz(Qubit(0), Qubit(1)).is_multiqubit());
+        assert_eq!(Gate::H(Qubit(0)).arity(), 1);
+        assert_eq!(Gate::Cz(Qubit(0), Qubit(1)).arity(), 2);
         assert!(Gate::Swap(Qubit(0), Qubit(1)).is_swap());
         assert!(!Gate::Cz(Qubit(0), Qubit(1)).is_swap());
         assert!(Gate::Measure(Qubit(0)).is_measure());

@@ -167,12 +167,28 @@ fn common(args: &Args) -> Result<Common, ArgError> {
     })
 }
 
+/// The most threads `--workers` may ask for: the engine spawns one OS
+/// thread per worker, up to the number of work units, so the flag must
+/// not ask the OS for an unbounded number.
+const MAX_WORKERS: usize = 1024;
+
+/// The most work units `--campaigns` × `--shards` may fan out: every
+/// shard's shot range and result are reserved before any shot runs, so
+/// the product bounds the campaign command's memory.
+const MAX_WORK_UNITS: u32 = 65_536;
+
 /// The engine for a sweep-shaped command: `--workers N` (default all
-/// cores) plus the cooperative `--job-timeout` budget.
+/// cores, at most [`MAX_WORKERS`]) plus the cooperative
+/// `--job-timeout` budget.
 fn engine(args: &Args) -> Result<Engine, ArgError> {
     let mut engine = match args.get("workers") {
         None => Engine::new(),
-        Some(_) => Engine::with_workers(args.parse_or("workers", 0usize)?),
+        Some(_) => Engine::with_workers(args.parse_checked(
+            "workers",
+            0usize,
+            |&w| w <= MAX_WORKERS,
+            &format!("at most {MAX_WORKERS}"),
+        )?),
     };
     if let Some(timeout) = job_timeout(args)? {
         engine = engine.with_job_timeout(timeout);
@@ -298,8 +314,16 @@ pub fn compile_cmd(args: &Args) -> CmdResult {
     // measurement, and the per-pass table is printed after the
     // metrics. The compiled schedule is bit-identical either way.
     let (compiled, pass_report) = if args.flag("passes") {
-        let program = c.circuit();
-        let (compiled, report) = na_core::compile_with_report(&program, &c.grid, &c.config)?;
+        let mut report = na_core::PassReport::default();
+        let compiled = na_core::run_passes(
+            &c.circuit(),
+            &c.grid,
+            &c.config,
+            &mut na_core::PlacementScratch::new(),
+            na_core::Reuse::Nothing,
+            true,
+            Some(&mut report),
+        )?;
         (std::sync::Arc::new(compiled), Some(report))
     } else {
         (compile_common(&c)?, None)
@@ -471,6 +495,28 @@ pub fn tolerance_cmd(args: &Args) -> CmdResult {
     Ok(CmdStatus::Ok)
 }
 
+/// `--campaigns N` and `--shards K`: each at least 1, with at most
+/// [`MAX_WORK_UNITS`] shards in all.
+fn campaign_fan(args: &Args) -> Result<(u32, u32), ArgError> {
+    let campaigns = args.parse_checked(
+        "campaigns",
+        1u32,
+        |n| (1..=MAX_WORK_UNITS).contains(n),
+        &format!("between 1 and {MAX_WORK_UNITS}"),
+    )?;
+    let max_shards = MAX_WORK_UNITS / campaigns;
+    let shards = args.parse_checked(
+        "shards",
+        1u32,
+        |n| (1..=max_shards).contains(n),
+        &format!(
+            "between 1 and {max_shards}, so that --campaigns × --shards is at most \
+             {MAX_WORK_UNITS}"
+        ),
+    )?;
+    Ok((campaigns, shards))
+}
+
 /// `natoms campaign` — one or more Monte-Carlo campaigns through the
 /// engine. `--campaigns N` runs N independent replicas (seeds derived
 /// from `--seed`) in parallel and reports each plus the aggregate.
@@ -493,8 +539,7 @@ pub fn campaign_cmd(args: &Args) -> CmdResult {
         |&f| f >= min_factor,
         &format!("at least {min_factor}"),
     )?;
-    let campaigns = args.parse_checked("campaigns", 1u32, |&n| n >= 1, "at least 1")?;
-    let shards = args.parse_checked("shards", 1u32, |&n| n >= 1, "at least 1")?;
+    let (campaigns, shards) = campaign_fan(args)?;
     let streaming = args.flag("streaming");
     if streaming && args.flag("timeline") {
         // The timeline grows with the shot count — exactly the
@@ -997,6 +1042,39 @@ mod tests {
             let err = cmd(&parse(&tokens)).expect_err(case);
             assert!(err.to_string().starts_with(flag), "{case}: {err}");
         }
+    }
+
+    #[test]
+    fn engine_fan_flags_are_capped_before_any_engine_runs() {
+        // Checked on the parsed flags alone: an over-cap value must
+        // never reach an engine, which would spawn its threads or
+        // reserve its shards.
+        for case in ["sweep --workers 1025", "campaign --workers 100000"] {
+            let err = engine(&parse(&case.split(' ').collect::<Vec<_>>())).expect_err(case);
+            assert!(err.to_string().starts_with("--workers"), "{case}: {err}");
+        }
+        for case in [
+            "campaign --campaigns 65537",
+            "campaign --campaigns 4294967295",
+            "campaign --shards 65537",
+            "campaign --shards 4000000000",
+            "campaign --campaigns 256 --shards 257",
+            "campaign --campaigns 65536 --shards 2",
+        ] {
+            let tokens: Vec<&str> = case.split(' ').collect();
+            let flag = tokens.iter().rfind(|t| t.starts_with("--")).unwrap();
+            let err = campaign_fan(&parse(&tokens)).expect_err(case);
+            assert!(err.to_string().starts_with(flag), "{case}: {err}");
+        }
+        // The caps themselves are accepted.
+        assert!(engine(&parse(&["sweep", "--workers", "1024"])).is_ok());
+        let fan = |tokens: &[&str]| campaign_fan(&parse(tokens)).unwrap();
+        assert_eq!(
+            fan(&["campaign", "--campaigns", "256", "--shards", "256"]),
+            (256, 256)
+        );
+        assert_eq!(fan(&["campaign", "--shards", "65536"]), (1, 65_536));
+        assert_eq!(fan(&["campaign"]), (1, 1));
     }
 
     #[test]

@@ -84,13 +84,14 @@ RELOAD-TIME OPTIONS:
                     tolerance, at most 100000)
 
 ENGINE OPTIONS (sweep, campaign):
-  --workers N       worker threads              (default: all cores)
+  --workers N       worker threads, at most 1024 (default: all cores)
   --jsonl [FILE]    emit structured JSON-lines rows (stdout, or FILE)
   --job-timeout S   per-job wall-clock budget in seconds;
                     over-budget jobs become typed failed rows
   --campaigns N     parallel campaign replicas  (campaign only)
   --shards K        split each campaign into K deterministic shot-range
-                    shards fanned across the pool (campaign only)
+                    shards fanned across the pool (campaign only);
+                    --campaigns × --shards is at most 65536
   --streaming       constant-memory statistics: drop the per-interval
                     vector, report streak summaries (campaign only;
                     incompatible with --timeline)

@@ -5,7 +5,7 @@
 //! see [`crate::passes`] for the pass-by-pass breakdown and artifact
 //! reuse.
 
-use crate::passes::{self, PassReport, Reuse};
+use crate::passes::{self, Reuse};
 use crate::placement::PlacementScratch;
 use crate::program::Program;
 use crate::scheduler::ScheduleResult;
@@ -249,34 +249,6 @@ pub fn compile_with(
     scratch: &mut PlacementScratch,
 ) -> Result<CompiledCircuit, CompileError> {
     passes::run(circuit, grid, config, scratch, Reuse::Nothing, false, None)
-}
-
-/// [`compile`] with the `verify` pass on, also returning the per-pass
-/// [`PassReport`] (wall time + artifact stats per pass, including a
-/// real `verify` measurement). The compiled circuit is identical to
-/// [`compile`]'s — the report is strictly observational.
-///
-/// # Errors
-///
-/// As [`compile`], plus [`CompileError::VerifyFailed`] if the
-/// in-line verification rejects the schedule (a compiler bug by
-/// definition).
-pub fn compile_with_report(
-    circuit: &Circuit,
-    grid: &Grid,
-    config: &CompilerConfig,
-) -> Result<(CompiledCircuit, PassReport), CompileError> {
-    let mut report = PassReport::default();
-    let compiled = passes::run(
-        circuit,
-        grid,
-        config,
-        &mut PlacementScratch::new(),
-        Reuse::Nothing,
-        true,
-        Some(&mut report),
-    )?;
-    Ok((compiled, report))
 }
 
 /// Lowers `circuit` to the gate set `config` selects (native
@@ -694,6 +666,31 @@ mod tests {
             verify(&compiled, &grid),
             Err(VerifyError::GateCount { times: 0, .. })
         ));
+    }
+
+    #[test]
+    fn verify_on_a_grid_of_other_dimensions_is_typed() {
+        // The replayed map keeps the compile device's extent, so a
+        // device of other dimensions must be answered by a typed
+        // error where a used site is missing from it, and accepted
+        // where every used site exists, never by a panic.
+        let grid = Grid::new(10, 10);
+        let compiled = compile_ok(
+            &Benchmark::Bv.generate(16, 0),
+            &grid,
+            &CompilerConfig::new(3.0),
+        );
+        for (w, h) in [(1, 1), (4, 4), (10, 3), (3, 10), (6, 12), (12, 12), (30, 2)] {
+            let other = Grid::new(w, h);
+            let fits = compiled.used_sites().iter().all(|&s| other.contains(s));
+            match verify(&compiled, &other) {
+                Ok(()) => assert!(fits, "{w}x{h} accepted a schedule it cannot hold"),
+                Err(VerifyError::UnusableSite { site, .. }) => {
+                    assert!(!fits && !other.contains(site), "{w}x{h}: {site}");
+                }
+                Err(e) => panic!("{w}x{h}: unexpected {e}"),
+            }
+        }
     }
 
     #[test]

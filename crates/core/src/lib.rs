@@ -63,8 +63,8 @@ extern crate self as na_core;
 mod oracles;
 
 pub use compiler::{
-    compile, compile_with, compile_with_report, lower_for, schedule_digest, verify,
-    CompiledCircuit, CompiledMetrics, ScheduledOp, SiteList, VerifyError,
+    compile, compile_with, lower_for, schedule_digest, verify, CompiledCircuit, CompiledMetrics,
+    ScheduledOp, SiteList, VerifyError,
 };
 pub use config::{CompileError, CompilerConfig};
 pub use lookahead::{InteractionWeights, WeightScratch};
@@ -72,7 +72,6 @@ pub use mapping::QubitMap;
 pub use memo::Memo;
 pub use passes::{run as run_passes, ArtifactStore, PassReport, PassTiming, Reuse};
 pub use placement::{
-    circuit_weights, initial_layout, initial_placement, initial_placement_with, placement_digest,
-    PlacementScratch,
+    circuit_weights, initial_layout, initial_placement_with, placement_digest, PlacementScratch,
 };
 pub use program::Program;

@@ -82,7 +82,12 @@ impl InteractionWeights {
     /// `gates` yields `(operands, relative_layer)` for every pending
     /// gate in gate order; gates beyond `lookahead_depth` layers are
     /// ignored.
-    pub fn from_layered_gates<'a, I>(num_qubits: u32, gates: I, lookahead_depth: usize) -> Self
+    #[cfg(test)]
+    pub(crate) fn from_layered_gates<'a, I>(
+        num_qubits: u32,
+        gates: I,
+        lookahead_depth: usize,
+    ) -> Self
     where
         I: IntoIterator<Item = (&'a [Qubit], usize)>,
     {

@@ -11,10 +11,9 @@ const EMPTY: u32 = u32::MAX;
 /// "who occupies site h?".
 ///
 /// Both directions are flat arrays: `q2s` indexed by qubit, and a
-/// dense row-major site table covering the rectangle of sites seen so
-/// far (pre-sizable with [`QubitMap::with_extent`]), so the
-/// `site_of`/`qubit_at`/`swap_sites` hot path of the router never
-/// touches a hash map.
+/// dense row-major site table sized to the device when the map is made
+/// ([`QubitMap::with_extent`]), so the `site_of`/`qubit_at`/`swap_sites`
+/// hot path of the router never touches a hash map and never grows.
 ///
 /// # Example
 ///
@@ -23,7 +22,7 @@ const EMPTY: u32 = u32::MAX;
 /// use na_circuit::Qubit;
 /// use na_core::QubitMap;
 ///
-/// let mut map = QubitMap::new(2);
+/// let mut map = QubitMap::with_extent(2, 4, 4);
 /// map.assign(Qubit(0), Site::new(0, 0));
 /// map.assign(Qubit(1), Site::new(1, 0));
 /// map.swap_sites(Site::new(0, 0), Site::new(1, 0));
@@ -33,9 +32,8 @@ const EMPTY: u32 = u32::MAX;
 pub struct QubitMap {
     q2s: Vec<Option<Site>>,
     /// Dense `extent_w × extent_h` row-major table of occupants
-    /// (`EMPTY` = free). Grows on demand when a site beyond the
-    /// current extent is occupied; sites with negative coordinates
-    /// cannot hold qubits (no grid produces them).
+    /// (`EMPTY` = free). Sites outside it are free and cannot hold a
+    /// qubit.
     s2q: Vec<u32>,
     extent_w: i32,
     extent_h: i32,
@@ -50,14 +48,8 @@ impl PartialEq for QubitMap {
 }
 
 impl QubitMap {
-    /// Creates an empty mapping for `num_qubits` program qubits.
-    pub fn new(num_qubits: u32) -> Self {
-        QubitMap::with_extent(num_qubits, 0, 0)
-    }
-
-    /// Creates an empty mapping whose site table is pre-sized to a
-    /// `width × height` device, so no growth happens during placement
-    /// or routing.
+    /// Creates an empty mapping of `num_qubits` program qubits onto a
+    /// `width × height` device.
     pub fn with_extent(num_qubits: u32, width: u32, height: u32) -> Self {
         QubitMap {
             q2s: vec![None; num_qubits as usize],
@@ -92,26 +84,14 @@ impl QubitMap {
         Some(site.y as usize * self.extent_w as usize + site.x as usize)
     }
 
-    /// Grows the site table to cover `site`, preserving occupants.
-    fn grow_to_cover(&mut self, site: Site) {
-        assert!(
-            site.x >= 0 && site.y >= 0,
-            "site {site} with negative coordinates cannot hold a qubit"
-        );
-        let new_w = self.extent_w.max(site.x + 1);
-        let new_h = self.extent_h.max(site.y + 1);
-        if new_w == self.extent_w && new_h == self.extent_h {
-            return;
-        }
-        let mut table = vec![EMPTY; new_w as usize * new_h as usize];
-        for (i, s) in self.q2s.iter().enumerate() {
-            if let Some(s) = s {
-                table[s.y as usize * new_w as usize + s.x as usize] = i as u32;
-            }
-        }
-        self.s2q = table;
-        self.extent_w = new_w;
-        self.extent_h = new_h;
+    /// The table slot of `site`, which must hold a qubit.
+    fn slot(&self, site: Site) -> usize {
+        self.site_index(site).unwrap_or_else(|| {
+            panic!(
+                "site {site} is off the {}x{} device",
+                self.extent_w, self.extent_h
+            )
+        })
     }
 
     /// The site holding `q`, if placed.
@@ -139,15 +119,14 @@ impl QubitMap {
     ///
     /// # Panics
     ///
-    /// Panics if `q` is already placed, `site` is occupied, or `q` is
-    /// out of range.
+    /// Panics if `q` is already placed, `site` is occupied or off the
+    /// device, or `q` is out of range.
     pub fn assign(&mut self, q: Qubit, site: Site) {
         assert!(q.index() < self.q2s.len(), "qubit {q} out of range");
         assert!(self.q2s[q.index()].is_none(), "qubit {q} already placed");
         assert!(self.is_free(site), "site {site} already occupied");
-        self.grow_to_cover(site);
+        let i = self.slot(site);
         self.q2s[q.index()] = Some(site);
-        let i = self.site_index(site).expect("grown to cover");
         self.s2q[i] = q.0;
     }
 
@@ -156,17 +135,11 @@ impl QubitMap {
     ///
     /// # Panics
     ///
-    /// Panics if `a == b`.
+    /// Panics if `a == b`, or if a qubit would move off the device.
     pub fn swap_sites(&mut self, a: Site, b: Site) {
         assert_ne!(a, b, "cannot swap a site with itself");
         let qa = self.qubit_at(a);
         let qb = self.qubit_at(b);
-        if qa.is_some() {
-            self.grow_to_cover(b);
-        }
-        if qb.is_some() {
-            self.grow_to_cover(a);
-        }
         if let Some(i) = self.site_index(a) {
             self.s2q[i] = EMPTY;
         }
@@ -174,13 +147,13 @@ impl QubitMap {
             self.s2q[i] = EMPTY;
         }
         if let Some(q) = qa {
+            let i = self.slot(b);
             self.q2s[q.index()] = Some(b);
-            let i = self.site_index(b).expect("covered");
             self.s2q[i] = q.0;
         }
         if let Some(q) = qb {
+            let i = self.slot(a);
             self.q2s[q.index()] = Some(a);
-            let i = self.site_index(a).expect("covered");
             self.s2q[i] = q.0;
         }
     }
@@ -200,7 +173,7 @@ mod tests {
 
     #[test]
     fn assign_and_lookup() {
-        let mut m = QubitMap::new(3);
+        let mut m = QubitMap::with_extent(3, 4, 4);
         m.assign(Qubit(0), Site::new(2, 2));
         assert_eq!(m.site_of(Qubit(0)), Some(Site::new(2, 2)));
         assert_eq!(m.qubit_at(Site::new(2, 2)), Some(Qubit(0)));
@@ -213,7 +186,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already occupied")]
     fn double_occupancy_panics() {
-        let mut m = QubitMap::new(2);
+        let mut m = QubitMap::with_extent(2, 4, 4);
         m.assign(Qubit(0), Site::new(0, 0));
         m.assign(Qubit(1), Site::new(0, 0));
     }
@@ -221,14 +194,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already placed")]
     fn double_placement_panics() {
-        let mut m = QubitMap::new(2);
+        let mut m = QubitMap::with_extent(2, 4, 4);
         m.assign(Qubit(0), Site::new(0, 0));
         m.assign(Qubit(0), Site::new(1, 0));
     }
 
     #[test]
     fn swap_occupied_sites() {
-        let mut m = QubitMap::new(2);
+        let mut m = QubitMap::with_extent(2, 4, 4);
         m.assign(Qubit(0), Site::new(0, 0));
         m.assign(Qubit(1), Site::new(1, 0));
         m.swap_sites(Site::new(0, 0), Site::new(1, 0));
@@ -238,7 +211,7 @@ mod tests {
 
     #[test]
     fn swap_with_empty_site_moves_qubit() {
-        let mut m = QubitMap::new(1);
+        let mut m = QubitMap::with_extent(1, 6, 6);
         m.assign(Qubit(0), Site::new(0, 0));
         m.swap_sites(Site::new(0, 0), Site::new(5, 5));
         assert_eq!(m.site_of(Qubit(0)), Some(Site::new(5, 5)));
@@ -247,14 +220,14 @@ mod tests {
 
     #[test]
     fn swap_two_empty_sites_is_noop() {
-        let mut m = QubitMap::new(1);
+        let mut m = QubitMap::with_extent(1, 6, 6);
         m.swap_sites(Site::new(0, 0), Site::new(1, 1));
         assert_eq!(m.mapped_count(), 0);
     }
 
     #[test]
     fn iter_yields_placed_qubits_ascending() {
-        let mut m = QubitMap::new(4);
+        let mut m = QubitMap::with_extent(4, 4, 4);
         m.assign(Qubit(2), Site::new(3, 1));
         m.assign(Qubit(0), Site::new(0, 0));
         let placed: Vec<_> = m.iter().collect();
@@ -278,9 +251,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "off the 4x4 device")]
+    fn moving_a_qubit_off_the_device_panics() {
+        let mut m = QubitMap::with_extent(1, 4, 4);
+        m.assign(Qubit(0), Site::new(3, 3));
+        m.swap_sites(Site::new(3, 3), Site::new(4, 3));
+    }
+
+    #[test]
     fn equality_ignores_extent() {
         let mut a = QubitMap::with_extent(2, 10, 10);
-        let mut b = QubitMap::new(2);
+        let mut b = QubitMap::with_extent(2, 4, 4);
         a.assign(Qubit(0), Site::new(3, 2));
         b.assign(Qubit(0), Site::new(3, 2));
         assert_eq!(a, b);

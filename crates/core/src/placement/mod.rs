@@ -55,27 +55,11 @@ use crate::{CompileError, CompilerConfig, InteractionWeights, QubitMap};
 use na_arch::{BBox, Grid, Site};
 use na_circuit::{Circuit, Qubit};
 
-/// Computes the initial placement for `circuit` on `grid`.
-///
-/// Allocates a fresh [`PlacementScratch`]; callers placing repeatedly
-/// (the compile driver, the experiment engine) should hold one scratch
-/// and use [`initial_placement_with`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::ProgramTooLarge`] if the program has more
-/// qubits than the grid has usable atoms.
-pub fn initial_placement(
-    circuit: &Circuit,
-    grid: &Grid,
-    weights: &InteractionWeights,
-) -> Result<QubitMap, CompileError> {
-    initial_placement_with(circuit, grid, weights, &mut PlacementScratch::new())
-}
-
-/// [`initial_placement`] reusing caller-held working memory. The
-/// placement order is derived from `weights` on every call; a compile
-/// reads its [`Program`](crate::Program)'s instead.
+/// Computes the initial placement for `circuit` on `grid`, reusing
+/// caller-held working memory (the compile driver and the experiment
+/// engine hold one scratch across compiles). The placement order is
+/// derived from `weights` on every call; a compile reads its
+/// [`Program`](crate::Program)'s instead.
 ///
 /// # Errors
 ///
@@ -222,7 +206,7 @@ fn nearest_free_site(free: &FreeSites, anchor: Site) -> Site {
     best.expect("capacity checked: a free usable site exists").1
 }
 
-/// Builds the lookahead interaction weights [`initial_placement`]
+/// Builds the lookahead interaction weights [`initial_placement_with`]
 /// consumes for a (possibly pre-lowered) circuit, exactly as
 /// [`crate::compile`] does before placing: the time-zero weights of
 /// [`Program::weights`](crate::Program::weights), decaying over
@@ -246,7 +230,8 @@ pub fn circuit_weights(circuit: &Circuit, lookahead_depth: usize) -> Interaction
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::ProgramTooLarge`] like [`initial_placement`].
+/// Returns [`CompileError::ProgramTooLarge`] like
+/// [`initial_placement_with`].
 pub fn initial_layout(
     circuit: &Circuit,
     grid: &Grid,
@@ -254,7 +239,7 @@ pub fn initial_layout(
 ) -> Result<QubitMap, CompileError> {
     let lowered = crate::compiler::lower_for(circuit, config);
     let weights = circuit_weights(&lowered, config.lookahead_depth);
-    initial_placement(&lowered, grid, &weights)
+    initial_placement_with(&lowered, grid, &weights, &mut PlacementScratch::new())
 }
 
 /// A stable 64-bit digest of a placement: qubit count plus every
@@ -284,6 +269,15 @@ mod tests {
     use na_circuit::Circuit;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A placement on fresh working memory.
+    fn initial_placement(
+        circuit: &Circuit,
+        grid: &Grid,
+        weights: &InteractionWeights,
+    ) -> Result<QubitMap, CompileError> {
+        initial_placement_with(circuit, grid, weights, &mut PlacementScratch::new())
+    }
 
     fn weights_for(circuit: &Circuit) -> InteractionWeights {
         let dag = circuit.dag();

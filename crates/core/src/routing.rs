@@ -230,7 +230,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn line_map(positions: &[(i32, i32)]) -> QubitMap {
-        let mut m = QubitMap::new(positions.len() as u32);
+        let mut m = QubitMap::with_extent(positions.len() as u32, 9, 9);
         for (i, &(x, y)) in positions.iter().enumerate() {
             m.assign(Qubit(i as u32), Site::new(x, y));
         }
@@ -332,7 +332,7 @@ mod tests {
     fn swap_score_rewards_progress_and_penalizes_damage() {
         // u at (0,0) wants v at (4,0); a bystander b at (1,0) wants
         // w at (0,1) (i.e. b prefers staying put).
-        let mut map = QubitMap::new(4);
+        let mut map = QubitMap::with_extent(4, 9, 9);
         map.assign(Qubit(0), Site::new(0, 0)); // u
         map.assign(Qubit(1), Site::new(4, 0)); // v
         map.assign(Qubit(2), Site::new(1, 0)); // bystander b

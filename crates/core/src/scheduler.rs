@@ -904,7 +904,7 @@ fn nearest_usable_excluding(grid: &Grid, anchor: Site, excluded: &[Site]) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::initial_placement;
+    use crate::placement::{initial_placement_with, PlacementScratch};
     use na_circuit::Circuit;
 
     /// `true` when the list spilled to the heap (arity > 3).
@@ -914,7 +914,13 @@ mod tests {
 
     fn schedule_circuit(circuit: &Circuit, grid: &Grid, config: &CompilerConfig) -> ScheduleResult {
         let program = Program::new(circuit.clone(), config.lookahead_depth);
-        let map = initial_placement(circuit, grid, program.weights()).unwrap();
+        let map = initial_placement_with(
+            circuit,
+            grid,
+            program.weights(),
+            &mut PlacementScratch::new(),
+        )
+        .unwrap();
         let graph = InteractionGraph::cached(grid, config.mid);
         run(
             &program,

@@ -13,8 +13,8 @@ use na_arch::{Grid, RestrictionPolicy, Site};
 use na_benchmarks::Benchmark;
 use na_circuit::{Circuit, Qubit};
 use na_core::{
-    compile, compile_with_report, run_passes, schedule_digest, verify, ArtifactStore,
-    CompilerConfig, PassReport, PlacementScratch, Reuse,
+    compile, run_passes, schedule_digest, verify, ArtifactStore, CompiledCircuit, CompilerConfig,
+    PassReport, PlacementScratch, Reuse,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -181,6 +181,27 @@ fn pipeline_matches_monolith_on_benchmark_families() {
 }
 
 /// The pass names of a report, in order.
+/// A fresh compile with the `verify` pass on and its per-pass report,
+/// as `natoms compile --passes` runs it.
+fn compile_reported(
+    program: &Circuit,
+    grid: &Grid,
+    cfg: &CompilerConfig,
+) -> (CompiledCircuit, PassReport) {
+    let mut report = PassReport::default();
+    let compiled = run_passes(
+        program,
+        grid,
+        cfg,
+        &mut PlacementScratch::new(),
+        Reuse::Nothing,
+        true,
+        Some(&mut report),
+    )
+    .expect("compiles");
+    (compiled, report)
+}
+
 fn pass_names(report: &PassReport) -> Vec<&str> {
     report.passes.iter().map(|p| p.pass.as_str()).collect()
 }
@@ -210,7 +231,7 @@ fn pass_order_is_pinned() {
     )
     .expect("compiles");
     assert_eq!(pass_names(&unverified), expected);
-    let (_, verified) = compile_with_report(&program, &grid, &cfg).expect("compiles");
+    let (_, verified) = compile_reported(&program, &grid, &cfg);
     assert_eq!(pass_names(&verified), expected);
 }
 
@@ -256,8 +277,7 @@ fn placement_reused_across_mid_variants_is_bit_identical_to_fresh() {
 fn report_times_and_annotates_every_pass() {
     let program = Benchmark::Bv.generate(16, 0);
     let grid = Grid::new(10, 10);
-    let (compiled, report) =
-        compile_with_report(&program, &grid, &CompilerConfig::new(3.0)).expect("compiles");
+    let (compiled, report) = compile_reported(&program, &grid, &CompilerConfig::new(3.0));
     let fresh = compile(&program, &grid, &CompilerConfig::new(3.0)).expect("compiles");
     assert_eq!(compiled, fresh, "reported compile diverged from plain");
     assert_eq!(report.passes.len(), 6);

@@ -9,7 +9,7 @@ use common::swap_search::best_swap_reference;
 use na_arch::{Grid, InteractionGraph, Site};
 use na_circuit::Qubit;
 use na_core::routing::{best_swap_for_gate, CandidateCounts};
-use na_core::{InteractionWeights, QubitMap};
+use na_core::{InteractionWeights, QubitMap, WeightScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,7 +38,13 @@ fn random_weights(rng: &mut StdRng, n: u32) -> InteractionWeights {
             (qubits, layer)
         })
         .collect();
-    InteractionWeights::from_layered_gates(n, gates.iter().map(|(q, l)| (q.as_slice(), *l)), 40)
+    let mut weights = InteractionWeights::empty(n);
+    let items = gates
+        .iter()
+        .enumerate()
+        .map(|(i, (q, l))| (i, q.as_slice(), *l));
+    weights.rebuild(items, 40, &mut WeightScratch::new());
+    weights
 }
 
 #[test]

@@ -614,7 +614,8 @@ fn run_task(
         // One shard's shot range with its deterministically derived RNG
         // streams, reusing the point's interaction summary. Shard 0 of
         // a one-shard plan draws exactly the unsharded campaign's
-        // streams, so it reproduces `na_loss::run_campaign` bit for bit.
+        // streams, so it reproduces `na_loss::run_campaign_precompiled`
+        // bit for bit.
         Task::Campaign { config, loss } | Task::ShardedCampaign { config, loss, .. } => {
             na_loss::run_campaign_shard(
                 circuit,
@@ -777,16 +778,27 @@ mod tests {
 
     #[test]
     fn campaign_through_the_cache_matches_direct_run_campaign() {
-        // The cached-compile + shared-summary path must reproduce
-        // na_loss::run_campaign bit for bit (minus measured wall
-        // clock, which CompileSmall never records).
+        // The cached-compile + shared-summary path must reproduce a
+        // direct compile + na_loss::run_campaign_precompiled bit for
+        // bit (minus measured wall clock, which CompileSmall never
+        // records).
         let cfg = na_loss::CampaignConfig::new(4.0, na_loss::Strategy::CompileSmallReroute)
             .with_target(na_loss::ShotTarget::Attempts(40))
             .with_seed(9);
         let circuit = Benchmark::Bv.generate(16, 0);
         let grid = Grid::new(8, 8);
-        let direct =
-            na_loss::run_campaign(&circuit, &grid, LossSpec::new(3).build(), &cfg).unwrap();
+        let compile_cfg = CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
+        let compiled = Arc::new(na_core::compile(&circuit, &grid, &compile_cfg).unwrap());
+        let summary = Arc::new(na_loss::InteractionSummary::of(&compiled));
+        let direct = na_loss::run_campaign_precompiled(
+            &circuit,
+            &grid,
+            compiled,
+            summary,
+            LossSpec::new(3).build(),
+            &cfg,
+        )
+        .unwrap();
 
         let mut spec = ExperimentSpec::new("t", grid.clone());
         spec.push(

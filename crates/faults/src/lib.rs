@@ -117,7 +117,8 @@ impl FaultPlan {
     }
 
     /// Replaces the 1-based hit index.
-    pub fn on_hit(mut self, hit: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn on_hit(mut self, hit: u64) -> Self {
         assert!(hit >= 1, "hit indices are 1-based");
         self.hit = hit;
         self

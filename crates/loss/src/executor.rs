@@ -1,5 +1,11 @@
 //! The multi-shot campaign simulator (paper Figs. 12–14).
 //!
+//! A campaign runs over one compiled point: the caller compiles the
+//! program once (the experiment engine through its compile cache) and
+//! hands the schedule to [`run_campaign_precompiled`], the whole
+//! campaign, or to [`run_campaign_shard`], one slice of a
+//! [`shard_ranges`] plan.
+//!
 //! Recompilations triggered mid-campaign (the `FullRecompile`
 //! strategy) run through the same `na_core` pass pipeline as the
 //! initial compile — see [`StrategyState::apply_loss`] — so per-pass
@@ -282,7 +288,9 @@ pub fn shard_ranges(cfg: &CampaignConfig, shards: u32) -> Result<Vec<ShotRange>,
 }
 
 /// Runs a multi-shot campaign of `program` on a fresh copy of
-/// `grid_template` under atom loss, per shot:
+/// `grid_template` under atom loss, over its already compiled schedule
+/// and that schedule's [`InteractionSummary`](crate::InteractionSummary).
+/// Per shot:
 ///
 /// 1. run the circuit (wall-clock from the schedule; success drawn
 ///    from the noise model × the current fixup-SWAP penalty);
@@ -292,56 +300,25 @@ pub fn shard_ranges(cfg: &CampaignConfig, shards: u32) -> Result<Vec<ShotRange>,
 ///    strategy absorb the loss (remap / fixup / recompile), reloading
 ///    when it cannot.
 ///
-/// Deterministic in `cfg.seed` and the `loss` model's seed.
-///
-/// # Errors
-///
-/// Propagates the initial compilation error, a cooperative-deadline
-/// expiry ([`CompileError::DeadlineExceeded`]) observed at a shot
-/// boundary, or an injected `loss.shot` fault (chaos testing).
-pub fn run_campaign(
-    program: &Circuit,
-    grid_template: &Grid,
-    loss: LossModel,
-    cfg: &CampaignConfig,
-) -> Result<CampaignResult, CompileError> {
-    let state = {
-        let _span = na_telemetry::span(na_telemetry::Span::CampaignCompile);
-        StrategyState::new(
-            program,
-            grid_template,
-            cfg.hardware_mid,
-            cfg.strategy,
-            swap_budget_for(cfg),
-        )?
-    };
-    campaign_loop(
-        state,
-        loss,
-        cfg,
-        cfg.seed,
-        ShardGoal::for_range(cfg, whole_campaign(cfg)),
-    )
-}
-
-/// [`run_campaign`] on an already compiled schedule and its
-/// [`InteractionSummary`](crate::InteractionSummary) — the entry point
-/// for callers that memoize compilations (the experiment engine's
-/// compile cache shares one artifact and one summary across every
-/// campaign job describing the same compilation point). Produces
-/// results identical to [`run_campaign`] given the same inputs, the
-/// timeline included: both record the initial compile as a
-/// zero-length event.
+/// Deterministic in `cfg.seed` and the `loss` model's seed. The
+/// optional timeline opens with the initial compile as a zero-length
+/// event, so it is the same whether or not the compile was cached.
 ///
 /// `compiled`/`summary` must satisfy the
-/// [`StrategyState::with_compiled`] contract. This is shard 0 of the
-/// one-shard plan ([`run_campaign_shard`]).
+/// [`StrategyState::with_compiled`] contract: compile `program` at
+/// `cfg.strategy.compile_mid(cfg.hardware_mid)` and take
+/// [`InteractionSummary::of`](crate::InteractionSummary::of) the
+/// result. The experiment engine's compile cache shares one artifact
+/// and one summary across every campaign job describing the same
+/// compilation point. This is shard 0 of the one-shard plan
+/// ([`run_campaign_shard`]).
 ///
 /// # Errors
 ///
-/// A cooperative-deadline expiry observed at a shot boundary, or an
-/// injected `loss.shot` fault; the initial compile already happened,
-/// so compilation errors cannot occur here.
+/// A cooperative-deadline expiry ([`CompileError::DeadlineExceeded`])
+/// observed at a shot boundary, or an injected `loss.shot` fault
+/// (chaos testing); the initial compile already happened, so
+/// compilation errors cannot occur here.
 pub fn run_campaign_precompiled(
     program: &Circuit,
     grid_template: &Grid,
@@ -369,8 +346,9 @@ pub fn run_campaign_precompiled(
 ///
 /// `shard 0` draws **exactly** the serial campaign's streams — success
 /// RNG seeded `cfg.seed`, loss model `base_loss` as configured — so a
-/// 1-shard campaign is the serial campaign, [`run_campaign`] (the 24
-/// campaign golden digests pin this). Shard `i > 0` derives
+/// 1-shard campaign is the serial campaign,
+/// [`run_campaign_precompiled`] (the 24 campaign golden digests pin
+/// this). Shard `i > 0` derives
 /// `derive_seed(cfg.seed, i)` for success draws and
 /// `derive_seed(base_loss.seed(), i)` for the loss stream (SplitMix64,
 /// see [`crate::stats::shard_seed`]), giving every shard a
@@ -553,7 +531,7 @@ fn campaign_loop(
         for &site in &losses {
             if !state.grid().is_usable(site) {
                 // Duplicate/stale-loss protection: `apply_loss` panics
-                // on a site that is already a hole. `draw_losses`
+                // on a site that is already a hole. `draw_losses_with`
                 // yields strictly ascending unique usable sites, so
                 // this never fires today — it guards against a future
                 // loss model emitting duplicates or sites lost earlier
@@ -619,7 +597,9 @@ fn campaign_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InteractionSummary;
     use na_benchmarks::Benchmark;
+    use std::sync::Arc;
 
     fn grid() -> Grid {
         Grid::new(10, 10)
@@ -636,24 +616,43 @@ mod tests {
             .with_seed(1)
     }
 
+    /// The program compiled at `cfg`'s strategy compile MID, with its
+    /// interaction summary: the point every campaign runs over.
+    fn compiled_point(
+        cfg: &CampaignConfig,
+    ) -> (Arc<na_core::CompiledCircuit>, Arc<InteractionSummary>) {
+        let compile_cfg = na_core::CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
+        let compiled =
+            Arc::new(na_core::compile(&program(), &grid(), &compile_cfg).expect("compiles"));
+        let summary = Arc::new(InteractionSummary::of(&compiled));
+        (compiled, summary)
+    }
+
+    /// The whole campaign over [`compiled_point`].
+    fn run(loss: LossModel, cfg: &CampaignConfig) -> CampaignResult {
+        let (compiled, summary) = compiled_point(cfg);
+        run_campaign_precompiled(&program(), &grid(), compiled, summary, loss, cfg).unwrap()
+    }
+
     #[test]
     fn campaign_is_deterministic() {
         let cfg = quick(Strategy::CompileSmallReroute, 50);
-        let a = run_campaign(&program(), &grid(), LossModel::new(5), &cfg).unwrap();
-        let b = run_campaign(&program(), &grid(), LossModel::new(5), &cfg).unwrap();
+        let a = run(LossModel::new(5), &cfg);
+        let b = run(LossModel::new(5), &cfg);
         assert_eq!(a.shots_successful, b.shots_successful);
         assert_eq!(a.ledger.reloads, b.ledger.reloads);
     }
 
     #[test]
     fn precompiled_campaign_matches_self_compiled() {
-        // The engine hands campaigns a cached compilation + summary;
-        // every field of the result (timeline included) must match the
-        // self-compiling path, for strategies with and without
-        // recompiles/reroutes. A fixed recompile charge keeps measured
-        // compile times out of the ledger and the timeline.
-        use crate::{InteractionSummary, RecompileCost};
-        use std::sync::Arc;
+        // A state that compiled its own schedule (keeping the compile
+        // scratch for later recompiles) and one built around a cached
+        // compilation + summary must run the same campaign, every field
+        // of the result (timeline included) equal, for strategies with
+        // and without recompiles/reroutes. A fixed recompile charge
+        // keeps measured compile times out of the ledger and the
+        // timeline.
+        use crate::RecompileCost;
         for strategy in [
             Strategy::CompileSmallReroute,
             Strategy::VirtualRemap,
@@ -661,20 +660,22 @@ mod tests {
         ] {
             let mut cfg = quick(strategy, 60).with_timeline();
             cfg.overheads.recompile = RecompileCost::Fixed(1.5);
-            let own = run_campaign(&program(), &grid(), LossModel::new(5), &cfg).unwrap();
-            let compile_cfg = na_core::CompilerConfig::new(strategy.compile_mid(cfg.hardware_mid));
-            let compiled =
-                Arc::new(na_core::compile(&program(), &grid(), &compile_cfg).expect("compiles"));
-            let summary = Arc::new(InteractionSummary::of(&compiled));
-            let pre = run_campaign_precompiled(
+            let budget = swap_budget_for(&cfg);
+            let own = StrategyState::new(&program(), &grid(), 3.0, strategy, budget).unwrap();
+            let (compiled, summary) = compiled_point(&cfg);
+            let pre = StrategyState::with_compiled(
                 &program(),
                 &grid(),
+                3.0,
+                strategy,
+                budget,
                 compiled,
                 summary,
-                LossModel::new(5),
-                &cfg,
-            )
-            .unwrap();
+            );
+            let goal = ShardGoal::for_range(&cfg, whole_campaign(&cfg));
+            let campaign =
+                |state| campaign_loop(state, LossModel::new(5), &cfg, cfg.seed, goal).unwrap();
+            let (own, pre) = (campaign(own), campaign(pre));
             assert!(!own.timeline.is_empty(), "{strategy}");
             assert_eq!(own, pre, "{strategy}");
         }
@@ -683,7 +684,7 @@ mod tests {
     #[test]
     fn attempts_target_runs_exactly_n_shots() {
         let cfg = quick(Strategy::AlwaysReload, 40);
-        let r = run_campaign(&program(), &grid(), LossModel::new(2), &cfg).unwrap();
+        let r = run(LossModel::new(2), &cfg);
         assert_eq!(r.shots_attempted, 40);
         assert_eq!(r.ledger.fluorescences, 40);
         assert_eq!(
@@ -695,7 +696,7 @@ mod tests {
     #[test]
     fn successes_target_stops_at_n_successes() {
         let cfg = quick(Strategy::VirtualRemap, 0).with_target(ShotTarget::Successes(10));
-        let r = run_campaign(&program(), &grid(), LossModel::new(3), &cfg).unwrap();
+        let r = run(LossModel::new(3), &cfg);
         assert_eq!(r.shots_successful, 10);
         assert!(r.shots_attempted >= 10);
     }
@@ -706,7 +707,7 @@ mod tests {
             .with_vacuum_loss(0.0)
             .with_measurement_loss(0.0);
         let cfg = quick(Strategy::AlwaysReload, 30);
-        let r = run_campaign(&program(), &grid(), lossless, &cfg).unwrap();
+        let r = run(lossless, &cfg);
         assert_eq!(r.ledger.reloads, 0);
         assert_eq!(r.discarded_by_loss, 0);
         assert_eq!(
@@ -718,7 +719,7 @@ mod tests {
     #[test]
     fn always_reload_reloads_per_interfering_loss() {
         let cfg = quick(Strategy::AlwaysReload, 100);
-        let r = run_campaign(&program(), &grid(), LossModel::new(7), &cfg).unwrap();
+        let r = run(LossModel::new(7), &cfg);
         assert_eq!(r.ledger.reloads, r.discarded_by_loss);
         assert!(
             r.ledger.reloads > 0,
@@ -731,7 +732,7 @@ mod tests {
         let mut reload_counts = Vec::new();
         for strategy in [Strategy::AlwaysReload, Strategy::CompileSmallReroute] {
             let cfg = quick(strategy, 200);
-            let r = run_campaign(&program(), &grid(), LossModel::new(11), &cfg).unwrap();
+            let r = run(LossModel::new(11), &cfg);
             reload_counts.push(r.ledger.reloads);
         }
         assert!(
@@ -745,7 +746,7 @@ mod tests {
     #[test]
     fn timeline_records_all_overheads() {
         let cfg = quick(Strategy::AlwaysReload, 30).with_timeline();
-        let r = run_campaign(&program(), &grid(), LossModel::new(4), &cfg).unwrap();
+        let r = run(LossModel::new(4), &cfg);
         assert!(!r.timeline.is_empty());
         assert_eq!(r.timeline[0].kind, EventKind::Compile);
         // Events are contiguous in time.
@@ -766,7 +767,7 @@ mod tests {
         for strategy in [Strategy::FullRecompile, Strategy::CompileSmallReroute] {
             let mut cfg = quick(strategy, 200).with_timeline();
             cfg.overheads.recompile = RecompileCost::Fixed(1.5);
-            let r = run_campaign(&program(), &grid(), LossModel::new(4), &cfg).unwrap();
+            let r = run(LossModel::new(4), &cfg);
             // The first event is the initial compile, which the ledger
             // does not charge; every later event is a ledger charge.
             let total = |kind: EventKind| -> f64 {
@@ -827,7 +828,7 @@ mod tests {
         // And a zero-attempt campaign run end-to-end records the empty
         // open interval without panicking.
         let cfg = quick(Strategy::AlwaysReload, 0).with_target(ShotTarget::Attempts(0));
-        let r = run_campaign(&program(), &grid(), LossModel::new(1), &cfg).unwrap();
+        let r = run(LossModel::new(1), &cfg);
         assert_eq!(r.shots_attempted, 0);
         assert_eq!(r.mean_shots_before_reload(), 0.0);
         assert_eq!(r.streaks.open, Some(0), "the open interval is recorded");
@@ -843,9 +844,9 @@ mod tests {
         // differential-oracle contract).
         for strategy in [Strategy::AlwaysReload, Strategy::CompileSmallReroute] {
             let cfg = quick(strategy, 150);
-            let acc = run_campaign(&program(), &grid(), LossModel::new(9), &cfg).unwrap();
+            let acc = run(LossModel::new(9), &cfg);
             let streaming_cfg = cfg.with_streaming().with_timeline();
-            let s = run_campaign(&program(), &grid(), LossModel::new(9), &streaming_cfg).unwrap();
+            let s = run(LossModel::new(9), &streaming_cfg);
             assert_eq!(s.shots_attempted, acc.shots_attempted, "{strategy}");
             assert_eq!(s.shots_successful, acc.shots_successful, "{strategy}");
             assert_eq!(s.discarded_by_loss, acc.discarded_by_loss, "{strategy}");
@@ -922,11 +923,7 @@ mod tests {
     /// The serial sharded-campaign fold: every shard of the `shards`
     /// plan in index order, merged with [`CampaignResult::merge`].
     fn fold_shards(cfg: &CampaignConfig, loss: &LossModel, shards: u32) -> CampaignResult {
-        use std::sync::Arc;
-        let compile_cfg = na_core::CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
-        let compiled =
-            Arc::new(na_core::compile(&program(), &grid(), &compile_cfg).expect("compiles"));
-        let summary = Arc::new(crate::InteractionSummary::of(&compiled));
+        let (compiled, summary) = compiled_point(cfg);
         let shard = |(i, range): (usize, ShotRange)| {
             let (c, s) = (Arc::clone(&compiled), Arc::clone(&summary));
             run_campaign_shard(&program(), &grid(), c, s, loss, cfg, i as u32, range).unwrap()
@@ -949,7 +946,7 @@ mod tests {
         // order, for both target kinds.
         for target in [ShotTarget::Attempts(80), ShotTarget::Successes(25)] {
             let cfg = quick(Strategy::CompileSmallReroute, 0).with_target(target);
-            let serial = run_campaign(&program(), &grid(), LossModel::new(5), &cfg).unwrap();
+            let serial = run(LossModel::new(5), &cfg);
             let sharded = fold_shards(&cfg, &LossModel::new(5), 1);
             assert_eq!(sharded, serial, "{target:?}");
         }

@@ -47,8 +47,8 @@ pub mod tolerance;
 mod oracles;
 
 pub use executor::{
-    run_campaign, run_campaign_precompiled, run_campaign_shard, shard_ranges, CampaignConfig,
-    CampaignResult, ShardPlanError, ShotRange, ShotTarget,
+    run_campaign_precompiled, run_campaign_shard, shard_ranges, CampaignConfig, CampaignResult,
+    ShardPlanError, ShotRange, ShotTarget,
 };
 pub use model::LossModel;
 pub use overhead::{OverheadLedger, OverheadTimes, RecompileCost};

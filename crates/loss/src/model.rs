@@ -25,9 +25,11 @@ use rand::{RngCore, SeedableRng};
 /// use na_loss::LossModel;
 ///
 /// let grid = Grid::new(10, 10);
-/// let measured: Vec<_> = grid.usable_sites().take(30).collect();
+/// // The first 30 sites in flat-index order are measured.
+/// let measured: Vec<bool> = (0..grid.num_sites()).map(|i| i < 30).collect();
 /// let mut model = LossModel::new(7);
-/// let losses = model.draw_losses(&grid, &measured);
+/// let mut losses = Vec::new();
+/// model.draw_losses_with(&grid, &measured, &mut losses);
 /// assert!(losses.len() <= grid.num_usable());
 /// ```
 #[derive(Debug, Clone)]
@@ -83,7 +85,8 @@ impl LossModel {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_vacuum_loss(mut self, p: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_vacuum_loss(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.vacuum_loss = p;
         self
@@ -94,7 +97,8 @@ impl LossModel {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_measurement_loss(mut self, p: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_measurement_loss(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.measurement_loss = p;
         self
@@ -126,37 +130,20 @@ impl LossModel {
         self.measurement_loss
     }
 
-    /// Draws the atoms lost in one shot: every usable atom risks vacuum
-    /// loss; atoms in `measured` additionally risk measurement loss.
-    /// Returns the lost sites in ascending order.
-    pub fn draw_losses(&mut self, grid: &Grid, measured: &[Site]) -> Vec<Site> {
-        let mut mask = vec![false; grid.num_sites()];
-        for s in measured {
-            // Out-of-grid measured sites can never be drawn (the old
-            // linear `contains` scan simply never matched them), so
-            // they are skipped rather than indexed.
-            if grid.contains(*s) {
-                mask[grid.flat_index(*s)] = true;
-            }
-        }
-        let mut lost = Vec::new();
-        self.draw_losses_with(grid, &mask, &mut lost);
-        lost
-    }
-
-    /// [`LossModel::draw_losses`] with the measured set as a
-    /// flat-index mask and the result written into a reused buffer.
+    /// Draws the atoms lost in one shot into `out`, in ascending
+    /// order: every usable atom risks vacuum loss; atoms whose flat
+    /// index is set in `measured_mask` additionally risk measurement
+    /// loss.
     ///
-    /// The campaign executor calls this every shot; the mask turns the
-    /// per-site `measured.contains` scan into an O(1) load and the
-    /// `out` buffer stops a `Vec` allocation per shot. The walk runs
-    /// over [`Grid::usable_mask`] by flat index and builds a [`Site`]
-    /// only for a drawn loss. The RNG contract: one `gen_bool` per
-    /// usable site with a nonzero loss probability, in ascending
-    /// flat-index (row-major) order, with the same per-site
-    /// probability as `draw_losses`. Each `gen_bool(p)` is drawn as
-    /// the integer test it is exactly equal to (see `loss_threshold`),
-    /// with both thresholds computed once per call.
+    /// The campaign executor calls this every shot; the mask makes the
+    /// measured test an O(1) load and the reused `out` buffer stops a
+    /// `Vec` allocation per shot. The walk runs over
+    /// [`Grid::usable_mask`] by flat index and builds a [`Site`] only
+    /// for a drawn loss. The RNG contract: one `gen_bool` per usable
+    /// site with a nonzero loss probability, in ascending flat-index
+    /// (row-major) order. Each `gen_bool(p)` is drawn as the integer
+    /// test it is exactly equal to (see `loss_threshold`), with both
+    /// thresholds computed once per call.
     ///
     /// # Panics
     ///
@@ -207,6 +194,17 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// One shot's losses with `measured` given as a site list.
+    fn draw(model: &mut LossModel, grid: &Grid, measured: &[Site]) -> Vec<Site> {
+        let mut mask = vec![false; grid.num_sites()];
+        for &s in measured {
+            mask[grid.flat_index(s)] = true;
+        }
+        let mut lost = Vec::new();
+        model.draw_losses_with(grid, &mask, &mut lost);
+        lost
+    }
+
     #[test]
     fn defaults_match_paper() {
         let m = LossModel::new(0);
@@ -223,8 +221,8 @@ mod tests {
         let mut b = LossModel::destructive_readout(42);
         for _ in 0..5 {
             assert_eq!(
-                a.draw_losses(&grid, &measured),
-                b.draw_losses(&grid, &measured)
+                draw(&mut a, &grid, &measured),
+                draw(&mut b, &grid, &measured)
             );
         }
     }
@@ -236,7 +234,7 @@ mod tests {
         let mut m = LossModel::new(1).with_measurement_loss(0.3);
         let (mut meas_lost, mut spare_lost) = (0usize, 0usize);
         for _ in 0..200 {
-            for s in m.draw_losses(&grid, &measured) {
+            for s in draw(&mut m, &grid, &measured) {
                 if measured.contains(&s) {
                     meas_lost += 1;
                 } else {
@@ -267,7 +265,7 @@ mod tests {
         let mut m = LossModel::new(3)
             .with_vacuum_loss(0.0)
             .with_measurement_loss(0.0);
-        assert!(m.draw_losses(&grid, &measured).is_empty());
+        assert!(draw(&mut m, &grid, &measured).is_empty());
     }
 
     #[test]
@@ -283,7 +281,7 @@ mod tests {
         let measured: Vec<Site> = grid.usable_sites().take(20).collect();
         let mut m = LossModel::destructive_readout(9).with_measurement_loss(0.9);
         for _ in 0..50 {
-            let losses = m.draw_losses(&grid, &measured);
+            let losses = draw(&mut m, &grid, &measured);
             for w in losses.windows(2) {
                 assert!(
                     (w[0].y, w[0].x) < (w[1].y, w[1].x),
@@ -295,37 +293,6 @@ mod tests {
             for s in losses {
                 assert!(grid.is_usable(s), "drew a loss at hole {s}");
             }
-        }
-    }
-
-    #[test]
-    fn out_of_grid_measured_sites_are_ignored() {
-        // The old linear-scan implementation never matched sites
-        // outside the grid; the mask-building wrapper must keep that
-        // contract instead of panicking on the flat index.
-        let grid = Grid::new(4, 4);
-        let mut m = LossModel::new(2);
-        let weird = [Site::new(-1, 0), Site::new(100, 100), Site::new(0, -7)];
-        let mut a = LossModel::new(2);
-        assert_eq!(m.draw_losses(&grid, &weird), a.draw_losses(&grid, &[]));
-    }
-
-    #[test]
-    fn draw_losses_with_matches_draw_losses_sequence() {
-        // The mask-based entry point must consume the RNG identically
-        // to the list-based one: same seed, same shot-by-shot draws.
-        let grid = Grid::new(10, 10);
-        let measured: Vec<Site> = grid.usable_sites().skip(15).take(40).collect();
-        let mut mask = vec![false; grid.num_sites()];
-        for s in &measured {
-            mask[s.y as usize * grid.width() as usize + s.x as usize] = true;
-        }
-        let mut a = LossModel::destructive_readout(77);
-        let mut b = LossModel::destructive_readout(77);
-        let mut out = Vec::new();
-        for _ in 0..20 {
-            b.draw_losses_with(&grid, &mask, &mut out);
-            assert_eq!(a.draw_losses(&grid, &measured), out);
         }
     }
 
@@ -470,7 +437,7 @@ mod tests {
             grid.remove_atom(s);
         }
         let mut m = LossModel::destructive_readout(0).with_measurement_loss(1.0);
-        assert!(m.draw_losses(&grid, &[]).is_empty());
+        assert!(draw(&mut m, &grid, &[]).is_empty());
     }
 
     #[test]
@@ -494,8 +461,8 @@ mod tests {
         let mut fresh = LossModel::destructive_readout(99).with_improvement_factor(2.0);
         for _ in 0..5 {
             assert_eq!(
-                reseeded.draw_losses(&grid, &measured),
-                fresh.draw_losses(&grid, &measured)
+                draw(&mut reseeded, &grid, &measured),
+                draw(&mut fresh, &grid, &measured)
             );
         }
     }

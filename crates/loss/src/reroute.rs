@@ -54,8 +54,8 @@
 //! kept one lost no site since the costing before it, or it would have
 //! been dirty; a new one was just found over usable sites), and nothing
 //! refills a hole without dropping the costing, so a witness site is a
-//! hole now iff it was lost since. The dirty pairs
-//! are re-costed in ascending order, as a full costing visits them, so
+//! hole now iff it was lost since. A full costing marks every pair
+//! dirty, and one loop re-costs the dirty pairs in ascending order, so
 //! the pairs costed, the BFS work and an early `None` are the same as
 //! a walk over every pair. The SWAP total is kept as an exact integer
 //! (a re-costed pair's old SWAPs leave it, its new ones enter), so the
@@ -287,14 +287,13 @@ impl FixupCache {
         scratch: &mut BfsScratch,
     ) -> Option<u32> {
         let usable = grid.usable_mask();
-        let delta = self.valid;
-        if delta {
+        let dirty = &mut self.dirty;
+        let mut mark = |p: u32| dirty[p as usize / 64] |= 1 << (p % 64);
+        if self.valid {
             // A moved operand lands on a usable shift target, and an
             // unmoved one kept its atom (losing it would have moved
             // it), so every operand is still usable.
             debug_assert!(moved.iter().all(|&(_, site)| grid.is_usable(site)));
-            let dirty = &mut self.dirty;
-            let mut mark = |p: u32| dirty[p as usize / 64] |= 1 << (p % 64);
             for &(address, _) in moved {
                 summary.pairs_of(address).iter().for_each(|&p| mark(p));
             }
@@ -309,7 +308,8 @@ impl FixupCache {
                     return None;
                 }
             }
-            // Start from nothing: every pair in range, no witnesses.
+            // Start from nothing: every pair in range, no witnesses,
+            // and every pair to cost.
             for path in &mut self.paths {
                 for &s in path.iter() {
                     self.on_path[s as usize].clear();
@@ -318,25 +318,20 @@ impl FixupCache {
             }
             self.hops.fill(1);
             self.total = 0;
+            (0..self.hops.len() as u32).for_each(mark);
         }
         self.valid = false;
-        if delta {
-            for w in 0..self.dirty.len() {
-                while self.dirty[w] != 0 {
-                    let p = w * 64 + self.dirty[w].trailing_zeros() as usize;
-                    self.dirty[w] &= self.dirty[w] - 1;
-                    if self
-                        .recost(p, summary, vmap, graph, usable, scratch)
-                        .is_none()
-                    {
-                        self.dirty.fill(0);
-                        return None;
-                    }
+        for w in 0..self.dirty.len() {
+            while self.dirty[w] != 0 {
+                let p = w * 64 + self.dirty[w].trailing_zeros() as usize;
+                self.dirty[w] &= self.dirty[w] - 1;
+                if self
+                    .recost(p, summary, vmap, graph, usable, scratch)
+                    .is_none()
+                {
+                    self.dirty.fill(0);
+                    return None;
                 }
-            }
-        } else {
-            for p in 0..self.hops.len() {
-                self.recost(p, summary, vmap, graph, usable, scratch)?;
             }
         }
         self.valid = true;

@@ -20,7 +20,12 @@
 use na_arch::Grid;
 use na_benchmarks::Benchmark;
 use na_circuit::fingerprint::fnv1a_extend;
-use na_loss::{run_campaign, CampaignConfig, CampaignResult, LossModel, ShotTarget, Strategy};
+use na_core::{compile, CompilerConfig};
+use na_loss::{
+    run_campaign_precompiled, CampaignConfig, CampaignResult, InteractionSummary, LossModel,
+    ShotTarget, Strategy,
+};
+use std::sync::Arc;
 
 /// Digest of everything deterministic in a [`CampaignResult`].
 fn campaign_digest(r: &CampaignResult) -> u64 {
@@ -63,7 +68,18 @@ fn run(strategy: Strategy, mid: f64, seed: u64, loss_seed: u64) -> CampaignResul
     let cfg = CampaignConfig::new(mid, strategy)
         .with_target(ShotTarget::Attempts(100))
         .with_seed(seed);
-    run_campaign(&program, &grid, LossModel::new(loss_seed), &cfg).expect("campaign runs")
+    let compile_cfg = CompilerConfig::new(strategy.compile_mid(mid));
+    let compiled = Arc::new(compile(&program, &grid, &compile_cfg).expect("compiles"));
+    let summary = Arc::new(InteractionSummary::of(&compiled));
+    run_campaign_precompiled(
+        &program,
+        &grid,
+        compiled,
+        summary,
+        LossModel::new(loss_seed),
+        &cfg,
+    )
+    .expect("campaign runs")
 }
 
 /// `(strategy, mid, campaign seed, loss seed, digest)` recorded from

@@ -36,8 +36,6 @@ keys! {
         Verify => "verify",
         /// Compile pass: counters and the assembled `CompiledCircuit`.
         Finalize => "finalize",
-        /// A loss campaign's initial compile (strategy state set-up).
-        CampaignCompile => "campaign_compile",
         /// One loss-campaign shot end to end. Metrics-only.
         Shot => "shot",
         /// Array shift / remap after an atom loss. Metrics-only.
@@ -66,11 +64,7 @@ impl Span {
             Span::Job | Span::CampaignJob => "job",
             Span::Shard | Span::Merge => "shard",
             Span::CacheWait => "cache",
-            Span::CampaignCompile
-            | Span::Shot
-            | Span::Remap
-            | Span::LossFixup
-            | Span::Recompile => "campaign",
+            Span::Shot | Span::Remap | Span::LossFixup | Span::Recompile => "campaign",
             _ => "pass",
         }
     }

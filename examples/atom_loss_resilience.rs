@@ -6,10 +6,12 @@
 
 use natoms::arch::Grid;
 use natoms::benchmarks::Benchmark;
+use natoms::compiler::{compile, CompilerConfig};
 use natoms::loss::{
-    mean_loss_tolerance, run_campaign, CampaignConfig, LossModel, ShotTarget, Strategy,
-    StrategyState,
+    mean_loss_tolerance, run_campaign_precompiled, CampaignConfig, InteractionSummary, LossModel,
+    ShotTarget, Strategy, StrategyState,
 };
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grid = Grid::new(10, 10);
@@ -25,14 +27,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if !strategy.supports_mid(mid) {
             continue;
         }
+        // One compile serves the loss walk and the campaign
+        // (compile-small strategies compile one MID tighter).
+        let compile_cfg = CompilerConfig::new(strategy.compile_mid(mid));
+        let compiled = Arc::new(compile(&program, &grid, &compile_cfg)?);
+        let summary = Arc::new(InteractionSummary::of(&compiled));
+        let (c, s) = (Arc::clone(&compiled), Arc::clone(&summary));
         // One loss walk (seed 3) on the strategy's compiled state.
-        let state = StrategyState::new(&program, &grid, mid, strategy, None)?;
+        let state = StrategyState::with_compiled(&program, &grid, mid, strategy, None, c, s);
         let (tolerance, _) = mean_loss_tolerance(&state, 1, 3);
         let cfg = CampaignConfig::new(mid, strategy)
             .with_target(ShotTarget::Attempts(500))
             .with_two_qubit_error(5e-3)
             .with_seed(3);
-        let result = run_campaign(&program, &grid, LossModel::new(3), &cfg)?;
+        let result =
+            run_campaign_precompiled(&program, &grid, compiled, summary, LossModel::new(3), &cfg)?;
         println!(
             "{:<18} {:>8.0}% {:>8} {:>10.2} {:>11} {:>12.1}",
             strategy.name(),

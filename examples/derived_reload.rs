@@ -6,7 +6,12 @@
 
 use natoms::arch::{AssemblyParams, AssemblySimulator, Grid};
 use natoms::benchmarks::Benchmark;
-use natoms::loss::{run_campaign, CampaignConfig, LossModel, OverheadTimes, ShotTarget, Strategy};
+use natoms::compiler::{compile, CompilerConfig};
+use natoms::loss::{
+    run_campaign_precompiled, CampaignConfig, InteractionSummary, LossModel, OverheadTimes,
+    ShotTarget, Strategy,
+};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grid = Grid::new(10, 10);
@@ -31,6 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nCampaign overhead with the physics-derived reload (500 shots):\n");
+    // Both campaigns run over one compile, at compile-small's MID.
+    let strategy = Strategy::CompileSmallReroute;
+    let compile_cfg = CompilerConfig::new(strategy.compile_mid(4.0));
+    let compiled = Arc::new(compile(&program, &grid, &compile_cfg)?);
+    let summary = Arc::new(InteractionSummary::of(&compiled));
     for (label, overheads) in [
         ("paper constant 0.3 s", OverheadTimes::default()),
         (
@@ -38,12 +48,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             OverheadTimes::default().with_derived_reload(10, 10, 3, 7),
         ),
     ] {
-        let mut cfg = CampaignConfig::new(4.0, Strategy::CompileSmallReroute)
+        let mut cfg = CampaignConfig::new(4.0, strategy)
             .with_target(ShotTarget::Attempts(500))
             .with_two_qubit_error(5e-3)
             .with_seed(7);
         cfg.overheads = overheads;
-        let result = run_campaign(&program, &grid, LossModel::new(7), &cfg)?;
+        let (c, s) = (Arc::clone(&compiled), Arc::clone(&summary));
+        let result = run_campaign_precompiled(&program, &grid, c, s, LossModel::new(7), &cfg)?;
         println!(
             "  {:<22} reload {:.3} s x{:<3} -> total overhead {:.2} s",
             label,

@@ -11,8 +11,11 @@
 use natoms::arch::Grid;
 use natoms::circuit::qasm::parse_qasm;
 use natoms::compiler::{compile, verify, CompilerConfig};
-use natoms::loss::{run_campaign, CampaignConfig, LossModel, ShotTarget, Strategy};
+use natoms::loss::{
+    run_campaign_precompiled, CampaignConfig, InteractionSummary, LossModel, ShotTarget, Strategy,
+};
 use natoms::noise::{success_probability, NoiseParams};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::args()
@@ -42,7 +45,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let campaign_cfg = CampaignConfig::new(3.0, Strategy::CompileSmallReroute)
         .with_target(ShotTarget::Attempts(200))
         .with_seed(1);
-    let result = run_campaign(&circuit, &grid, LossModel::new(1), &campaign_cfg)?;
+    // Compile-small strategies run over a compile one MID tighter.
+    let small = CompilerConfig::new(campaign_cfg.strategy.compile_mid(3.0));
+    let compiled = Arc::new(compile(&circuit, &grid, &small)?);
+    let summary = Arc::new(InteractionSummary::of(&compiled));
+    let loss = LossModel::new(1);
+    let result = run_campaign_precompiled(&circuit, &grid, compiled, summary, loss, &campaign_cfg)?;
     println!(
         "campaign: {}/{} shots successful, {} lost to atom loss, {} reloads",
         result.shots_successful,

@@ -4,10 +4,27 @@
 
 use natoms::arch::Grid;
 use natoms::benchmarks::Benchmark;
+use natoms::circuit::Circuit;
+use natoms::compiler::{compile, CompileError, CompilerConfig};
 use natoms::loss::{
-    mean_loss_tolerance, run_campaign, CampaignConfig, LossModel, LossOutcome, ShotTarget,
-    Strategy, StrategyState,
+    mean_loss_tolerance, run_campaign_precompiled, CampaignConfig, CampaignResult,
+    InteractionSummary, LossModel, LossOutcome, ShotTarget, Strategy, StrategyState,
 };
+use std::sync::Arc;
+
+/// Compiles `program` at `cfg`'s strategy compile MID and runs the
+/// whole campaign over that schedule.
+fn campaign(
+    program: &Circuit,
+    grid: &Grid,
+    loss: LossModel,
+    cfg: &CampaignConfig,
+) -> Result<CampaignResult, CompileError> {
+    let compile_cfg = CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
+    let compiled = Arc::new(compile(program, grid, &compile_cfg)?);
+    let summary = Arc::new(InteractionSummary::of(&compiled));
+    run_campaign_precompiled(program, grid, compiled, summary, loss, cfg)
+}
 
 fn grid() -> Grid {
     Grid::new(10, 10)
@@ -68,7 +85,7 @@ fn campaign_shot_accounting_is_consistent() {
             .with_target(ShotTarget::Attempts(120))
             .with_two_qubit_error(2e-3)
             .with_seed(8);
-        let r = run_campaign(&program, &grid(), LossModel::new(8), &cfg)
+        let r = campaign(&program, &grid(), LossModel::new(8), &cfg)
             .unwrap_or_else(|e| panic!("{strategy}: {e}"));
         assert_eq!(
             r.shots_attempted,
@@ -97,7 +114,7 @@ fn loss_improvement_scales_shots_per_reload() {
             .with_two_qubit_error(1e-3)
             .with_seed(21);
         let loss = LossModel::new(22).with_improvement_factor(factor);
-        run_campaign(&program, &grid(), loss, &cfg)
+        campaign(&program, &grid(), loss, &cfg)
             .unwrap()
             .mean_shots_before_reload()
     };
@@ -116,9 +133,8 @@ fn destructive_readout_is_much_worse() {
         .with_target(ShotTarget::Attempts(150))
         .with_two_qubit_error(1e-3)
         .with_seed(5);
-    let lowloss = run_campaign(&program, &grid(), LossModel::new(5), &cfg).unwrap();
-    let destructive =
-        run_campaign(&program, &grid(), LossModel::destructive_readout(5), &cfg).unwrap();
+    let lowloss = campaign(&program, &grid(), LossModel::new(5), &cfg).unwrap();
+    let destructive = campaign(&program, &grid(), LossModel::destructive_readout(5), &cfg).unwrap();
     assert!(
         destructive.ledger.reloads > 2 * lowloss.ledger.reloads,
         "destructive {} vs low-loss {} reloads",
@@ -134,7 +150,7 @@ fn overhead_dominated_by_reloads_for_always_reload() {
         .with_target(ShotTarget::Attempts(300))
         .with_two_qubit_error(1e-3)
         .with_seed(2);
-    let r = run_campaign(&program, &grid(), LossModel::new(2), &cfg).unwrap();
+    let r = campaign(&program, &grid(), LossModel::new(2), &cfg).unwrap();
     assert!(
         r.ledger.reload_time > r.ledger.overhead_time() * 0.5,
         "reloads {}s of {}s overhead",
@@ -151,7 +167,7 @@ fn campaign_timeline_matches_ledger() {
         .with_two_qubit_error(1e-3)
         .with_seed(6)
         .with_timeline();
-    let r = run_campaign(&program, &grid(), LossModel::new(6), &cfg).unwrap();
+    let r = campaign(&program, &grid(), LossModel::new(6), &cfg).unwrap();
     use natoms::loss::EventKind;
     let count = |k: EventKind| r.timeline.iter().filter(|e| e.kind == k).count() as u64;
     assert_eq!(count(EventKind::RunCircuit), r.shots_attempted);

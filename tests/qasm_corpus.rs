@@ -159,13 +159,23 @@ fn corpus_circuits_run_a_loss_campaign_end_to_end() {
     // The acceptance criterion's `natoms campaign --qasm …` path,
     // driven through the library: an imported circuit must survive a
     // full multi-shot campaign under atom loss.
-    use natoms::loss::{run_campaign, CampaignConfig, LossModel, ShotTarget, Strategy};
+    use natoms::compiler::{compile, CompilerConfig};
+    use natoms::loss::{
+        run_campaign_precompiled, CampaignConfig, InteractionSummary, LossModel, ShotTarget,
+        Strategy,
+    };
+    use std::sync::Arc;
     let src = std::fs::read_to_string(corpus_dir().join("ghz8.qasm")).unwrap();
     let c = parse_qasm(&src).unwrap();
     let cfg = CampaignConfig::new(3.0, Strategy::CompileSmallReroute)
         .with_target(ShotTarget::Attempts(40))
         .with_seed(7);
-    let result = run_campaign(&c, &Grid::new(10, 10), LossModel::new(7), &cfg).unwrap();
+    let grid = Grid::new(10, 10);
+    let compile_cfg = CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
+    let compiled = Arc::new(compile(&c, &grid, &compile_cfg).unwrap());
+    let summary = Arc::new(InteractionSummary::of(&compiled));
+    let result =
+        run_campaign_precompiled(&c, &grid, compiled, summary, LossModel::new(7), &cfg).unwrap();
     assert_eq!(result.shots_attempted, 40);
     assert!(result.shots_successful > 0, "GHZ campaign never succeeded");
 }

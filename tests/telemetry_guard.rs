@@ -7,12 +7,31 @@
 
 use natoms::arch::Grid;
 use natoms::benchmarks::Benchmark;
+use natoms::circuit::Circuit;
 use natoms::compiler::{
-    compile, initial_layout, placement_digest, schedule_digest, CompilerConfig,
+    compile, initial_layout, placement_digest, schedule_digest, CompileError, CompilerConfig,
 };
 use natoms::engine::{Engine, ExperimentSpec, Task};
-use natoms::loss::{run_campaign, CampaignConfig, CampaignResult, LossModel, ShotTarget, Strategy};
+use natoms::loss::{
+    run_campaign_precompiled, CampaignConfig, CampaignResult, InteractionSummary, LossModel,
+    ShotTarget, Strategy,
+};
 use natoms::telemetry as tel;
+use std::sync::Arc;
+
+/// Compiles `program` at `cfg`'s strategy compile MID and runs the
+/// whole campaign over that schedule.
+fn campaign(
+    program: &Circuit,
+    grid: &Grid,
+    loss: LossModel,
+    cfg: &CampaignConfig,
+) -> Result<CampaignResult, CompileError> {
+    let compile_cfg = CompilerConfig::new(cfg.strategy.compile_mid(cfg.hardware_mid));
+    let compiled = Arc::new(compile(program, grid, &compile_cfg)?);
+    let summary = Arc::new(InteractionSummary::of(&compiled));
+    run_campaign_precompiled(program, grid, compiled, summary, loss, cfg)
+}
 
 /// One single-job compile experiment through the engine, returning its
 /// row. Used to pin the per-pass report contract on both telemetry
@@ -51,12 +70,12 @@ fn pipeline_digests() -> (Vec<(u64, u64)>, CampaignResult, CampaignResult) {
         .with_target(ShotTarget::Attempts(60))
         .with_seed(7);
     let reroute =
-        run_campaign(&program, &grid, LossModel::new(3), &reroute_cfg).expect("campaign runs");
+        campaign(&program, &grid, LossModel::new(3), &reroute_cfg).expect("campaign runs");
 
     let recompile_cfg = CampaignConfig::new(4.0, Strategy::FullRecompile)
         .with_target(ShotTarget::Attempts(30))
         .with_seed(7);
-    let mut recompile = run_campaign(
+    let mut recompile = campaign(
         &program,
         &grid,
         LossModel::destructive_readout(3),
